@@ -2,16 +2,21 @@
 //! that slot's calls hosted at each DC — the `S_tcx` of the paper, whether
 //! produced by the LP (Switchboard) or by a closed-form policy (RR, LF).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use sb_net::DcId;
 use sb_workload::ConfigId;
 
 /// Sparse `S_tcx`: per config, per slot, a short `(dc, fraction)` list.
+///
+/// Keyed in `ConfigId` order: usage accounting sums floats in iteration
+/// order, so the order must not vary from one map instance to the next (a
+/// hash map's does), or the same shares yield capacities that differ in the
+/// last bits and every LP downstream pivots differently.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct AllocationShares {
     num_slots: usize,
-    shares: HashMap<ConfigId, Vec<Vec<(DcId, f64)>>>,
+    shares: BTreeMap<ConfigId, Vec<Vec<(DcId, f64)>>>,
 }
 
 impl AllocationShares {
@@ -19,7 +24,7 @@ impl AllocationShares {
     pub fn new(num_slots: usize) -> AllocationShares {
         AllocationShares {
             num_slots,
-            shares: HashMap::new(),
+            shares: BTreeMap::new(),
         }
     }
 
@@ -57,7 +62,8 @@ impl AllocationShares {
         self.shares.contains_key(&cfg)
     }
 
-    /// Iterate `(config, slot, shares)` for all non-empty entries.
+    /// Iterate `(config, slot, shares)` for all non-empty entries, in
+    /// `(config, slot)` order.
     pub fn iter(&self) -> impl Iterator<Item = (ConfigId, usize, &[(DcId, f64)])> {
         self.shares.iter().flat_map(|(&cfg, per_slot)| {
             per_slot
@@ -68,7 +74,7 @@ impl AllocationShares {
         })
     }
 
-    /// Configs present in the plan.
+    /// Configs present in the plan, ascending.
     pub fn configs(&self) -> impl Iterator<Item = ConfigId> + '_ {
         self.shares.keys().copied()
     }
@@ -98,6 +104,18 @@ mod tests {
         assert_eq!(all.len(), 1);
         assert_eq!(all[0].0, c);
         assert_eq!(all[0].1, 1);
+    }
+
+    #[test]
+    fn iteration_is_in_config_then_slot_order() {
+        let mut s = AllocationShares::new(2);
+        for c in [7u32, 2, 5] {
+            s.set(ConfigId(c), 1, vec![(DcId(0), 1.0)]);
+            s.set(ConfigId(c), 0, vec![(DcId(1), 1.0)]);
+        }
+        let order: Vec<_> = s.iter().map(|(c, slot, _)| (c.0, slot)).collect();
+        assert_eq!(order, [(2, 0), (2, 1), (5, 0), (5, 1), (7, 0), (7, 1)]);
+        assert_eq!(s.configs().map(|c| c.0).collect::<Vec<_>>(), [2, 5, 7]);
     }
 
     #[test]

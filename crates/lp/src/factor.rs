@@ -72,17 +72,19 @@ pub(crate) trait Factorization {
     ) -> Result<Vec<(usize, usize)>, LpError>;
 
     /// `out := B⁻¹ a` for a sparse `a` given as parallel `(rows, vals)`.
-    fn ftran_sparse(&self, rows: &[u32], vals: &[f64], out: &mut [f64]);
+    /// The solves take `&mut self` because each backend owns its scratch:
+    /// none of them allocates.
+    fn ftran_sparse(&mut self, rows: &[u32], vals: &[f64], out: &mut [f64]);
 
     /// `out := B⁻¹ a` for a dense `a` (original-row indexed).
-    fn ftran_dense(&self, a: &[f64], out: &mut [f64]);
+    fn ftran_dense(&mut self, a: &[f64], out: &mut [f64]);
 
     /// `out := B⁻ᵀ c` for a dense `c` (basis-position indexed).
-    fn btran_dense(&self, c: &[f64], out: &mut [f64]);
+    fn btran_dense(&mut self, c: &[f64], out: &mut [f64]);
 
-    /// `out := B⁻ᵀ e_r` — row `r` of `B⁻¹` (original-row indexed). Used by
-    /// the dual ratio test and devex weight updates.
-    fn btran_unit(&self, r: usize, out: &mut [f64]);
+    /// `out := B⁻ᵀ e_r` — row `r` of `B⁻¹` (original-row indexed), the seed
+    /// of the engine's pivot-row kernel.
+    fn btran_unit(&mut self, r: usize, out: &mut [f64]);
 
     /// Absorb a basis change: position `r` now holds a column whose ftran
     /// image under the *pre-update* factorization is `w`.
@@ -249,7 +251,7 @@ impl Factorization for DenseFactor {
         self.invert(mat, basis, Some((basis0, may_use)))
     }
 
-    fn ftran_sparse(&self, rows: &[u32], vals: &[f64], out: &mut [f64]) {
+    fn ftran_sparse(&mut self, rows: &[u32], vals: &[f64], out: &mut [f64]) {
         let m = self.m;
         out.fill(0.0);
         for (&r, &v) in rows.iter().zip(vals) {
@@ -260,7 +262,7 @@ impl Factorization for DenseFactor {
         }
     }
 
-    fn ftran_dense(&self, a: &[f64], out: &mut [f64]) {
+    fn ftran_dense(&mut self, a: &[f64], out: &mut [f64]) {
         let m = self.m;
         out.fill(0.0);
         for (r, &v) in a.iter().enumerate() {
@@ -272,7 +274,7 @@ impl Factorization for DenseFactor {
         }
     }
 
-    fn btran_dense(&self, c: &[f64], out: &mut [f64]) {
+    fn btran_dense(&mut self, c: &[f64], out: &mut [f64]) {
         let m = self.m;
         out.fill(0.0);
         for (i, &ci) in c.iter().enumerate() {
@@ -285,7 +287,7 @@ impl Factorization for DenseFactor {
         }
     }
 
-    fn btran_unit(&self, r: usize, out: &mut [f64]) {
+    fn btran_unit(&mut self, r: usize, out: &mut [f64]) {
         let m = self.m;
         out.copy_from_slice(&self.binv[r * m..(r + 1) * m]);
     }
@@ -495,16 +497,6 @@ impl Lu {
             }
         }
         if pval < 1e-12 {
-            if std::env::var_os("SB_LP_FACTOR_DEBUG").is_some() {
-                eprintln!(
-                    "factor_col dependent: col {col} pos {pos} step {} / {} pval {pval:.3e} \
-                     col_nnz {} pattern {}",
-                    self.u_diag.len(),
-                    self.m,
-                    rows.len(),
-                    s.pattern.len()
-                );
-            }
             for &r in &s.pattern {
                 s.w[r as usize] = 0.0;
                 s.mark[r as usize] = false;
@@ -561,16 +553,6 @@ impl Lu {
                 ColOutcome::Dependent => match deps.as_mut() {
                     Some(d) => d.push(pos),
                     None => {
-                        if std::env::var_os("SB_LP_FACTOR_DEBUG").is_some() {
-                            let dups: Vec<usize> = (0..m)
-                                .filter(|&p| basis[p] == basis[pos] && p != pos)
-                                .collect();
-                            eprintln!(
-                                "strict factor failed at pos {pos} col {}; other positions \
-                                 holding the same column: {dups:?}",
-                                basis[pos]
-                            );
-                        }
                         return Err(LpError::BadModel(
                             "singular basis during refactorization".into(),
                         ));
@@ -581,9 +563,10 @@ impl Lu {
         Ok(lu)
     }
 
-    /// `out := U⁻¹ L⁻¹ (scatter of w)`, consuming `w` (left zeroed is NOT
-    /// guaranteed — callers pass a scratch they re-fill). `w` is original-row
-    /// indexed; `out` is basis-position indexed and fully overwritten.
+    /// `out := U⁻¹ L⁻¹ w`, consuming `w`: every pivot-row slot is zeroed as
+    /// the U solve retires it, so a scratch that went in as a scattered
+    /// column comes back all-zero. `w` is original-row indexed; `out` is
+    /// basis-position indexed and fully overwritten.
     fn solve_ftran(&self, w: &mut [f64], out: &mut [f64]) {
         // L solve in elimination order: w[pivot_row[k]] becomes z_k
         for k in 0..self.m {
@@ -655,6 +638,11 @@ pub(crate) struct SparseLuFactor {
     tiny_pivot: bool,
     /// Cap on etas between refactorizations.
     max_etas: usize,
+    /// Scratch, length `m`: the ftran right-hand side (all-zero between
+    /// solves, see [`Lu::solve_ftran`]) and the btran input after etas.
+    work: Vec<f64>,
+    /// Scratch, length `m`: the btran step-space intermediate.
+    steps: Vec<f64>,
 }
 
 impl SparseLuFactor {
@@ -668,6 +656,8 @@ impl SparseLuFactor {
             eta_pivot_val: Vec::new(),
             tiny_pivot: false,
             max_etas: 64,
+            work: vec![0.0; m],
+            steps: vec![0.0; m],
         }
     }
 
@@ -696,9 +686,10 @@ impl SparseLuFactor {
         }
     }
 
-    /// Apply the transposed eta file to a btran input, newest first: only the
-    /// pivot slot changes, `c_r := (c_r − Σ w_j c_j) / w_r`.
-    fn apply_etas_btran(&self, c: &mut [f64]) {
+    /// Apply the transposed eta file to the btran input in `work`, newest
+    /// first: only the pivot slot changes, `c_r := (c_r − Σ w_j c_j) / w_r`.
+    fn apply_etas_btran(&mut self) {
+        let c = &mut self.work;
         for e in (0..self.eta_pivot_pos.len()).rev() {
             let r = self.eta_pivot_pos[e] as usize;
             let mut acc = c[r];
@@ -708,6 +699,13 @@ impl SparseLuFactor {
             }
             c[r] = acc / self.eta_pivot_val[e];
         }
+    }
+
+    /// `out := B⁻ᵀ work`, leaving `work` all-zero again for the next ftran.
+    fn btran_work(&mut self, out: &mut [f64]) {
+        self.apply_etas_btran();
+        self.lu.solve_btran(&self.work, &mut self.steps, out);
+        self.work.fill(0.0);
     }
 }
 
@@ -759,36 +757,28 @@ impl Factorization for SparseLuFactor {
         Ok(replacements)
     }
 
-    fn ftran_sparse(&self, rows: &[u32], vals: &[f64], out: &mut [f64]) {
-        let mut w = vec![0.0f64; self.lu.m];
+    fn ftran_sparse(&mut self, rows: &[u32], vals: &[f64], out: &mut [f64]) {
         for (&r, &v) in rows.iter().zip(vals) {
-            w[r as usize] = v;
+            self.work[r as usize] = v;
         }
-        out.fill(0.0);
-        self.lu.solve_ftran(&mut w, out);
+        self.lu.solve_ftran(&mut self.work, out);
         self.apply_etas_ftran(out);
     }
 
-    fn ftran_dense(&self, a: &[f64], out: &mut [f64]) {
-        let mut w = a.to_vec();
-        out.fill(0.0);
-        self.lu.solve_ftran(&mut w, out);
+    fn ftran_dense(&mut self, a: &[f64], out: &mut [f64]) {
+        self.work.copy_from_slice(a);
+        self.lu.solve_ftran(&mut self.work, out);
         self.apply_etas_ftran(out);
     }
 
-    fn btran_dense(&self, c: &[f64], out: &mut [f64]) {
-        let mut cv = c.to_vec();
-        self.apply_etas_btran(&mut cv);
-        let mut s = vec![0.0f64; self.lu.m];
-        self.lu.solve_btran(&cv, &mut s, out);
+    fn btran_dense(&mut self, c: &[f64], out: &mut [f64]) {
+        self.work.copy_from_slice(c);
+        self.btran_work(out);
     }
 
-    fn btran_unit(&self, r: usize, out: &mut [f64]) {
-        let mut cv = vec![0.0f64; self.lu.m];
-        cv[r] = 1.0;
-        self.apply_etas_btran(&mut cv);
-        let mut s = vec![0.0f64; self.lu.m];
-        self.lu.solve_btran(&cv, &mut s, out);
+    fn btran_unit(&mut self, r: usize, out: &mut [f64]) {
+        self.work[r] = 1.0;
+        self.btran_work(out);
     }
 
     fn update(&mut self, r: usize, w: &[f64]) {
@@ -822,22 +812,20 @@ impl Factorization for SparseLuFactor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sparse::CsrView;
 
     /// A 4×4 matrix with known inverse behavior, stored column-sparse, plus
     /// unit tail columns so repair has something to draw on.
     fn fixture() -> CscMatrix {
         // columns 0..4 structural, 4..8 unit (slack) columns
-        let rows = vec![
-            vec![(0usize, 2.0), (1usize, 1.0)],
-            vec![(1usize, 3.0), (2usize, 1.0)],
-            vec![(0usize, 1.0), (2usize, 4.0), (3usize, 1.0)],
-            vec![(3usize, 5.0)],
-        ];
+        let rows = CsrView::from_rows(&[
+            vec![(0, 2.0), (1, 1.0), (4, 1.0)],
+            vec![(1, 3.0), (2, 1.0), (5, 1.0)],
+            vec![(0, 1.0), (2, 4.0), (3, 1.0), (6, 1.0)],
+            vec![(3, 5.0), (7, 1.0)],
+        ]);
         let mut m = CscMatrix::new(4);
-        m.assemble_structural(4, &rows);
-        for i in 0..4 {
-            m.push_unit_col(i, 1.0);
-        }
+        m.assemble_from_rows(8, &rows);
         m
     }
 

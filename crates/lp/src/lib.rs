@@ -41,13 +41,22 @@ mod revised;
 mod sparse;
 mod standard;
 
+// The unit tests drive the same generated models as
+// `tests/proptest_warm_start.rs`; the generator names this crate by its
+// external name.
+#[cfg(test)]
+extern crate self as sb_lp;
+#[cfg(test)]
+#[path = "../tests/sweep_gen/mod.rs"]
+mod sweep_gen;
+
 pub use dense::DenseSimplex;
 pub use export::to_lp_format;
 pub use factor::FactorKind;
 pub use guarded::GuardedSimplex;
 pub use problem::{
-    Basis, Constraint, LpError, LpProblem, Relation, Solution, SolveRung, SolveStats, Solver, Var,
-    VarStatus,
+    Basis, Constraint, IterationTimes, LpError, LpProblem, Relation, Solution, SolveRung,
+    SolveStats, Solver, Var, VarStatus,
 };
 pub use revised::{Pricing, RevisedSimplex};
 pub use standard::{PatchOutcome, PreparedProblem};

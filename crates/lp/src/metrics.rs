@@ -13,6 +13,12 @@ pub(crate) struct LpMetrics {
     phase2_iterations: Counter,
     refactorizations: Counter,
     solve_wall_ns: Histogram,
+    pricing_ns: Histogram,
+    pivot_row_ns: Histogram,
+    ftran_ns: Histogram,
+    ratio_ns: Histogram,
+    update_ns: Histogram,
+    refactor_ns: Histogram,
     time_limit_aborts: Counter,
     dense_fallbacks: Counter,
     cold_retries: Counter,
@@ -27,6 +33,21 @@ pub(crate) struct LpMetrics {
     devex_resets: Counter,
     basis_nnz: Gauge,
     fill_ratio: Gauge,
+    restore_pivots: Counter,
+    restore_giveups_cap: Counter,
+    restore_giveups_no_column: Counter,
+    restore_giveups_singular: Counter,
+}
+
+/// Why a dual feasibility restoration gave up (the caller then solves cold).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub(crate) enum RestoreGiveup {
+    /// Pivot cap reached with a bound still violated.
+    Cap,
+    /// No sign-eligible entering column for the violated row.
+    NoColumn,
+    /// A scheduled refactorization found the basis singular.
+    Singular,
 }
 
 impl LpMetrics {
@@ -36,6 +57,12 @@ impl LpMetrics {
         self.phase2_iterations.add(stats.phase2_iterations);
         self.refactorizations.add(stats.refactorizations);
         self.solve_wall_ns.record_duration(stats.wall);
+        self.pricing_ns.record_duration(stats.times.pricing);
+        self.pivot_row_ns.record_duration(stats.times.pivot_row);
+        self.ftran_ns.record_duration(stats.times.ftran);
+        self.ratio_ns.record_duration(stats.times.ratio);
+        self.update_ns.record_duration(stats.times.update);
+        self.refactor_ns.record_duration(stats.times.refactor);
         self.phase1_iterations_saved
             .add(stats.phase1_iterations_saved);
         self.pricing_scans.add(stats.pricing_scans);
@@ -51,6 +78,18 @@ impl LpMetrics {
         self.dense_fallbacks.inc();
         if matches!(cause, LpError::TimeLimit) {
             self.time_limit_aborts.inc();
+        }
+    }
+
+    /// One finished `dual_restore` pass: pivots spent, and why it gave up
+    /// if it did.
+    pub(crate) fn record_restore(&self, pivots: u64, giveup: Option<RestoreGiveup>) {
+        self.restore_pivots.add(pivots);
+        match giveup {
+            None => {}
+            Some(RestoreGiveup::Cap) => self.restore_giveups_cap.inc(),
+            Some(RestoreGiveup::NoColumn) => self.restore_giveups_no_column.inc(),
+            Some(RestoreGiveup::Singular) => self.restore_giveups_singular.inc(),
         }
     }
 
@@ -81,6 +120,12 @@ pub(crate) fn lp_metrics() -> &'static LpMetrics {
             phase2_iterations: reg.counter("lp.phase2_iterations"),
             refactorizations: reg.counter("lp.refactorizations"),
             solve_wall_ns: reg.histogram("lp.solve_wall_ns"),
+            pricing_ns: reg.histogram("lp.pricing_ns"),
+            pivot_row_ns: reg.histogram("lp.pivot_row_ns"),
+            ftran_ns: reg.histogram("lp.ftran_ns"),
+            ratio_ns: reg.histogram("lp.ratio_ns"),
+            update_ns: reg.histogram("lp.update_ns"),
+            refactor_ns: reg.histogram("lp.refactor_ns"),
             time_limit_aborts: reg.counter("lp.time_limit_aborts"),
             dense_fallbacks: reg.counter("lp.dense_fallbacks"),
             cold_retries: reg.counter("lp.cold_retries"),
@@ -95,6 +140,10 @@ pub(crate) fn lp_metrics() -> &'static LpMetrics {
             devex_resets: reg.counter("lp.devex_resets"),
             basis_nnz: reg.gauge("lp.basis_nnz"),
             fill_ratio: reg.gauge("lp.fill_ratio"),
+            restore_pivots: reg.counter("lp.restore_pivots"),
+            restore_giveups_cap: reg.counter("lp.restore_giveups_cap"),
+            restore_giveups_no_column: reg.counter("lp.restore_giveups_no_column"),
+            restore_giveups_singular: reg.counter("lp.restore_giveups_singular"),
         }
     })
 }

@@ -384,6 +384,31 @@ impl std::fmt::Display for SolveRung {
     }
 }
 
+/// Where the revised engine's iteration time went: `wall` split by the step
+/// of the simplex loop that spent it. The six sum to the time inside the
+/// pivot loops (the rest of `wall` is set-up and extraction). All zero for
+/// the dense tableau engine.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct IterationTimes {
+    /// Choosing the entering column: the scan of the maintained reduced
+    /// costs, plus every from-scratch recomputation of them (duals and the
+    /// dot-product sweep).
+    pub pricing: std::time::Duration,
+    /// The pivot-row kernel: `ρ = B⁻ᵀe_r`, `α_r = ρᵀA_N`, and the
+    /// reduced-cost (and devex weight) update it feeds.
+    pub pivot_row: std::time::Duration,
+    /// `B⁻¹A_q` for the entering column.
+    pub ftran: std::time::Duration,
+    /// The primal (Harris) ratio test, or the dual one during feasibility
+    /// restoration.
+    pub ratio: std::time::Duration,
+    /// Moving the basic point and absorbing the basis change into the
+    /// factorization.
+    pub update: std::time::Duration,
+    /// From-scratch refactorizations, including the recomputed basic point.
+    pub refactor: std::time::Duration,
+}
+
 /// Per-solve engine statistics: how the simplex got to the optimum.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SolveStats {
@@ -395,6 +420,8 @@ pub struct SolveStats {
     pub refactorizations: u64,
     /// Wall-clock time of the whole solve.
     pub wall: std::time::Duration,
+    /// `wall` attributed to the steps of the simplex loop.
+    pub times: IterationTimes,
     /// Whether an injected warm basis was accepted and phase 1 skipped.
     pub warm_started: bool,
     /// Estimated phase-1 work the warm start avoided: the number of rows
@@ -403,11 +430,13 @@ pub struct SolveStats {
     pub phase1_iterations_saved: u64,
     /// Pricing passes performed (one per simplex iteration attempt).
     pub pricing_scans: u64,
-    /// Reduced costs evaluated across all pricing passes. Partial pricing
-    /// exists to shrink this number.
+    /// Reduced costs evaluated by dot product, i.e. recomputed from scratch
+    /// (after a refactorization, a cost change, or before optimality is
+    /// declared) rather than maintained from the pivot row.
     pub pricing_cols_scanned: u64,
-    /// Pricing passes that scanned every column (always all of them under
-    /// Dantzig pricing; periodic under partial pricing).
+    /// Pricing passes that scanned every column's maintained reduced cost
+    /// (all of them under Dantzig pricing; partial and devex pricing exist
+    /// to shrink this number).
     pub full_pricing_sweeps: u64,
     /// Which solve-ladder rung produced this solution.
     pub rung: SolveRung,

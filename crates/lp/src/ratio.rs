@@ -94,6 +94,39 @@ pub(crate) fn harris_ratio(
     }
 }
 
+/// Harris's bound-relaxed ratio test: let every basic variable overshoot its
+/// bound by up to `delta`, take the longest step `t_max` that allows, and
+/// among the rows that reach their bound within it leave on the one with the
+/// largest pivot — after a step of that row's own (unrelaxed) limit, so no
+/// variable ends more than `delta` outside. The revised engine falls back to
+/// this when the pivot [`harris_ratio`] settled on is too small to trust
+/// even under a fresh factorization; with `delta = 0` it is the plain
+/// min-ratio test with the largest-pivot tie-break.
+pub(crate) fn relaxed_ratio(
+    cands: &[RatioCandidate],
+    bound_flip_t: f64,
+    delta: f64,
+) -> RatioChoice {
+    let t_max = cands
+        .iter()
+        .fold(bound_flip_t, |t, c| t.min(c.limit + delta / c.pivot_abs));
+    if !t_max.is_finite() {
+        return RatioChoice::Unbounded;
+    }
+    let best = cands
+        .iter()
+        .filter(|c| c.limit <= t_max)
+        .max_by(|a, b| a.pivot_abs.total_cmp(&b.pivot_abs));
+    match best {
+        Some(b) => RatioChoice::Leave {
+            row: b.row,
+            to_upper: b.to_upper,
+            t: b.limit.max(0.0),
+        },
+        None => RatioChoice::BoundFlip(bound_flip_t),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,5 +195,37 @@ mod tests {
             RatioChoice::Leave { t, .. } => assert_eq!(t, 0.0),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn relaxation_trades_feasibility_for_a_bigger_pivot() {
+        // row 0 binds first but on a pivot of 1e-9; row 1 binds a hair later
+        // on a pivot of 2: within delta of row 0's bound, so it wins
+        let cands = [
+            cand(0, 0.0, 1e-9, 10),
+            cand(1, 1e-8, 2.0, 11),
+            cand(2, 5.0, 9.0, 12),
+        ];
+        match relaxed_ratio(&cands, f64::INFINITY, 1e-7) {
+            RatioChoice::Leave { row, t, .. } => {
+                assert_eq!(row, 1);
+                assert_eq!(t, 1e-8);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        // without relaxation only the binding row qualifies
+        match relaxed_ratio(&cands, f64::INFINITY, 0.0) {
+            RatioChoice::Leave { row, .. } => assert_eq!(row, 0),
+            other => panic!("unexpected {other:?}"),
+        }
+        // the entering variable's own bound still caps the step
+        assert_eq!(
+            relaxed_ratio(&cands[2..], 2.0, 1e-7),
+            RatioChoice::BoundFlip(2.0)
+        );
+        assert_eq!(
+            relaxed_ratio(&[], f64::INFINITY, 1e-7),
+            RatioChoice::Unbounded
+        );
     }
 }

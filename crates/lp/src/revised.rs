@@ -9,19 +9,24 @@
 //!   with product-form eta updates by default, an explicit dense `B⁻¹` as
 //!   the differential oracle — refactorized periodically and whenever the
 //!   backend's fill/accuracy triggers fire;
-//! * the constraint matrix stays column-sparse (CSC), so pricing costs
-//!   `O(solve + nnz)` per iteration rather than `O(m·n)`.
+//! * the constraint matrix stays sparse (CSC for columns, a CSR view for
+//!   rows) and the reduced costs are *maintained*: each pivot updates them
+//!   from the pivot row `α_r = ρᵀA_N`, `ρ = B⁻ᵀe_r`, which touches only the
+//!   columns meeting the few nonzero rows of `ρ`. They are recomputed by
+//!   dot product only where the factorization is (every refactorization,
+//!   each phase's cost change) and before optimality is declared, so an
+//!   iteration costs two sparse solves, one partial row pass and an array
+//!   scan — no `O(nnz(A))` sweep.
 //!
 //! Anti-cycling: Dantzig pricing normally, switching to Bland's rule after a
 //! run of degenerate pivots; this guarantees termination.
 
 use crate::factor::{make_factor, FactorKind, Factorization};
-use crate::metrics::lp_metrics;
+use crate::metrics::{lp_metrics, RestoreGiveup};
 use crate::problem::{
-    Basis, LpError, LpProblem, Solution, SolveRung, SolveStats, Solver, VarStatus,
+    Basis, IterationTimes, LpError, LpProblem, Solution, SolveRung, SolveStats, Solver, VarStatus,
 };
-use crate::ratio::{harris_ratio, RatioCandidate, RatioChoice};
-use crate::sparse::CsrView;
+use crate::ratio::{harris_ratio, relaxed_ratio, RatioCandidate, RatioChoice};
 use crate::standard::{PreparedProblem, StandardForm};
 use std::time::{Duration, Instant};
 
@@ -32,19 +37,34 @@ use std::time::{Duration, Instant};
 /// information.
 const PIVOT_STABILITY_REL: f64 = 1e-7;
 
+/// Relative disagreement between the entering column's maintained reduced
+/// cost and its exact value beyond which the whole maintained vector is
+/// recomputed (see `step`). Loose enough that healthy solves never trip it
+/// between two scheduled resyncs — both planet LPs stay below it throughout —
+/// and tight enough that pivot choices are never made on garbage.
+const D_DRIFT_REL: f64 = 1e-6;
+
+/// Bound relaxation of the fallback ratio test (see `step`): how far a basic
+/// variable may be pushed past its bound to buy a trustworthy pivot. Sits at
+/// the default primal feasibility tolerance, which the end-of-solve guard
+/// enforces on exact values.
+const HARRIS_RELAX: f64 = 1e-7;
+
 /// Column-selection strategy for the entering variable.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Pricing {
-    /// Scan every column, pick the most negative reduced cost. Simple and
-    /// steep, but each iteration costs a full `O(n)` sweep.
+    /// Scan every column's maintained reduced cost, pick the largest in
+    /// magnitude (lowest index on ties). Simple and steep; the scan is one
+    /// pass over two `f64` arrays.
     Dantzig,
     /// Candidate-list partial pricing: a full sweep harvests the
     /// `list_size` most attractive columns, then subsequent iterations price
     /// only that short list (dropping entries that turn unfavorable) until
     /// it runs dry or `full_sweep_every` iterations have passed, whichever
-    /// comes first. Optimality is only ever declared by a *full* sweep, so
-    /// the strategy trades per-iteration cost for (possibly) more
-    /// iterations — never correctness.
+    /// comes first. Optimality is only ever declared by a *full* sweep over
+    /// freshly recomputed reduced costs, so the strategy trades
+    /// per-iteration cost for (possibly) more iterations — never
+    /// correctness.
     Partial {
         /// Candidate columns kept per full sweep.
         list_size: usize,
@@ -54,9 +74,10 @@ pub enum Pricing {
     },
     /// Devex pricing (Forrest–Goldfarb): columns are scored by
     /// `d_j² / γ_j`, where the reference weight `γ_j` approximates the
-    /// steepest-edge norm `‖B⁻¹A_j‖²` and is maintained cheaply from each
-    /// pivot row. Layered on the same candidate-list machinery as
-    /// [`Pricing::Partial`], so each iteration still prices a short list;
+    /// steepest-edge norm `‖B⁻¹A_j‖²` and is maintained from the same
+    /// pivot row that updates the reduced costs. Layered on the same
+    /// candidate-list machinery as [`Pricing::Partial`], so each iteration
+    /// still prices a short list;
     /// the devex score just picks *better* columns, which on the
     /// provisioning LPs cuts the pivot count well below Dantzig's.
     Devex {
@@ -183,10 +204,28 @@ struct Engine<'a> {
     factor: Box<dyn Factorization>,
     /// Values of basic variables, `xb[i]` belongs to column `basis[i]`.
     xb: Vec<f64>,
+    /// Maintained reduced costs `d_j = c_j − yᵀA_j` of the nonbasic columns
+    /// (a basic column's entry is meaningless and masked by `dir`). Updated
+    /// from the pivot row on every basis change, recomputed from scratch by
+    /// [`resync_d`](Self::resync_d).
+    d: Vec<f64>,
+    /// The way a nonbasic column may move: `+1` up from its lower bound,
+    /// `−1` down from its upper bound, `0` for basic and fixed columns.
+    /// `−dir[j]·d[j]` is the column's attractiveness.
+    dir: Vec<f64>,
+    /// No basis change since `d` was last recomputed from scratch. Optimality
+    /// and unboundedness are only ever declared while this holds.
+    d_fresh: bool,
     m: usize,
     eps: f64,
+    /// Primal feasibility tolerance (row-relative).
+    feas_eps: f64,
     iterations: u64,
     pivots_since_refactor: u64,
+    /// `iterations` at the last refactorization: while the two are equal the
+    /// factorization, `xb` and `d` are exactly what a refactorization would
+    /// recompute.
+    refactored_at: u64,
     refactor_every: u64,
     refactorizations: u64,
     pricing: Pricing,
@@ -205,22 +244,43 @@ struct Engine<'a> {
     devex_w: Vec<f64>,
     /// Times the devex reference framework was reset to all-ones.
     devex_resets: u64,
-    /// Row-major view of the constraint matrix, built on first devex pivot.
-    csr: Option<CsrView>,
-    /// Scratch: pivot-row alphas per column (devex), zeroed between pivots.
-    alpha_buf: Vec<f64>,
-    /// Scratch: columns touched in `alpha_buf`.
-    touched_buf: Vec<usize>,
-    /// Scratch: btran of the pivot row (devex).
-    rho_buf: Vec<f64>,
+    times: IterationTimes,
+    /// Start of the interval the next [`lap`](Self::lap) attributes.
+    lap_start: Instant,
+    /// Scratch: duals `y = B⁻ᵀc_B` of the last resync.
+    y: Vec<f64>,
+    /// Basic costs `c_B`, `cb[i] = cost[basis[i]]`: gathered by every
+    /// resync, kept current across pivots.
+    cb: Vec<f64>,
+    /// Scratch: `w = B⁻¹A_q` of the entering column.
+    w: Vec<f64>,
+    /// Scratch: `ρ = B⁻ᵀe_r` of the pivot row.
+    rho: Vec<f64>,
+    /// Scratch: the pivot row `α_r`, empty between pivots.
+    row: PivotRow,
+    /// Scratch: rows limiting the entering step.
+    ratio_cands: Vec<RatioCandidate>,
+    /// Scratch: `(score, column)` of the favorable columns of a collecting
+    /// sweep.
+    favorable: Vec<(f64, usize)>,
+    /// Scratch: right-hand side of `recompute_xb`.
+    rhs: Vec<f64>,
 }
 
 enum StepOutcome {
     Optimal,
     Unbounded,
-    Moved,
-    /// The selected pivot is too small relative to its column to trust under
-    /// the accumulated eta updates — refactorize and redo the iteration.
+    /// An iteration happened (pivot or bound flip) and improved the
+    /// objective by `gain ≥ 0`.
+    Moved {
+        gain: f64,
+    },
+    /// The factorization or the maintained reduced costs are not to be
+    /// trusted — the selected pivot is too small relative to its column
+    /// under the accumulated eta updates, the entering column's exact reduced
+    /// cost contradicts the maintained one, or a ray looks unbounded on
+    /// reduced costs that have been updated. Refactorize, which recomputes
+    /// both, and redo the iteration.
     NeedsRefactor,
 }
 
@@ -234,16 +294,98 @@ enum WarmReject {
     Infeasible,
 }
 
+/// Keep the `k ≥ 1` best-scored entries of `favorable`, best first (lowest
+/// column on ties). `total_cmp` gives NaN scores a place in the order (above
+/// every number) instead of a panic; the candidate-list pass re-checks every
+/// entry against its reduced cost anyway.
+fn keep_top(favorable: &mut Vec<(f64, usize)>, k: usize) {
+    let best_first = |a: &(f64, usize), b: &(f64, usize)| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1));
+    if favorable.len() > k {
+        favorable.select_nth_unstable_by(k - 1, best_first);
+        favorable.truncate(k);
+    }
+    favorable.sort_unstable_by(best_first);
+}
+
+/// A simplex pivot row `α_r` over all columns, stored sparse: `val[j]` is
+/// `α_rj` (zero for every column not listed) and `cols[..len]` lists the
+/// columns that received an entry.
+struct PivotRow {
+    val: Vec<f64>,
+    cols: Vec<usize>,
+    len: usize,
+}
+
+impl PivotRow {
+    /// An empty row over `n` columns that at most `max_adds` calls to
+    /// [`add`](Self::add) fill before it is emptied again.
+    fn new(n: usize, max_adds: usize) -> PivotRow {
+        PivotRow {
+            val: vec![0.0; n],
+            cols: vec![0; max_adds + 1],
+            len: 0,
+        }
+    }
+
+    /// `α_rj += x`. The listing is branch-free (the first-touch test is a
+    /// coin flip the predictor loses): the slot past the list is always
+    /// written and only kept when the entry was zero before. An entry that
+    /// cancels to exactly 0 and is added to again is therefore listed twice;
+    /// consumers zero an entry as they take it, so the repeat reads 0.
+    #[inline]
+    fn add(&mut self, j: usize, x: f64) {
+        let a = self.val[j];
+        self.cols[self.len] = j;
+        self.len += usize::from(a == 0.0);
+        self.val[j] = a + x;
+    }
+
+    /// Columns holding an entry.
+    fn cols(&self) -> &[usize] {
+        &self.cols[..self.len]
+    }
+
+    /// Empty the row.
+    fn clear(&mut self) {
+        for &j in &self.cols[..self.len] {
+            self.val[j] = 0.0;
+        }
+        self.len = 0;
+    }
+}
+
+/// First index of the largest attractiveness `−dir[j]·d[j]` above `eps`.
+/// Two passes so that the first is a plain lane-wise maximum the compiler
+/// vectorizes (an index-carrying argmax is not); the second stops at the
+/// first column that attains it.
+fn dantzig_argmax(d: &[f64], dir: &[f64], eps: f64) -> Option<usize> {
+    const LANES: usize = 8;
+    let mut lanes = [eps; LANES];
+    let (d_chunks, dir_chunks) = (d.chunks_exact(LANES), dir.chunks_exact(LANES));
+    let tail = d_chunks
+        .remainder()
+        .iter()
+        .zip(dir_chunks.remainder())
+        .fold(eps, |best, (&d, &dir)| best.max(-dir * d));
+    for (dc, sc) in d_chunks.zip(dir_chunks) {
+        for k in 0..LANES {
+            let a = -sc[k] * dc[k];
+            if a > lanes[k] {
+                lanes[k] = a;
+            }
+        }
+    }
+    let best = lanes.iter().fold(tail, |best, &a| best.max(a));
+    if best <= eps {
+        return None;
+    }
+    d.iter().zip(dir).position(|(&d, &dir)| -dir * d == best)
+}
+
 impl<'a> Engine<'a> {
-    fn new(
-        sf: &'a StandardForm,
-        eps: f64,
-        refactor_every: u64,
-        pricing: Pricing,
-        factorization: FactorKind,
-    ) -> Engine<'a> {
-        let m = sf.m;
-        let mut status = vec![VStat::Lower; sf.n];
+    fn new(sf: &'a StandardForm, opts: &RevisedSimplex) -> Engine<'a> {
+        let (m, n) = (sf.m, sf.n);
+        let mut status = vec![VStat::Lower; n];
         for (i, &b) in sf.basis0.iter().enumerate() {
             status[b] = VStat::Basic(i as u32);
         }
@@ -252,50 +394,56 @@ impl<'a> Engine<'a> {
         Engine {
             sf,
             upper: sf.upper.clone(),
-            cost: vec![0.0; sf.n],
+            cost: vec![0.0; n],
             status,
             basis: sf.basis0.clone(),
-            factor: make_factor(factorization, m),
+            factor: make_factor(opts.factorization, m),
             xb: sf.b.clone(),
+            d: vec![0.0; n],
+            dir: vec![0.0; n],
+            d_fresh: false,
             m,
-            eps,
+            eps: opts.eps,
+            feas_eps: opts.feas_eps,
             iterations: 0,
             pivots_since_refactor: 0,
-            refactor_every,
+            refactored_at: 0,
+            refactor_every: opts.refactor_every,
             refactorizations: 0,
-            pricing,
+            pricing: opts.pricing,
             cand: Vec::new(),
             iters_since_full_sweep: 0,
             pricing_scans: 0,
             pricing_cols_scanned: 0,
             full_pricing_sweeps: 0,
             eta_updates: 0,
-            devex_w: vec![1.0; sf.n],
+            devex_w: vec![1.0; n],
             devex_resets: 0,
-            csr: None,
-            alpha_buf: Vec::new(),
-            touched_buf: Vec::new(),
-            rho_buf: Vec::new(),
+            times: IterationTimes::default(),
+            lap_start: Instant::now(),
+            y: vec![0.0; m],
+            cb: vec![0.0; m],
+            w: vec![0.0; m],
+            rho: vec![0.0; m],
+            row: PivotRow::new(n, sf.cols.nnz()),
+            ratio_cands: Vec::new(),
+            favorable: Vec::new(),
+            rhs: vec![0.0; m],
         }
     }
 
     /// Build an engine positioned at `warm` with artificials already pinned,
     /// ready for phase 2. Rejects bases that don't match the standard form,
     /// fail to factorize, or imply a primal-infeasible point.
-    #[allow(clippy::too_many_arguments)]
     fn from_basis(
         sf: &'a StandardForm,
-        eps: f64,
-        feas_eps: f64,
-        refactor_every: u64,
-        pricing: Pricing,
-        factorization: FactorKind,
+        opts: &RevisedSimplex,
         warm: &Basis,
     ) -> Result<Engine<'a>, WarmReject> {
         if warm.basic.len() != sf.m || warm.status.len() != sf.n {
             return Err(WarmReject::Singular);
         }
-        let mut eng = Engine::new(sf, eps, refactor_every, pricing, factorization);
+        let mut eng = Engine::new(sf, opts);
         // Pin artificials before positioning: a warm basis comes from a
         // finished solve, so any artificial it still carries must stay at 0.
         for j in sf.first_artificial..sf.n {
@@ -325,28 +473,36 @@ impl<'a> Engine<'a> {
         }
         eng.status = status;
         eng.basis = warm.basic.clone();
+        // Phase-2 costs: a warm start skips phase 1, and the reduced costs
+        // the refactorization recomputes feed the dual ratio test below.
+        eng.cost.copy_from_slice(&sf.cost);
         if eng.refactorize_repair().is_err() {
             return Err(WarmReject::Singular);
         }
-        // Phase-2 costs: the dual ratio test below prices against the real
-        // objective (the caller re-assigns the same values before phase 2).
-        eng.cost.copy_from_slice(&sf.cost);
         // Primal feasibility of the implied point, row-relative tolerance. A
         // patched problem (new bounds / rhs) usually pushes the old optimal
         // point slightly out of bounds — repair with dual-simplex pivots
         // before giving up on the basis.
-        if !eng.primal_feasible(feas_eps) && !eng.dual_restore(feas_eps) {
+        if !eng.primal_feasible() && !eng.dual_restore() {
             return Err(WarmReject::Infeasible);
         }
         Ok(eng)
     }
 
+    /// Attribute the time since the previous lap (or since `lap_start` was
+    /// last set) to one slot of the iteration-time split.
+    fn lap(&mut self, slot: impl FnOnce(&mut IterationTimes) -> &mut Duration) {
+        let now = Instant::now();
+        *slot(&mut self.times) += now - self.lap_start;
+        self.lap_start = now;
+    }
+
     /// Does the current basic point satisfy all bounds within `feas_eps`
     /// (row-relative)?
-    fn primal_feasible(&self, feas_eps: f64) -> bool {
+    fn primal_feasible(&self) -> bool {
         (0..self.m).all(|i| {
             let x = self.xb[i];
-            let tol = feas_eps * (1.0 + self.sf.b[i].abs());
+            let tol = self.feas_eps * (1.0 + self.sf.b[i].abs());
             if x < -tol {
                 return false;
             }
@@ -360,7 +516,8 @@ impl<'a> Engine<'a> {
     /// basis after a scenario patch pins columns or moves the rhs), pivot
     /// each violated basic variable out to its nearest bound, selecting the
     /// entering column by the bounded-variable dual ratio test so the basis
-    /// stays close to dual feasibility.
+    /// stays close to dual feasibility. The pivot row that test reads is the
+    /// same one that then updates the reduced costs.
     ///
     /// This is purely a restoration pass: it never declares optimality (the
     /// primal phase 2 that follows has the full pricing-based test), so any
@@ -368,10 +525,18 @@ impl<'a> Engine<'a> {
     /// refactorization — just returns `false` and the caller falls back to a
     /// cold two-phase solve. Pivots performed here are counted as phase-1
     /// iterations: they are the warm path's "get feasible" work.
-    fn dual_restore(&mut self, feas_eps: f64) -> bool {
+    fn dual_restore(&mut self) -> bool {
+        let start = self.iterations;
+        let giveup = self.dual_restore_pivots();
+        lp_metrics().record_restore(self.iterations - start, giveup);
+        giveup.is_none()
+    }
+
+    fn dual_restore_pivots(&mut self) -> Option<RestoreGiveup> {
         let m = self.m;
         let cap = 2 * (m as u64) + 100;
         let start = self.iterations;
+        self.lap_start = Instant::now();
         loop {
             // leaving row: the most-violated basic variable
             let mut leave_row = usize::MAX;
@@ -379,7 +544,7 @@ impl<'a> Engine<'a> {
             let mut above = false;
             for i in 0..m {
                 let x = self.xb[i];
-                let tol = feas_eps * (1.0 + self.sf.b[i].abs());
+                let tol = self.feas_eps * (1.0 + self.sf.b[i].abs());
                 if x < -tol {
                     if -x > worst {
                         worst = -x;
@@ -396,51 +561,34 @@ impl<'a> Engine<'a> {
                 }
             }
             if leave_row == usize::MAX {
-                if std::env::var_os("SB_LP_RESTORE_DEBUG").is_some() {
-                    eprintln!("restore ok after {} pivots", self.iterations - start);
-                }
-                return true; // primal feasible — basis usable for phase 2
+                return None; // primal feasible — basis usable for phase 2
             }
             if self.iterations - start >= cap {
-                if std::env::var_os("SB_LP_RESTORE_DEBUG").is_some() {
-                    eprintln!("restore cap hit ({cap}), worst viol {worst:.3e}");
-                }
-                return false;
+                return Some(RestoreGiveup::Cap);
             }
             if (self.pivots_since_refactor >= self.refactor_every || self.factor.wants_refactor())
                 && self.refactorize().is_err()
             {
-                if std::env::var_os("SB_LP_RESTORE_DEBUG").is_some() {
-                    eprintln!("restore refactor singular");
-                }
-                return false;
+                return Some(RestoreGiveup::Singular);
             }
-            // α_j = (B⁻¹ A_j)[leave_row]: one row of B⁻¹ (a btran of a unit
-            // vector) dotted with each sparse column, O(nnz) total.
-            let mut brow = vec![0.0f64; m];
-            self.factor.btran_unit(leave_row, &mut brow);
-            let y = self.duals();
+            self.lap(|t| &mut t.pricing);
+            self.pivot_row(leave_row);
+            self.lap(|t| &mut t.pivot_row);
             let mut enter = usize::MAX;
             let mut best_ratio = f64::INFINITY;
             let mut best_alpha = 0.0f64;
-            for j in 0..self.sf.n {
-                let st = self.status[j];
-                if matches!(st, VStat::Basic(_)) {
-                    continue;
+            for &j in self.row.cols() {
+                let dir = self.dir[j];
+                if dir == 0.0 {
+                    continue; // basic, or fixed (pinned artificial or u = 0)
                 }
-                if self.upper[j] <= self.eps {
-                    continue; // fixed column (pinned artificial or u = 0)
-                }
-                let mut alpha = 0.0;
-                for (r, v) in self.sf.cols.iter_col(j) {
-                    alpha += brow[r] * v;
-                }
+                let alpha = self.row.val[j];
                 if alpha.abs() <= 1e-9 {
                     continue;
                 }
                 // The entering move (up from lower / down from upper) must
                 // push the leaving variable toward its violated bound.
-                let at_upper = st == VStat::Upper;
+                let at_upper = dir < 0.0;
                 let eligible = if above {
                     (alpha > 0.0) != at_upper
                 } else {
@@ -449,7 +597,7 @@ impl<'a> Engine<'a> {
                 if !eligible {
                     continue;
                 }
-                let ratio = self.reduced_cost(j, &y).abs() / alpha.abs();
+                let ratio = self.d[j].abs() / alpha.abs();
                 if ratio < best_ratio - 1e-12
                     || (ratio < best_ratio + 1e-12 && alpha.abs() > best_alpha.abs())
                 {
@@ -458,45 +606,37 @@ impl<'a> Engine<'a> {
                     enter = j;
                 }
             }
+            self.lap(|t| &mut t.ratio);
             if enter == usize::MAX {
-                if std::env::var_os("SB_LP_RESTORE_DEBUG").is_some() {
-                    eprintln!(
-                        "restore no-enter after {} pivots, worst viol {worst:.3e}",
-                        self.iterations - start
-                    );
-                }
-                return false; // no eligible pivot — give up, solve cold
+                self.row.clear();
+                return Some(RestoreGiveup::NoColumn); // solve cold instead
             }
+            self.ftran(enter);
+            self.lap(|t| &mut t.ftran);
+            self.update_reduced_costs(enter, leave_row);
+            self.lap(|t| &mut t.pivot_row);
             // Pivot: the leaving variable exits exactly at its violated
             // bound; the entering variable absorbs the difference (possibly
             // overshooting its own bound, which a later round then repairs).
             let leaving = self.basis[leave_row];
             let target = if above { self.upper[leaving] } else { 0.0 };
             let delta = (self.xb[leave_row] - target) / best_alpha;
-            let w = self.ftran(enter);
             for i in 0..m {
                 if i != leave_row {
-                    self.xb[i] -= delta * w[i];
+                    self.xb[i] -= delta * self.w[i];
                 }
             }
-            // A fixed column (pinned artificial, u = 0) leaves "above" at a
-            // bound where lower == upper: mark it Lower so phase-2 pricing
-            // treats it as fixed.
-            self.status[leaving] = if above && self.upper[leaving] > self.eps {
-                VStat::Upper
-            } else {
-                VStat::Lower
-            };
             let enter_from = if self.status[enter] == VStat::Upper {
                 self.upper[enter]
             } else {
                 0.0
             };
             self.xb[leave_row] = enter_from + delta;
-            self.basis[leave_row] = enter;
-            self.status[enter] = VStat::Basic(leave_row as u32);
-            self.apply_update(leave_row, &w);
+            self.change_basis(enter, leave_row, above);
             self.iterations += 1;
+            self.lap(|t| &mut t.update);
+            #[cfg(test)]
+            self.audit_d();
         }
     }
 
@@ -516,32 +656,64 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// `y = c_Bᵀ B⁻¹`
-    fn duals(&self) -> Vec<f64> {
-        let m = self.m;
-        let mut cb = vec![0.0f64; m];
-        for (i, c) in cb.iter_mut().enumerate() {
-            *c = self.cost[self.basis[i]];
+    /// `y := c_Bᵀ B⁻¹`
+    fn compute_duals(&mut self) {
+        for (c, &b) in self.cb.iter_mut().zip(&self.basis) {
+            *c = self.cost[b];
         }
-        let mut y = vec![0.0f64; m];
-        self.factor.btran_dense(&cb, &mut y);
-        y
+        self.factor.btran_dense(&self.cb, &mut self.y);
     }
 
-    fn reduced_cost(&self, j: usize, y: &[f64]) -> f64 {
-        let mut d = self.cost[j];
-        for (r, v) in self.sf.cols.iter_col(j) {
-            d -= y[r] * v;
+    /// Recompute every nonbasic reduced cost by dot product against fresh
+    /// duals, and every move direction from status and bounds. This is the
+    /// only place reduced costs are computed rather than maintained; it runs
+    /// after each refactorization and cost change, and before optimality is
+    /// declared on reduced costs that have been updated since.
+    fn resync_d(&mut self) {
+        self.compute_duals();
+        for j in 0..self.sf.n {
+            let at_upper = match self.status[j] {
+                VStat::Basic(_) => {
+                    self.dir[j] = 0.0;
+                    continue;
+                }
+                VStat::Lower => false,
+                VStat::Upper => true,
+            };
+            let mut d = self.cost[j];
+            for (r, v) in self.sf.cols.iter_col(j) {
+                d -= self.y[r] * v;
+            }
+            self.d[j] = d;
+            self.dir[j] = self.nonbasic_dir(j, at_upper);
         }
-        d
+        self.pricing_cols_scanned += (self.sf.n - self.m) as u64;
+        self.d_fresh = true;
     }
 
-    /// `w = B⁻¹ A_j`
-    fn ftran(&self, j: usize) -> Vec<f64> {
-        let mut w = vec![0.0f64; self.m];
+    /// Move direction of nonbasic column `j`: none when its bounds coincide
+    /// (an artificial after phase 1, or `u = 0`).
+    fn nonbasic_dir(&self, j: usize, at_upper: bool) -> f64 {
+        if self.upper[j] <= self.eps {
+            0.0
+        } else if at_upper {
+            -1.0
+        } else {
+            1.0
+        }
+    }
+
+    /// `w := B⁻¹ A_j`
+    fn ftran(&mut self, j: usize) {
         let (rows, vals) = self.sf.cols.col(j);
-        self.factor.ftran_sparse(rows, vals, &mut w);
-        w
+        self.factor.ftran_sparse(rows, vals, &mut self.w);
+    }
+
+    /// Exact reduced cost `c_q − c_Bᵀw` of the column whose ftran image is
+    /// in `w`.
+    fn entering_reduced_cost(&self, enter: usize) -> f64 {
+        let cbw: f64 = self.cb.iter().zip(&self.w).map(|(&c, &w)| c * w).sum();
+        self.cost[enter] - cbw
     }
 
     fn current_objective(&self) -> f64 {
@@ -557,14 +729,13 @@ impl<'a> Engine<'a> {
         obj
     }
 
-    /// Recompute the basis factorization and `xb` from scratch (numerical
-    /// hygiene). Commits only on success — a singular basis leaves the
-    /// previous factorization in place.
+    /// Recompute the basis factorization, `xb` and the reduced costs from
+    /// scratch (numerical hygiene). Commits only on success — a singular
+    /// basis leaves the previous factorization in place.
     fn refactorize(&mut self) -> Result<(), LpError> {
+        self.lap_start = Instant::now();
         self.factor.refactorize(&self.sf.cols, &self.basis)?;
-        self.recompute_xb();
-        self.pivots_since_refactor = 0;
-        self.refactorizations += 1;
+        self.refactorized();
         Ok(())
     }
 
@@ -576,6 +747,7 @@ impl<'a> Engine<'a> {
     /// The repaired point may violate bounds (an artificial forced in is
     /// pinned at 0); callers follow up with [`dual_restore`](Self::dual_restore).
     fn refactorize_repair(&mut self) -> Result<usize, LpError> {
+        self.lap_start = Instant::now();
         let old_basis = self.basis.clone();
         let replacements = {
             let Engine {
@@ -593,47 +765,43 @@ impl<'a> Engine<'a> {
             self.status[old_basis[pos]] = VStat::Lower;
             self.status[unit] = VStat::Basic(pos as u32);
         }
+        self.refactorized();
+        Ok(repaired)
+    }
+
+    /// Bring everything derived from the factorization back in line with a
+    /// fresh one.
+    fn refactorized(&mut self) {
         self.recompute_xb();
         self.pivots_since_refactor = 0;
+        self.refactored_at = self.iterations;
         self.refactorizations += 1;
-        Ok(repaired)
+        self.lap(|t| &mut t.refactor);
+        self.resync_d();
+        self.lap(|t| &mut t.pricing);
     }
 
     /// `xb = B⁻¹ (b − Σ_{j at upper} A_j u_j)`
     fn recompute_xb(&mut self) {
-        let mut rhs = self.sf.b.clone();
+        self.rhs.copy_from_slice(&self.sf.b);
         for j in 0..self.sf.n {
             if self.status[j] == VStat::Upper {
                 let u = self.upper[j];
                 if u != 0.0 {
                     for (r, v) in self.sf.cols.iter_col(j) {
-                        rhs[r] -= v * u;
+                        self.rhs[r] -= v * u;
                     }
                 }
             }
         }
-        let mut xb = vec![0.0f64; self.m];
-        self.factor.ftran_dense(&rhs, &mut xb);
-        self.xb = xb;
+        self.factor.ftran_dense(&self.rhs, &mut self.xb);
     }
 
-    /// Favorability of nonbasic column `j`: `Some((|d|, σ))` when moving it
-    /// improves the objective (σ = +1 up from lower, −1 down from upper).
-    fn favorability(&self, j: usize, y: &[f64]) -> Option<(f64, f64)> {
-        match self.status[j] {
-            VStat::Basic(_) => None,
-            VStat::Lower => {
-                if self.upper[j] <= self.eps {
-                    return None; // fixed column (artificial after phase 1, or u = 0)
-                }
-                let d = self.reduced_cost(j, y);
-                (d < -self.eps).then_some((-d, 1.0))
-            }
-            VStat::Upper => {
-                let d = self.reduced_cost(j, y);
-                (d > self.eps).then_some((d, -1.0))
-            }
-        }
+    /// Attractiveness of column `j` under the maintained reduced costs:
+    /// above `eps` when moving it the way `dir[j]` allows improves the
+    /// objective, `0` for basic and fixed columns.
+    fn attractiveness(&self, j: usize) -> f64 {
+        -self.dir[j] * self.d[j]
     }
 
     /// Pricing score of a favorable column: `|d|` under Dantzig/partial,
@@ -645,52 +813,52 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Full pricing sweep over every column. Under partial/devex pricing it
-    /// also repopulates the candidate list with the `collect` best-scored
-    /// columns. Returns the entering column and its direction.
-    fn price_full(&mut self, y: &[f64], bland: bool, collect: usize) -> Option<(usize, f64)> {
+    /// Full pricing sweep over every column's maintained reduced cost. Under
+    /// partial/devex pricing it also repopulates the candidate list with the
+    /// `collect` best-scored columns. Returns the entering column and its
+    /// direction.
+    fn price_full(&mut self, bland: bool, collect: usize) -> Option<(usize, f64)> {
         self.full_pricing_sweeps += 1;
         self.iters_since_full_sweep = 0;
         self.cand.clear();
-        let mut enter = usize::MAX;
-        let mut enter_sigma = 1.0f64;
-        let mut best = 0.0f64;
-        // (score, j) pairs of favorable columns, kept only when collecting.
-        let mut favorable: Vec<(f64, usize)> = Vec::new();
-        for j in 0..self.sf.n {
-            self.pricing_cols_scanned += 1;
-            let Some((d_abs, sigma)) = self.favorability(j, y) else {
-                continue;
-            };
-            if bland {
-                // Bland: first favorable column by index.
-                return Some((j, sigma));
+        let n = self.sf.n;
+        let enter = if bland {
+            // Bland: first favorable column by index.
+            (0..n).find(|&j| self.attractiveness(j) > self.eps)
+        } else if matches!(self.pricing, Pricing::Dantzig) {
+            // Dantzig: largest |d_j|, lowest index on ties.
+            dantzig_argmax(&self.d, &self.dir, self.eps)
+        } else {
+            self.favorable.clear();
+            let mut best = 0.0f64;
+            let mut enter = None;
+            for j in 0..n {
+                let a = self.attractiveness(j);
+                if a > self.eps {
+                    let score = self.score_of(j, a);
+                    if collect > 0 {
+                        self.favorable.push((score, j));
+                    }
+                    if score > best {
+                        best = score;
+                        enter = Some(j);
+                    }
+                }
             }
-            let score = self.score_of(j, d_abs);
             if collect > 0 {
-                favorable.push((score, j));
+                keep_top(&mut self.favorable, collect);
+                self.cand.extend(self.favorable.iter().map(|&(_, j)| j));
             }
-            if score > best {
-                best = score;
-                enter = j;
-                enter_sigma = sigma;
-            }
-        }
-        if collect > 0 && !favorable.is_empty() {
-            favorable.sort_unstable_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
-            favorable.truncate(collect);
-            self.cand.extend(favorable.iter().map(|&(_, j)| j));
-        }
-        (enter != usize::MAX).then_some((enter, enter_sigma))
+            enter
+        };
+        enter.map(|j| (j, self.dir[j]))
     }
 
-    /// Select the entering column. Dantzig (and Bland) always sweep every
-    /// column; partial pricing prices the candidate list and falls back to a
-    /// full sweep when the list runs dry, goes stale, or fails to produce a
-    /// favorable column — so `None` (optimality) is only ever declared by a
-    /// full sweep.
-    fn price(&mut self, y: &[f64], bland: bool) -> Option<(usize, f64)> {
-        self.pricing_scans += 1;
+    /// Select the entering column from the maintained reduced costs. Dantzig
+    /// (and Bland) always scan every column; partial pricing prices the
+    /// candidate list and falls back to a full sweep when the list runs dry,
+    /// goes stale, or fails to produce a favorable column.
+    fn select(&mut self, bland: bool) -> Option<(usize, f64)> {
         let (list_size, full_sweep_every) = match self.pricing {
             Pricing::Partial {
                 list_size,
@@ -700,47 +868,77 @@ impl<'a> Engine<'a> {
                 list_size,
                 full_sweep_every,
             } if !bland => (list_size, full_sweep_every),
-            _ => return self.price_full(y, bland, 0),
+            _ => return self.price_full(bland, 0),
         };
         if self.cand.is_empty() || self.iters_since_full_sweep >= full_sweep_every {
-            return self.price_full(y, bland, list_size);
+            return self.price_full(bland, list_size);
         }
-        let mut keep: Vec<usize> = Vec::with_capacity(self.cand.len());
-        let mut enter = usize::MAX;
-        let mut enter_sigma = 1.0f64;
+        // price the list in place, dropping entries that turned unfavorable
+        let mut enter = None;
         let mut best = 0.0f64;
+        let mut kept = 0;
         for idx in 0..self.cand.len() {
             let j = self.cand[idx];
-            self.pricing_cols_scanned += 1;
-            if let Some((d_abs, sigma)) = self.favorability(j, y) {
-                keep.push(j);
-                let score = self.score_of(j, d_abs);
-                if score > best {
-                    best = score;
-                    enter = j;
-                    enter_sigma = sigma;
-                }
+            let a = self.attractiveness(j);
+            if a <= self.eps {
+                continue;
+            }
+            self.cand[kept] = j;
+            kept += 1;
+            let score = self.score_of(j, a);
+            if score > best {
+                best = score;
+                enter = Some(j);
             }
         }
-        self.cand = keep;
-        if enter == usize::MAX {
-            return self.price_full(y, bland, list_size);
-        }
+        self.cand.truncate(kept);
+        let Some(enter) = enter else {
+            return self.price_full(bland, list_size);
+        };
         self.iters_since_full_sweep += 1;
-        Some((enter, enter_sigma))
+        Some((enter, self.dir[enter]))
+    }
+
+    /// Entering column and direction, or `None` at optimality — which is
+    /// only ever declared by a full sweep over reduced costs recomputed from
+    /// scratch: when the maintained ones show no favorable column after
+    /// having been updated, they are resynced and priced once more.
+    fn price(&mut self, bland: bool) -> Option<(usize, f64)> {
+        self.pricing_scans += 1;
+        let choice = self.select(bland);
+        if choice.is_some() || self.d_fresh {
+            return choice;
+        }
+        self.resync_d();
+        self.select(bland)
     }
 
     /// One simplex step. `bland` selects Bland's rule.
     fn step(&mut self, bland: bool) -> StepOutcome {
-        let y = self.duals();
-        let Some((enter, enter_sigma)) = self.price(&y, bland) else {
+        let choice = self.price(bland);
+        self.lap(|t| &mut t.pricing);
+        let Some((enter, sigma)) = choice else {
             return StepOutcome::Optimal;
         };
+        self.ftran(enter);
+        // The maintained d_q chose the column; its exact value — one dot
+        // product against the ftran image — audits the choice. If it says
+        // the column does not improve the objective after all, or disagrees
+        // with the maintained value beyond `D_DRIFT_REL`, the update errors
+        // have compounded (every update multiplies the error in d_q into the
+        // rest of d): recompute d before it misleads more pivots.
+        let d_q = self.d[enter];
+        let exact = self.entering_reduced_cost(enter);
+        self.lap(|t| &mut t.ftran);
+        if !self.d_fresh
+            && (-sigma * exact <= self.eps
+                || (d_q - exact).abs() > D_DRIFT_REL * (1.0 + exact.abs()))
+        {
+            return StepOutcome::NeedsRefactor;
+        }
 
         // --- ratio test (shared two-pass Harris implementation) -------------
-        let w = self.ftran(enter);
-        let sigma = enter_sigma;
-        let winf = w.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
+        let winf = self.w.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
         // entering var moves by t >= 0 in direction sigma; basic values
         // change by −t·σ·w.
         let bound_flip_t = if self.upper[enter].is_finite() {
@@ -748,193 +946,239 @@ impl<'a> Engine<'a> {
         } else {
             f64::INFINITY
         };
-        let mut cands: Vec<RatioCandidate> = Vec::new();
+        self.ratio_cands.clear();
         for i in 0..self.m {
-            let wi = sigma * w[i];
+            let wi = sigma * self.w[i];
             let bi = self.basis[i];
             if wi > self.eps {
-                cands.push(RatioCandidate {
+                self.ratio_cands.push(RatioCandidate {
                     row: i,
                     limit: self.xb[i].max(0.0) / wi,
-                    pivot_abs: w[i].abs(),
+                    pivot_abs: wi.abs(),
                     basis_col: bi,
                     to_upper: false,
                 });
             } else if wi < -self.eps {
                 let ub = self.upper[bi];
                 if ub.is_finite() {
-                    cands.push(RatioCandidate {
+                    self.ratio_cands.push(RatioCandidate {
                         row: i,
                         limit: (ub - self.xb[i]).max(0.0) / (-wi),
-                        pivot_abs: w[i].abs(),
+                        pivot_abs: wi.abs(),
                         basis_col: bi,
                         to_upper: true,
                     });
                 }
             }
         }
-        let (leave_row, leave_to_upper, t) =
-            match harris_ratio(&cands, bound_flip_t, self.eps, bland) {
-                RatioChoice::Unbounded => return StepOutcome::Unbounded,
-                RatioChoice::BoundFlip(t) => {
-                    // bound flip: entering var runs to its other bound
-                    let t = t.max(0.0);
-                    for i in 0..self.m {
-                        self.xb[i] -= t * sigma * w[i];
-                    }
-                    self.status[enter] = if sigma > 0.0 {
-                        VStat::Upper
-                    } else {
-                        VStat::Lower
-                    };
-                    return StepOutcome::Moved;
+        let mut choice = harris_ratio(&self.ratio_cands, bound_flip_t, self.eps, bland);
+        if let RatioChoice::Leave { row, .. } = choice {
+            // Pivot-stability guard: an entry that clears the absolute eps
+            // but is tiny relative to the column's largest magnitude may be
+            // rounding noise from the eta chain (true coefficient exactly
+            // zero) — pivoting on it on a degenerate row would make the next
+            // basis exactly singular. Rather than second-guess the candidate
+            // first, distrust the *factorization*: refactorize and redo the
+            // iteration. A fresh factor reproduces true zeros below eps, so
+            // noise rows stop being candidates. A pivot still that small
+            // under a fresh factor is genuine, and taking it would leave a
+            // basis too ill-conditioned to carry `xb`: re-run the ratio test
+            // with Harris's bound relaxation, which gives up at most
+            // `HARRIS_RELAX` of feasibility for the largest pivot in reach.
+            if self.w[row].abs() < self.eps.max(PIVOT_STABILITY_REL * winf) {
+                if self.pivots_since_refactor > 0 {
+                    self.lap(|t| &mut t.ratio);
+                    return StepOutcome::NeedsRefactor;
                 }
-                RatioChoice::Leave { row, to_upper, t } => {
-                    // Pivot-stability guard: an entry that clears the absolute
-                    // eps but is tiny relative to the column's largest
-                    // magnitude may be rounding noise from the eta chain (true
-                    // coefficient exactly zero) — pivoting on it on a
-                    // degenerate row would make the next basis exactly
-                    // singular. Rather than second-guess the candidate (a real
-                    // small pivot may hold the binding limit, and dropping it
-                    // would overshoot its bound), distrust the *factorization*:
-                    // refactorize and redo the iteration. A fresh factor
-                    // reproduces true zeros below eps, so noise rows stop
-                    // being candidates; a pivot still small under a fresh
-                    // factor is genuine and is accepted (which also bounds the
-                    // retry to a single refactorization).
-                    if self.pivots_since_refactor > 0
-                        && w[row].abs() < self.eps.max(PIVOT_STABILITY_REL * winf)
-                    {
-                        return StepOutcome::NeedsRefactor;
-                    }
-                    (row, to_upper, t)
-                }
-            };
-
-        // devex reference weights read the pre-pivot basis; update them
-        // before any state changes
-        if matches!(self.pricing, Pricing::Devex { .. }) {
-            self.devex_update(enter, leave_row, &w);
+                choice = relaxed_ratio(&self.ratio_cands, bound_flip_t, HARRIS_RELAX);
+            }
         }
+        self.lap(|t| &mut t.ratio);
+        let d_abs = d_q.abs();
+        let (leave_row, leave_to_upper, t) = match choice {
+            // Like optimality, unboundedness is only declared on reduced
+            // costs recomputed from scratch.
+            RatioChoice::Unbounded if !self.d_fresh => return StepOutcome::NeedsRefactor,
+            RatioChoice::Unbounded => return StepOutcome::Unbounded,
+            RatioChoice::BoundFlip(t) => {
+                // bound flip: entering var runs to its other bound; the basis
+                // and therefore every reduced cost stay as they are
+                let t = t.max(0.0);
+                for i in 0..self.m {
+                    self.xb[i] -= t * sigma * self.w[i];
+                }
+                self.status[enter] = if sigma > 0.0 {
+                    VStat::Upper
+                } else {
+                    VStat::Lower
+                };
+                self.dir[enter] = -sigma;
+                self.lap(|t| &mut t.update);
+                return StepOutcome::Moved { gain: t * d_abs };
+            }
+            RatioChoice::Leave { row, to_upper, t } => (row, to_upper, t),
+        };
+
+        // the pivot row reads the pre-pivot basis: reduced costs (and devex
+        // weights) move before any state changes
+        self.pivot_row(leave_row);
+        self.update_reduced_costs(enter, leave_row);
+        self.lap(|t| &mut t.pivot_row);
 
         // basis change
         for i in 0..self.m {
             if i != leave_row {
-                self.xb[i] -= t * sigma * w[i];
+                self.xb[i] -= t * sigma * self.w[i];
                 if self.xb[i] < 0.0 && self.xb[i] > -1e-9 {
                     self.xb[i] = 0.0;
                 }
             }
         }
-        let leaving = self.basis[leave_row];
-        self.status[leaving] = if leave_to_upper {
-            VStat::Upper
-        } else {
-            VStat::Lower
-        };
         // entering variable's new value
-        let enter_val = if sigma > 0.0 {
+        self.xb[leave_row] = if sigma > 0.0 {
             t
         } else {
             self.upper[enter] - t
         };
-        self.xb[leave_row] = enter_val;
-        self.basis[leave_row] = enter;
-        self.status[enter] = VStat::Basic(leave_row as u32);
-        self.apply_update(leave_row, &w);
-        StepOutcome::Moved
+        self.change_basis(enter, leave_row, leave_to_upper);
+        self.lap(|t| &mut t.update);
+        StepOutcome::Moved { gain: t * d_abs }
     }
 
-    /// Absorb one basis change into the factorization (the column at
-    /// `leave_row` was swapped for one whose ftran image is `w`).
-    fn apply_update(&mut self, leave_row: usize, w: &[f64]) {
-        self.factor.update(leave_row, w);
+    /// Swap column `enter` into the basis at `leave_row` (its ftran image is
+    /// in `w`); the column it replaces leaves at its upper or lower bound.
+    fn change_basis(&mut self, enter: usize, leave_row: usize, leave_to_upper: bool) {
+        let leaving = self.basis[leave_row];
+        // A fixed column (pinned artificial, u = 0) that leaves "above" sits
+        // where lower == upper: keep it at Lower.
+        let at_upper = leave_to_upper && self.upper[leaving] > self.eps;
+        self.status[leaving] = if at_upper { VStat::Upper } else { VStat::Lower };
+        self.dir[leaving] = self.nonbasic_dir(leaving, at_upper);
+        self.basis[leave_row] = enter;
+        self.cb[leave_row] = self.cost[enter];
+        self.status[enter] = VStat::Basic(leave_row as u32);
+        self.dir[enter] = 0.0;
+        self.factor.update(leave_row, &self.w);
         self.pivots_since_refactor += 1;
         self.eta_updates += 1;
     }
 
-    /// Forrest–Goldfarb devex weight update for the pivot (enter `q`, leave
-    /// row `r`). Must run against the *pre-pivot* basis: with
-    /// `ρ = B⁻ᵀe_r` and `α_rj = ρᵀA_j`, every nonbasic `j` gets
-    /// `γ_j := max(γ_j, α_rj² · γ_q / α_rq²)`; the leaving variable inherits
-    /// `max(γ_q / α_rq², 1)`. When any weight blows past 1e10 the reference
-    /// framework is reset to all-ones (counted in `devex_resets`).
-    fn devex_update(&mut self, enter: usize, leave_row: usize, w: &[f64]) {
-        let alpha_rq = w[leave_row];
-        if alpha_rq.abs() <= self.eps {
-            return;
-        }
-        if self.csr.is_none() {
-            self.csr = Some(self.sf.cols.to_csr());
-        }
-        self.rho_buf.resize(self.m, 0.0);
-        self.alpha_buf.resize(self.sf.n, 0.0);
-        self.factor.btran_unit(leave_row, &mut self.rho_buf);
-        // α_rj accumulated column-wise over the nonzero rows of ρ
-        let csr = self.csr.as_ref().expect("csr built above");
-        for (r, &rv) in self.rho_buf.iter().enumerate() {
+    /// The one pivot-row kernel. With `ρ = B⁻ᵀe_r` (one `btran_unit`), form
+    /// `α_rj = ρᵀA_j` for every column with support in the nonzero rows of
+    /// `ρ`, row by row through the CSR view. The row is left in `row` for
+    /// [`update_reduced_costs`](Self::update_reduced_costs) to consume; the
+    /// dual ratio test reads it in between.
+    fn pivot_row(&mut self, r: usize) {
+        self.factor.btran_unit(r, &mut self.rho);
+        for (i, &rv) in self.rho.iter().enumerate() {
             if rv == 0.0 {
                 continue;
             }
-            let (cols, vals) = csr.row(r);
+            let (cols, vals) = self.sf.rows.row(i);
             for (&j, &v) in cols.iter().zip(vals) {
-                let j = j as usize;
-                if self.alpha_buf[j] == 0.0 {
-                    self.touched_buf.push(j);
-                }
-                self.alpha_buf[j] += rv * v;
+                self.row.add(j as usize, rv * v);
             }
         }
+    }
+
+    /// Consume the pivot row of `leave_row` for the pivot that brings
+    /// `enter` in (`w` holds its ftran image): every nonbasic reduced cost
+    /// moves by `d_j -= (d_q/α_rq)·α_rj`, the leaving variable's becomes
+    /// `−d_q/α_rq`. Must run against the *pre-pivot* basis.
+    ///
+    /// Under devex pricing the same row carries the Forrest–Goldfarb weight
+    /// update: every nonbasic `j` gets `γ_j := max(γ_j, α_rj²·γ_q/α_rq²)`,
+    /// the leaving variable inherits `max(γ_q/α_rq², 1)`, and when any
+    /// weight blows past 1e10 the reference framework is reset to all-ones
+    /// (counted in `devex_resets`).
+    fn update_reduced_costs(&mut self, enter: usize, leave_row: usize) {
+        let alpha_rq = self.w[leave_row];
+        let theta = self.d[enter] / alpha_rq;
+        let devex = matches!(self.pricing, Pricing::Devex { .. }) && alpha_rq.abs() > self.eps;
         let ratio_base = self.devex_w[enter] / (alpha_rq * alpha_rq);
         let mut blown = false;
-        for idx in 0..self.touched_buf.len() {
-            let j = self.touched_buf[idx];
-            let a = self.alpha_buf[j];
-            self.alpha_buf[j] = 0.0;
-            if j == enter || matches!(self.status[j], VStat::Basic(_)) {
-                continue;
-            }
-            let cand = a * a * ratio_base;
-            if cand > self.devex_w[j] {
-                self.devex_w[j] = cand;
-            }
-            if self.devex_w[j] > 1e10 {
-                blown = true;
+        for k in 0..self.row.len {
+            let j = self.row.cols[k];
+            let a = self.row.val[j];
+            self.row.val[j] = 0.0;
+            self.d[j] -= theta * a;
+            if devex && j != enter && !matches!(self.status[j], VStat::Basic(_)) {
+                let cand = a * a * ratio_base;
+                if cand > self.devex_w[j] {
+                    self.devex_w[j] = cand;
+                }
+                if self.devex_w[j] > 1e10 {
+                    blown = true;
+                }
             }
         }
-        self.touched_buf.clear();
-        // the leaving variable joins the nonbasic set with the pivot-row
-        // weight; the entering one is basic (weight reset for its next exit)
+        self.row.len = 0;
         let leaving = self.basis[leave_row];
-        self.devex_w[leaving] = ratio_base.max(1.0);
-        self.devex_w[enter] = 1.0;
-        if blown {
-            for g in self.devex_w.iter_mut() {
-                *g = 1.0;
+        self.d[leaving] = -theta;
+        self.d_fresh = false;
+        if devex {
+            // the leaving variable joins the nonbasic set with the pivot-row
+            // weight; the entering one is basic (weight reset for its next
+            // exit)
+            self.devex_w[leaving] = ratio_base.max(1.0);
+            self.devex_w[enter] = 1.0;
+            if blown {
+                self.devex_w.fill(1.0);
+                self.devex_resets += 1;
             }
-            self.devex_resets += 1;
         }
+    }
+
+    /// The maintained reduced costs and directions must match a from-scratch
+    /// recomputation after every pivot of every unit test.
+    #[cfg(test)]
+    fn audit_d(&mut self) {
+        let (d, dir) = (self.d.clone(), self.dir.clone());
+        let (fresh, scanned) = (self.d_fresh, self.pricing_cols_scanned);
+        self.resync_d();
+        let ynorm = self.y.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
+        for j in 0..self.sf.n {
+            assert_eq!(dir[j], self.dir[j], "direction of column {j}");
+            if !matches!(self.status[j], VStat::Basic(_)) {
+                let tol = 1e-9 * (1.0 + self.cost[j].abs() + ynorm);
+                assert!(
+                    (d[j] - self.d[j]).abs() <= tol,
+                    "column {j}: maintained d {} vs recomputed {} (tol {tol:e}, iteration {})",
+                    d[j],
+                    self.d[j],
+                    self.iterations
+                );
+            }
+        }
+        // the audit observes: the solve continues on the maintained values
+        self.d = d;
+        self.dir = dir;
+        self.d_fresh = fresh;
+        self.pricing_cols_scanned = scanned;
+    }
+
+    /// Refactorize inside a phase. The exact `xb` this recomputes can sit
+    /// outside its bounds when the updates it replaces ran through an
+    /// ill-conditioned basis; primal pivots from an infeasible point chase a
+    /// meaningless objective, so put the point back (best effort — if the
+    /// restoration gives up, the end-of-solve guard gets another go) and
+    /// re-read the objective the stall detector tracks.
+    fn refactorize_and_repair(&mut self, obj: &mut f64) -> Result<(), LpError> {
+        self.refactorize()?;
+        if !self.primal_feasible() {
+            self.dual_restore();
+            *obj = self.current_objective();
+        }
+        Ok(())
     }
 
     fn run_phase(&mut self, max_iter: u64, deadline: Option<Instant>) -> Result<(), LpError> {
         let mut stalled: u64 = 0;
         let stall_limit = 4 * (self.m as u64 + self.sf.n as u64) + 64;
-        let mut last_obj = self.current_objective();
-        let trace = std::env::var_os("SB_LP_PHASE_DEBUG").is_some();
-        let trace_start = Instant::now();
+        // tracked as `obj -= t·|d_q|` from here on
+        let mut obj = self.current_objective();
+        self.lap_start = Instant::now();
         loop {
-            if trace && self.iterations.is_multiple_of(1000) {
-                eprintln!(
-                    "phase trace: iter {} obj {:.6e} etas {} refacs {} factor_nnz {} elapsed {:.1}s",
-                    self.iterations,
-                    last_obj,
-                    self.eta_updates,
-                    self.refactorizations,
-                    self.factor.nnz(),
-                    trace_start.elapsed().as_secs_f64()
-                );
-            }
             if self.iterations >= max_iter {
                 return Err(LpError::IterationLimit);
             }
@@ -947,29 +1191,31 @@ impl<'a> Engine<'a> {
                 }
             }
             if self.pivots_since_refactor >= self.refactor_every || self.factor.wants_refactor() {
-                self.refactorize()?;
+                self.refactorize_and_repair(&mut obj)?;
             }
             let bland = stalled > stall_limit;
-            match self.step(bland) {
+            let gain = match self.step(bland) {
                 StepOutcome::Optimal => return Ok(()),
                 StepOutcome::Unbounded => return Err(LpError::Unbounded),
                 StepOutcome::NeedsRefactor => {
-                    // No pivot was applied; a fresh factor either clears the
-                    // suspect entry (noise) or certifies it (accepted next
-                    // pass), so this cannot loop.
-                    self.refactorize()?;
+                    // No pivot was applied. Under a fresh factor and fresh
+                    // reduced costs the step takes none of the exits that
+                    // lead here, so this cannot loop (a repair in between
+                    // spends iterations, which are capped).
+                    self.refactorize_and_repair(&mut obj)?;
                     continue;
                 }
-                StepOutcome::Moved => {}
-            }
+                StepOutcome::Moved { gain } => gain,
+            };
             self.iterations += 1;
-            let obj = self.current_objective();
-            if last_obj - obj > self.eps * (1.0 + last_obj.abs()) {
+            #[cfg(test)]
+            self.audit_d();
+            if gain > self.eps * (1.0 + obj.abs()) {
                 stalled = 0;
             } else {
                 stalled += 1;
             }
-            last_obj = obj;
+            obj -= gain;
         }
     }
 
@@ -1035,50 +1281,18 @@ impl RevisedSimplex {
         // ---- warm start: try to skip phase 1 entirely -----------------------
         let mut warm_started = false;
         let mut eng = match warm {
-            Some(basis) => {
-                match Engine::from_basis(
-                    sf,
-                    self.eps,
-                    self.feas_eps,
-                    self.refactor_every,
-                    self.pricing,
-                    self.factorization,
-                    basis,
-                ) {
-                    Ok(eng) => {
-                        warm_started = true;
-                        lp_metrics().record_warm_accepted();
-                        eng
-                    }
-                    Err(reject) => {
-                        if std::env::var_os("SB_LP_RESTORE_DEBUG").is_some() {
-                            eprintln!(
-                                "warm reject: {}",
-                                if matches!(reject, WarmReject::Singular) {
-                                    "singular"
-                                } else {
-                                    "infeasible"
-                                }
-                            );
-                        }
-                        lp_metrics().record_warm_rejected(matches!(reject, WarmReject::Singular));
-                        Engine::new(
-                            sf,
-                            self.eps,
-                            self.refactor_every,
-                            self.pricing,
-                            self.factorization,
-                        )
-                    }
+            Some(basis) => match Engine::from_basis(sf, self, basis) {
+                Ok(eng) => {
+                    warm_started = true;
+                    lp_metrics().record_warm_accepted();
+                    eng
                 }
-            }
-            None => Engine::new(
-                sf,
-                self.eps,
-                self.refactor_every,
-                self.pricing,
-                self.factorization,
-            ),
+                Err(reject) => {
+                    lp_metrics().record_warm_rejected(matches!(reject, WarmReject::Singular));
+                    Engine::new(sf, self)
+                }
+            },
+            None => Engine::new(sf, self),
         };
 
         // ---- phase 1 (cold starts only) -------------------------------------
@@ -1093,6 +1307,7 @@ impl RevisedSimplex {
             for j in sf.first_artificial..sf.n {
                 eng.cost[j] = 1.0;
             }
+            eng.resync_d();
             // Per-artificial feasibility test: an artificial's column is a
             // unit vector on its original row, so a basic artificial at value
             // v means that row is violated by v. Compare v against the row's
@@ -1132,10 +1347,9 @@ impl RevisedSimplex {
                 }
                 attempts += 1;
             }
-            // pin artificials to zero; reset costs
+            // pin artificials to zero
             for j in sf.first_artificial..sf.n {
                 eng.upper[j] = 0.0;
-                eng.cost[j] = 0.0;
                 if eng.status[j] == VStat::Upper {
                     eng.status[j] = VStat::Lower;
                 }
@@ -1145,8 +1359,10 @@ impl RevisedSimplex {
         // ---- phase 2 --------------------------------------------------------
         let phase1_iterations = eng.iterations;
         eng.pricing = self.pricing;
-        for (j, &c) in sf.cost.iter().enumerate() {
-            eng.cost[j] = c;
+        if !warm_started {
+            // (a warm start was positioned under these costs already)
+            eng.cost.copy_from_slice(&sf.cost);
+            eng.resync_d();
         }
         // Phase-2 costs invalidate any phase-1 candidate list.
         eng.cand.clear();
@@ -1162,15 +1378,17 @@ impl RevisedSimplex {
         // violations with dual-simplex pivots, and re-price; repeat until a
         // clean round. A (rare) singular refactorization means the
         // incrementally-maintained inverse is still the best state we have —
-        // keep it; `refactorize` only commits on success.
+        // keep it; `refactorize` only commits on success. When nothing has
+        // moved since the last refactorization (the usual end of a warm
+        // re-solve) the state already is exact and the round costs nothing.
         let mut clean = false;
         for _ in 0..6 {
-            if eng.refactorize().is_err() {
+            if eng.iterations != eng.refactored_at && eng.refactorize().is_err() {
                 break;
             }
             let mut progressed = false;
-            if !eng.primal_feasible(self.feas_eps) {
-                if !eng.dual_restore(self.feas_eps) {
+            if !eng.primal_feasible() {
+                if !eng.dual_restore() {
                     return Err(LpError::BadModel(
                         "numerical: primal feasibility lost and not restorable".into(),
                     ));
@@ -1188,7 +1406,7 @@ impl RevisedSimplex {
                 break;
             }
         }
-        if !clean && !eng.primal_feasible(self.feas_eps) {
+        if !clean && !eng.primal_feasible() {
             return Err(LpError::BadModel(
                 "numerical: drift guard failed to converge".into(),
             ));
@@ -1196,13 +1414,15 @@ impl RevisedSimplex {
         let x = eng.extract();
         let values = sf.recover(&x);
         let objective = lp.objective_at(&values);
-        let duals = Some(sf.recover_duals(&eng.duals()));
+        eng.compute_duals();
+        let duals = Some(sf.recover_duals(&eng.y));
         let basis = eng.export_basis();
         let stats = SolveStats {
             phase1_iterations,
             phase2_iterations: eng.iterations - phase1_iterations,
             refactorizations: eng.refactorizations,
             wall: wall_start.elapsed(),
+            times: eng.times,
             warm_started,
             // Proxy for avoided phase-1 work: every row whose cold start
             // would begin on an artificial column needs at least one phase-1
@@ -1512,13 +1732,27 @@ mod tests {
                     < 1e-6 * (1.0 + dantzig.objective().abs())
             );
             assert!(lp.max_violation(partial.values()) < 1e-6);
-            // the whole point: fewer reduced costs evaluated
+            // the whole point: phase-2 passes price the short list, while
+            // every Dantzig pass scans all columns; and maintaining the
+            // reduced costs means neither evaluates them by dot product per
+            // pass
+            let (p, d) = (partial.stats(), dantzig.stats());
             assert!(
-                partial.stats().pricing_cols_scanned < dantzig.stats().pricing_cols_scanned,
-                "partial {} vs dantzig {}",
-                partial.stats().pricing_cols_scanned,
-                dantzig.stats().pricing_cols_scanned
+                p.full_pricing_sweeps < p.pricing_scans,
+                "partial: {} full sweeps in {} passes",
+                p.full_pricing_sweeps,
+                p.pricing_scans
             );
+            assert!(d.full_pricing_sweeps >= d.pricing_scans);
+            let n = (ns * nd + 2 * (ns + nd)) as u64;
+            for st in [p, d] {
+                assert!(
+                    st.pricing_cols_scanned < n * st.pricing_scans / 4,
+                    "{} dot products in {} passes over {n} columns",
+                    st.pricing_cols_scanned,
+                    st.pricing_scans
+                );
+            }
         }
     }
 
@@ -1535,5 +1769,243 @@ mod tests {
         let s = solver.solve(&lp).unwrap();
         let reference = solve(&lp).unwrap();
         assert!((s.objective() - reference.objective()).abs() < 1e-6);
+    }
+
+    #[test]
+    fn candidate_ranking_survives_a_nan_score() {
+        let mut favorable = vec![
+            (0.5, 4),
+            (f64::NAN, 1),
+            (3.0, 7),
+            (3.0, 2),
+            (1.0, 9),
+            (f64::INFINITY, 5),
+        ];
+        keep_top(&mut favorable, 4);
+        let cols: Vec<usize> = favorable.iter().map(|&(_, j)| j).collect();
+        // total order: NaN above +∞ above the numbers; lowest column on ties
+        assert_eq!(cols, [1, 5, 2, 7]);
+        // asking for more than there are keeps (and orders) everything
+        keep_top(&mut favorable, 10);
+        assert_eq!(favorable.len(), 4);
+    }
+
+    #[test]
+    fn dantzig_argmax_picks_the_first_largest() {
+        let eps = 1e-9;
+        // 19 columns: one full lane chunk twice over plus a tail
+        let mut d = vec![0.0; 19];
+        let mut dir = vec![1.0; 19];
+        assert_eq!(dantzig_argmax(&d, &dir, eps), None);
+        d[3] = -2.0; // attractive going up
+        d[11] = 2.0;
+        dir[11] = -1.0; // equally attractive going down: first index wins
+        d[17] = -1.0;
+        assert_eq!(dantzig_argmax(&d, &dir, eps), Some(3));
+        d[18] = -5.0; // the tail is searched too
+        assert_eq!(dantzig_argmax(&d, &dir, eps), Some(18));
+        dir[18] = 0.0; // fixed or basic: never a candidate
+        d[3] = f64::NAN; // neither is a NaN
+        assert_eq!(dantzig_argmax(&d, &dir, eps), Some(11));
+        d[11] = eps / 2.0; // below tolerance
+        d[17] = 0.0;
+        assert_eq!(dantzig_argmax(&d, &dir, eps), None);
+    }
+
+    /// Engine on `sf` under phase-1 costs when it has artificials, phase-2
+    /// costs otherwise, ready for `step`.
+    fn engine_at_start(sf: &StandardForm, pricing: Pricing) -> Engine<'_> {
+        let opts = RevisedSimplex {
+            pricing,
+            ..RevisedSimplex::new()
+        };
+        let mut eng = Engine::new(sf, &opts);
+        if sf.first_artificial < sf.n {
+            eng.cost[sf.first_artificial..].fill(1.0);
+        } else {
+            eng.cost.copy_from_slice(&sf.cost);
+        }
+        eng.resync_d();
+        eng
+    }
+
+    #[test]
+    fn bound_flip_leaves_reduced_costs_bit_identical() {
+        // min -x - y, x,y in [0,1], x + y <= 1.5: x enters first and runs to
+        // its own bound before the row binds
+        let mut lp = LpProblem::new();
+        let x = lp.add_var("x", -1.0, 0.0, 1.0);
+        let y = lp.add_var("y", -1.0, 0.0, 1.0);
+        lp.add_le(vec![(x, 1.0), (y, 1.0)], 1.5);
+        let sf = StandardForm::build(&lp);
+        let mut eng = engine_at_start(&sf, Pricing::Dantzig);
+        let bits = |eng: &Engine<'_>| eng.d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (d0, basis0) = (bits(&eng), eng.basis.clone());
+        assert!(matches!(eng.step(false), StepOutcome::Moved { gain } if gain == 1.0));
+        assert_eq!(eng.status[0], VStat::Upper, "x flipped to its upper bound");
+        assert_eq!(eng.basis, basis0, "no basis change");
+        assert_eq!(bits(&eng), d0, "a bound flip must not touch d");
+        assert!(eng.d_fresh);
+        assert_eq!(eng.dir[0], -1.0);
+        eng.audit_d();
+        // the next step is a real pivot and does move d
+        assert!(matches!(eng.step(false), StepOutcome::Moved { .. }));
+        assert_ne!(eng.basis, basis0);
+        assert_ne!(bits(&eng), d0);
+        assert!(!eng.d_fresh);
+    }
+
+    #[test]
+    fn devex_weights_from_the_shared_row_match_a_columnwise_reference() {
+        // The reference is the pre-refactor `devex_update`, computed the slow
+        // way: ρ from a fresh dense inverse of the pre-pivot basis, α_rj by
+        // one dot product per column.
+        let mut lp = LpProblem::new();
+        let vars: Vec<_> = [-3.0, -2.0, -4.0, -1.0, -2.5]
+            .iter()
+            .enumerate()
+            .map(|(k, &c)| lp.add_nonneg(format!("x{k}"), c))
+            .collect();
+        for (coeffs, rhs) in [
+            ([2.0, 1.0, 3.0, 1.0, 0.5], 10.0),
+            ([1.0, 3.0, 1.0, 2.0, 4.0], 12.0),
+            ([3.0, 2.0, 2.0, 4.0, 1.0], 15.0),
+            ([1.0, 1.0, 1.0, 1.0, 1.0], 6.0),
+        ] {
+            lp.add_le(vars.iter().copied().zip(coeffs).collect(), rhs);
+        }
+        let sf = StandardForm::build(&lp);
+        let mut eng = engine_at_start(&sf, Pricing::devex());
+        let (m, n) = (sf.m, sf.n);
+        let (mut pivots, mut largest) = (0, 1.0f64);
+        loop {
+            let (basis, status, weights) =
+                (eng.basis.clone(), eng.status.clone(), eng.devex_w.clone());
+            match eng.step(false) {
+                StepOutcome::Optimal => break,
+                StepOutcome::Moved { .. } => {}
+                _ => panic!("a bounded, well-conditioned LP only moves"),
+            }
+            let r = (0..m)
+                .find(|&i| eng.basis[i] != basis[i])
+                .expect("no finite upper bounds, so no bound flips");
+            pivots += 1;
+            assert!(pivots < 50, "cycling");
+            eng.audit_d();
+            let (enter, leaving) = (eng.basis[r], basis[r]);
+            let mut dense = make_factor(FactorKind::Dense, m);
+            dense.refactorize(&sf.cols, &basis).unwrap();
+            let mut rho = vec![0.0; m];
+            dense.btran_unit(r, &mut rho);
+            let alpha = |j: usize| sf.cols.iter_col(j).map(|(i, v)| rho[i] * v).sum::<f64>();
+            let ratio_base = weights[enter] / (alpha(enter) * alpha(enter));
+            let mut expect = weights;
+            for j in 0..n {
+                if j != enter && !matches!(status[j], VStat::Basic(_)) {
+                    expect[j] = expect[j].max(alpha(j) * alpha(j) * ratio_base);
+                }
+            }
+            expect[leaving] = ratio_base.max(1.0);
+            expect[enter] = 1.0;
+            for j in 0..n {
+                assert!(
+                    (eng.devex_w[j] - expect[j]).abs() <= 1e-9 * expect[j],
+                    "pivot {pivots}, column {j}: weight {} vs reference {}",
+                    eng.devex_w[j],
+                    expect[j]
+                );
+                largest = largest.max(expect[j]);
+            }
+        }
+        assert!(pivots >= 3, "only {pivots} pivots");
+        assert!(largest > 1.5, "the pivots exercised non-trivial weights");
+    }
+
+    #[test]
+    fn in_phase_refactorization_repairs_a_point_it_finds_out_of_bounds() {
+        let lp = transport_lp(6, 5);
+        let sf = StandardForm::build(&lp);
+        let opts = RevisedSimplex::new();
+        let optimum = opts.solve(&lp).unwrap();
+        let mut eng = Engine::from_basis(&sf, &opts, optimum.basis().unwrap())
+            .unwrap_or_else(|_| panic!("the optimal basis warm-starts its own problem"));
+        assert!(eng.primal_feasible());
+        // what drift through an ill-conditioned basis does, done by hand: a
+        // basic variable sits well beyond a bound
+        let row = (0..sf.m)
+            .find(|&i| eng.xb[i] > 1.0)
+            .expect("a transport optimum ships something");
+        eng.upper[eng.basis[row]] = eng.xb[row] / 2.0;
+        assert!(!eng.primal_feasible());
+        let pivots = eng.iterations;
+        let mut obj = f64::NAN;
+        eng.refactorize_and_repair(&mut obj).unwrap();
+        assert!(
+            eng.primal_feasible(),
+            "restoration pivots the violation out"
+        );
+        assert!(eng.iterations > pivots);
+        assert_eq!(obj, eng.current_objective());
+    }
+
+    /// Every pivot of every solve in this module is followed by
+    /// [`Engine::audit_d`] (maintained `d` equals a freshly computed one
+    /// within `1e-9·(1+|c_j|+‖y‖∞)`); these drive it through the cold, warm
+    /// and `dual_restore` paths on the `proptest_warm_start` generator.
+    mod maintained_d {
+        use super::*;
+        use crate::standard::{PatchOutcome, PreparedProblem};
+        use crate::sweep_gen::{build, patch, sweep_lp, SweepLp};
+        use proptest::prelude::*;
+
+        /// Cold base solve, then the patched problem warm (through
+        /// `dual_restore` whenever the patch broke feasibility) and cold.
+        /// Returns the warm solve's stats.
+        fn sweep(r: &SweepLp, solver: &RevisedSimplex) -> SolveStats {
+            let mut b = build(r);
+            let mut prep = PreparedProblem::new(&b.lp);
+            let base = solver.solve_prepared(&b.lp, &prep, None).expect("base");
+            patch(&mut b, r);
+            assert_eq!(prep.refresh(&b.lp), PatchOutcome::Patched);
+            let warm = solver
+                .solve_prepared(&b.lp, &prep, base.basis())
+                .expect("warm");
+            let cold = solver.solve_prepared(&b.lp, &prep, None).expect("cold");
+            assert!(
+                (warm.objective() - cold.objective()).abs() < 1e-6 * (1.0 + cold.objective().abs())
+            );
+            warm.stats()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn holds_on_cold_warm_and_restore_paths(r in sweep_lp()) {
+                for pricing in [Pricing::Dantzig, Pricing::partial(), Pricing::devex()] {
+                    for factorization in [FactorKind::SparseLu, FactorKind::Dense] {
+                        sweep(&r, &RevisedSimplex { pricing, factorization, ..RevisedSimplex::new() });
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn restore_pivots_are_audited() {
+            // one pinned site under equal demands: the warm basis holds the
+            // pinned shares at positive values, so `dual_restore` must pivot
+            let r = SweepLp {
+                slots: 6,
+                sites: 5,
+                demand0: vec![8; 6],
+                demand1: vec![8; 6],
+                cap_cost: vec![1; 5],
+                share_cost: vec![0; 30],
+                fail_site: Some(0),
+            };
+            let warm = sweep(&r, &RevisedSimplex::new());
+            assert!(warm.warm_started);
+            assert!(warm.phase1_iterations > 0, "no restore pivot ran");
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! Compressed sparse column (CSC) storage for the standard-form constraint
-//! matrix, plus a row-major (CSR) transpose view for pricing rules that walk
-//! rows (devex reference-weight updates).
+//! matrix, plus a row-major (CSR) transpose view for the simplex pivot-row
+//! kernel, which walks the few rows in the support of `B⁻ᵀe_r`.
 //!
 //! The provisioning LPs are ~0.2% dense: storing columns as contiguous
 //! `(row, value)` arrays instead of one `Vec` per column keeps pricing and
@@ -63,88 +63,97 @@ impl CscMatrix {
         rows.iter().zip(vals).map(|(&r, &v)| (r as usize, v))
     }
 
-    /// Rebuild the matrix as exactly `n_structural` columns scattered from
-    /// row-major entry lists (`rows[i]` = sparse entries of row `i` as
-    /// `(column, value)`), dropping any previously stored columns but keeping
-    /// every allocation. Entries within each resulting column come out in
-    /// ascending row order because rows are scattered in order.
-    pub fn assemble_structural(&mut self, n_structural: usize, rows: &[Vec<(usize, f64)>]) {
-        self.m = rows.len();
+    /// Rebuild the matrix as the `n`-column transpose of `rows`, dropping
+    /// every previously stored column but keeping every allocation. Entries
+    /// within each column come out in ascending row order because the rows
+    /// are scattered in order.
+    pub fn assemble_from_rows(&mut self, n: usize, rows: &CsrView) {
+        self.m = rows.num_rows();
+        // column starts, by counting
         self.col_ptr.clear();
-        self.col_ptr.resize(n_structural + 1, 0);
-        for row in rows {
-            for &(c, _) in row {
-                self.col_ptr[c + 1] += 1;
-            }
+        self.col_ptr.resize(n + 1, 0);
+        for &c in &rows.col_ix {
+            self.col_ptr[c as usize + 1] += 1;
         }
-        for j in 0..n_structural {
+        for j in 0..n {
             self.col_ptr[j + 1] += self.col_ptr[j];
         }
-        let total = self.col_ptr[n_structural];
+        let nnz = rows.col_ix.len();
         self.row_ix.clear();
-        self.row_ix.resize(total, 0);
+        self.row_ix.resize(nnz, 0);
         self.vals.clear();
-        self.vals.resize(total, 0.0);
-        let mut next = self.col_ptr[..n_structural].to_vec();
-        for (i, row) in rows.iter().enumerate() {
-            for &(c, a) in row {
-                let k = next[c];
-                next[c] += 1;
+        self.vals.resize(nnz, 0.0);
+        // scatter with each column's start as its cursor, which leaves every
+        // start at its column's end — the next column's start — so shift back
+        for i in 0..self.m {
+            let (cols, vs) = rows.row(i);
+            for (&c, &v) in cols.iter().zip(vs) {
+                let k = self.col_ptr[c as usize];
+                self.col_ptr[c as usize] += 1;
                 self.row_ix[k] = i as u32;
-                self.vals[k] = a;
+                self.vals[k] = v;
             }
         }
-    }
-
-    /// Append a single-entry column (slack, surplus or artificial).
-    pub fn push_unit_col(&mut self, row: usize, val: f64) {
-        self.row_ix.push(row as u32);
-        self.vals.push(val);
-        self.col_ptr.push(self.row_ix.len());
-    }
-
-    /// Row-major transpose view (built on demand; the engines only need it
-    /// under devex pricing).
-    pub fn to_csr(&self) -> CsrView {
-        let m = self.m;
-        let mut row_ptr = vec![0usize; m + 1];
-        for &r in &self.row_ix {
-            row_ptr[r as usize + 1] += 1;
-        }
-        for i in 0..m {
-            row_ptr[i + 1] += row_ptr[i];
-        }
-        let nnz = self.nnz();
-        let mut col_ix = vec![0u32; nnz];
-        let mut vals = vec![0.0f64; nnz];
-        let mut next = row_ptr[..m].to_vec();
-        for j in 0..self.n() {
-            let (rows, vs) = self.col(j);
-            for (&r, &v) in rows.iter().zip(vs) {
-                let k = next[r as usize];
-                next[r as usize] += 1;
-                col_ix[k] = j as u32;
-                vals[k] = v;
-            }
-        }
-        CsrView {
-            row_ptr,
-            col_ix,
-            vals,
-        }
+        self.col_ptr.copy_within(0..n, 1);
+        self.col_ptr[0] = 0;
     }
 }
 
 /// Row-major companion of a [`CscMatrix`], used to enumerate the nonzero
-/// columns of a handful of rows (the support of a devex reference row).
+/// columns of a handful of rows (the support of a simplex pivot row). The
+/// standard form fills it row by row as it maps the user's constraints and
+/// derives the columns from it, so the two never disagree.
 #[derive(Clone, Debug)]
 pub(crate) struct CsrView {
+    /// `row_ptr[i]..row_ptr[i+1]` delimits row `i`; one entry per finished
+    /// row plus the leading zero.
     row_ptr: Vec<usize>,
     col_ix: Vec<u32>,
     vals: Vec<f64>,
 }
 
 impl CsrView {
+    /// View with no rows.
+    pub fn new() -> CsrView {
+        CsrView {
+            row_ptr: vec![0],
+            col_ix: Vec::new(),
+            vals: Vec::new(),
+        }
+    }
+
+    /// Drop every row, keeping every allocation.
+    pub fn clear(&mut self) {
+        self.row_ptr.clear();
+        self.row_ptr.push(0);
+        self.col_ix.clear();
+        self.vals.clear();
+    }
+
+    /// Append an entry to the row being filled. Callers push a row's columns
+    /// in ascending order.
+    pub fn push(&mut self, col: usize, val: f64) {
+        self.col_ix.push(col as u32);
+        self.vals.push(val);
+    }
+
+    /// Finish the row being filled.
+    pub fn end_row(&mut self) {
+        self.row_ptr.push(self.col_ix.len());
+    }
+
+    /// Give back the spare capacity row-by-row filling left behind.
+    pub fn shrink_to_fit(&mut self) {
+        self.row_ptr.shrink_to_fit();
+        self.col_ix.shrink_to_fit();
+        self.vals.shrink_to_fit();
+    }
+
+    /// Number of finished rows.
+    pub fn num_rows(&self) -> usize {
+        self.row_ptr.len() - 1
+    }
+
     /// Row `i` as parallel `(columns, values)` slices.
     pub fn row(&self, i: usize) -> (&[u32], &[f64]) {
         let (lo, hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
@@ -153,35 +162,45 @@ impl CsrView {
 }
 
 #[cfg(test)]
+impl CsrView {
+    /// View of explicit `(column, value)` rows (test fixtures).
+    pub fn from_rows(rows: &[Vec<(usize, f64)>]) -> CsrView {
+        let mut csr = CsrView::new();
+        for row in rows {
+            for &(c, v) in row {
+                csr.push(c, v);
+            }
+            csr.end_row();
+        }
+        csr
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
+    fn sample_rows() -> CsrView {
+        // rows: r0 = [2 @c0, 1 @c1], r1 = [3 @c1, -1 @c2], r2 = [4 @c0]
+        CsrView::from_rows(&[
+            vec![(0, 2.0), (1, 1.0)],
+            vec![(1, 3.0), (2, -1.0)],
+            vec![(0, 4.0)],
+        ])
+    }
+
     fn sample() -> CscMatrix {
-        // rows: r0 = [2 @c0, 1 @c1], r1 = [3 @c1], r2 = [4 @c0]
-        let rows = vec![
-            vec![(0usize, 2.0), (1usize, 1.0)],
-            vec![(1usize, 3.0)],
-            vec![(0usize, 4.0)],
-        ];
         let mut m = CscMatrix::new(3);
-        m.assemble_structural(2, &rows);
+        m.assemble_from_rows(3, &sample_rows());
         m
     }
 
     #[test]
     fn assemble_scatters_by_column_in_row_order() {
         let m = sample();
-        assert_eq!(m.n(), 2);
-        assert_eq!(m.nnz(), 4);
+        assert_eq!((m.num_rows(), m.n(), m.nnz()), (3, 3, 5));
         assert_eq!(m.iter_col(0).collect::<Vec<_>>(), vec![(0, 2.0), (2, 4.0)]);
         assert_eq!(m.iter_col(1).collect::<Vec<_>>(), vec![(0, 1.0), (1, 3.0)]);
-    }
-
-    #[test]
-    fn unit_columns_append_after_structural() {
-        let mut m = sample();
-        m.push_unit_col(1, -1.0);
-        assert_eq!(m.n(), 3);
         assert_eq!(m.iter_col(2).collect::<Vec<_>>(), vec![(1, -1.0)]);
         assert_eq!(m.col_nnz(2), 1);
     }
@@ -189,22 +208,25 @@ mod tests {
     #[test]
     fn reassembly_reuses_buffers_and_replaces_contents() {
         let mut m = sample();
-        m.push_unit_col(0, 1.0);
-        let rows = vec![vec![(0usize, 5.0)], vec![], vec![(0usize, -1.0)]];
-        m.assemble_structural(1, &rows);
-        assert_eq!(m.n(), 1);
+        let rows = CsrView::from_rows(&[vec![(0, 5.0)], vec![], vec![(0, -1.0)]]);
+        m.assemble_from_rows(2, &rows);
+        assert_eq!(m.n(), 2);
         assert_eq!(m.iter_col(0).collect::<Vec<_>>(), vec![(0, 5.0), (2, -1.0)]);
+        assert_eq!(m.col_nnz(1), 0);
     }
 
     #[test]
-    fn csr_view_transposes() {
-        let m = sample();
-        let csr = m.to_csr();
-        let (c, v) = csr.row(0);
-        assert_eq!(c, &[0, 1]);
-        assert_eq!(v, &[2.0, 1.0]);
-        let (c, v) = csr.row(2);
-        assert_eq!(c, &[0]);
-        assert_eq!(v, &[4.0]);
+    fn csr_view_fills_row_by_row_and_clears() {
+        let mut csr = sample_rows();
+        assert_eq!(csr.num_rows(), 3);
+        assert_eq!(csr.row(0), (&[0u32, 1][..], &[2.0, 1.0][..]));
+        assert_eq!(csr.row(2), (&[0u32][..], &[4.0][..]));
+        csr.clear();
+        assert_eq!(csr.num_rows(), 0);
+        csr.end_row();
+        csr.push(0, 7.0);
+        csr.end_row();
+        assert_eq!(csr.row(0).0, &[] as &[u32]);
+        assert_eq!(csr.row(1), (&[0u32][..], &[7.0][..]));
     }
 }

@@ -14,7 +14,7 @@
 //!   the artificial otherwise, so `B = I` at the start of phase 1.
 
 use crate::problem::{LpProblem, Relation};
-use crate::sparse::CscMatrix;
+use crate::sparse::{CscMatrix, CsrView};
 
 /// How one user variable maps onto standard-form columns.
 #[derive(Clone, Debug)]
@@ -37,6 +37,9 @@ pub(crate) struct StandardForm {
     /// Column-compressed sparse constraint matrix (structural columns first,
     /// then slack/surplus in row order, then artificials in row order).
     pub cols: CscMatrix,
+    /// Row-major view of `cols` for the simplex pivot-row kernel; built with
+    /// the columns and refreshed with them, never per solve.
+    pub rows: CsrView,
     /// Phase-2 objective per column (0 for slacks and artificials).
     pub cost: Vec<f64>,
     /// Upper bound per column (∞ allowed; artificials get `0` after phase 1
@@ -63,28 +66,51 @@ pub(crate) struct StandardForm {
     pub row_rel: Vec<Relation>,
 }
 
-/// Merge duplicates, apply the variable mapping and sign-normalize one user
-/// row. Returns `(entries over structural columns, rhs ≥ 0, normalized
-/// relation, flipped)`.
-fn map_row(
-    row: &crate::problem::Constraint,
-    var_map: &[VarMap],
-) -> (Vec<(usize, f64)>, f64, Relation, bool) {
-    let mut entries: Vec<(usize, f64)> = Vec::with_capacity(row.coeffs.len() + 1);
+/// Right-hand side and relation of one user row after the variable mapping
+/// and sign normalization: `(rhs ≥ 0, normalized relation, flipped)`. The
+/// relations fix the slack/artificial column layout, so they are settled
+/// before any entry is stored.
+fn row_shape(row: &crate::problem::Constraint, var_map: &[VarMap]) -> (f64, Relation, bool) {
     let mut rhs = row.rhs;
     for &(v, a) in &row.coeffs {
         if a == 0.0 {
             continue;
         }
         match var_map[v.index()] {
-            VarMap::Shifted { col, lower } => {
-                rhs -= a * lower;
-                entries.push((col, a));
-            }
-            VarMap::Mirrored { col, upper: u } => {
-                rhs -= a * u;
-                entries.push((col, -a));
-            }
+            VarMap::Shifted { lower, .. } => rhs -= a * lower,
+            VarMap::Mirrored { upper, .. } => rhs -= a * upper,
+            VarMap::Split { .. } => {}
+        }
+    }
+    if rhs < 0.0 {
+        let rel = match row.rel {
+            Relation::Le => Relation::Ge,
+            Relation::Ge => Relation::Le,
+            Relation::Eq => Relation::Eq,
+        };
+        (-rhs, rel, true)
+    } else {
+        (rhs, row.rel, false)
+    }
+}
+
+/// One user row's entries over the structural columns, into `entries`
+/// (cleared first): variable mapping applied, duplicates merged, zeros
+/// dropped, ascending by column, negated when the row is `flip`ped.
+fn map_entries(
+    row: &crate::problem::Constraint,
+    var_map: &[VarMap],
+    flip: bool,
+    entries: &mut Vec<(usize, f64)>,
+) {
+    entries.clear();
+    for &(v, a) in &row.coeffs {
+        if a == 0.0 {
+            continue;
+        }
+        match var_map[v.index()] {
+            VarMap::Shifted { col, .. } => entries.push((col, a)),
+            VarMap::Mirrored { col, .. } => entries.push((col, -a)),
             VarMap::Split { pos, neg } => {
                 entries.push((pos, a));
                 entries.push((neg, -a));
@@ -101,22 +127,11 @@ fn map_row(
         }
     });
     entries.retain(|e| e.1 != 0.0);
-
-    let mut rel = row.rel;
-    let mut flip = false;
-    if rhs < 0.0 {
-        rhs = -rhs;
-        flip = true;
-        for e in &mut entries {
+    if flip {
+        for e in entries.iter_mut() {
             e.1 = -e.1;
         }
-        rel = match rel {
-            Relation::Le => Relation::Ge,
-            Relation::Ge => Relation::Le,
-            Relation::Eq => Relation::Eq,
-        };
     }
-    (entries, rhs, rel, flip)
 }
 
 /// Compute the per-variable mapping classes for `lp` (no side effects).
@@ -189,58 +204,44 @@ impl StandardForm {
                 }
             }
         }
-        let n_structural = cost.len();
 
-        // --- rows ------------------------------------------------------------
+        // --- rows: right-hand sides and relations -----------------------------
         let mut b = Vec::with_capacity(m);
-        let mut row_flip = vec![false; m];
+        let mut row_flip = Vec::with_capacity(m);
         let mut row_rel = Vec::with_capacity(m);
-        let mut row_entries: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
-        for (i, row) in lp.rows.iter().enumerate() {
-            let (entries, rhs, rel, flip) = map_row(row, &var_map);
-            row_flip[i] = flip;
-            row_rel.push(rel);
+        for row in &lp.rows {
+            let (rhs, rel, flip) = row_shape(row, &var_map);
             b.push(rhs);
-            row_entries.push(entries);
+            row_rel.push(rel);
+            row_flip.push(flip);
         }
-        let mut cols = CscMatrix::new(m);
-        cols.assemble_structural(n_structural, &row_entries);
 
         // --- slack / surplus columns, in row order ---------------------------
         let mut basis0 = vec![usize::MAX; m];
         for (i, rel) in row_rel.iter().enumerate() {
-            match rel {
-                Relation::Le => {
-                    basis0[i] = cols.n();
-                    cols.push_unit_col(i, 1.0);
-                    cost.push(0.0);
-                    upper.push(f64::INFINITY);
-                }
-                Relation::Ge => {
-                    cols.push_unit_col(i, -1.0);
-                    cost.push(0.0);
-                    upper.push(f64::INFINITY);
-                    // needs an artificial too; assigned below
-                }
-                Relation::Eq => {}
+            if *rel == Relation::Eq {
+                continue;
             }
+            if *rel == Relation::Le {
+                basis0[i] = cost.len();
+            } // a `Ge` row needs an artificial too; assigned below
+            cost.push(0.0);
+            upper.push(f64::INFINITY);
         }
 
         // --- artificials -------------------------------------------------------
-        let first_artificial = cols.n();
-        for i in 0..m {
-            if basis0[i] == usize::MAX {
-                basis0[i] = cols.n();
-                cols.push_unit_col(i, 1.0);
-                cost.push(0.0);
-                upper.push(f64::INFINITY);
-            }
+        let first_artificial = cost.len();
+        for slot in basis0.iter_mut().filter(|s| **s == usize::MAX) {
+            *slot = cost.len();
+            cost.push(0.0);
+            upper.push(f64::INFINITY);
         }
 
-        StandardForm {
+        let mut sf = StandardForm {
             m,
-            n: cols.n(),
-            cols,
+            n: cost.len(),
+            cols: CscMatrix::new(m),
+            rows: CsrView::new(),
             cost,
             upper,
             b,
@@ -250,7 +251,46 @@ impl StandardForm {
             basis0,
             row_flip,
             row_rel,
+        };
+        sf.fill_matrix(lp);
+        sf.rows.shrink_to_fit();
+        sf
+    }
+
+    /// (Re)fill `rows` and `cols` from `lp`'s constraints under the variable
+    /// mapping, relations and flips already stored in `self`, keeping every
+    /// allocation: each row is mapped once, straight into the row-major view
+    /// (structural entries, then the row's slack/surplus and artificial unit
+    /// entries — all ascending by column), and the columns are one transpose
+    /// of that.
+    fn fill_matrix(&mut self, lp: &LpProblem) {
+        let n_unit = self.row_rel.iter().filter(|r| **r != Relation::Eq).count();
+        let mut slack = self.first_artificial - n_unit;
+        let mut artificial = self.first_artificial;
+        let mut entries: Vec<(usize, f64)> = Vec::new();
+        self.rows.clear();
+        for (i, row) in lp.rows.iter().enumerate() {
+            map_entries(row, &self.var_map, self.row_flip[i], &mut entries);
+            for &(c, a) in &entries {
+                self.rows.push(c, a);
+            }
+            match self.row_rel[i] {
+                Relation::Le => self.rows.push(slack, 1.0),
+                Relation::Ge => self.rows.push(slack, -1.0),
+                Relation::Eq => {}
+            }
+            if self.row_rel[i] != Relation::Eq {
+                slack += 1;
+            }
+            if self.row_rel[i] != Relation::Le {
+                self.rows.push(artificial, 1.0);
+                artificial += 1;
+            }
+            self.rows.end_row();
         }
+        self.cols.assemble_from_rows(self.n, &self.rows);
+        debug_assert_eq!((slack, artificial), (self.first_artificial, self.n));
+        debug_assert_eq!(self.cols.n(), self.n);
     }
 
     /// Re-derive this standard form from `lp` **in place**, reusing every
@@ -277,17 +317,13 @@ impl StandardForm {
             return false;
         }
         // --- layout pre-check: normalized row relations ----------------------
-        // Mapping the rows is the bulk of the conversion work; keep the
-        // results so the commit pass below does not redo it.
-        let mut row_entries = Vec::with_capacity(self.m);
-        let mut rhs_flip = Vec::with_capacity(self.m);
+        let mut shapes = Vec::with_capacity(self.m);
         for (i, row) in lp.rows.iter().enumerate() {
-            let (entries, rhs, rel, flip) = map_row(row, &var_map);
+            let (rhs, rel, flip) = row_shape(row, &var_map);
             if rel != self.row_rel[i] {
                 return false;
             }
-            row_entries.push(entries);
-            rhs_flip.push((rhs, flip));
+            shapes.push((rhs, flip));
         }
 
         // --- commit: refill buffers ------------------------------------------
@@ -319,28 +355,15 @@ impl StandardForm {
                 }
             }
         }
-        // structural columns are re-scattered from the mapped rows, then the
-        // slack/surplus/artificial tail is re-pushed in the exact layout the
-        // fingerprint checks above guarantee — so `basis0`,
-        // `first_artificial` and the tail's cost/upper entries stay valid
-        // (cost/upper of non-structural columns never change).
-        for (i, (rhs, flip)) in rhs_flip.into_iter().enumerate() {
+        // the matrix is refilled in the exact layout the fingerprint checks
+        // above guarantee — so `basis0`, `first_artificial` and the tail's
+        // cost/upper entries stay valid (cost/upper of non-structural columns
+        // never change).
+        for (i, (rhs, flip)) in shapes.into_iter().enumerate() {
             self.b[i] = rhs;
             self.row_flip[i] = flip;
         }
-        self.cols.assemble_structural(next, &row_entries);
-        for (i, rel) in self.row_rel.iter().enumerate() {
-            match rel {
-                Relation::Le => self.cols.push_unit_col(i, 1.0),
-                Relation::Ge => self.cols.push_unit_col(i, -1.0),
-                Relation::Eq => {}
-            }
-        }
-        for i in 0..self.m {
-            if self.basis0[i] >= self.first_artificial {
-                self.cols.push_unit_col(i, 1.0);
-            }
-        }
+        self.fill_matrix(lp);
         true
     }
 

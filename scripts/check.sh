@@ -32,6 +32,21 @@ echo "==> solver smoke: lp_scenario_sweep --smoke (sparse vs committed dense bas
 cargo run --release -q -p sb-bench --bin lp_scenario_sweep -- --smoke \
     --json /tmp/BENCH_lp_smoke.json --baseline BENCH_lp.json
 
+echo "==> benchmark ruler: benchmark/run.sh --smoke (all four workloads, every correctness gate at smoke size)"
+# The benchmark is a package of its own that calls the crates' public
+# functions; a signature change that breaks it must fail here, not at the
+# next performance PR.
+benchmark/run.sh --smoke
+
+echo "==> benchmark ruler: planet plan still matches benchmark/expected/plan_planet.json (1e-9)"
+# --smoke skips the expected-plan match (the recorded plans are full-size);
+# one short full-size planet pass checks it. A single workload always exits
+# 0 and reports its verdict on the last line.
+benchmark/run.sh --workload plan_planet --seconds 1 | tail -n 1 | grep -q '"correct":true'
+
+echo "==> benchmark ruler: the harness's own tests"
+CARGO_TARGET_DIR="$PWD/target" cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
+
 echo "==> replay differential: serial oracle vs concurrent engine"
 cargo test -q --test replay_differential
 

@@ -164,8 +164,8 @@ pub mod prelude {
     /// pipeline use case.
     pub mod solver {
         pub use sb_lp::{
-            Basis, Constraint, DenseSimplex, GuardedSimplex, LpError, LpProblem, Pricing,
-            RevisedSimplex, Solution, SolveRung, SolveStats, Solver, Var, VarStatus,
+            Basis, Constraint, DenseSimplex, GuardedSimplex, IterationTimes, LpError, LpProblem,
+            Pricing, RevisedSimplex, Solution, SolveRung, SolveStats, Solver, Var, VarStatus,
         };
     }
 
