@@ -719,13 +719,16 @@ fn err(msg: impl Into<String>) -> PlanParseError {
     PlanParseError(msg.into())
 }
 
-/// The export rows, built through the sb-obs [`Table`] writer. Row order:
-/// pools sorted by `(config, slot)`, entries within a pool in plan order
-/// (the order is part of the selector's tie-breaking behavior and must
-/// survive a round-trip).
-fn export_table(artifact: &PlanArtifact) -> Table {
+/// One export row: `(config, slot, dc, share, quota)` — share is `None` for
+/// quota-only pools, quota is `None` where no quota pool exists (both are
+/// written as `-`).
+type PlanRow = (usize, usize, usize, Option<f64>, Option<u32>);
+
+/// Visit the export rows. Row order: pools sorted by `(config, slot)`,
+/// entries within a pool in plan order (the order is part of the selector's
+/// tie-breaking behavior and must survive a round-trip).
+fn for_each_export_row<R: FnMut(PlanRow)>(artifact: &PlanArtifact, mut row: R) {
     type Pool<'a> = (ConfigId, usize, &'a [(DcId, f64)]);
-    let t = Table::standalone(&PLAN_EXPORT_COLUMNS);
     let mut pools: Vec<Pool<'_>> = artifact.shares.iter().collect();
     pools.sort_by_key(|&(cfg, slot, _)| (cfg.index(), slot));
     // Pools that exist only as quotas (seed artifacts carry no shares) are
@@ -739,15 +742,9 @@ fn export_table(artifact: &PlanArtifact) -> Table {
         .collect();
     quota_only.sort_by_key(|&(cfg, slot)| (cfg.index(), slot));
     let mut quota_only = quota_only.into_iter().peekable();
-    let emit_quota_only = |t: &Table, cfg: ConfigId, slot: usize| {
+    let emit_quota_only = |row: &mut R, cfg: ConfigId, slot: usize| {
         for &(dc, n) in artifact.quotas.get(cfg, slot) {
-            t.push(vec![
-                Value::from(cfg.index()),
-                Value::from(slot),
-                Value::from(dc.index()),
-                Value::from("-"),
-                Value::from(n),
-            ]);
+            row((cfg.index(), slot, dc.index(), None, Some(n)));
         }
     };
     for (cfg, slot, fracs) in pools {
@@ -758,28 +755,36 @@ fn export_table(artifact: &PlanArtifact) -> Table {
             .is_some_and(|&(qc, qs)| (qc.index(), qs) < (cfg.index(), slot))
         {
             let (qc, qs) = quota_only.next().unwrap_or((cfg, slot));
-            emit_quota_only(&t, qc, qs);
+            emit_quota_only(&mut row, qc, qs);
         }
         let counts = artifact.quotas.get(cfg, slot);
         for (i, &(dc, share)) in fracs.iter().enumerate() {
-            let quota: Value = counts
+            let quota = counts
                 .iter()
                 .enumerate()
                 .find(|&(j, &(qdc, _))| qdc == dc && (counts.len() != fracs.len() || j == i))
-                .map(|(_, &(_, n))| Value::from(n))
-                .unwrap_or_else(|| Value::from("-"));
-            t.push(vec![
-                Value::from(cfg.index()),
-                Value::from(slot),
-                Value::from(dc.index()),
-                Value::from(share),
-                quota,
-            ]);
+                .map(|(_, &(_, n))| n);
+            row((cfg.index(), slot, dc.index(), Some(share), quota));
         }
     }
     for (qc, qs) in quota_only {
-        emit_quota_only(&t, qc, qs);
+        emit_quota_only(&mut row, qc, qs);
     }
+}
+
+/// The export rows as an sb-obs [`Table`] (the TSV form's writer).
+fn export_table(artifact: &PlanArtifact) -> Table {
+    let t = Table::standalone(&PLAN_EXPORT_COLUMNS);
+    let dash = || Value::from("-");
+    for_each_export_row(artifact, |(cfg, slot, dc, share, quota)| {
+        t.push(vec![
+            Value::from(cfg),
+            Value::from(slot),
+            Value::from(dc),
+            share.map_or_else(dash, Value::from),
+            quota.map_or_else(dash, Value::from),
+        ]);
+    });
     t
 }
 
@@ -800,10 +805,6 @@ fn meta_of(artifact: &PlanArtifact) -> MetaFields {
         provenance: artifact.provenance.clone(),
     }
 }
-
-/// One parsed plan row: `(config, slot, dc, share, quota)` — share is `None`
-/// for quota-only pools, quota is `None` for share-only rows.
-type PlanRow = (usize, usize, usize, Option<f64>, Option<u32>);
 
 fn rebuild(meta: MetaFields, rows: Vec<PlanRow>) -> Result<PlanArtifact, PlanParseError> {
     let mut shares = AllocationShares::new(meta.num_slots);
@@ -956,13 +957,12 @@ impl PlanArtifact {
         rebuild(meta, rows)
     }
 
-    /// Serialize as NDJSON: a `{"plan":{…}}` metadata object followed by
-    /// one object per table row (same rows as the TSV form).
-    pub fn to_ndjson(&self) -> String {
+    /// The `{"plan":{…}}` metadata line of the NDJSON form.
+    fn ndjson_meta_line(&self) -> String {
         let m = meta_of(self);
         let p = &m.provenance;
         let scenario = p.scenario.replace('\\', "\\\\").replace('"', "\\\"");
-        let mut out = format!(
+        format!(
             concat!(
                 r#"{{"plan":{{"epoch":{},"slot_minutes":{},"start_minute":{},"#,
                 r#""num_slots":{},"built_at_slot":{},"solve_wall_ns":{},"#,
@@ -981,8 +981,32 @@ impl PlanArtifact {
             p.copied_slots,
             p.total_iterations,
             scenario,
-        );
-        out.push_str(&export_table(self).render_ndjson());
+        )
+    }
+
+    /// Serialize as NDJSON: a `{"plan":{…}}` metadata object followed by
+    /// one object per table row (same rows as the TSV form). The rows are
+    /// written straight into the output — byte for byte what the sb-obs
+    /// table renderer produces for them, without a `Vec<Value>` per row and
+    /// a `String` per cell; an engine journals this on every plan install.
+    pub fn to_ndjson(&self) -> String {
+        use std::fmt::Write;
+        let mut out = self.ndjson_meta_line();
+        for_each_export_row(self, |(cfg, slot, dc, share, quota)| {
+            // writing to a String cannot fail
+            let _ = write!(out, r#"{{"config":{cfg},"slot":{slot},"dc":{dc},"share":"#);
+            let _ = match share {
+                Some(x) if x.is_finite() => write!(out, "{x}"),
+                Some(_) => out.write_str("null"),
+                None => out.write_str(r#""-""#),
+            };
+            out.push_str(r#","quota":"#);
+            let _ = match quota {
+                Some(n) => write!(out, "{n}"),
+                None => out.write_str(r#""-""#),
+            };
+            out.push_str("}\n");
+        });
         out
     }
 
@@ -1241,6 +1265,46 @@ mod tests {
         let back = PlanArtifact::from_ndjson(&nd).unwrap();
         assert_eq!(back, *report.artifact);
         assert_eq!(back.provenance.scenario, format!("{:?}", down.scenario));
+    }
+
+    #[test]
+    fn ndjson_writer_is_byte_equal_to_the_table_renderer() {
+        // three slots, two configs: shares with quotas, a pool whose demand
+        // rounded to zero (share rows, quota "-"), a quota-only pool that
+        // sorts between share pools, awkward floats, and a scenario string
+        // that needs both escapes
+        let (a, b) = (ConfigId(0), ConfigId(3));
+        let slots = 3;
+        let mut shares = AllocationShares::new(slots);
+        shares.set(a, 0, vec![(DcId(2), 1.0 / 3.0), (DcId(0), 2.0 / 3.0)]);
+        shares.set(a, 2, vec![(DcId(1), 1e-7), (DcId(2), 1.0 - 1e-7)]);
+        shares.set(b, 1, vec![(DcId(0), 0.25), (DcId(1), 0.75)]);
+        let mut quotas = HashMap::new();
+        quotas.insert((a, 0), vec![(DcId(2), 4), (DcId(0), 7)]);
+        quotas.insert((a, 1), vec![(DcId(1), 9)]);
+        quotas.insert((b, 1), vec![(DcId(0), 1), (DcId(1), 2)]);
+        let artifact = PlanArtifact::new(
+            5,
+            shares,
+            PlannedQuotas::from_parts(30, 60, slots, quotas),
+            PlanProvenance {
+                scenario: r#"LinkDown("a\b", "c")"#.to_string(),
+                built_at_slot: 1,
+                solve_wall_ns: 123_456,
+                warm_slots: 2,
+                cold_slots: 1,
+                copied_slots: 0,
+                total_iterations: 77,
+            },
+        );
+        let nd = artifact.to_ndjson();
+        let rendered = artifact.ndjson_meta_line() + &export_table(&artifact).render_ndjson();
+        assert_eq!(nd, rendered);
+        assert_eq!(nd.lines().count(), 1 + 7);
+        assert!(nd.contains(r#""scenario":"LinkDown(\"a\\b\", \"c\")""#));
+        assert!(nd.contains(r#"{"config":0,"slot":1,"dc":1,"share":"-","quota":9}"#));
+        assert!(nd.contains(r#"{"config":0,"slot":2,"dc":1,"share":0.0000001,"quota":"-"}"#));
+        assert_eq!(PlanArtifact::from_ndjson(&nd).unwrap(), artifact);
     }
 
     /// Regression: seed artifacts carry quotas with *no* shares; the export

@@ -23,8 +23,8 @@ use sb_pack::{
     PackerConfig, ServerId,
 };
 use sb_store::{
-    CallEvent, CallStateStore, Journal, JournalConfig, JournalReadError, LatencyHistogram,
-    MediaFlag,
+    BuildCallIdHasher, CallEvent, CallStateStore, Journal, JournalConfig, JournalReadError,
+    LatencyHistogram, MediaFlag,
 };
 use sb_workload::ConfigId;
 
@@ -706,7 +706,8 @@ impl Engine {
         // charged participants, frozen flag. Reservations are recomputed
         // (they are a pure function of the participant count by
         // construction), so they are never journaled.
-        let mut pack_slots: std::collections::HashMap<u64, (u16, u32, bool)> = Default::default();
+        let mut pack_slots: std::collections::HashMap<u64, (u16, u32, bool), BuildCallIdHasher> =
+            Default::default();
         for (i, rec) in ops.iter().enumerate().skip(1) {
             let index = i as u64;
             match rec {
@@ -1130,8 +1131,10 @@ impl EngineWorker<'_> {
     /// deadline's remaining budget), then abandons the write, marks the
     /// store degraded, and lets the selector remain the source of truth —
     /// the store is a stale-read cache until it heals. Any successful write
-    /// clears the degraded flag.
-    fn persist(&mut self, ev: CallEvent, started: Instant) {
+    /// clears the degraded flag. `started` is when the op's deadline began
+    /// to run; ops that take no reading of their own pass `None`, and the
+    /// clock is read only if the first write fails.
+    fn persist(&mut self, ev: CallEvent, mut started: Option<Instant>) {
         let ov = &self.engine.overload;
         let mut attempt: u32 = 0;
         loop {
@@ -1153,7 +1156,8 @@ impl EngineWorker<'_> {
             }
             let mut backoff = ov.store_retry_base * 2u32.saturating_pow(attempt);
             if let Some(deadline) = ov.admit_deadline {
-                let budget = deadline.saturating_sub(started.elapsed());
+                let budget =
+                    deadline.saturating_sub(started.get_or_insert_with(Instant::now).elapsed());
                 if budget.is_zero() {
                     self.engine
                         .store_write_failures
@@ -1233,7 +1237,7 @@ impl EngineWorker<'_> {
                     country: first_joiner.0,
                     dc: dc.index() as u16,
                 },
-                t,
+                Some(t),
             );
         }
         let elapsed = t.elapsed();
@@ -1291,7 +1295,7 @@ impl EngineWorker<'_> {
                 call,
                 country: country.0,
             },
-            Instant::now(),
+            None,
         );
     }
 
@@ -1301,7 +1305,7 @@ impl EngineWorker<'_> {
             call,
             media: media_code(media),
         });
-        self.persist(CallEvent::Media { call, media }, Instant::now());
+        self.persist(CallEvent::Media { call, media }, None);
     }
 
     /// The call's config froze (A minutes in): tally it against the plan,
@@ -1338,7 +1342,7 @@ impl EngineWorker<'_> {
             to_server,
         });
         if !matches!(decision, FreezeDecision::UnknownCall) {
-            self.persist(CallEvent::Freeze { call }, t);
+            self.persist(CallEvent::Freeze { call }, Some(t));
         }
         decision
     }
@@ -1354,7 +1358,7 @@ impl EngineWorker<'_> {
         self.shard.call_end(call);
         self.ops.record(t.elapsed());
         self.engine.journal_append(&WalRecord::End { call });
-        self.persist(CallEvent::End { call }, t);
+        self.persist(CallEvent::End { call }, Some(t));
         self.engine.ended.fetch_add(1, Ordering::Relaxed);
     }
 

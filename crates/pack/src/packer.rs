@@ -18,7 +18,7 @@
 //! `used > capacity`. `reserved` (predicted cost) is soft: reservations
 //! guide scoring and proactive moves but may overshoot capacity freely.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 use parking_lot::Mutex;
 use sb_net::DcId;
@@ -218,6 +218,27 @@ struct Srv {
     placed: u64,
 }
 
+impl Srv {
+    /// Add a slot's charge to the tallies and the observed peak.
+    fn charge(&mut self, slot: &CallSlot) {
+        self.restore(slot);
+        self.peak_used = self.peak_used.max(self.used);
+    }
+
+    /// Add a slot's charge to the tallies alone (restore mode tracks no
+    /// peaks).
+    fn restore(&mut self, slot: &CallSlot) {
+        self.used += slot.cost;
+        self.reserved = self.reserved.saturating_add(slot.reserve);
+    }
+
+    /// Take a slot's charge off the tallies.
+    fn release(&mut self, slot: &CallSlot) {
+        self.used -= slot.cost;
+        self.reserved = self.reserved.saturating_sub(slot.reserve);
+    }
+}
+
 /// One server's occupancy snapshot in a [`PackStateExport`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerExport {
@@ -274,9 +295,67 @@ impl DcPacker {
         }
     }
 
-    /// Feasible set: live servers (minus `exclude`) where the actual cost
-    /// fits. `preferred_only` additionally requires the reservation to fit.
+    /// Choose a server from the feasible set: live servers (minus `exclude`)
+    /// where the actual cost fits. Best-fit takes the tightest fit on actual
+    /// cost. Growth-aware (and the `preferred_only` probe, which only makes
+    /// sense growth-aware) takes the tightest fit on reserved cost among
+    /// servers whose reservations also fit; if every feasible server is
+    /// predicted-overcommitted it falls back to the one with the most
+    /// predicted headroom, unless `preferred_only`. One scan tracks both
+    /// candidates; ties go to the lowest server index.
     fn fit(
+        &self,
+        cost: u32,
+        reserve: u32,
+        exclude: Option<u16>,
+        preferred_only: bool,
+    ) -> Option<u16> {
+        let best_fit = self.cfg.policy == PackPolicy::BestFit && !preferred_only;
+        // (leftover, index) of the tightest fit; (headroom, index) of the
+        // roomiest predicted-overcommitted server
+        let mut tightest: Option<(u32, u16)> = None;
+        let mut roomiest: Option<(u32, u16)> = None;
+        for (i, s) in self.servers.iter().enumerate() {
+            let i = i as u16;
+            if !s.live || Some(i) == exclude || s.used.saturating_add(cost) > s.cap {
+                continue;
+            }
+            let leftover = if best_fit {
+                Some(s.cap - s.used - cost)
+            } else {
+                s.cap.checked_sub(s.reserved.saturating_add(reserve))
+            };
+            match leftover {
+                Some(l) if tightest.is_none_or(|(t, _)| l < t) => tightest = Some((l, i)),
+                Some(_) => {}
+                None => {
+                    let headroom = s.cap.saturating_sub(s.reserved);
+                    if roomiest.is_none_or(|(r, _)| headroom > r) {
+                        roomiest = Some((headroom, i));
+                    }
+                }
+            }
+        }
+        let choice = if preferred_only {
+            tightest
+        } else {
+            tightest.or(roomiest)
+        }
+        .map(|(_, i)| i);
+        #[cfg(test)]
+        assert_eq!(
+            choice,
+            self.fit_two_pass(cost, reserve, exclude, preferred_only),
+            "one-pass fit disagrees with the two-pass reference"
+        );
+        choice
+    }
+
+    /// The two-scan form [`DcPacker::fit`] replaced (a preferred pass, then
+    /// the most-headroom fallback), kept as the reference every `fit` call
+    /// is checked against in this crate's tests.
+    #[cfg(test)]
+    fn fit_two_pass(
         &self,
         cost: u32,
         reserve: u32,
@@ -320,19 +399,14 @@ impl DcPacker {
     }
 
     fn attach(&mut self, call: u64, slot: CallSlot) {
-        let s = &mut self.servers[slot.server as usize];
-        s.used += slot.cost;
-        s.reserved = s.reserved.saturating_add(slot.reserve);
-        s.peak_used = s.peak_used.max(s.used);
+        self.servers[slot.server as usize].charge(&slot);
         let prev = self.calls.insert(call, slot);
         debug_assert!(prev.is_none(), "call {call} attached twice");
     }
 
     fn detach(&mut self, call: u64) -> Option<CallSlot> {
         let slot = self.calls.remove(&call)?;
-        let s = &mut self.servers[slot.server as usize];
-        s.used -= slot.cost;
-        s.reserved = s.reserved.saturating_sub(slot.reserve);
+        self.servers[slot.server as usize].release(&slot);
         Some(slot)
     }
 
@@ -366,12 +440,13 @@ impl DcPacker {
     }
 
     fn grow(&mut self, call: u64, participants: u32, cost: u32, reserve: u32) -> GrowOutcome {
-        let Some(&slot) = self.calls.get(&call) else {
+        let Some(entry) = self.calls.get_mut(&call) else {
             return GrowOutcome {
                 kind: GrowKind::Unknown,
                 changed: Vec::new(),
             };
         };
+        let slot = *entry;
         self.stats.grow_events += 1;
         let reserve = reserve.max(cost);
         let from = slot.server;
@@ -386,8 +461,11 @@ impl DcPacker {
         let fits_in_place = self.servers[fi].live
             && (self.servers[fi].used - slot.cost).saturating_add(cost) <= self.servers[fi].cap;
         if fits_in_place {
-            self.detach(call);
-            self.attach(call, next);
+            // same key, same server: rewrite the slot and the tallies where
+            // they are instead of a tree remove + insert
+            *entry = next;
+            self.servers[fi].release(&slot);
+            self.servers[fi].charge(&next);
             // proactive re-pack: growth-aware, unfrozen, and the server's
             // reservations overshoot capacity past the hysteresis band
             if self.cfg.policy == PackPolicy::GrowthAware && !slot.frozen {
@@ -561,27 +639,28 @@ impl DcPacker {
         reserve: u32,
         frozen: bool,
     ) {
-        if let Some(slot) = self.calls.remove(&call) {
-            let s = &mut self.servers[slot.server as usize];
-            s.used -= slot.cost;
-            s.reserved = s.reserved.saturating_sub(slot.reserve);
-        }
         if server == NO_SERVER {
+            self.detach(call);
             return;
         }
-        let s = &mut self.servers[server as usize];
-        s.used += cost;
-        s.reserved = s.reserved.saturating_add(reserve);
-        self.calls.insert(
-            call,
-            CallSlot {
-                server,
-                participants,
-                cost,
-                reserve,
-                frozen,
-            },
-        );
+        let next = CallSlot {
+            server,
+            participants,
+            cost,
+            reserve,
+            frozen,
+        };
+        // a known call is rewritten where it sits in the tree
+        match self.calls.entry(call) {
+            Entry::Occupied(mut e) => {
+                let old = e.insert(next);
+                self.servers[old.server as usize].release(&old);
+            }
+            Entry::Vacant(e) => {
+                e.insert(next);
+            }
+        }
+        self.servers[server as usize].restore(&next);
     }
 
     fn export(&self) -> (Vec<ServerExport>, Vec<CallExport>) {
@@ -968,6 +1047,7 @@ pub fn best_fit_decreasing(capacities_mcpu: &[u32], costs_mcpu: &[u32]) -> (usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::CostModel;
 
     fn packer(caps: &[u32], policy: PackPolicy) -> FleetPacker {
         let mut spec = FleetSpec::empty(1);
@@ -1207,6 +1287,124 @@ mod tests {
         assert_eq!(p.per_server_placed(), vec![3]);
         assert_eq!(p.per_server_peak_mcpu(), vec![600]);
         assert!(p.utilization() > 0.0);
+    }
+
+    #[test]
+    fn restore_set_rewrites_a_known_call_in_place() {
+        let p = packer(&[1_000, 1_000], PackPolicy::GrowthAware);
+        p.restore_set(D0, 1, 0, 2, 300, 500, false);
+        // same server, new charge; then another server; then cleared
+        p.restore_set(D0, 1, 0, 3, 400, 700, true);
+        let ex = p.export_state();
+        assert_eq!(ex.calls[0], vec![(1, 0, 3, 400, 700, true)]);
+        assert_eq!(
+            (ex.servers[0][0].used_mcpu, ex.servers[0][0].reserved_mcpu),
+            (400, 700)
+        );
+        p.restore_set(D0, 1, 1, 3, 450, 800, true);
+        let ex = p.export_state();
+        assert_eq!(ex.calls[0], vec![(1, 1, 3, 450, 800, true)]);
+        assert_eq!(
+            (ex.servers[0][0].used_mcpu, ex.servers[0][0].reserved_mcpu),
+            (0, 0)
+        );
+        assert_eq!(
+            (ex.servers[0][1].used_mcpu, ex.servers[0][1].reserved_mcpu),
+            (450, 800)
+        );
+        p.restore_remove(D0, 1);
+        assert_eq!(
+            p.export_state(),
+            packer(&[1_000, 1_000], PackPolicy::GrowthAware).export_state()
+        );
+        // restore mode tracks no peaks
+        assert_eq!(p.per_server_peak_mcpu(), vec![0, 0]);
+    }
+
+    #[test]
+    fn one_pass_fit_matches_two_pass_reference_over_random_ops() {
+        // `fit` asserts against `fit_two_pass` on every call under
+        // cfg(test); this drives it through placements, forced and
+        // proactive moves (`exclude`, `preferred_only`), evictions, DC
+        // moves and death drains on crowded two-DC fleets.
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut seen = PackStats::default();
+        for seed in 0..24u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut spec = FleetSpec::empty(2);
+            for d in 0..2 {
+                for _ in 0..rng.gen_range(2..9) {
+                    spec.push_server(DcId(d), rng.gen_range(600..6_000u32));
+                }
+            }
+            let policy = if seed % 2 == 0 {
+                PackPolicy::GrowthAware
+            } else {
+                PackPolicy::BestFit
+            };
+            let p = FleetPacker::new(
+                spec,
+                PackerConfig {
+                    policy,
+                    hysteresis_mcpu: 200,
+                    max_evictions: 3,
+                },
+            );
+            let cost = CostModel::default();
+            let mut live: Vec<(u64, DcId, u32)> = Vec::new();
+            for call in 0..400u64 {
+                let dc = DcId(rng.gen_range(0..2));
+                let parts = rng.gen_range(1..6);
+                let c = cost.cost_mcpu(parts);
+                if p.place(dc, call, parts, c, c + rng.gen_range(0..1_500u32))
+                    .is_some()
+                {
+                    live.push((call, dc, parts));
+                }
+                if live.is_empty() {
+                    continue;
+                }
+                let pick = rng.gen_range(0..live.len());
+                let (id, at, parts) = live[pick];
+                match rng.gen_range(0..10) {
+                    0..=4 => {
+                        let c = cost.cost_mcpu(parts + 1);
+                        let out = p.grow(at, id, parts + 1, c, c + rng.gen_range(0..1_500u32));
+                        if !matches!(out.kind, GrowKind::Rejected) {
+                            live[pick].2 = parts + 1;
+                        }
+                    }
+                    5 | 6 => {
+                        p.freeze(at, id);
+                    }
+                    7 => {
+                        let to = DcId(1 - at.0);
+                        match p.move_dc(at, to, id) {
+                            MoveDcOutcome::Moved(_) => live[pick].1 = to,
+                            _ => {
+                                live.swap_remove(pick);
+                            }
+                        }
+                    }
+                    8 => {
+                        p.remove(at, id);
+                        live.swap_remove(pick);
+                    }
+                    _ if call % 40 == 0 => {
+                        let index = rng.gen_range(0..p.spec().servers_in(at)) as u16;
+                        let r = p.kill_server(ServerId { dc: at, index });
+                        live.retain(|&(c, _, _)| r.spilled.iter().all(|s| s.call != c));
+                    }
+                    _ => {}
+                }
+            }
+            assert_eq!(p.capacity_violations(), 0);
+            seen.add(&p.stats());
+        }
+        // every caller of `fit` was reached
+        assert!(seen.placed > 0 && seen.placement_failures > 0);
+        assert!(seen.repacks > 0 && seen.proactive_repacks > 0 && seen.evictions > 0);
+        assert!(seen.dc_moves > 0 && seen.death_rehomes > 0 && seen.grow_rejections > 0);
     }
 
     #[test]

@@ -12,13 +12,19 @@
 //!    slot — and never move a frozen call (death drains are the documented
 //!    exemption);
 //! 4. the scorer is deterministic: the same op sequence on a fresh packer
-//!    reproduces placements, stats, and per-server tallies bitwise.
+//!    reproduces placements, stats, and per-server tallies bitwise;
+//! 5. the scorer's one-scan server choice equals the two-scan form it
+//!    replaced (ISSUE 13): every placement and every growth move lands where
+//!    [`two_pass_choice`], run over the exported occupancy, says it should.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
 use sb_net::DcId;
-use sb_pack::{CostModel, FleetPacker, FleetSpec, GrowKind, PackPolicy, PackerConfig, ServerId};
+use sb_pack::{
+    CostModel, FleetPacker, FleetSpec, GrowKind, PackPolicy, PackStateExport, PackerConfig,
+    ServerId,
+};
 
 /// One interpreted op; generated tuples index into a mix table so each test
 /// can weight the vocabulary differently.
@@ -117,6 +123,53 @@ fn build(spec: &FleetSpec, policy: PackPolicy) -> FleetPacker {
     )
 }
 
+/// The packer's server choice in the two-scan form it had before ISSUE 13,
+/// over one DC of an exported snapshot: among live servers (minus `exclude`)
+/// where the actual cost fits, best-fit takes the tightest actual fit;
+/// growth-aware (and the `preferred_only` probe) takes the tightest reserved
+/// fit among servers whose reservations fit too, else — unless
+/// `preferred_only` — the most reserved headroom. Ties go to the lowest index.
+fn two_pass_choice(
+    state: &PackStateExport,
+    dc: DcId,
+    policy: PackPolicy,
+    cost: u32,
+    reserve: u32,
+    exclude: Option<u16>,
+    preferred_only: bool,
+) -> Option<u16> {
+    let feasible = || {
+        state.servers[dc.0 as usize]
+            .iter()
+            .enumerate()
+            .filter(|&(i, s)| {
+                s.live
+                    && Some(i as u16) != exclude
+                    && s.used_mcpu.saturating_add(cost) <= s.capacity_mcpu
+            })
+    };
+    if policy == PackPolicy::BestFit && !preferred_only {
+        return feasible()
+            .min_by_key(|&(i, s)| (s.capacity_mcpu - s.used_mcpu - cost, i))
+            .map(|(i, _)| i as u16);
+    }
+    let preferred = feasible()
+        .filter(|&(_, s)| s.reserved_mcpu.saturating_add(reserve) <= s.capacity_mcpu)
+        .min_by_key(|&(i, s)| (s.capacity_mcpu - s.reserved_mcpu - reserve, i))
+        .map(|(i, _)| i as u16);
+    if preferred.is_some() || preferred_only {
+        return preferred;
+    }
+    feasible()
+        .max_by_key(|&(i, s)| {
+            (
+                s.capacity_mcpu.saturating_sub(s.reserved_mcpu),
+                usize::MAX - i,
+            )
+        })
+        .map(|(i, _)| i as u16)
+}
+
 /// Deterministic pick of an existing call from the model.
 fn pick(model: &Model, a: u64) -> Option<u64> {
     if model.is_empty() {
@@ -132,6 +185,7 @@ fn pick(model: &Model, a: u64) -> Option<u64> {
 /// mirroring packed calls into a model for the final audit.
 fn run_ops(
     p: &FleetPacker,
+    policy: PackPolicy,
     cost: &CostModel,
     ops: &[RawOp],
     mix: &[Op],
@@ -146,7 +200,16 @@ fn run_ops(
                 let parts = 1 + b % 8;
                 let c = cost.cost_mcpu(parts);
                 let reserve = c.saturating_add(b % 1_500);
-                if p.place(dc, next_call, parts, c, reserve).is_some() {
+                let expect =
+                    two_pass_choice(&p.export_state(), dc, policy, c, reserve, None, false);
+                let placed = p.place(dc, next_call, parts, c, reserve);
+                prop_assert_eq!(
+                    placed.map(|s| s.index),
+                    expect,
+                    "call {} placed off the two-pass choice",
+                    next_call
+                );
+                if placed.is_some() {
                     model.insert(next_call, (dc, false, parts));
                 }
                 next_call += 1;
@@ -157,10 +220,36 @@ fn run_ops(
                 };
                 let (dc, frozen, parts) = model[&call];
                 let before = p.server_of(dc, call);
-                let slots_before = p.export_state().calls.iter().map(Vec::len).sum::<usize>();
+                let state_before = p.export_state();
+                let slots_before = state_before.calls.iter().map(Vec::len).sum::<usize>();
                 let np = parts + 1;
                 let c = cost.cost_mcpu(np);
-                let out = p.grow(dc, call, np, c, c.saturating_add(b % 1_500));
+                let reserve = c.saturating_add(b % 1_500);
+                let out = p.grow(dc, call, np, c, reserve);
+                if let GrowKind::Moved {
+                    from,
+                    to,
+                    proactive,
+                } = out.kind
+                {
+                    // the source server is excluded from the scan, so the
+                    // pre-grow snapshot is what the scorer chose from
+                    prop_assert_eq!(
+                        two_pass_choice(
+                            &state_before,
+                            dc,
+                            policy,
+                            c,
+                            reserve,
+                            Some(from),
+                            proactive
+                        ),
+                        Some(to),
+                        "call {} moved off the two-pass choice ({:?})",
+                        call,
+                        out.kind
+                    );
+                }
                 if frozen {
                     prop_assert_eq!(
                         p.server_of(dc, call),
@@ -297,7 +386,7 @@ proptest! {
         ops in ops_strategy(),
     ) {
         let p = build(&spec, policy);
-        let model = run_ops(&p, &CostModel::default(), &ops, GENERAL_MIX)?;
+        let model = run_ops(&p, policy, &CostModel::default(), &ops, GENERAL_MIX)?;
         audit(&p, &model)?;
     }
 
@@ -310,7 +399,7 @@ proptest! {
         // evictions fire far more often; run_ops checks the frozen and
         // conservation properties after every grow
         let p = build(&spec, policy);
-        let model = run_ops(&p, &CostModel::default(), &ops, GROW_MIX)?;
+        let model = run_ops(&p, policy, &CostModel::default(), &ops, GROW_MIX)?;
         audit(&p, &model)?;
     }
 
@@ -322,7 +411,7 @@ proptest! {
         // kill-heavy mix: most servers die mid-run; surviving calls must
         // all sit on live servers and spills must exactly cover the rest
         let p = build(&spec, policy);
-        let model = run_ops(&p, &CostModel::default(), &ops, KILL_MIX)?;
+        let model = run_ops(&p, policy, &CostModel::default(), &ops, KILL_MIX)?;
         audit(&p, &model)?;
     }
 
@@ -333,8 +422,8 @@ proptest! {
     ) {
         let a = build(&spec, policy);
         let b = build(&spec, policy);
-        run_ops(&a, &CostModel::default(), &ops, GENERAL_MIX)?;
-        run_ops(&b, &CostModel::default(), &ops, GENERAL_MIX)?;
+        run_ops(&a, policy, &CostModel::default(), &ops, GENERAL_MIX)?;
+        run_ops(&b, policy, &CostModel::default(), &ops, GENERAL_MIX)?;
         prop_assert_eq!(a.export_state(), b.export_state());
         prop_assert_eq!(a.stats(), b.stats());
         prop_assert_eq!(a.per_server_peak_mcpu(), b.per_server_peak_mcpu());

@@ -147,43 +147,10 @@ impl CallStateStore {
         }
     }
 
-    /// Apply one event, recording the write latency into `hist`.
+    /// Apply one event, recording the write latency into `hist`. A write
+    /// routed to a failed shard is dropped (counted, but silent).
     pub fn apply(&self, ev: CallEvent, hist: &mut LatencyHistogram) {
-        let t = Instant::now();
-        if !self.simulated_rtt.is_zero() {
-            std::thread::sleep(self.simulated_rtt);
-        }
-        match ev {
-            CallEvent::Start { call, country, dc } => {
-                self.map.insert(
-                    call,
-                    CallState {
-                        participants: vec![(country, 1)],
-                        media: MediaFlag::Audio,
-                        dc,
-                        frozen: false,
-                    },
-                );
-            }
-            CallEvent::Join { call, country } => {
-                self.map.update(&call, |st| {
-                    match st.participants.iter_mut().find(|(c, _)| *c == country) {
-                        Some((_, n)) => *n += 1,
-                        None => st.participants.push((country, 1)),
-                    }
-                });
-            }
-            CallEvent::Media { call, media } => {
-                self.map.update(&call, |st| st.media = media);
-            }
-            CallEvent::Freeze { call } => {
-                self.map.update(&call, |st| st.frozen = true);
-            }
-            CallEvent::End { call } => {
-                self.map.remove(&call);
-            }
-        }
-        hist.record(t.elapsed());
+        let _ = self.try_apply(ev, hist);
     }
 
     /// Like [`CallStateStore::apply`], but reports a dropped write as a
@@ -194,17 +161,45 @@ impl CallStateStore {
         ev: CallEvent,
         hist: &mut LatencyHistogram,
     ) -> Result<(), StoreWriteError> {
-        let call = ev.call();
-        let failed = self.map.key_shard_failed(&call);
-        self.apply(ev, hist);
-        if failed {
-            Err(StoreWriteError {
-                shard: self.map.shard_index(&call),
-                call,
-            })
-        } else {
-            Ok(())
+        let t = Instant::now();
+        if !self.simulated_rtt.is_zero() {
+            std::thread::sleep(self.simulated_rtt);
         }
+        let written = match ev {
+            CallEvent::Start { call, country, dc } => self
+                .map
+                .try_insert(
+                    call,
+                    CallState {
+                        participants: vec![(country, 1)],
+                        media: MediaFlag::Audio,
+                        dc,
+                        frozen: false,
+                    },
+                )
+                .map(drop),
+            CallEvent::Join { call, country } => self
+                .map
+                .try_update(&call, |st| {
+                    match st.participants.iter_mut().find(|(c, _)| *c == country) {
+                        Some((_, n)) => *n += 1,
+                        None => st.participants.push((country, 1)),
+                    }
+                })
+                .map(drop),
+            CallEvent::Media { call, media } => {
+                self.map.try_update(&call, |st| st.media = media).map(drop)
+            }
+            CallEvent::Freeze { call } => {
+                self.map.try_update(&call, |st| st.frozen = true).map(drop)
+            }
+            CallEvent::End { call } => self.map.try_remove(&call).map(drop),
+        };
+        hist.record(t.elapsed());
+        written.map_err(|failed| StoreWriteError {
+            shard: failed.shard,
+            call: ev.call(),
+        })
     }
 
     /// Snapshot a call's state.

@@ -5,7 +5,8 @@
 //! thread count (Fig. 10). This crate substitutes an in-process sharded
 //! store exercising the same read-modify-write contention path:
 //!
-//! * [`map::ShardedMap`] — per-shard `RwLock` hash map;
+//! * [`map::ShardedMap`] — per-shard `RwLock` hash map over one fixed-seed
+//!   integer mix ([`map::CallIdHasher`]);
 //! * [`callstate`] — call-state records and the event vocabulary the
 //!   controller writes (start/join/media/freeze/end);
 //! * [`harness`] — multi-threaded replay with per-write latency histograms
@@ -44,4 +45,4 @@ pub use journal::{
     Journal, JournalConfig, JournalError, JournalFault, JournalReadError, JournalScan,
 };
 pub use latency::LatencyHistogram;
-pub use map::ShardedMap;
+pub use map::{BuildCallIdHasher, ShardedMap};

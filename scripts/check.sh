@@ -44,6 +44,12 @@ echo "==> benchmark ruler: planet plan still matches benchmark/expected/plan_pla
 # 0 and reports its verdict on the last line.
 benchmark/run.sh --workload plan_planet --seconds 1 | tail -n 1 | grep -q '"correct":true'
 
+echo "==> benchmark ruler: bare engine equals the replay oracle at the full live-set size"
+# --smoke checks "selector stats and per-DC tallies equal the replay oracle"
+# on a small trace only; one short full-size bare pass gates it at the live
+# set the serve_ops_per_s claim is made at.
+benchmark/run.sh --workload serve_bare --seconds 2 | tail -n 1 | grep -q '"correct":true'
+
 echo "==> benchmark ruler: the harness's own tests"
 CARGO_TARGET_DIR="$PWD/target" cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 
