@@ -25,6 +25,7 @@ use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use sb_bench::common::json_path_from_args;
 use sb_bench::load::{drive_serial, LoadSchedule};
 use sb_core::formulation::ScenarioData;
 use sb_core::{AllocationShares, PlanArtifact, PlannedQuotas, RealtimeSelector};
@@ -138,21 +139,7 @@ struct WorldResult {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let json_path = {
-        let mut args = std::env::args().skip(1);
-        let mut path = String::from("BENCH_crash.json");
-        while let Some(a) = args.next() {
-            if a == "--json" {
-                path = args.next().unwrap_or_else(|| {
-                    eprintln!("--json requires a path argument");
-                    std::process::exit(2);
-                });
-            } else if let Some(p) = a.strip_prefix("--json=") {
-                path = p.to_string();
-            }
-        }
-        path
-    };
+    let json_path = json_path_from_args("BENCH_crash.json");
     let kill_points_per_world = if smoke { 2 } else { 8 };
     let calls_scale = if smoke { 0.15 } else { 1.0 };
 

@@ -6,7 +6,7 @@
 //! to [`sb_sim::replay()`] over the same trace — the run aborts on the first
 //! divergence. Throughput is selector ops (admits + freezes + ends) per
 //! second of drive wall time; latency quantiles (p50/p99/p999) come from
-//! the engine's per-op [`sb_engine::FineHistogram`].
+//! the engine's per-op [`sb_store::LatencyHistogram`].
 //!
 //! Usage: `engine_load [--smoke] [--json <path>]`
 //!
@@ -19,75 +19,23 @@
 
 use std::fmt::Write as _;
 
-use sb_bench::common::print_table;
+use sb_bench::common::{json_path_from_args, print_table, spread_plan_day};
 use sb_bench::load::{drive_concurrent, drive_serial, DriveOutcome, LoadSchedule};
 use sb_core::formulation::ScenarioData;
-use sb_core::{AllocationShares, PlanArtifact, PlannedQuotas, RealtimeSelector};
-use sb_engine::{Engine, EngineConfig, FineHistogram};
+use sb_core::{PlanArtifact, RealtimeSelector};
+use sb_engine::{Engine, EngineConfig};
 use sb_net::FailureScenario;
 use sb_sim::{replay, ReplayConfig};
-use sb_workload::{Generator, UniverseParams, WorkloadParams};
+use sb_store::LatencyHistogram;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let json_path = {
-        let mut args = std::env::args().skip(1);
-        let mut path = String::from("BENCH_engine.json");
-        while let Some(a) = args.next() {
-            if a == "--json" {
-                path = args.next().unwrap_or_else(|| {
-                    eprintln!("--json requires a path argument");
-                    std::process::exit(2);
-                });
-            } else if let Some(p) = a.strip_prefix("--json=") {
-                path = p.to_string();
-            }
-        }
-        path
-    };
+    let json_path = json_path_from_args("BENCH_engine.json");
     let reps = if smoke { 1 } else { 3 };
-    let (num_configs, daily_calls, slot_minutes, coverage) = if smoke {
-        (300, 4_000.0, 120, 0.97)
-    } else {
-        (2_000, 40_000.0, 240, 0.90)
-    };
-
     let topo = sb_net::presets::apac();
-    let params = WorkloadParams {
-        universe: UniverseParams {
-            num_configs,
-            ..Default::default()
-        },
-        daily_calls,
-        slot_minutes,
-        ..Default::default()
-    };
-    let generator = Generator::new(&topo, params);
-    let day = 2;
-    let expected = generator.expected_demand(day, 1);
-    let selected = expected.top_configs_covering(coverage);
-    let planned_demand = expected.filtered(&selected).scaled(1.15);
-    let db = generator.sample_records(day, 1, 9);
-    eprintln!(
-        "APAC day trace: {} calls, plan covers {} configs",
-        db.len(),
-        selected.len()
-    );
-
-    // same synthetic spread plan as replay_throughput: every planned config
-    // split evenly across all DCs, enough quota pressure without an LP solve
-    let slots = planned_demand.num_slots();
-    let mut shares = AllocationShares::new(slots);
-    let n = topo.dcs.len() as f64;
-    let spread: Vec<_> = topo.dc_ids().map(|d| (d, 1.0 / n)).collect();
-    for &cfg in &selected {
-        for s in 0..slots {
-            shares.set(cfg, s, spread.clone());
-        }
-    }
-    let quotas = PlannedQuotas::from_plan(&shares, &planned_demand);
+    let (db, quotas) = spread_plan_day(&topo, smoke);
     let artifact = PlanArtifact::seed(quotas);
     let sd0 = ScenarioData::compute(&topo, FailureScenario::None);
     let rcfg = ReplayConfig::default();
@@ -101,7 +49,7 @@ fn main() {
             &topo,
             &sd0.routing,
             &sd0.latmap,
-            &generator.universe().catalog,
+            db.catalog(),
             &db,
             &selector,
             &rcfg,
@@ -116,8 +64,8 @@ fn main() {
     let sched = LoadSchedule::new(db.records(), rcfg.freeze_minutes);
 
     // best-of-reps wall time per engine variant; equivalence on every rep
-    let best_of = |threads: Option<usize>| -> (DriveOutcome, FineHistogram) {
-        let mut best: Option<(DriveOutcome, FineHistogram)> = None;
+    let best_of = |threads: Option<usize>| -> (DriveOutcome, LatencyHistogram) {
+        let mut best: Option<(DriveOutcome, LatencyHistogram)> = None;
         for _ in 0..reps {
             let engine = Engine::new(&sd0.latmap, &artifact, &EngineConfig::default());
             let out = match threads {
@@ -148,7 +96,7 @@ fn main() {
         serial_out.ops_per_sec() / 1e6
     );
     let mut variants: Vec<(String, DriveOutcome)> = vec![("engine-serial".to_string(), serial_out)];
-    let mut hist = FineHistogram::new();
+    let mut hist = LatencyHistogram::new();
     for &t in &THREAD_COUNTS {
         let (out, h) = best_of(Some(t));
         eprintln!(

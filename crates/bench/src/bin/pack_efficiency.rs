@@ -18,6 +18,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use sb_bench::common::json_path_from_args;
 use sb_core::formulation::ScenarioData;
 use sb_core::{AllocationShares, PlanArtifact, PlannedQuotas, RealtimeSelector};
 use sb_net::{FailureScenario, Topology};
@@ -224,21 +225,7 @@ struct PolicyResult {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let json_path = {
-        let mut args = std::env::args().skip(1);
-        let mut path = String::from("BENCH_pack.json");
-        while let Some(a) = args.next() {
-            if a == "--json" {
-                path = args.next().unwrap_or_else(|| {
-                    eprintln!("--json requires a path argument");
-                    std::process::exit(2);
-                });
-            } else if let Some(p) = a.strip_prefix("--json=") {
-                path = p.to_string();
-            }
-        }
-        path
-    };
+    let json_path = json_path_from_args("BENCH_pack.json");
     let calls_scale = if smoke { 0.15 } else { 1.0 };
 
     // the four seeded workloads of the replay differential suite: ample

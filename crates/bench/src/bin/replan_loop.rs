@@ -26,7 +26,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use sb_bench::common::{build_eval, dump_metrics, metrics_path_from_args, print_table, EvalScale};
+use sb_bench::common::{
+    build_eval, dump_metrics, json_path_from_args, metrics_path_from_args, print_table, EvalScale,
+};
 use sb_core::formulation::{PlanningInputs, ScenarioData, SolveOptions};
 use sb_core::{PlanArtifact, PlanDelta, ReplanReport, SlotPlanner};
 use sb_net::{DcId, FailureScenario, ProvisionedCapacity};
@@ -75,21 +77,7 @@ fn sweep(
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let metrics_path = metrics_path_from_args();
-    let json_path = {
-        let mut args = std::env::args().skip(1);
-        let mut path = String::from("BENCH_replan.json");
-        while let Some(a) = args.next() {
-            if a == "--json" {
-                path = args.next().unwrap_or_else(|| {
-                    eprintln!("--json requires a path argument");
-                    std::process::exit(2);
-                });
-            } else if let Some(p) = a.strip_prefix("--json=") {
-                path = p.to_string();
-            }
-        }
-        path
-    };
+    let json_path = json_path_from_args("BENCH_replan.json");
 
     let scale = if smoke {
         EvalScale {

@@ -20,73 +20,20 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use sb_bench::common::print_table;
+use sb_bench::common::{json_path_from_args, print_table, spread_plan_day};
 use sb_core::formulation::ScenarioData;
-use sb_core::{AllocationShares, PlanArtifact, PlannedQuotas, RealtimeSelector};
+use sb_core::{PlanArtifact, RealtimeSelector};
 use sb_net::FailureScenario;
 use sb_sim::{replay, replay_concurrent, ReplayConfig, ReplayReport};
-use sb_workload::{Generator, UniverseParams, WorkloadParams};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let json_path = {
-        let mut args = std::env::args().skip(1);
-        let mut path = String::from("BENCH_replay.json");
-        while let Some(a) = args.next() {
-            if a == "--json" {
-                path = args.next().unwrap_or_else(|| {
-                    eprintln!("--json requires a path argument");
-                    std::process::exit(2);
-                });
-            } else if let Some(p) = a.strip_prefix("--json=") {
-                path = p.to_string();
-            }
-        }
-        path
-    };
+    let json_path = json_path_from_args("BENCH_replay.json");
     let reps = if smoke { 1 } else { 3 };
-    let (num_configs, daily_calls, slot_minutes, coverage) = if smoke {
-        (300, 4_000.0, 120, 0.97)
-    } else {
-        (2_000, 40_000.0, 240, 0.90)
-    };
-
     let topo = sb_net::presets::apac();
-    let params = WorkloadParams {
-        universe: UniverseParams {
-            num_configs,
-            ..Default::default()
-        },
-        daily_calls,
-        slot_minutes,
-        ..Default::default()
-    };
-    let generator = Generator::new(&topo, params);
-    let day = 2;
-    let expected = generator.expected_demand(day, 1);
-    let selected = expected.top_configs_covering(coverage);
-    let planned_demand = expected.filtered(&selected).scaled(1.15);
-    let db = generator.sample_records(day, 1, 9);
-    eprintln!(
-        "APAC day trace: {} calls, plan covers {} configs",
-        db.len(),
-        selected.len()
-    );
-
-    // a synthetic plan spreading every planned config across all DCs: enough
-    // quota pressure to exercise the striped pools without the LP solve
-    let slots = planned_demand.num_slots();
-    let mut shares = AllocationShares::new(slots);
-    let n = topo.dcs.len() as f64;
-    let spread: Vec<_> = topo.dc_ids().map(|d| (d, 1.0 / n)).collect();
-    for &cfg in &selected {
-        for s in 0..slots {
-            shares.set(cfg, s, spread.clone());
-        }
-    }
-    let quotas = PlannedQuotas::from_plan(&shares, &planned_demand);
+    let (db, quotas) = spread_plan_day(&topo, smoke);
     let sd0 = ScenarioData::compute(&topo, FailureScenario::None);
     let cfg = ReplayConfig::default();
 
@@ -98,7 +45,7 @@ fn main() {
                 &topo,
                 &sd0.routing,
                 &sd0.latmap,
-                &generator.universe().catalog,
+                db.catalog(),
                 &db,
                 &selector,
                 &cfg,
@@ -107,7 +54,7 @@ fn main() {
                 &topo,
                 &sd0.routing,
                 &sd0.latmap,
-                &generator.universe().catalog,
+                db.catalog(),
                 &db,
                 &selector,
                 &cfg,

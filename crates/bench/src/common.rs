@@ -4,10 +4,55 @@
 
 use sb_core::formulation::{PlanningInputs, ScenarioData, SolveOptions};
 use sb_core::{
-    allocation_plan, mean_acl, provision, provision_baseline, BaselinePolicy, ProvisionerParams,
+    allocation_plan, mean_acl, provision, provision_baseline, AllocationShares, BaselinePolicy,
+    PlannedQuotas, ProvisionerParams,
 };
 use sb_net::{FailureScenario, Topology};
-use sb_workload::{ConfigCatalog, ConfigId, DemandMatrix, Generator, WorkloadParams};
+use sb_workload::{
+    CallRecordsDb, ConfigCatalog, ConfigId, DemandMatrix, Generator, UniverseParams, WorkloadParams,
+};
+
+/// The seeded APAC day the drive-throughput benches (`replay_throughput`,
+/// `engine_load`) replay: a sampled trace, and a synthetic plan spreading
+/// every planned config evenly across all DCs — enough quota pressure to
+/// exercise the pools without an LP solve. `smoke` shrinks it for CI.
+pub fn spread_plan_day(topo: &Topology, smoke: bool) -> (CallRecordsDb, PlannedQuotas) {
+    let (num_configs, daily_calls, slot_minutes, coverage) = if smoke {
+        (300, 4_000.0, 120, 0.97)
+    } else {
+        (2_000, 40_000.0, 240, 0.90)
+    };
+    let params = WorkloadParams {
+        universe: UniverseParams {
+            num_configs,
+            ..Default::default()
+        },
+        daily_calls,
+        slot_minutes,
+        ..Default::default()
+    };
+    let generator = Generator::new(topo, params);
+    let day = 2;
+    let expected = generator.expected_demand(day, 1);
+    let selected = expected.top_configs_covering(coverage);
+    let planned_demand = expected.filtered(&selected).scaled(1.15);
+    let db = generator.sample_records(day, 1, 9);
+    eprintln!(
+        "APAC day trace: {} calls, plan covers {} configs",
+        db.len(),
+        selected.len()
+    );
+    let slots = planned_demand.num_slots();
+    let mut shares = AllocationShares::new(slots);
+    let n = topo.dcs.len() as f64;
+    let spread: Vec<_> = topo.dc_ids().map(|d| (d, 1.0 / n)).collect();
+    for &cfg in &selected {
+        for s in 0..slots {
+            shares.set(cfg, s, spread.clone());
+        }
+    }
+    (db, PlannedQuotas::from_plan(&shares, &planned_demand))
+}
 
 /// Size knobs for the evaluation pipeline.
 #[derive(Clone, Debug)]
@@ -274,6 +319,24 @@ pub fn metrics_path_from_args() -> Option<std::path::PathBuf> {
         }
     }
     None
+}
+
+/// Parse `--json <path>` (or `--json=<path>`) from the process args: where a
+/// bench writes its machine-readable results, `default` when absent.
+pub fn json_path_from_args(default: &str) -> String {
+    let mut args = std::env::args().skip(1);
+    let mut path = default.to_string();
+    while let Some(a) = args.next() {
+        if a == "--json" {
+            path = args.next().unwrap_or_else(|| {
+                eprintln!("--json requires a path argument");
+                std::process::exit(2);
+            });
+        } else if let Some(p) = a.strip_prefix("--json=") {
+            path = p.to_string();
+        }
+    }
+    path
 }
 
 /// Write the global registry to `path` (TSV, or NDJSON for `.ndjson`/`.jsonl`).

@@ -3,28 +3,23 @@
 //! "Open loop" here means the offered schedule is fixed up front from a
 //! sampled trace — workers never wait on downstream completion before
 //! issuing the next op, so selector latency shows up in the engine's
-//! [`sb_engine::FineHistogram`] instead of silently throttling load.
+//! [`sb_engine::Engine::op_latency`] histogram instead of silently
+//! throttling load.
 //!
 //! The schedule is built with [`sb_sim::replay::build_events`] — the exact
 //! `(minute, kind, record)` order the serial replay oracle is defined
-//! against — so a drive through [`sb_engine::Engine`]'s admission path is
+//! against — and driven through [`sb_engine::Engine`]'s admission path by
+//! the same drive core the oracle uses ([`sb_sim::drive::fan_out`]: START →
+//! admit, FREEZE → freeze unless the call is not live, END → end; whole
+//! lifecycles pinned to a worker by quota pool), so a drive is
 //! bitwise-comparable (selector stats and per-DC tallies) with
-//! [`sb_sim::replay()`] over the same trace:
-//!
-//! * START → [`sb_engine::EngineWorker::admit`];
-//! * FREEZE → [`sb_engine::EngineWorker::freeze`], skipped when the call is
-//!   not live (the oracle's `current_dc` gate);
-//! * END → [`sb_engine::EngineWorker::end`].
-//!
-//! The concurrent drive pins each call's whole lifecycle to one worker,
-//! keyed by the quota pool its freeze debits ([`sb_engine::Engine::pool_token`]),
-//! mirroring `sb-sim`'s lifecycle partitioning argument: per-pool freeze
-//! order and per-call event order are preserved, everything else commutes.
+//! [`sb_sim::replay()`] over the same trace.
 
 use std::time::{Duration, Instant};
 
-use sb_engine::{Engine, EngineWorker};
-use sb_sim::replay::{build_events, EV_FREEZE, EV_START};
+use sb_engine::Engine;
+use sb_sim::drive::{fan_out, Step, WorkerDeaths};
+use sb_sim::replay::build_events;
 use sb_workload::CallRecord;
 
 /// A fixed open-loop schedule over a trace: the canonical replay event
@@ -69,86 +64,44 @@ impl DriveOutcome {
     }
 }
 
-fn drive_list(worker: &mut EngineWorker<'_>, records: &[CallRecord], list: &[(u8, usize)]) -> u64 {
-    let mut ops = 0u64;
-    for &(kind, i) in list {
-        let r = &records[i];
-        match kind {
-            EV_START => {
-                worker.admit(r.id, r.first_joiner);
-                ops += 1;
-            }
-            EV_FREEZE => {
-                if worker.current_dc(r.id).is_some() {
-                    worker.freeze(r.id, r.config, r.start_minute);
-                    ops += 1;
-                }
-            }
-            _ => {
-                worker.end(r.id);
-                ops += 1;
-            }
-        }
+fn drive(
+    engine: &Engine,
+    records: &[CallRecord],
+    sched: &LoadSchedule,
+    threads: Option<usize>,
+) -> DriveOutcome {
+    let t0 = Instant::now();
+    // every worker handle flushes when fan_out drops it, inside the wall
+    let steps = fan_out(
+        engine,
+        records,
+        &sched.events,
+        threads,
+        &mut WorkerDeaths::default(),
+    );
+    DriveOutcome {
+        wall: t0.elapsed(),
+        ops: steps.iter().filter(|&&s| s != Step::Skipped).count() as u64,
     }
-    ops
 }
 
 /// Drive the whole schedule through one worker, in canonical order — the
 /// engine-path equivalent of the serial replay oracle.
 pub fn drive_serial(engine: &Engine, records: &[CallRecord], sched: &LoadSchedule) -> DriveOutcome {
-    let mut kinds: Vec<(u8, usize)> = Vec::with_capacity(sched.events.len());
-    for &(_, kind, i) in &sched.events {
-        kinds.push((kind, i));
-    }
-    let mut worker = engine.worker();
-    let t0 = Instant::now();
-    let ops = drive_list(&mut worker, records, &kinds);
-    worker.flush();
-    DriveOutcome {
-        wall: t0.elapsed(),
-        ops,
-    }
+    drive(engine, records, sched, None)
 }
 
 /// Drive the schedule across `threads` workers, each owning whole call
 /// lifecycles partitioned by quota pool (unplanned calls by id). Produces
-/// selector stats and per-DC tallies identical to [`drive_serial`].
+/// selector stats and per-DC tallies identical to [`drive_serial`]. The wall
+/// includes the partition pass.
 pub fn drive_concurrent(
     engine: &Engine,
     records: &[CallRecord],
     sched: &LoadSchedule,
     threads: usize,
 ) -> DriveOutcome {
-    let threads = threads.max(1);
-    let mut lists: Vec<Vec<(u8, usize)>> = vec![Vec::new(); threads];
-    for &(_, kind, i) in &sched.events {
-        let r = &records[i];
-        let w = match engine.pool_token(r.config, r.start_minute) {
-            Some(t) => t as usize % threads,
-            None => r.id as usize % threads,
-        };
-        lists[w].push((kind, i));
-    }
-    let t0 = Instant::now();
-    let ops: u64 = std::thread::scope(|s| {
-        let handles: Vec<_> = lists
-            .iter()
-            .filter(|list| !list.is_empty())
-            .map(|list| {
-                s.spawn(move || {
-                    let mut worker = engine.worker();
-                    let ops = drive_list(&mut worker, records, list);
-                    worker.flush();
-                    ops
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap_or(0)).sum()
-    });
-    DriveOutcome {
-        wall: t0.elapsed(),
-        ops,
-    }
+    drive(engine, records, sched, Some(threads))
 }
 
 #[cfg(test)]

@@ -28,7 +28,6 @@ use sb_store::{
 };
 use sb_workload::ConfigId;
 
-use crate::latency::FineHistogram;
 use crate::wal::{self, freeze_kind, WalRecord};
 
 /// Overload-protection knobs: watermarks that turn admissions into typed
@@ -278,7 +277,7 @@ pub struct Engine {
     journal_failures: AtomicU64,
     /// EWMA of recent admit latencies, in nanoseconds (α = 1/8).
     ewma_admit_ns: AtomicU64,
-    op_latency: Mutex<FineHistogram>,
+    op_latency: Mutex<LatencyHistogram>,
     store_latency: Mutex<LatencyHistogram>,
 }
 
@@ -305,7 +304,7 @@ impl Engine {
             store_degraded: AtomicBool::new(false),
             journal_failures: AtomicU64::new(0),
             ewma_admit_ns: AtomicU64::new(0),
-            op_latency: Mutex::new(FineHistogram::new()),
+            op_latency: Mutex::new(LatencyHistogram::new()),
             store_latency: Mutex::new(LatencyHistogram::new()),
         }
     }
@@ -337,7 +336,7 @@ impl Engine {
         EngineWorker {
             engine: self,
             shard: self.selector.shard(),
-            ops: FineHistogram::new(),
+            ops: LatencyHistogram::new(),
             store_hist: LatencyHistogram::new(),
         }
     }
@@ -523,7 +522,7 @@ impl Engine {
     }
 
     /// Selector-op latency distribution merged from flushed workers.
-    pub fn op_latency(&self) -> FineHistogram {
+    pub fn op_latency(&self) -> LatencyHistogram {
         self.op_latency.lock().clone()
     }
 
@@ -1120,7 +1119,7 @@ impl std::error::Error for RecoveryError {}
 pub struct EngineWorker<'a> {
     engine: &'a Engine,
     shard: sb_core::SelectorShard<'a>,
-    ops: FineHistogram,
+    ops: LatencyHistogram,
     store_hist: LatencyHistogram,
 }
 
@@ -1377,7 +1376,7 @@ impl EngineWorker<'_> {
     pub fn flush(&mut self) {
         self.shard.flush();
         self.engine.op_latency.lock().merge(&self.ops);
-        self.ops = FineHistogram::new();
+        self.ops = LatencyHistogram::new();
         self.engine.store_latency.lock().merge(&self.store_hist);
         self.store_hist = LatencyHistogram::new();
     }

@@ -8,8 +8,9 @@
 //!   [`sb_core::RealtimeSelector::install_plan`], graceful drain;
 //! * [`EngineWorker`] — per-thread handle batching selector stats and
 //!   latency samples locally (merged on flush/drop);
-//! * [`FineHistogram`] — log-linear latency histogram resolving p50/p99/p999
-//!   at nanosecond scale;
+//!   [`Engine::op_latency`] and [`Engine::store_latency`] are
+//!   [`sb_store::LatencyHistogram`]s (log-linear, p50/p99/p999 at nanosecond
+//!   scale);
 //! * `sb-engine` (the binary) — a line-protocol service front end over an
 //!   [`Engine`] (stdin/stdout or TCP), driven interactively or by the
 //!   `engine_load` bench.
@@ -44,7 +45,6 @@
 #![warn(missing_docs)]
 
 pub mod engine;
-pub mod latency;
 pub mod protocol;
 pub mod wal;
 
@@ -52,6 +52,5 @@ pub use engine::{
     Admission, Engine, EngineConfig, EnginePackConfig, EngineStats, EngineWorker, OverloadConfig,
     RecoveryError, RecoveryReport, ServerDeathReport, ShedReason,
 };
-pub use latency::FineHistogram;
 pub use protocol::{Command, ProtocolError, MAX_LINE_BYTES};
 pub use wal::{WalDecodeError, WalRecord};

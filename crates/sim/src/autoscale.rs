@@ -6,9 +6,9 @@
 //! module closes the loop instead. An [`AutoscaleLoop`] pulls call windows
 //! from a [`sb_workload::WindowStream`] (one demand slot at a time — a
 //! multi-week world never holds more than a window plus the in-flight
-//! calls in memory), drives the real-time selector through the same
-//! serial/concurrent segment engines the chaos replay uses, and at every
-//! bucket close feeds realized demand to a
+//! calls in memory), drives the real-time selector through the same drive
+//! core the chaos replay uses ([`crate::drive`]), and at every bucket close
+//! feeds realized demand to a
 //! [`sb_forecast::StreamingForecaster`]:
 //!
 //! ```text
@@ -35,7 +35,8 @@
 //! drilled under failures: a [`FaultTimeline`] (via
 //! [`AutoscaleLoop::faults`]) drives topology transitions mid-stream —
 //! at each change point the selector's routing view is rebuilt, calls
-//! hosted at a downed DC are re-homed in id order, and
+//! hosted at a downed DC are re-homed in id order (the barrier step shared
+//! with the chaos engine, [`crate::drive`]), and
 //! [`crate::chaos::FaultEvent::DcDown`] /
 //! [`crate::chaos::FaultEvent::PlanStale`] /
 //! [`crate::chaos::FaultEvent::DemandDrift`] onsets feed the same install
@@ -49,23 +50,19 @@
 //! only shapes admission, validity, and re-planning.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use sb_core::{
-    FreezeDecision, LatencyMap, PlanArtifact, PlannedQuotas, RealtimeSelector, SelectorStats,
-};
+use sb_core::{FreezeDecision, PlanArtifact, PlannedQuotas, SelectorStats};
 use sb_forecast::{Observation, StreamingForecaster, StreamingParams};
-use sb_net::{FailureScenario, RoutingTable, Topology};
+use sb_net::Topology;
 use sb_workload::generator::Generator;
 use sb_workload::joins::CONFIG_FREEZE_SECONDS;
 use sb_workload::CallRecord;
 
-use crate::chaos::{
-    drive_segment_concurrent, drive_segment_serial, ChaosState, DeathState, FaultEvent,
-    FaultTimeline, ReplanRequest, ReplanTrigger, SegmentOutcomes,
-};
+use crate::chaos::{FaultTimeline, ReplanRequest, ReplanTrigger};
 use crate::crash::ServiceFault;
+use crate::drive::{fan_out, install_schedule, ControlPlane, Step, WorkerDeaths};
 use crate::replay::{EV_END, EV_FREEZE, EV_START};
 
 /// The plan-building callback of the loop: given the request and the live
@@ -377,56 +374,26 @@ impl<'a> AutoscaleLoop<'a> {
 
     /// Run the loop to the end of the stream and produce the report.
     pub fn run(self) -> AutoscaleReport {
-        let AutoscaleLoop {
-            topo,
-            generator,
-            quotas,
-            cfg,
-            start_day,
-            days,
-            threads,
-            mut builder,
-            faults,
-            service_faults,
-        } = self;
-
-        let healthy_routing = RoutingTable::compute(topo, FailureScenario::None);
-        let healthy_latmap = LatencyMap::from_routing(topo, &healthy_routing);
-        let selector =
-            RealtimeSelector::from_artifact(&healthy_latmap, &PlanArtifact::seed(quotas));
+        let (topo, generator, cfg, threads) = (self.topo, self.generator, self.cfg, self.threads);
+        let (faults, mut builder) = (self.faults, self.builder);
         let num_configs = generator.universe().catalog.len();
-
-        let stream = generator.window_stream(start_day, days, cfg.seed_offset);
+        let stream = generator.window_stream(self.start_day, self.days, cfg.seed_offset);
         let num_windows = stream.num_windows();
         let t0 = stream.window_start_minute(0);
         let t1 = stream.window_start_minute(num_windows);
+        let mut plane = ControlPlane::new(topo, &faults, self.quotas, builder.is_some(), t0);
 
         // fault-driven re-plans: DC failures and staleness onsets feed the
         // install machinery with the same re-plan latency as drift
-        let mut fault_installs: Vec<(u64, u64, ReplanTrigger)> = Vec::new();
-        {
-            let mut triggers: Vec<(u64, ReplanTrigger)> = Vec::new();
-            for ev in faults.events() {
-                match *ev {
-                    FaultEvent::DcDown { at, .. } => triggers.push((at, ReplanTrigger::Fault)),
-                    FaultEvent::PlanStale { from, .. } => {
-                        triggers.push((from, ReplanTrigger::Stale))
-                    }
-                    FaultEvent::DemandDrift { at, .. } => triggers.push((at, ReplanTrigger::Stale)),
-                    _ => {}
-                }
-            }
-            // faults sort ahead of staleness at the same minute, so the
-            // dedup keeps the more specific trigger kind
-            triggers.sort_unstable_by_key(|&(m, k)| (m, k as u8));
-            triggers.dedup_by_key(|p| p.0);
-            for (tr, kind) in triggers {
-                let inst = tr.saturating_add(cfg.latency_min).max(t0 + 1);
-                if inst < t1 {
-                    fault_installs.push((inst, tr, kind));
-                }
-            }
-        }
+        let fault_installs = install_schedule(
+            &faults,
+            true,
+            true,
+            &[],
+            cfg.latency_min,
+            t0,
+            t1.saturating_sub(1),
+        );
         let mut next_fi = 0usize;
 
         // topology change points are drain barriers, like installs
@@ -439,74 +406,23 @@ impl<'a> AutoscaleLoop<'a> {
         // canonical (minute, kind, id) serial order across window
         // boundaries, so calls outliving their window replay correctly
         let mut pending: BinaryHeap<Reverse<(u64, u8, u64, usize)>> = BinaryHeap::new();
-        let mut alive: HashSet<u64> = HashSet::new();
-        let mut deaths = DeathState::new(threads.unwrap_or(1), &service_faults);
+        let mut deaths = WorkerDeaths::new(threads.unwrap_or(1), &self.service_faults);
 
-        // at most one outstanding dynamic re-plan: (install minute, trigger
+        // What this loop adds to the shared control plane at run time: at
+        // most one outstanding dynamic re-plan, (install minute, trigger
         // minute, kind) — further drift/schedule triggers are debounced
-        // until it lands
+        // until it lands — and the drift view of plan validity: the plan is
+        // distrusted between a drift trigger and the next install.
         let mut outstanding: Option<(u64, u64, ReplanTrigger)> = None;
-
-        // Plan validity is the conjunction of the fault-timeline view
-        // (stale windows close early once a re-plan installs at or after
-        // their onset, as in the chaos replay) and the drift view (the
-        // plan is distrusted between a drift trigger and its install).
-        let has_builder = builder.is_some();
-        let state_trusts_plan = |s: &ChaosState, last_install: Option<u64>| -> bool {
-            s.plan_valid
-                || (has_builder
-                    && matches!((s.stale_since, last_install), (Some(on), Some(li)) if li >= on))
-        };
-        let dc_up_vec =
-            |s: &ChaosState| -> Vec<bool> { topo.dc_ids().map(|d| s.mask.dc_up(d)).collect() };
-        let mut state = faults.state_at(topo, t0);
-        let mut last_install: Option<u64> = None;
         let mut drift_open = false;
-        let mut cur_valid = state_trusts_plan(&state, last_install) && !drift_open;
-        if !state.mask.is_healthy() {
-            let routing = RoutingTable::compute_masked(topo, state.mask.clone());
-            let latmap = LatencyMap::from_routing(topo, &routing);
-            selector.update_topology(&latmap, &dc_up_vec(&state));
-        }
-        selector.set_plan_valid(cur_valid);
 
         let mut calls = 0u64;
-        let mut stranded = 0u64;
-        let mut plan_migrations = 0u64;
-        let mut stale_freezes = 0u64;
-        let mut plan_installs = 0u64;
         let mut installed_epochs: Vec<u64> = Vec::new();
         let mut install_triggers: Vec<ReplanTrigger> = Vec::new();
         let mut drift_triggers = 0u64;
         let mut schedule_triggers = 0u64;
         let mut fault_triggers = 0u64;
-        let mut forced_migrations = 0u64;
         let mut windows: Vec<AutoscaleWindow> = Vec::with_capacity(num_windows as usize);
-
-        // Build and hot-swap one plan at an install barrier (shared by the
-        // fault-driven and drift/schedule-driven install paths).
-        macro_rules! install_plan {
-            ($inst:expr, $trigger_minute:expr, $kind:expr, $wstats:expr) => {{
-                if let Some(b) = builder.as_mut() {
-                    let req = ReplanRequest {
-                        trigger: $kind,
-                        trigger_minute: $trigger_minute,
-                        install_minute: $inst,
-                        epoch: selector.plan_epoch() + 1,
-                        from_slot: selector.plan_slot_of_minute($inst),
-                        state: state.clone(),
-                    };
-                    if let Some(artifact) = b(&req, &forecaster) {
-                        selector.install_plan(&artifact);
-                        last_install = Some($inst);
-                        plan_installs += 1;
-                        $wstats.plan_installs += 1;
-                        installed_epochs.push(artifact.epoch);
-                        install_triggers.push($kind);
-                    }
-                }
-            }};
-        }
 
         for w in 0..num_windows {
             let batch = stream.batch(w);
@@ -561,66 +477,45 @@ impl<'a> AutoscaleLoop<'a> {
                     events.push((t, kind, slot));
                 }
                 drive_and_account(
-                    &selector,
+                    &plane,
                     &mut arena,
                     &events,
-                    &mut alive,
                     threads,
                     &mut deaths,
-                    cur_valid,
                     &mut wstats,
-                    &mut stranded,
-                    &mut plan_migrations,
-                    &mut stale_freezes,
                 );
                 let Some(m) = barrier else { break };
-                // fault-state transition: rebuild the selector's topology
-                // view under the new failure mask
-                let transitioned = next_trans == Some(m);
-                if transitioned {
+                if next_trans == Some(m) {
                     next_tr += 1;
-                    state = faults.state_at(topo, m);
-                    let routing = if state.mask.is_healthy() {
-                        healthy_routing.clone()
-                    } else {
-                        RoutingTable::compute_masked(topo, state.mask.clone())
-                    };
-                    let latmap = LatencyMap::from_routing(topo, &routing);
-                    selector.update_topology(&latmap, &dc_up_vec(&state));
                 }
-                // due re-plans land BEFORE re-homing, so displaced calls
-                // fall onto the fresh quota pools; a landing re-plan also
-                // closes the open drift window and supersedes the
-                // debounced dynamic trigger
-                if next_fault == Some(m) {
-                    let (inst, trigger_minute, kind) = fault_installs[next_fi];
+                // a fault-driven re-plan due here supersedes the debounced
+                // dynamic one; whichever lands closes the open drift window
+                let due = if next_fault == Some(m) {
                     next_fi += 1;
                     fault_triggers += 1;
-                    install_plan!(inst, trigger_minute, kind, wstats);
-                    drift_open = false;
                     outstanding = None;
+                    Some(fault_installs[next_fi - 1])
                 } else if next_dyn == Some(m) {
-                    let (inst, trigger_minute, kind) = outstanding.take().unwrap();
-                    install_plan!(inst, trigger_minute, kind, wstats);
+                    outstanding.take()
+                } else {
+                    None
+                };
+                if due.is_some() {
                     drift_open = false;
                 }
-                cur_valid = state_trusts_plan(&state, last_install) && !drift_open;
-                selector.set_plan_valid(cur_valid);
-                // re-home calls whose hosting DC just went down, in id
-                // order (earlier re-homes may drain plan quota)
-                if transitioned {
-                    let mut displaced: Vec<u64> = Vec::new();
-                    for dc in topo.dc_ids() {
-                        if !state.mask.dc_up(dc) {
-                            displaced.extend(selector.calls_at(dc));
-                        }
-                    }
-                    displaced.sort_unstable();
-                    for id in displaced {
-                        if selector.rehome_call(id).dc().is_some() {
-                            forced_migrations += 1;
-                            wstats.forced_migrations += 1;
-                        }
+                let (installed, rehomed) =
+                    plane.barrier(m, due.as_slice(), !drift_open, &mut |req| {
+                        builder.as_mut().and_then(|b| b(req, &forecaster))
+                    });
+                for (trigger, artifact) in installed {
+                    wstats.plan_installs += 1;
+                    installed_epochs.push(artifact.epoch);
+                    install_triggers.push(trigger);
+                }
+                for (_, outcome) in rehomed {
+                    match outcome.dc() {
+                        Some(_) => wstats.forced_migrations += 1,
+                        None => wstats.stranded += 1,
                     }
                 }
             }
@@ -649,8 +544,7 @@ impl<'a> AutoscaleLoop<'a> {
                 outstanding = Some((win_end + cfg.latency_min, win_end, ReplanTrigger::Drift));
                 drift_triggers += 1;
                 drift_open = true;
-                cur_valid = false;
-                selector.set_plan_valid(false);
+                plane.trust(false);
             } else if outstanding.is_none()
                 && cfg
                     .schedule_every
@@ -669,35 +563,24 @@ impl<'a> AutoscaleLoop<'a> {
             tail.push((t, kind, slot));
         }
         if let Some(wstats) = windows.last_mut() {
-            drive_and_account(
-                &selector,
-                &mut arena,
-                &tail,
-                &mut alive,
-                threads,
-                &mut deaths,
-                cur_valid,
-                wstats,
-                &mut stranded,
-                &mut plan_migrations,
-                &mut stale_freezes,
-            );
+            drive_and_account(&plane, &mut arena, &tail, threads, &mut deaths, wstats);
         }
 
+        let total = |field: fn(&AutoscaleWindow) -> u64| windows.iter().map(field).sum::<u64>();
         AutoscaleReport {
             calls,
-            stranded,
-            plan_migrations,
-            stale_freezes,
-            plan_installs,
+            stranded: total(|w| w.stranded),
+            plan_migrations: total(|w| w.plan_migrations),
+            stale_freezes: total(|w| w.stale_freezes),
+            plan_installs: total(|w| w.plan_installs),
             installed_epochs,
             install_triggers,
             drift_triggers,
             schedule_triggers,
             fault_triggers,
-            forced_migrations,
-            selector: selector.stats(),
-            per_dc_tallies: selector.per_dc_tallies(),
+            forced_migrations: total(|w| w.forced_migrations),
+            selector: plane.selector.stats(),
+            per_dc_tallies: plane.selector.per_dc_tallies(),
             worker_deaths: deaths.deaths,
             takeover_ops: deaths.takeover_ops,
             peak_inflight: arena.peak,
@@ -707,53 +590,36 @@ impl<'a> AutoscaleLoop<'a> {
     }
 }
 
-/// Drive one barrier-free event segment through the shared serial or
-/// concurrent engine, then apply all bookkeeping in trace order (identical
-/// for both drives — this is what keeps the stats bit-identical).
-#[allow(clippy::too_many_arguments)]
+/// Drive one barrier-free event segment through the drive core, then apply
+/// the window bookkeeping in trace order (on the coordinating thread for
+/// either drive — this is what keeps the stats bit-identical).
 fn drive_and_account(
-    selector: &RealtimeSelector,
+    plane: &ControlPlane<'_>,
     arena: &mut RecordArena,
     events: &[(u64, u8, usize)],
-    alive: &mut HashSet<u64>,
     threads: Option<usize>,
-    deaths: &mut DeathState,
-    cur_valid: bool,
+    deaths: &mut WorkerDeaths,
     wstats: &mut AutoscaleWindow,
-    stranded: &mut u64,
-    plan_migrations: &mut u64,
-    stale_freezes: &mut u64,
 ) {
-    if events.is_empty() {
-        return;
-    }
-    let outcomes: SegmentOutcomes = match threads {
-        None => drive_segment_serial(selector, &arena.slots, events, alive),
-        Some(n) => drive_segment_concurrent(selector, &arena.slots, events, alive, n, deaths),
-    };
-    for &(_, kind, slot) in events {
-        match kind {
-            EV_START => {
+    let steps = fan_out(&plane.selector, &arena.slots, events, threads, deaths);
+    for (&(_, _, slot), step) in events.iter().zip(steps) {
+        match step {
+            Step::Started(outcome) => {
                 wstats.calls_started += 1;
-                if outcomes.starts.get(&slot).is_none_or(|o| o.dc().is_none()) {
-                    *stranded += 1;
+                if outcome.and_then(|o| o.dc()).is_none() {
                     wstats.stranded += 1;
                 }
             }
-            EV_FREEZE => {
-                let Some(decision) = outcomes.freezes.get(&slot) else {
-                    continue;
-                };
+            Step::Frozen { decision, .. } => {
                 if decision.migrated() {
-                    *plan_migrations += 1;
                     wstats.plan_migrations += 1;
                 }
-                if !cur_valid && matches!(decision, FreezeDecision::Unplanned(_)) {
-                    *stale_freezes += 1;
+                if !plane.plan_valid && matches!(decision, FreezeDecision::Unplanned(_)) {
                     wstats.stale_freezes += 1;
                 }
             }
-            _ => arena.remove(slot),
+            Step::Skipped => {}
+            Step::Ended => arena.remove(slot),
         }
     }
 }
@@ -761,6 +627,7 @@ fn drive_and_account(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::FaultEvent;
     use sb_core::{AllocationShares, PlannedQuotas};
     use sb_workload::{DemandMatrix, UniverseParams, WorkloadParams};
 
@@ -894,6 +761,42 @@ mod tests {
             })
             .run();
         assert_eq!(report.stats(), conc.stats());
+    }
+
+    /// A re-home that finds no DC up drops the call: the loop must count it
+    /// as stranded (as the selector does) and never freeze it afterwards.
+    #[test]
+    fn calls_stranded_by_a_rehome_are_counted_and_never_frozen() {
+        let topo = sb_net::presets::apac();
+        let g = Generator::new(&topo, small_params(20));
+        let quotas = open_quotas(&topo, &g, 4);
+        // every DC down from minute 300, forever
+        let mut timeline = FaultTimeline::new();
+        for dc in topo.dc_ids() {
+            timeline.push(FaultEvent::DcDown {
+                dc,
+                at: 300,
+                recover_at: None,
+            });
+        }
+        let run = |threads: Option<usize>| {
+            let lp = AutoscaleLoop::new(&topo, &g, quotas.clone(), 1).faults(timeline.clone());
+            match threads {
+                Some(n) => lp.threads(n).run(),
+                None => lp.run(),
+            }
+        };
+        let report = run(None);
+        assert!(report.stranded > 0);
+        assert_eq!(report.stranded, report.selector.stranded);
+        assert_eq!(
+            report.stranded,
+            report.windows.iter().map(|w| w.stranded).sum::<u64>()
+        );
+        assert_eq!(report.selector.unknown_freezes, 0);
+        // every dropped call's END still reaches the selector
+        assert_eq!(report.selector.unknown_ends, report.stranded);
+        assert_eq!(report.stats(), run(Some(2)).stats());
     }
 
     #[test]

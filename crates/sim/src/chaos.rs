@@ -11,7 +11,7 @@
 //!
 //! * at every fault transition the routing table and latency map are
 //!   recomputed under the composed [`FailureMask`] and pushed into the
-//!   selector ([`RealtimeSelector::update_topology`]);
+//!   selector ([`sb_core::RealtimeSelector::update_topology`]);
 //! * in-flight calls hosted at a failed DC are re-homed down the selector's
 //!   degradation ladder (plan → locality → any-reachable) and counted as
 //!   *forced* migrations — distinct from the §6.4 plan migrations;
@@ -21,31 +21,26 @@
 //! The default drive is the serial oracle. [`ReplayDriver::threads`] drives
 //! the same engine across worker threads with **no intra-segment barriers**:
 //! fault transitions and plan installs bound the fault-free segments, and
-//! within a segment every record's whole lifecycle (start → freeze → end) is
-//! pinned to one worker by its quota pool
-//! (`lifecycle_worker` in `replay`), so per-call event order and
-//! per-pool freeze order — the only orders quota debits are sensitive to —
-//! are preserved without synchronization. All bookkeeping — interval
-//! flushes, re-homes, window stats — happens on the coordinating thread in
-//! exact trace order, so the aggregate [`ChaosStats`] comes out identical to
-//! the serial run, floats included.
+//! each segment goes through [`crate::drive::fan_out`] (whole lifecycles
+//! pinned to a worker by quota pool). All bookkeeping — interval flushes,
+//! re-homes, window stats — happens on the coordinating thread in exact
+//! trace order over the returned steps, so the aggregate [`ChaosStats`]
+//! comes out identical to the serial run, floats included.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use sb_core::{
-    FreezeDecision, LatencyMap, PlanArtifact, PlanDelta, PlannedQuotas, RealtimeSelector,
-    SelectorOutcome, SelectorStats,
-};
+use sb_core::{FreezeDecision, PlanArtifact, PlanDelta, PlannedQuotas, SelectorStats};
 use sb_net::{
     DcId, FailureMask, FailureScenario, LinkId, ProvisionedCapacity, RoutingTable, Topology,
 };
 use sb_obs::{Counter, Histogram, Table, Value};
 use sb_workload::joins::CONFIG_FREEZE_SECONDS;
-use sb_workload::{CallRecord, CallRecordsDb, ConfigCatalog};
+use sb_workload::{CallRecordsDb, ConfigCatalog};
 
 use crate::crash::ServiceFault;
-use crate::replay::{build_events, lifecycle_worker, EV_FREEZE, EV_START};
+use crate::drive::{fan_out, install_schedule, ControlPlane, Step, UsageDeltas, WorkerDeaths};
+use crate::replay::build_events;
 
 /// Columns of the `chaos.windows` table: one row per stats window.
 pub const CHAOS_WINDOW_COLUMNS: [&str; 11] = [
@@ -643,714 +638,6 @@ struct Hosting {
     since: u64,
 }
 
-/// Selector outcomes for one fault-free segment, keyed by record index.
-/// The drive (serial in-order, or three-phase concurrent) fills these; the
-/// coordinating thread then applies all bookkeeping in trace order.
-/// Crate-visible so the [`crate::autoscale`] loop drives its windowed
-/// segments through the exact same engines.
-#[derive(Default)]
-pub(crate) struct SegmentOutcomes {
-    pub(crate) starts: HashMap<usize, SelectorOutcome>,
-    pub(crate) freezes: HashMap<usize, FreezeDecision>,
-}
-
-/// Serial segment drive: every selector op in trace order (the oracle).
-pub(crate) fn drive_segment_serial(
-    selector: &RealtimeSelector,
-    records: &[CallRecord],
-    events: &[(u64, u8, usize)],
-    alive: &mut HashSet<u64>,
-) -> SegmentOutcomes {
-    let mut out = SegmentOutcomes::default();
-    for &(_, kind, i) in events {
-        let r = &records[i];
-        match kind {
-            EV_START => {
-                let o = selector.call_start(r.id, r.first_joiner);
-                if o.dc().is_some() {
-                    alive.insert(r.id);
-                }
-                out.starts.insert(i, o);
-            }
-            EV_FREEZE => {
-                if alive.contains(&r.id) {
-                    let d = selector.config_frozen(r.id, r.config, r.start_minute);
-                    out.freezes.insert(i, d);
-                }
-            }
-            _ => {
-                if alive.remove(&r.id) {
-                    selector.call_end(r.id);
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Scheduled [`ServiceFault::WorkerDeath`]s for the concurrent drive:
-/// per-slot cumulative op counters plus the pending schedule. `after_ops`
-/// counts against the worker *slot*'s whole op stream across segments
-/// (a replacement worker inherits its predecessor's counter).
-pub(crate) struct DeathState {
-    /// `(worker slot, cumulative after_ops)`, sorted by `after_ops`.
-    pending: Vec<(usize, u64)>,
-    /// Ops assigned to each worker slot so far (takeovers included).
-    driven: Vec<u64>,
-    pub(crate) deaths: u64,
-    pub(crate) takeover_ops: u64,
-}
-
-impl DeathState {
-    pub(crate) fn new(threads: usize, faults: &[ServiceFault]) -> DeathState {
-        let threads = threads.max(1);
-        let mut pending: Vec<(usize, u64)> = faults
-            .iter()
-            .filter_map(|f| match *f {
-                ServiceFault::WorkerDeath { worker, after_ops } => {
-                    Some((worker % threads, after_ops))
-                }
-                _ => None,
-            })
-            .collect();
-        pending.sort_by_key(|&(_, after)| after);
-        DeathState {
-            pending,
-            driven: vec![0; threads],
-            deaths: 0,
-            takeover_ops: 0,
-        }
-    }
-
-    /// If worker slot `w` (assigned `len` ops this segment) dies
-    /// mid-segment, consume the earliest due death and return the index to
-    /// cut its op list at.
-    fn consume(&mut self, w: usize, len: u64) -> Option<usize> {
-        let pos = self
-            .pending
-            .iter()
-            .position(|&(slot, after)| slot == w && after.saturating_sub(self.driven[w]) <= len)?;
-        let (_, after) = self.pending.remove(pos);
-        Some(after.saturating_sub(self.driven[w]) as usize)
-    }
-}
-
-/// Concurrent segment drive: the topology and plan are constant within a
-/// segment, so no intra-segment barriers are needed. Every record's whole
-/// lifecycle is pinned to one worker by its quota pool
-/// (`lifecycle_worker` in `replay`), which preserves both the per-call
-/// event order and the per-pool freeze order that quota debits depend on.
-/// Each worker resolves aliveness from a local overlay (it owns *all* of a
-/// call's events this segment) falling back to the shared `alive` snapshot;
-/// the coordinator then replays the segment's events in trace order to fold
-/// the overlays back into `alive`.
-///
-/// Injected [`ServiceFault::WorkerDeath`]s cut the dying worker's op list
-/// at its death point; the coordinator serially drives the orphaned tail
-/// after every surviving worker joins. Pool-pinning makes the delayed tail
-/// just another valid interleaving — the aggregate [`ChaosStats`] still
-/// matches the serial oracle exactly.
-pub(crate) fn drive_segment_concurrent(
-    selector: &RealtimeSelector,
-    records: &[CallRecord],
-    events: &[(u64, u8, usize)],
-    alive: &mut HashSet<u64>,
-    threads: usize,
-    deaths: &mut DeathState,
-) -> SegmentOutcomes {
-    let threads = threads.max(1);
-    let mut lists: Vec<Vec<(u8, usize)>> = vec![Vec::new(); threads];
-    for &(_, kind, i) in events {
-        lists[lifecycle_worker(selector, &records[i], threads)].push((kind, i));
-    }
-
-    // split each dying worker's list at its death point
-    let mut tails: Vec<(usize, Vec<(u8, usize)>)> = Vec::new();
-    for (w, list) in lists.iter_mut().enumerate() {
-        let len = list.len() as u64;
-        if let Some(cut) = deaths.consume(w, len) {
-            let tail = list.split_off(cut);
-            deaths.deaths += 1;
-            deaths.takeover_ops += tail.len() as u64;
-            tails.push((w, tail));
-        }
-        deaths.driven[w] += len;
-    }
-
-    let mut out = SegmentOutcomes::default();
-    type WorkerOut = (Vec<(usize, SelectorOutcome)>, Vec<(usize, FreezeDecision)>);
-    let results: Vec<WorkerOut> = std::thread::scope(|s| {
-        let alive = &*alive;
-        let handles: Vec<_> = lists
-            .iter()
-            .filter(|list| !list.is_empty())
-            .map(|list| {
-                let mut shard = selector.shard();
-                s.spawn(move || {
-                    let mut starts = Vec::new();
-                    let mut freezes = Vec::new();
-                    // aliveness overlay: exact because this worker owns every
-                    // event of these calls for the whole segment
-                    let mut local: HashMap<u64, bool> = HashMap::new();
-                    for &(kind, i) in list {
-                        let r = &records[i];
-                        match kind {
-                            EV_START => {
-                                let o = shard.call_start(r.id, r.first_joiner);
-                                local.insert(r.id, o.dc().is_some());
-                                starts.push((i, o));
-                            }
-                            EV_FREEZE => {
-                                let up = local
-                                    .get(&r.id)
-                                    .copied()
-                                    .unwrap_or_else(|| alive.contains(&r.id));
-                                if up {
-                                    freezes.push((
-                                        i,
-                                        shard.config_frozen(r.id, r.config, r.start_minute),
-                                    ));
-                                }
-                            }
-                            _ => {
-                                let up = local
-                                    .get(&r.id)
-                                    .copied()
-                                    .unwrap_or_else(|| alive.contains(&r.id));
-                                if up {
-                                    shard.call_end(r.id);
-                                }
-                                local.insert(r.id, false);
-                            }
-                        }
-                    }
-                    (starts, freezes)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_default())
-            .collect()
-    });
-    for (starts, freezes) in results {
-        for (i, o) in starts {
-            out.starts.insert(i, o);
-        }
-        for (i, d) in freezes {
-            out.freezes.insert(i, d);
-        }
-    }
-
-    // coordinator takeover: drive each dead worker's orphaned tail
-    // serially, rebuilding its aliveness overlay from the head it did
-    // drive (whose outcomes are already merged into `out`)
-    for (w, tail) in &tails {
-        let mut local: HashMap<u64, bool> = HashMap::new();
-        for &(kind, i) in &lists[*w] {
-            let r = &records[i];
-            match kind {
-                EV_START => {
-                    local.insert(r.id, out.starts.get(&i).is_some_and(|o| o.dc().is_some()));
-                }
-                EV_FREEZE => {}
-                _ => {
-                    local.insert(r.id, false);
-                }
-            }
-        }
-        for &(kind, i) in tail {
-            let r = &records[i];
-            match kind {
-                EV_START => {
-                    let o = selector.call_start(r.id, r.first_joiner);
-                    local.insert(r.id, o.dc().is_some());
-                    out.starts.insert(i, o);
-                }
-                EV_FREEZE => {
-                    let up = local
-                        .get(&r.id)
-                        .copied()
-                        .unwrap_or_else(|| alive.contains(&r.id));
-                    if up {
-                        out.freezes
-                            .insert(i, selector.config_frozen(r.id, r.config, r.start_minute));
-                    }
-                }
-                _ => {
-                    let up = local
-                        .get(&r.id)
-                        .copied()
-                        .unwrap_or_else(|| alive.contains(&r.id));
-                    if up {
-                        selector.call_end(r.id);
-                    }
-                    local.insert(r.id, false);
-                }
-            }
-        }
-    }
-
-    // fold the worker-local aliveness back into the shared set, trace order
-    for &(_, kind, i) in events {
-        let r = &records[i];
-        match kind {
-            EV_START => {
-                if out.starts.get(&i).is_some_and(|o| o.dc().is_some()) {
-                    alive.insert(r.id);
-                }
-            }
-            EV_FREEZE => {}
-            _ => {
-                alive.remove(&r.id);
-            }
-        }
-    }
-    out
-}
-
-/// Replay `db` while injecting `timeline`, driving the selector with
-/// `threads` workers per fault-free segment (`None` = serial oracle).
-/// `replanner`, when present, turns triggers into plan installs at barrier
-/// windows after its configured latency.
-#[allow(clippy::too_many_arguments)]
-fn chaos_replay_impl(
-    topo: &Topology,
-    catalog: &ConfigCatalog,
-    db: &CallRecordsDb,
-    timeline: &FaultTimeline,
-    quotas: PlannedQuotas,
-    cfg: &ChaosConfig,
-    threads: Option<usize>,
-    mut replanner: Option<&mut Replanner<'_>>,
-    service_faults: &[ServiceFault],
-) -> ChaosReport {
-    let met = chaos_metrics();
-    met.runs.inc();
-    let _t = met.wall_ns.start_timer();
-
-    let records = db.records();
-    let healthy_routing = RoutingTable::compute(topo, FailureScenario::None);
-    let healthy_latmap = LatencyMap::from_routing(topo, &healthy_routing);
-    let selector = RealtimeSelector::from_artifact(&healthy_latmap, &PlanArtifact::seed(quotas));
-    if records.is_empty() {
-        return ChaosReport {
-            calls: 0,
-            selector: selector.stats(),
-            per_dc_tallies: selector.per_dc_tallies(),
-            stranded: 0,
-            forced_migrations: 0,
-            plan_migrations: 0,
-            capacity_violations: 0,
-            worst_overshoot: 0.0,
-            peaks: ProvisionedCapacity::zero(topo),
-            mean_acl_ms: 0.0,
-            plan_installs: 0,
-            installed_epochs: Vec::new(),
-            worker_deaths: 0,
-            takeover_ops: 0,
-            windows: Vec::new(),
-        };
-    }
-
-    let t0 = records.iter().map(|r| r.start_minute).min().unwrap();
-    let t1 = records.iter().map(|r| r.end_minute()).max().unwrap();
-    let horizon = (t1 - t0 + 1) as usize;
-    let window_minutes = cfg.window_minutes.max(1);
-    let num_windows = (horizon as u64).div_ceil(window_minutes) as usize;
-    let mut windows: Vec<WindowStats> = (0..num_windows)
-        .map(|w| WindowStats {
-            start_minute: t0 + w as u64 * window_minutes,
-            starts_by_dc: vec![0; topo.dcs.len()],
-            ..WindowStats::default()
-        })
-        .collect();
-    let win_of = |minute: u64| (((minute - t0) / window_minutes) as usize).min(num_windows - 1);
-
-    let events = build_events(records, cfg.freeze_minutes);
-
-    // re-plan installs: trigger minutes (fault onsets, staleness onsets,
-    // explicit schedule) plus the re-plan latency, landing at barriers
-    let mut installs: Vec<(u64, u64, ReplanTrigger)> = Vec::new(); // (install, trigger minute, kind)
-    if let Some(rp) = replanner.as_deref() {
-        let mut triggers: Vec<(u64, ReplanTrigger)> = Vec::new();
-        for ev in timeline.events() {
-            match *ev {
-                FaultEvent::DcDown { at, .. } if rp.on_dc_down => {
-                    triggers.push((at, ReplanTrigger::Fault))
-                }
-                FaultEvent::PlanStale { from, .. } if rp.on_stale => {
-                    triggers.push((from, ReplanTrigger::Stale))
-                }
-                FaultEvent::DemandDrift { at, .. } if rp.on_stale => {
-                    triggers.push((at, ReplanTrigger::Stale))
-                }
-                _ => {}
-            }
-        }
-        triggers.extend(rp.schedule.iter().map(|&m| (m, ReplanTrigger::Schedule)));
-        // sort faults ahead of schedule entries at the same minute so the
-        // dedup below keeps the more specific trigger kind
-        triggers.sort_unstable_by_key(|&(m, k)| (m, k as u8));
-        triggers.dedup_by_key(|p| p.0);
-        for (tr, kind) in triggers {
-            let inst = tr.saturating_add(rp.latency_min).max(t0 + 1);
-            if inst <= t1 {
-                installs.push((inst, tr, kind));
-            }
-        }
-        installs.sort_unstable_by_key(|&(inst, tr, k)| (inst, tr, k as u8));
-        installs.dedup_by_key(|p| p.0);
-    }
-
-    // fault-state segments: [t0, cp1), [cp1, cp2), … — plan installs are
-    // additional barriers
-    let mut barriers = timeline.change_points(t0, t1);
-    barriers.extend(installs.iter().map(|&(m, _, _)| m));
-    barriers.sort_unstable();
-    barriers.dedup();
-    let mut seg_starts = vec![t0];
-    seg_starts.extend(&barriers);
-    let seg_states: Vec<ChaosState> = seg_starts
-        .iter()
-        .map(|&m| timeline.state_at(topo, m))
-        .collect();
-
-    // accounting
-    let mut core_delta = vec![vec![0.0f64; topo.dcs.len()]; horizon + 1];
-    let mut link_delta = vec![vec![0.0f64; topo.links.len()]; horizon + 1];
-    let mut hosted: HashMap<u64, Hosting> = HashMap::new();
-    let mut alive: HashSet<u64> = HashSet::new();
-
-    let mut state = seg_states[0].clone();
-    let mut routing = if state.mask.is_healthy() {
-        healthy_routing.clone()
-    } else {
-        RoutingTable::compute_masked(topo, state.mask.clone())
-    };
-    let mut latmap = LatencyMap::from_routing(topo, &routing);
-    let dc_up_vec =
-        |s: &ChaosState| -> Vec<bool> { topo.dc_ids().map(|d| s.mask.dc_up(d)).collect() };
-    // Effective plan validity: a staleness window closes early once a
-    // re-plan has been installed at or after its onset ("stale until the
-    // re-plan lands"). Without a replanner this reduces to the raw flag.
-    let has_replanner = replanner.is_some();
-    let effective_valid = |s: &ChaosState, last_install: Option<u64>| -> bool {
-        s.plan_valid
-            || (has_replanner
-                && matches!((s.stale_since, last_install), (Some(on), Some(li)) if li >= on))
-    };
-    let mut last_install: Option<u64> = None;
-    let mut cur_valid = effective_valid(&state, last_install);
-    selector.update_topology(&latmap, &dc_up_vec(&state));
-    selector.set_plan_valid(cur_valid);
-
-    let mut acl_sum = 0.0;
-    let mut acl_n = 0u64;
-    let mut stranded = 0u64;
-    let mut forced = 0u64;
-    let mut plan_migrations = 0u64;
-    let mut plan_installs = 0u64;
-    let mut installed_epochs: Vec<u64> = Vec::new();
-    let mut last_artifact: Option<Arc<PlanArtifact>> = None;
-    let mut next_install = 0usize;
-
-    let flush = |h: &mut Hosting,
-                 to: u64,
-                 routing: &RoutingTable,
-                 core_delta: &mut Vec<Vec<f64>>,
-                 link_delta: &mut Vec<Vec<f64>>| {
-        if to <= h.since {
-            return;
-        }
-        let r = &records[h.rec];
-        let c = catalog.config(r.config);
-        let (a, b) = ((h.since - t0) as usize, (to - t0) as usize);
-        core_delta[a][h.dc.index()] += c.compute_load();
-        core_delta[b][h.dc.index()] -= c.compute_load();
-        let nl = c.leg_network_load();
-        for &(country, n) in c.participants() {
-            if let Some(route) = routing.route(country, h.dc) {
-                let w = n as f64 * nl;
-                for &l in &route.links {
-                    link_delta[a][l.index()] += w;
-                    link_delta[b][l.index()] -= w;
-                }
-            }
-        }
-        h.since = to;
-    };
-
-    let mut death_state = DeathState::new(threads.unwrap_or(1), service_faults);
-    let mut next_seg = 1usize;
-    let mut ei = 0usize;
-    while ei < events.len() {
-        let t_first = events[ei].0;
-
-        // apply fault transitions due before the next event; per transition:
-        // close hosting intervals under the old routing, swap topology,
-        // re-home displaced calls — all in sorted call-id order so the run
-        // is deterministic regardless of hash-map iteration order
-        while next_seg < seg_starts.len() && seg_starts[next_seg] <= t_first {
-            let tr = seg_starts[next_seg];
-            let mut ids: Vec<u64> = hosted.keys().copied().collect();
-            ids.sort_unstable();
-            for id in &ids {
-                if let Some(h) = hosted.get_mut(id) {
-                    flush(h, tr, &routing, &mut core_delta, &mut link_delta);
-                }
-            }
-            state = seg_states[next_seg].clone();
-            routing = RoutingTable::compute_masked(topo, state.mask.clone());
-            latmap = LatencyMap::from_routing(topo, &routing);
-            selector.update_topology(&latmap, &dc_up_vec(&state));
-            // install a due re-plan BEFORE re-homing, so displaced calls
-            // land against the fresh quota pools
-            while next_install < installs.len() && installs[next_install].0 == tr {
-                let (inst, trigger, kind) = installs[next_install];
-                next_install += 1;
-                let rp = replanner
-                    .as_deref_mut()
-                    .expect("installs only exist with a replanner");
-                let req = ReplanRequest {
-                    trigger: kind,
-                    trigger_minute: trigger,
-                    install_minute: inst,
-                    epoch: selector.plan_epoch() + 1,
-                    from_slot: selector.plan_slot_of_minute(inst),
-                    state: state.clone(),
-                };
-                if let Some(artifact) = (rp.builder)(&req) {
-                    if let Some(prev) = &last_artifact {
-                        PlanDelta::between(prev, &artifact).record();
-                    }
-                    selector.install_plan(&artifact);
-                    last_install = Some(inst);
-                    plan_installs += 1;
-                    installed_epochs.push(artifact.epoch);
-                    windows[win_of(inst)].plan_installs += 1;
-                    last_artifact = Some(artifact);
-                }
-            }
-            cur_valid = effective_valid(&state, last_install);
-            selector.set_plan_valid(cur_valid);
-            // re-home calls whose hosting DC just went down, in id order
-            // (rehome order matters: earlier re-homes may drain plan quota)
-            let displaced: Vec<u64> = ids
-                .into_iter()
-                .filter(|id| hosted.get(id).is_some_and(|h| !state.mask.dc_up(h.dc)))
-                .collect();
-            let w = win_of(tr);
-            for id in displaced {
-                let outcome = selector.rehome_call(id);
-                match outcome.dc() {
-                    Some(dc) => {
-                        if let Some(h) = hosted.get_mut(&id) {
-                            h.dc = dc;
-                            forced += 1;
-                            windows[w].forced_migrations += 1;
-                            met.forced_migrations.inc();
-                            if let Some(a) = latmap.acl(catalog.config(records[h.rec].config), dc) {
-                                acl_sum += a;
-                                acl_n += 1;
-                                windows[w].acl_sum += a;
-                                windows[w].acl_n += 1;
-                            }
-                        }
-                    }
-                    None => {
-                        hosted.remove(&id);
-                        alive.remove(&id);
-                        stranded += 1;
-                        windows[w].stranded += 1;
-                        met.stranded.inc();
-                    }
-                }
-            }
-            next_seg += 1;
-        }
-
-        // the fault-free segment: events up to the next transition
-        let seg_end_t = seg_starts.get(next_seg).copied();
-        let mut ej = ei;
-        while ej < events.len() && seg_end_t.is_none_or(|b| events[ej].0 < b) {
-            ej += 1;
-        }
-        let seg_events = &events[ei..ej];
-
-        // drive the selector …
-        let outcomes = match threads {
-            None => drive_segment_serial(&selector, records, seg_events, &mut alive),
-            Some(n) => drive_segment_concurrent(
-                &selector,
-                records,
-                seg_events,
-                &mut alive,
-                n,
-                &mut death_state,
-            ),
-        };
-
-        // … then apply bookkeeping in exact trace order (shared by both
-        // drives — this is what keeps the float accounting bit-identical)
-        for &(t, kind, i) in seg_events {
-            let w = win_of(t);
-            let r = &records[i];
-            match kind {
-                EV_START => {
-                    windows[w].calls_started += 1;
-                    match outcomes.starts.get(&i).and_then(|o| o.dc()) {
-                        Some(dc) => {
-                            windows[w].starts_by_dc[dc.index()] += 1;
-                            hosted.insert(
-                                r.id,
-                                Hosting {
-                                    rec: i,
-                                    dc,
-                                    since: t,
-                                },
-                            );
-                        }
-                        None => {
-                            stranded += 1;
-                            windows[w].stranded += 1;
-                            met.stranded.inc();
-                        }
-                    }
-                }
-                EV_FREEZE => {
-                    let Some(h) = hosted.get_mut(&r.id) else {
-                        continue; // stranded before freezing
-                    };
-                    let Some(decision) = outcomes.freezes.get(&i) else {
-                        continue;
-                    };
-                    // mirror of the selector's plan_stale accrual: while the
-                    // plan is distrusted, every reached freeze comes back
-                    // Unplanned via the stale branch
-                    if !cur_valid && matches!(decision, FreezeDecision::Unplanned(_)) {
-                        windows[w].plan_stale_freezes += 1;
-                    }
-                    let Some(final_dc) = decision.final_dc() else {
-                        continue;
-                    };
-                    if decision.migrated() {
-                        plan_migrations += 1;
-                        windows[w].plan_migrations += 1;
-                    }
-                    if final_dc != h.dc {
-                        flush(h, t, &routing, &mut core_delta, &mut link_delta);
-                        h.dc = final_dc;
-                    }
-                    if let Some(a) = latmap.acl(catalog.config(r.config), final_dc) {
-                        acl_sum += a;
-                        acl_n += 1;
-                        windows[w].acl_sum += a;
-                        windows[w].acl_n += 1;
-                    }
-                }
-                _ => {
-                    if let Some(mut h) = hosted.remove(&r.id) {
-                        flush(&mut h, t, &routing, &mut core_delta, &mut link_delta);
-                    }
-                }
-            }
-        }
-        ei = ej;
-    }
-
-    // integrate deltas → usage; peaks and violations against *effective*
-    // capacity (CapacityDegraded scales per-DC cores per minute)
-    let mut peaks = ProvisionedCapacity::zero(topo);
-    let mut violations = 0u64;
-    let mut worst = 0.0f64;
-    let mut cur_cores = vec![0.0f64; topo.dcs.len()];
-    let mut cur_links = vec![0.0f64; topo.links.len()];
-    let mut seg = 0usize;
-    for m in 0..horizon {
-        let minute = t0 + m as u64;
-        while seg + 1 < seg_starts.len() && seg_starts[seg + 1] <= minute {
-            seg += 1;
-        }
-        let st = &seg_states[seg];
-        let w = win_of(minute);
-        windows[w].down_dcs = windows[w].down_dcs.max(st.mask.down_dcs().count() as u32);
-        windows[w].down_links = windows[w]
-            .down_links
-            .max(st.mask.down_links().count() as u32);
-        for (c, d) in cur_cores.iter_mut().zip(&core_delta[m]) {
-            *c += d;
-        }
-        for (c, d) in cur_links.iter_mut().zip(&link_delta[m]) {
-            *c += d;
-        }
-        for (p, &u) in peaks.cores.iter_mut().zip(&cur_cores) {
-            *p = p.max(u);
-        }
-        for (p, &u) in peaks.gbps.iter_mut().zip(&cur_links) {
-            *p = p.max(u);
-        }
-        if let Some(cap) = &cfg.capacity {
-            for (i, &u) in cur_cores.iter().enumerate() {
-                let eff = cap.cores[i] * st.core_fraction[i];
-                if u > eff + 1e-9 {
-                    violations += 1;
-                    windows[w].violations += 1;
-                    worst = worst.max((u - eff) / eff.max(1e-9));
-                }
-            }
-            for (i, &u) in cur_links.iter().enumerate() {
-                if u > cap.gbps[i] + 1e-9 {
-                    violations += 1;
-                    windows[w].violations += 1;
-                    worst = worst.max((u - cap.gbps[i]) / cap.gbps[i].max(1e-9));
-                }
-            }
-        }
-    }
-    met.violations.add(violations);
-
-    if sb_obs::global().enabled() {
-        for w in &windows {
-            met.windows.push(vec![
-                Value::from(w.start_minute),
-                Value::from(w.calls_started),
-                Value::from(w.plan_migrations),
-                Value::from(w.forced_migrations),
-                Value::from(w.stranded),
-                Value::from(w.violations),
-                Value::from(w.down_dcs as u64),
-                Value::from(w.down_links as u64),
-                Value::from(w.plan_installs),
-                Value::from(w.plan_stale_freezes),
-                Value::from(w.mean_acl_ms()),
-            ]);
-        }
-    }
-
-    ChaosReport {
-        calls: records.len() as u64,
-        selector: selector.stats(),
-        per_dc_tallies: selector.per_dc_tallies(),
-        stranded,
-        forced_migrations: forced,
-        plan_migrations,
-        capacity_violations: violations,
-        worst_overshoot: worst,
-        peaks,
-        mean_acl_ms: if acl_n > 0 {
-            acl_sum / acl_n as f64
-        } else {
-            0.0
-        },
-        plan_installs,
-        installed_epochs,
-        worker_deaths: death_state.deaths,
-        takeover_ops: death_state.takeover_ops,
-        windows,
-    }
-}
-
 /// One-stop builder over the chaos/replay engine, replacing the
 /// `chaos_replay` / `chaos_replay_concurrent` /
 /// `chaos_replay_replanned(_concurrent)` free-function family.
@@ -1443,67 +730,290 @@ impl<'a, 'p> ReplayDriver<'a, 'p> {
         self
     }
 
-    /// Run the replay and produce the report.
+    /// Run the replay and produce the report: `timeline` is injected while
+    /// the selector is driven segment by fault-free segment (serially, or
+    /// with `threads` workers); the replanner, when present, turns triggers
+    /// into plan installs at barriers after its configured latency.
     pub fn run(self) -> ChaosReport {
-        chaos_replay_impl(
-            self.topo,
-            self.catalog,
-            self.db,
-            &self.timeline,
-            self.quotas,
-            &self.cfg,
-            self.threads,
-            self.replanner,
-            &self.service_faults,
-        )
+        let (topo, catalog, cfg, threads) = (self.topo, self.catalog, &self.cfg, self.threads);
+        let timeline = &self.timeline;
+        let mut replanner = self.replanner;
+        let met = chaos_metrics();
+        met.runs.inc();
+        let _t = met.wall_ns.start_timer();
+
+        let records = self.db.records();
+        let t0 = records.iter().map(|r| r.start_minute).min().unwrap_or(0);
+        let t1 = records.iter().map(|r| r.end_minute()).max();
+        let horizon = t1.map_or(0, |t1| (t1 - t0 + 1) as usize);
+        let t1 = t1.unwrap_or(t0);
+        let mut plane = ControlPlane::new(topo, timeline, self.quotas, replanner.is_some(), t0);
+        let window_minutes = cfg.window_minutes.max(1);
+        let num_windows = (horizon as u64).div_ceil(window_minutes) as usize;
+        let mut windows: Vec<WindowStats> = (0..num_windows)
+            .map(|w| WindowStats {
+                start_minute: t0 + w as u64 * window_minutes,
+                starts_by_dc: vec![0; topo.dcs.len()],
+                ..WindowStats::default()
+            })
+            .collect();
+        let win_of = |minute: u64| (((minute - t0) / window_minutes) as usize).min(num_windows - 1);
+
+        let events = build_events(records, cfg.freeze_minutes);
+
+        // re-plan installs land at barriers, at most one per minute
+        let mut installs = match replanner.as_deref() {
+            Some(rp) => install_schedule(
+                timeline,
+                rp.on_dc_down,
+                rp.on_stale,
+                &rp.schedule,
+                rp.latency_min,
+                t0,
+                t1,
+            ),
+            None => Vec::new(),
+        };
+        installs.dedup_by_key(|p| p.0);
+
+        // fault-state segments: [t0, cp1), [cp1, cp2), … — plan installs are
+        // additional barriers
+        let mut seg_starts = vec![t0];
+        seg_starts.extend(timeline.change_points(t0, t1));
+        seg_starts.extend(installs.iter().map(|&(m, _, _)| m));
+        seg_starts.sort_unstable();
+        seg_starts.dedup();
+        let seg_states: Vec<ChaosState> = seg_starts
+            .iter()
+            .map(|&m| timeline.state_at(topo, m))
+            .collect();
+
+        let mut usage = UsageDeltas::new(topo, t0, horizon);
+        let mut hosted: HashMap<u64, Hosting> = HashMap::new();
+        let mut acl_sum = 0.0;
+        let mut acl_n = 0u64;
+        let mut installed_epochs: Vec<u64> = Vec::new();
+        let mut last_artifact: Option<Arc<PlanArtifact>> = None;
+        let mut next_install = 0usize;
+
+        // close `h`'s hosting interval at `to`, charging it under `routing`
+        let flush = |h: &mut Hosting, to: u64, routing: &RoutingTable, usage: &mut UsageDeltas| {
+            if to > h.since {
+                let c = catalog.config(records[h.rec].config);
+                usage.add(routing, c, h.dc, h.since, to);
+                h.since = to;
+            }
+        };
+
+        let mut deaths = WorkerDeaths::new(threads.unwrap_or(1), &self.service_faults);
+        let mut next_seg = 1usize;
+        let mut ei = 0usize;
+        while ei < events.len() {
+            let t_first = events[ei].0;
+
+            // fault transitions and installs due before the next event
+            while next_seg < seg_starts.len() && seg_starts[next_seg] <= t_first {
+                let tr = seg_starts[next_seg];
+                next_seg += 1;
+                let w = win_of(tr);
+                // what only this engine does at a barrier: close every hosting
+                // interval under the *old* routing first, in call-id order so the
+                // float sums do not depend on hash-map iteration order
+                let mut ids: Vec<u64> = hosted.keys().copied().collect();
+                ids.sort_unstable();
+                for id in &ids {
+                    if let Some(h) = hosted.get_mut(id) {
+                        flush(h, tr, &plane.routing, &mut usage);
+                    }
+                }
+                let due_from = next_install;
+                while next_install < installs.len() && installs[next_install].0 == tr {
+                    next_install += 1;
+                }
+                let (installed, rehomed) =
+                    plane.barrier(tr, &installs[due_from..next_install], true, &mut |req| {
+                        replanner.as_deref_mut().and_then(|rp| (rp.builder)(req))
+                    });
+                for (_, artifact) in installed {
+                    if let Some(prev) = &last_artifact {
+                        PlanDelta::between(prev, &artifact).record();
+                    }
+                    installed_epochs.push(artifact.epoch);
+                    windows[w].plan_installs += 1;
+                    last_artifact = Some(artifact);
+                }
+                for (id, outcome) in rehomed {
+                    match (outcome.dc(), hosted.get_mut(&id)) {
+                        (Some(dc), Some(h)) => {
+                            h.dc = dc;
+                            windows[w].forced_migrations += 1;
+                            met.forced_migrations.inc();
+                            let c = catalog.config(records[h.rec].config);
+                            if let Some(a) = plane.latmap.acl(c, dc) {
+                                acl_sum += a;
+                                acl_n += 1;
+                                windows[w].acl_sum += a;
+                                windows[w].acl_n += 1;
+                            }
+                        }
+                        (Some(_), None) => {}
+                        (None, _) => {
+                            hosted.remove(&id);
+                            windows[w].stranded += 1;
+                            met.stranded.inc();
+                        }
+                    }
+                }
+            }
+
+            // the fault-free segment: events up to the next transition
+            let len = match seg_starts.get(next_seg) {
+                Some(&b) => events[ei..].partition_point(|&(t, _, _)| t < b),
+                None => events.len() - ei,
+            };
+            let seg_events = &events[ei..ei + len];
+            ei += len;
+
+            // drive the selector, then apply bookkeeping in exact trace order
+            // (on this thread for either drive — this is what keeps the float
+            // accounting bit-identical)
+            let steps = fan_out(&plane.selector, records, seg_events, threads, &mut deaths);
+            for (&(t, _, i), step) in seg_events.iter().zip(steps) {
+                let w = win_of(t);
+                let r = &records[i];
+                match step {
+                    Step::Started(outcome) => {
+                        windows[w].calls_started += 1;
+                        match outcome.and_then(|o| o.dc()) {
+                            Some(dc) => {
+                                windows[w].starts_by_dc[dc.index()] += 1;
+                                hosted.insert(
+                                    r.id,
+                                    Hosting {
+                                        rec: i,
+                                        dc,
+                                        since: t,
+                                    },
+                                );
+                            }
+                            None => {
+                                windows[w].stranded += 1;
+                                met.stranded.inc();
+                            }
+                        }
+                    }
+                    Step::Frozen { decision, .. } => {
+                        let Some(h) = hosted.get_mut(&r.id) else {
+                            continue;
+                        };
+                        // mirror of the selector's plan_stale accrual: while the
+                        // plan is distrusted, every reached freeze comes back
+                        // Unplanned via the stale branch
+                        if !plane.plan_valid && matches!(decision, FreezeDecision::Unplanned(_)) {
+                            windows[w].plan_stale_freezes += 1;
+                        }
+                        let Some(final_dc) = decision.final_dc() else {
+                            continue;
+                        };
+                        if decision.migrated() {
+                            windows[w].plan_migrations += 1;
+                        }
+                        if final_dc != h.dc {
+                            flush(h, t, &plane.routing, &mut usage);
+                            h.dc = final_dc;
+                        }
+                        if let Some(a) = plane.latmap.acl(catalog.config(r.config), final_dc) {
+                            acl_sum += a;
+                            acl_n += 1;
+                            windows[w].acl_sum += a;
+                            windows[w].acl_n += 1;
+                        }
+                    }
+                    Step::Skipped => {} // stranded before freezing
+                    Step::Ended => {
+                        if let Some(mut h) = hosted.remove(&r.id) {
+                            flush(&mut h, t, &plane.routing, &mut usage);
+                        }
+                    }
+                }
+            }
+        }
+
+        // integrate deltas → usage; peaks and violations against *effective*
+        // capacity (CapacityDegraded scales per-DC cores per minute)
+        let state_of = |m: usize| {
+            let minute = t0 + m as u64;
+            &seg_states[seg_starts.partition_point(|&s| s <= minute) - 1]
+        };
+        let (peaks, violations, worst) = usage.integrate(
+            topo,
+            cfg.capacity.as_ref(),
+            |m| state_of(m).core_fraction.as_slice(),
+            |m, v| {
+                let st = state_of(m);
+                let win = &mut windows[win_of(t0 + m as u64)];
+                win.down_dcs = win.down_dcs.max(st.mask.down_dcs().count() as u32);
+                win.down_links = win.down_links.max(st.mask.down_links().count() as u32);
+                win.violations += v;
+            },
+        );
+        met.violations.add(violations);
+
+        if sb_obs::global().enabled() {
+            for w in &windows {
+                met.windows.push(vec![
+                    Value::from(w.start_minute),
+                    Value::from(w.calls_started),
+                    Value::from(w.plan_migrations),
+                    Value::from(w.forced_migrations),
+                    Value::from(w.stranded),
+                    Value::from(w.violations),
+                    Value::from(w.down_dcs as u64),
+                    Value::from(w.down_links as u64),
+                    Value::from(w.plan_installs),
+                    Value::from(w.plan_stale_freezes),
+                    Value::from(w.mean_acl_ms()),
+                ]);
+            }
+        }
+
+        let total = |field: fn(&WindowStats) -> u64| windows.iter().map(field).sum::<u64>();
+        ChaosReport {
+            calls: records.len() as u64,
+            selector: plane.selector.stats(),
+            per_dc_tallies: plane.selector.per_dc_tallies(),
+            stranded: total(|w| w.stranded),
+            forced_migrations: total(|w| w.forced_migrations),
+            plan_migrations: total(|w| w.plan_migrations),
+            capacity_violations: violations,
+            worst_overshoot: worst,
+            peaks,
+            mean_acl_ms: if acl_n > 0 {
+                acl_sum / acl_n as f64
+            } else {
+                0.0
+            },
+            plan_installs: total(|w| w.plan_installs),
+            installed_epochs,
+            worker_deaths: deaths.deaths,
+            takeover_ops: deaths.takeover_ops,
+            windows,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sb_core::AllocationShares;
-    use sb_workload::{CallConfig, CallRecord, ConfigId, DemandMatrix, MediaType};
-
-    fn world() -> (Topology, ConfigCatalog, ConfigId) {
-        let topo = sb_net::presets::toy_three_dc();
-        let jp = topo.country_by_name("JP");
-        let mut cat = ConfigCatalog::new();
-        let id = cat.intern(CallConfig::new(vec![(jp, 2)], MediaType::Audio));
-        (topo, cat, id)
-    }
-
-    fn record(id: u64, cfg: ConfigId, start: u64, dur: u16, c: sb_net::CountryId) -> CallRecord {
-        CallRecord {
-            id,
-            config: cfg,
-            start_minute: start,
-            duration_min: dur,
-            first_joiner: c,
-            join_offsets_s: vec![0, 60],
-        }
-    }
-
-    /// Quotas that put every call of `cfg` at `dc` for `slots` slots.
-    fn all_at(cfg: ConfigId, dc: DcId, slots: usize, per_slot: f64) -> PlannedQuotas {
-        let mut shares = AllocationShares::new(slots);
-        let mut demand = DemandMatrix::zero(cfg.index() + 1, slots, 30, 0);
-        for s in 0..slots {
-            shares.set(cfg, s, vec![(dc, 1.0)]);
-            demand.set(cfg, s, per_slot);
-        }
-        PlannedQuotas::from_plan(&shares, &demand)
-    }
+    use crate::testkit::{all_at, db_of, record, world};
+    use sb_workload::ConfigId;
 
     #[test]
     fn empty_timeline_matches_plain_replay_counters() {
         let (topo, cat, id) = world();
         let jp = topo.country_by_name("JP");
         let tokyo = topo.dc_by_name("Tokyo");
-        let mut db = CallRecordsDb::new(cat.clone());
-        for i in 0..10 {
-            db.push(record(i, id, i, 30, jp));
-        }
+        let db = db_of(&cat, (0..10).map(|i| record(i, id, i, 30, jp)));
         let quotas = all_at(id, tokyo, 2, 30.0);
         let report = ReplayDriver::new(&topo, &cat, &db, quotas).run();
         assert_eq!(report.calls, 10);
@@ -1564,10 +1074,7 @@ mod tests {
         let (topo, cat, id) = world();
         let jp = topo.country_by_name("JP");
         let tokyo = topo.dc_by_name("Tokyo");
-        let mut db = CallRecordsDb::new(cat.clone());
-        for i in 0..10 {
-            db.push(record(i, id, 0, 60, jp));
-        }
+        let db = db_of(&cat, (0..10).map(|i| record(i, id, 0, 60, jp)));
         // all three DCs down from minute 20, forever
         let mut timeline = FaultTimeline::new();
         for dc in topo.dc_ids() {
@@ -1582,6 +1089,11 @@ mod tests {
             .faults(timeline)
             .run();
         assert_eq!(report.stranded, 10, "every in-flight call strands");
+        assert_eq!(report.selector.stranded, 10);
+        // the liveness rule is the selector's own: a dropped call is never
+        // frozen, and its END still reaches the selector as a counted no-op
+        assert_eq!(report.selector.unknown_freezes, 0);
+        assert_eq!(report.selector.unknown_ends, 10);
         // dropped calls stop consuming: peak equals the pre-outage level and
         // usage after minute 20 is zero (peaks reflect [0,20) only)
         let cl = cat.config(id).compute_load();
@@ -1599,41 +1111,18 @@ mod tests {
             period_min: 10,
         });
         // down [10,20) up [20,30) down [30,40) up [40,50)
-        assert!(!timeline
-            .state_at(&topo, 9)
-            .mask
-            .down_links()
-            .any(|x| x == l));
-        assert!(timeline
-            .state_at(&topo, 10)
-            .mask
-            .down_links()
-            .any(|x| x == l));
-        assert!(timeline
-            .state_at(&topo, 15)
-            .mask
-            .down_links()
-            .any(|x| x == l));
-        assert!(!timeline
-            .state_at(&topo, 25)
-            .mask
-            .down_links()
-            .any(|x| x == l));
-        assert!(timeline
-            .state_at(&topo, 35)
-            .mask
-            .down_links()
-            .any(|x| x == l));
-        assert!(!timeline
-            .state_at(&topo, 45)
-            .mask
-            .down_links()
-            .any(|x| x == l));
-        assert!(!timeline
-            .state_at(&topo, 50)
-            .mask
-            .down_links()
-            .any(|x| x == l));
+        for (minute, down) in [
+            (9, false),
+            (10, true),
+            (15, true),
+            (25, false),
+            (35, true),
+            (45, false),
+            (50, false),
+        ] {
+            let mask = timeline.state_at(&topo, minute).mask;
+            assert_eq!(mask.down_links().any(|x| x == l), down, "minute {minute}");
+        }
         let cps = timeline.change_points(0, 100);
         assert_eq!(cps, vec![10, 20, 30, 40, 50]);
     }
@@ -1643,10 +1132,7 @@ mod tests {
         let (topo, cat, id) = world();
         let jp = topo.country_by_name("JP");
         let tokyo = topo.dc_by_name("Tokyo");
-        let mut db = CallRecordsDb::new(cat.clone());
-        for i in 0..10 {
-            db.push(record(i, id, 0, 60, jp));
-        }
+        let db = db_of(&cat, (0..10).map(|i| record(i, id, 0, 60, jp)));
         let quotas = all_at(id, tokyo, 2, 10.0);
         let cl = cat.config(id).compute_load();
         // capacity exactly fits 10 calls; degrade Tokyo to 40% mid-run
@@ -1701,7 +1187,7 @@ mod tests {
         assert_eq!(report.stranded, 0);
     }
 
-    /// Shares + quotas that put every call of `cfg` at `dc`.
+    /// An epoch-`epoch` plan that puts every call of `cfg` at `dc`.
     fn plan_all_at(
         cfg: ConfigId,
         dc: DcId,
@@ -1709,14 +1195,7 @@ mod tests {
         per_slot: f64,
         epoch: u64,
     ) -> PlanArtifact {
-        let mut shares = AllocationShares::new(slots);
-        let mut demand = DemandMatrix::zero(cfg.index() + 1, slots, 30, 0);
-        for s in 0..slots {
-            shares.set(cfg, s, vec![(dc, 1.0)]);
-            demand.set(cfg, s, per_slot);
-        }
-        let quotas = PlannedQuotas::from_plan(&shares, &demand);
-        PlanArtifact::new(epoch, shares, quotas, sb_core::PlanProvenance::default())
+        PlanArtifact::seed(all_at(cfg, dc, slots, per_slot)).with_epoch(epoch)
     }
 
     #[test]
@@ -1829,10 +1308,7 @@ mod tests {
         let jp = topo.country_by_name("JP");
         let tokyo = topo.dc_by_name("Tokyo");
         let pune = topo.dc_by_name("Pune");
-        let mut db = CallRecordsDb::new(cat.clone());
-        for i in 0..180 {
-            db.push(record(i, id, i, 30, jp));
-        }
+        let db = db_of(&cat, (0..180).map(|i| record(i, id, i, 30, jp)));
         let quotas = all_at(id, tokyo, 6, 40.0);
         // DC-down + staleness: the re-plan lands mid-outage and moves quota
         let timeline = FaultTimeline::new()
@@ -1885,10 +1361,7 @@ mod tests {
         let (topo, cat, id) = world();
         let jp = topo.country_by_name("JP");
         let tokyo = topo.dc_by_name("Tokyo");
-        let mut db = CallRecordsDb::new(cat.clone());
-        for i in 0..180 {
-            db.push(record(i, id, i, 30, jp));
-        }
+        let db = db_of(&cat, (0..180).map(|i| record(i, id, i, 30, jp)));
         let quotas = all_at(id, tokyo, 6, 40.0);
         let timeline = FaultTimeline::from_scenario(FailureScenario::DcDown(tokyo), 60, Some(120));
         let cfg = ChaosConfig {
@@ -1921,10 +1394,7 @@ mod tests {
         let (topo, cat, id) = world();
         let jp = topo.country_by_name("JP");
         let tokyo = topo.dc_by_name("Tokyo");
-        let mut db = CallRecordsDb::new(cat.clone());
-        for i in 0..120 {
-            db.push(record(i, id, i % 60, 30, jp));
-        }
+        let db = db_of(&cat, (0..120).map(|i| record(i, id, i % 60, 30, jp)));
         let quotas = all_at(id, tokyo, 4, 120.0);
         let serial = ReplayDriver::new(&topo, &cat, &db, quotas.clone()).run();
         assert_eq!(serial.worker_deaths, 0);

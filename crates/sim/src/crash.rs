@@ -53,17 +53,14 @@ use std::time::Duration;
 
 use sb_core::{LatencyMap, PlanArtifact};
 use sb_engine::wal;
-use sb_engine::{
-    Admission, Engine, EngineConfig, EngineStats, RecoveryError, ServerDeathReport, WalRecord,
-};
+use sb_engine::{Engine, EngineConfig, EngineStats, RecoveryError, ServerDeathReport, WalRecord};
 use sb_net::{DcId, FailureScenario, RoutingTable, Topology};
 use sb_pack::{PackStats, ServerId};
 use sb_store::{Journal, JournalConfig, JournalError, JournalFault};
 use sb_workload::{CallRecordsDb, ConfigCatalog};
 
-use crate::replay::{
-    account, build_events, pack_pass, Placement, ReplayConfig, ReplayStats, EV_START,
-};
+use crate::drive::{step, Step};
+use crate::replay::{account, build_events, Placement, ReplayConfig, ReplayStats};
 
 /// One injected service-layer fault, scheduled over the trace's canonical
 /// serial operation index (0-based; swaps and skipped freezes do not count).
@@ -209,7 +206,7 @@ pub struct CrashOutcome {
 /// plan swap it was, and how many records the journal was *expected* to
 /// hold afterwards — the realignment key after a crash.
 #[derive(Clone, Copy, Debug)]
-enum Step {
+enum Journaled {
     Event(usize),
     Swap(usize),
     Death(usize),
@@ -286,7 +283,7 @@ pub fn drive_with_crashes(
     let mut expected: Vec<WalRecord> = vec![WalRecord::PlanInstall {
         ndjson: artifact.to_ndjson(),
     }];
-    let mut history: Vec<(Step, u64)> = Vec::new();
+    let mut history: Vec<(Journaled, u64)> = Vec::new();
     let mut placements: Vec<Option<Placement>> = vec![None; records.len()];
 
     let mut cursor = 0usize; // next event
@@ -317,7 +314,7 @@ pub fn drive_with_crashes(
                     expected.push(WalRecord::PlanInstall {
                         ndjson: art.to_ndjson(),
                     });
-                    history.push((Step::Swap(swap_at), expected.len() as u64));
+                    history.push((Journaled::Swap(swap_at), expected.len() as u64));
                     swap_at += 1;
                     continue;
                 }
@@ -328,7 +325,7 @@ pub fn drive_with_crashes(
                     let rep = engine.kill_server(server);
                     engine.sync_journal();
                     expected.extend(rep.records.iter().cloned());
-                    history.push((Step::Death(next_death), expected.len() as u64));
+                    history.push((Journaled::Death(next_death), expected.len() as u64));
                     death_reports.push(rep);
                     next_death += 1;
                 }
@@ -346,48 +343,40 @@ pub fn drive_with_crashes(
                 }
                 let (_, kind, i) = events[cursor];
                 let r = &records[i];
-                match kind {
-                    EV_START => {
-                        if let Admission::Granted(outcome) = w.admit(r.id, r.first_joiner) {
-                            let (dc, rung) = wal::encode_outcome(outcome);
-                            let server = engine.server_of(r.id).map_or(wal::NO_SERVER, |s| s.index);
-                            expected.push(WalRecord::Admit {
-                                call: r.id,
-                                country: r.first_joiner.0,
-                                dc,
-                                rung,
-                                server,
-                            });
-                        }
+                let server_of = |call| engine.server_of(call).map_or(wal::NO_SERVER, |s| s.index);
+                match step(&mut w, r, kind) {
+                    Step::Started(Some(outcome)) => {
+                        let (dc, rung) = wal::encode_outcome(outcome);
+                        expected.push(WalRecord::Admit {
+                            call: r.id,
+                            country: r.first_joiner.0,
+                            dc,
+                            rung,
+                            server: server_of(r.id),
+                        });
                     }
-                    crate::replay::EV_FREEZE => {
-                        // stranded before freezing: the oracle skips too
-                        if let Some(initial) = w.current_dc(r.id) {
-                            let decision = w.freeze(r.id, r.config, r.start_minute);
-                            let (kind, from, to) = wal::encode_freeze(decision);
-                            let to_server =
-                                engine.server_of(r.id).map_or(wal::NO_SERVER, |s| s.index);
-                            expected.push(WalRecord::Freeze {
-                                call: r.id,
-                                config: r.config.0,
-                                start_minute: r.start_minute,
-                                stale: !engine.plan_valid(),
-                                kind,
-                                from,
-                                to,
-                                to_server,
-                            });
-                            placements[i] = decision
-                                .final_dc()
-                                .map(|final_dc| Placement { initial, final_dc });
-                        }
+                    Step::Frozen { initial, decision } => {
+                        let (kind, from, to) = wal::encode_freeze(decision);
+                        expected.push(WalRecord::Freeze {
+                            call: r.id,
+                            config: r.config.0,
+                            start_minute: r.start_minute,
+                            stale: !engine.plan_valid(),
+                            kind,
+                            from,
+                            to,
+                            to_server: server_of(r.id),
+                        });
+                        placements[i] = decision
+                            .final_dc()
+                            .map(|final_dc| Placement { initial, final_dc });
                     }
-                    _ => {
-                        w.end(r.id);
-                        expected.push(WalRecord::End { call: r.id });
-                    }
+                    // a shed admission and a freeze of a call stranded before
+                    // freezing (the oracle skips it too) journal nothing
+                    Step::Started(None) | Step::Skipped => {}
+                    Step::Ended => expected.push(WalRecord::End { call: r.id }),
                 }
-                history.push((Step::Event(cursor), expected.len() as u64));
+                history.push((Journaled::Event(cursor), expected.len() as u64));
                 cursor += 1;
                 op_count += 1;
             }
@@ -427,16 +416,16 @@ pub fn drive_with_crashes(
             .last()
             .is_some_and(|&(_, after)| after > report.records)
         {
-            let (step, _) = history.pop().unwrap_or((Step::Event(0), 0));
-            match step {
-                Step::Event(idx) => {
+            let (journaled, _) = history.pop().unwrap_or((Journaled::Event(0), 0));
+            match journaled {
+                Journaled::Event(idx) => {
                     cursor = cursor.min(idx);
                     redriven_ops += 1;
                 }
-                Step::Swap(s) => swap_at = swap_at.min(s),
+                Journaled::Swap(s) => swap_at = swap_at.min(s),
                 // unreachable in practice — death records sync eagerly —
                 // but popping one re-fires it identically if it ever dies
-                Step::Death(k) => {
+                Journaled::Death(k) => {
                     next_death = next_death.min(k);
                     death_reports.truncate(k);
                 }
@@ -451,41 +440,19 @@ pub fn drive_with_crashes(
     }
 
     engine.sync_journal();
-    let t0 = records.iter().map(|r| r.start_minute).min().unwrap_or(0);
-    let t1 = records.iter().map(|r| r.end_minute()).max().unwrap_or(0);
-    let horizon = if records.is_empty() {
-        0
-    } else {
-        (t1 - t0 + 1) as usize
-    };
-    let (peaks, violations, worst, mean_acl) = account(
-        topo,
-        &routing,
-        &latmap,
-        catalog,
-        records,
-        &placements,
-        &cfg.replay,
-        t0,
-        horizon,
-    );
-    let pack = cfg
-        .replay
-        .pack
-        .as_ref()
-        .map(|s| pack_pass(records, &placements, &cfg.replay, s));
     Ok(CrashOutcome {
-        stats: ReplayStats {
-            calls: records.len() as u64,
-            selector: engine.selector_stats(),
-            per_dc_tallies: engine.per_dc_tallies(),
-            mean_acl_ms: mean_acl,
-            peak_cores: peaks.cores,
-            peak_gbps: peaks.gbps,
-            capacity_violations: violations,
-            worst_overshoot: worst,
-            pack,
-        },
+        stats: account(
+            topo,
+            &routing,
+            &latmap,
+            catalog,
+            records,
+            &placements,
+            &cfg.replay,
+            engine.selector_stats(),
+            engine.per_dc_tallies(),
+        )
+        .stats(),
         crashes,
         redriven_ops,
         journal_lost_records: lost_records,
@@ -500,38 +467,9 @@ pub fn drive_with_crashes(
 mod tests {
     use super::*;
     use crate::replay::replay;
-    use sb_core::{AllocationShares, PlannedQuotas, RealtimeSelector};
+    use crate::testkit::{all_at, db_of, record, world};
+    use sb_core::RealtimeSelector;
     use sb_net::DcId;
-    use sb_workload::{CallConfig, CallRecord, ConfigId, DemandMatrix, MediaType};
-
-    fn world() -> (Topology, ConfigCatalog, ConfigId) {
-        let topo = sb_net::presets::toy_three_dc();
-        let jp = topo.country_by_name("JP");
-        let mut cat = ConfigCatalog::new();
-        let id = cat.intern(CallConfig::new(vec![(jp, 2)], MediaType::Audio));
-        (topo, cat, id)
-    }
-
-    fn record(id: u64, cfg: ConfigId, start: u64, dur: u16, c: sb_net::CountryId) -> CallRecord {
-        CallRecord {
-            id,
-            config: cfg,
-            start_minute: start,
-            duration_min: dur,
-            first_joiner: c,
-            join_offsets_s: vec![0, 60],
-        }
-    }
-
-    fn all_at(cfg: ConfigId, dc: DcId, slots: usize, per_slot: f64) -> PlannedQuotas {
-        let mut shares = AllocationShares::new(slots);
-        let mut demand = DemandMatrix::zero(cfg.index() + 1, slots, 30, 0);
-        for s in 0..slots {
-            shares.set(cfg, s, vec![(dc, 1.0)]);
-            demand.set(cfg, s, per_slot);
-        }
-        PlannedQuotas::from_plan(&shares, &demand)
-    }
 
     fn temp_journal(tag: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -557,10 +495,7 @@ mod tests {
         let (topo, cat, id) = world();
         let jp = topo.country_by_name("JP");
         let tokyo = topo.dc_by_name("Tokyo");
-        let mut db = CallRecordsDb::new(cat.clone());
-        for i in 0..40 {
-            db.push(record(i, id, i, 30, jp));
-        }
+        let db = db_of(&cat, (0..40).map(|i| record(i, id, i, 30, jp)));
         let artifact = PlanArtifact::seed(all_at(id, tokyo, 3, 40.0));
         let mut cfg = CrashDrillConfig::with_faults(vec![
             ServiceFault::CrashAtOp { at_op: 17 },
@@ -592,10 +527,7 @@ mod tests {
         let (topo, cat, id) = world();
         let jp = topo.country_by_name("JP");
         let tokyo = topo.dc_by_name("Tokyo");
-        let mut db = CallRecordsDb::new(cat.clone());
-        for i in 0..40 {
-            db.push(record(i, id, i, 15, jp));
-        }
+        let db = db_of(&cat, (0..40).map(|i| record(i, id, i, 15, jp)));
         let artifact = PlanArtifact::seed(all_at(id, tokyo, 3, 40.0));
         // two of Tokyo's three servers die mid-trace, then the engine
         // crashes: the drill must drain every call in-DC (no ladder spills,
@@ -661,10 +593,7 @@ mod tests {
         let (topo, cat, id) = world();
         let jp = topo.country_by_name("JP");
         let tokyo = topo.dc_by_name("Tokyo");
-        let mut db = CallRecordsDb::new(cat.clone());
-        for i in 0..20 {
-            db.push(record(i, id, i, 20, jp));
-        }
+        let db = db_of(&cat, (0..20).map(|i| record(i, id, i, 20, jp)));
         let artifact = PlanArtifact::seed(all_at(id, tokyo, 2, 20.0));
         let cfg = CrashDrillConfig::with_faults(vec![
             ServiceFault::JournalStall {
@@ -690,10 +619,7 @@ mod tests {
         let (topo, cat, id) = world();
         let jp = topo.country_by_name("JP");
         let tokyo = topo.dc_by_name("Tokyo");
-        let mut db = CallRecordsDb::new(cat.clone());
-        for i in 0..20 {
-            db.push(record(i, id, i, 20, jp));
-        }
+        let db = db_of(&cat, (0..20).map(|i| record(i, id, i, 20, jp)));
         let artifact = PlanArtifact::seed(all_at(id, tokyo, 2, 20.0));
         let mut cfg = CrashDrillConfig::with_faults(vec![
             ServiceFault::JournalDrop { at_op: 6, ops: 4 },

@@ -43,9 +43,12 @@
 pub mod autoscale;
 pub mod chaos;
 pub mod crash;
+pub mod drive;
 pub mod estimator;
 pub mod failures;
 pub mod replay;
+#[cfg(test)]
+mod testkit;
 
 pub use autoscale::{
     AutoscaleConfig, AutoscaleLoop, AutoscaleReport, AutoscaleStats, AutoscaleWindow,

@@ -3,31 +3,21 @@
 //! ACL, per-DC core peaks, per-link Gbps peaks, migration rate, and capacity
 //! violations.
 //!
-//! Two drivers share the same accounting:
+//! Two entry points, one drive ([`crate::drive::fan_out`]) and one accounting:
 //!
-//! * [`replay`] — the serial oracle: one thread applies every event in trace
-//!   order. Simple enough to audit, and the reference the concurrent engine
-//!   is differential-tested against.
-//! * [`replay_concurrent`] — partitions whole call lifecycles across worker
-//!   threads (each holding a [`sb_core::SelectorShard`]) by the quota pool
-//!   their freeze will debit, and lets every worker walk its events in trace
-//!   order with *no barriers* except at plan-swap minutes. Produces
-//!   *identical* aggregate results:
+//! * [`replay`] — the serial oracle: one selector shard on the calling
+//!   thread applies every event in trace order. Simple enough to audit, and
+//!   the reference the threaded drive is differential-tested against.
+//! * [`replay_concurrent`] — the same segments fanned out across worker
+//!   threads, whole call lifecycles pinned to a worker by quota pool (see
+//!   [`crate::drive`] for why that reproduces the serial drive exactly).
 //!
-//!   - a call's start, freeze, and end all ride with the call, so one worker
-//!     drives them in trace order (starts and ends touch no shared selector
-//!     state beyond the sharded call map, keyed by distinct ids);
-//!   - a freeze decision depends only on the call's own state, the (fixed
-//!     between barriers) topology/plan validity, and its `(config, slot)`
-//!     quota pool — and all lifecycles debiting one pool map to one worker
-//!     (via [`sb_core::RealtimeSelector::quota_pool_token`]), so each pool's
-//!     freeze sequence runs in trace order; distinct pools never interact;
-//!   - plan swaps rebuild the pool table, so they stay barriers: the drive
-//!     joins all workers before an install and re-partitions after it;
-//!   - every statistic is a count (order-insensitive sum), and the float
-//!     outputs (peaks, ACL, overshoot) are computed *after* the drive by
-//!     `account`, which walks placements in record order — the identical
-//!     code path for both drivers, hence byte-identical floats.
+//! Plan swaps rebuild the pool table, so they are the only barriers: the
+//! trace is cut into segments at swap minutes and each install lands between
+//! two segments. Every statistic is a count (order-insensitive sum), and the
+//! float outputs (peaks, ACL, overshoot) are computed *after* the drive by
+//! `account`, which walks placements in record order — the identical code
+//! path for both drives, hence byte-identical floats.
 
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -38,6 +28,8 @@ use sb_obs::{Counter, Histogram};
 use sb_pack::{CostModel, FleetPacker, FleetSpec, GrowthModel, PackStats, PackerConfig, ServerId};
 use sb_workload::joins::CONFIG_FREEZE_SECONDS;
 use sb_workload::{CallRecord, CallRecordsDb, ConfigCatalog};
+
+use crate::drive::{fan_out, Step, UsageDeltas, WorkerDeaths};
 
 struct ReplayMetrics {
     runs: Counter,
@@ -64,10 +56,9 @@ fn replay_metrics() -> &'static ReplayMetrics {
 /// A scheduled mid-replay plan hot-swap: `artifact` is installed into the
 /// selector just before the first event at or after `at_minute`.
 ///
-/// Swaps are barriers in both drivers: the serial drive installs between
-/// two consecutive events, and the concurrent drive joins every worker
-/// before the swap minute — so no selector operation ever races an install
-/// and the serial-oracle stats equality holds across swaps.
+/// Swaps are barriers: the trace is cut into segments at swap minutes and
+/// every worker has joined before an install — so no selector operation ever
+/// races one and the serial-oracle stats equality holds across swaps.
 #[derive(Clone, Debug)]
 pub struct PlanSwap {
     /// First trace minute the new plan applies to.
@@ -245,10 +236,11 @@ pub(crate) struct Placement {
     pub(crate) final_dc: DcId,
 }
 
-/// Integrate per-record placements into usage, peaks, violations, and mean
-/// ACL. Record-index order, independent of which driver produced the
-/// placements — this is what makes the float outputs byte-identical across
-/// serial and concurrent drives.
+/// The report of a replay (its timing left zero) from the selector's final
+/// counters and the per-record placements: integrate them into usage, peaks,
+/// violations and mean ACL, and run the pack pass. Record-index order, independent of who drove the selector
+/// (serial or threaded replay, the crash drill's engine) — this is what
+/// makes the float outputs byte-identical across drives.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn account(
     topo: &Topology,
@@ -258,11 +250,13 @@ pub(crate) fn account(
     records: &[CallRecord],
     placements: &[Option<Placement>],
     cfg: &ReplayConfig,
-    t0: u64,
-    horizon: usize,
-) -> (ProvisionedCapacity, u64, f64, f64) {
-    let mut core_delta = vec![vec![0.0f64; topo.dcs.len()]; horizon + 1];
-    let mut link_delta = vec![vec![0.0f64; topo.links.len()]; horizon + 1];
+    selector: SelectorStats,
+    per_dc_tallies: Vec<u64>,
+) -> ReplayReport {
+    let t0 = records.iter().map(|r| r.start_minute).min().unwrap_or(0);
+    let t1 = records.iter().map(|r| r.end_minute()).max();
+    let horizon = t1.map_or(0, |t1| (t1 - t0 + 1) as usize);
+    let mut usage = UsageDeltas::new(topo, t0, horizon);
     let mut acl_sum = 0.0;
     let mut acl_n = 0u64;
     for (r, p) in records.iter().zip(placements) {
@@ -271,71 +265,31 @@ pub(crate) fn account(
         };
         let c = catalog.config(r.config);
         let freeze = r.start_minute + cfg.freeze_minutes.min(r.duration_min as u64);
-        let mut add = |dc: DcId, from: u64, to: u64| {
-            if to <= from {
-                return;
-            }
-            let (a, b) = ((from - t0) as usize, (to - t0) as usize);
-            core_delta[a][dc.index()] += c.compute_load();
-            core_delta[b][dc.index()] -= c.compute_load();
-            let nl = c.leg_network_load();
-            for &(country, n) in c.participants() {
-                if let Some(route) = routing.route(country, dc) {
-                    let w = n as f64 * nl;
-                    for &l in &route.links {
-                        link_delta[a][l.index()] += w;
-                        link_delta[b][l.index()] -= w;
-                    }
-                }
-            }
-        };
-        add(p.initial, r.start_minute, freeze);
-        add(p.final_dc, freeze, r.end_minute());
+        usage.add(routing, c, p.initial, r.start_minute, freeze);
+        usage.add(routing, c, p.final_dc, freeze, r.end_minute());
         if let Some(a) = latmap.acl(c, p.final_dc) {
             acl_sum += a;
             acl_n += 1;
         }
     }
-
-    let mut peaks = ProvisionedCapacity::zero(topo);
-    let mut violations = 0u64;
-    let mut worst = 0.0f64;
-    let mut cur_cores = vec![0.0f64; topo.dcs.len()];
-    let mut cur_links = vec![0.0f64; topo.links.len()];
-    for m in 0..horizon {
-        for (c, d) in cur_cores.iter_mut().zip(&core_delta[m]) {
-            *c += d;
-        }
-        for (c, d) in cur_links.iter_mut().zip(&link_delta[m]) {
-            *c += d;
-        }
-        for (p, &u) in peaks.cores.iter_mut().zip(&cur_cores) {
-            *p = p.max(u);
-        }
-        for (p, &u) in peaks.gbps.iter_mut().zip(&cur_links) {
-            *p = p.max(u);
-        }
-        if let Some(cap) = &cfg.capacity {
-            for (i, &u) in cur_cores.iter().enumerate() {
-                if u > cap.cores[i] + 1e-9 {
-                    violations += 1;
-                    worst = worst.max((u - cap.cores[i]) / cap.cores[i].max(1e-9));
-                }
-            }
-            for (i, &u) in cur_links.iter().enumerate() {
-                if u > cap.gbps[i] + 1e-9 {
-                    violations += 1;
-                    worst = worst.max((u - cap.gbps[i]) / cap.gbps[i].max(1e-9));
-                }
-            }
-        }
+    let undegraded = vec![1.0; topo.dcs.len()];
+    let (peaks, capacity_violations, worst_overshoot) =
+        usage.integrate(topo, cfg.capacity.as_ref(), |_| &undegraded, |_, _| {});
+    ReplayReport {
+        mean_acl_ms: if acl_n > 0 {
+            acl_sum / acl_n as f64
+        } else {
+            0.0
+        },
+        peaks,
+        selector,
+        per_dc_tallies,
+        capacity_violations,
+        worst_overshoot,
+        calls: records.len() as u64,
+        pack: (cfg.pack.as_ref()).map(|s| pack_pass(records, placements, cfg, s)),
+        timing: ReplayTiming::default(),
     }
-    let mean_acl = if acl_n > 0 {
-        acl_sum / acl_n as f64
-    } else {
-        0.0
-    };
-    (peaks, violations, worst, mean_acl)
 }
 
 // Pack-pass op kinds, ordered so same-minute ops apply as
@@ -356,7 +310,7 @@ const PK_REMOVE: u8 = 4;
 /// concurrent drive, which is what makes [`PackReplayStats`] bitwise
 /// comparable across drivers. Calls without a placement (stranded before
 /// freezing) are skipped, matching the accounting semantics.
-pub(crate) fn pack_pass(
+fn pack_pass(
     records: &[CallRecord],
     placements: &[Option<Placement>],
     cfg: &ReplayConfig,
@@ -452,144 +406,49 @@ pub(crate) fn pack_pass(
     }
 }
 
-/// Drive every event in trace order on the calling thread (the oracle).
-/// `swaps` must be sorted by `at_minute`; each is installed just before the
-/// first event at or after its minute.
-fn drive_serial(
+/// Drive the event timeline through `selector`, serially (`threads: None`)
+/// or across worker threads. `swaps` must be sorted by `at_minute`; each is
+/// installed just before the first event at or after its minute, which cuts
+/// the timeline into the barrier-free segments [`fan_out`] drives.
+fn drive(
     selector: &RealtimeSelector,
     records: &[CallRecord],
     events: &[(u64, u8, usize)],
     swaps: &[PlanSwap],
+    threads: Option<usize>,
 ) -> Vec<Option<Placement>> {
-    let mut placements: Vec<Option<Placement>> = vec![None; records.len()];
-    let mut swap_at = 0usize;
-    for &(t, kind, i) in events {
-        while swap_at < swaps.len() && swaps[swap_at].at_minute <= t {
-            selector.install_plan(&swaps[swap_at].artifact);
-            swap_at += 1;
-        }
-        let r = &records[i];
-        match kind {
-            EV_START => {
-                selector.call_start(r.id, r.first_joiner);
-            }
-            EV_FREEZE => {
-                // a stranded call never started tracking — skip accounting
-                let Some(initial) = selector.current_dc(r.id) else {
-                    continue;
-                };
-                let decision = selector.config_frozen(r.id, r.config, r.start_minute);
-                let Some(final_dc) = decision.final_dc() else {
-                    continue;
-                };
-                placements[i] = Some(Placement { initial, final_dc });
-            }
-            _ => selector.call_end(r.id),
-        }
-    }
-    // swaps scheduled past the last event still install (final plan state
-    // must match the concurrent drive)
-    for s in &swaps[swap_at..] {
-        selector.install_plan(&s.artifact);
-    }
-    placements
-}
-
-/// Worker owning a record's whole lifecycle: the quota pool its freeze will
-/// debit under the current plan, or (for pool-less lifecycles, whose freeze
-/// resolves `Unplanned` without touching quota) the call id. Either way the
-/// key is fixed for the whole record, so one worker drives its start →
-/// freeze → end in trace order.
-pub(crate) fn lifecycle_worker(
-    selector: &RealtimeSelector,
-    r: &CallRecord,
-    threads: usize,
-) -> usize {
-    match selector.quota_pool_token(r.config, r.start_minute) {
-        Some(token) => token as usize % threads,
-        None => r.id as usize % threads,
-    }
-}
-
-/// Drive the event timeline across `threads` workers with no phase or
-/// window barriers: record lifecycles are partitioned by
-/// [`lifecycle_worker`] and every worker walks its own event subsequence in
-/// trace order. The only joins are at plan-swap minutes (the pool table is
-/// rebuilt there, so lifecycles re-partition against the new epoch). See
-/// the module docs for why this reproduces the serial drive exactly.
-fn drive_concurrent(
-    selector: &RealtimeSelector,
-    records: &[CallRecord],
-    events: &[(u64, u8, usize)],
-    threads: usize,
-    swaps: &[PlanSwap],
-) -> Vec<Option<Placement>> {
-    let threads = threads.max(1);
     let mut placements: Vec<Option<Placement>> = vec![None; records.len()];
     let mut swap_at = 0usize;
     let mut at = 0usize;
     while at < events.len() {
-        // install swaps due before the next event — matching where the
-        // serial drive installs them
         while swap_at < swaps.len() && swaps[swap_at].at_minute <= events[at].0 {
             selector.install_plan(&swaps[swap_at].artifact);
             swap_at += 1;
         }
         // segment = all events before the next pending swap minute
-        let mut end = at;
-        while end < events.len()
-            && (swap_at >= swaps.len() || events[end].0 < swaps[swap_at].at_minute)
-        {
-            end += 1;
-        }
-
-        let mut lists: Vec<Vec<(u8, usize)>> = vec![Vec::new(); threads];
-        for &(_, kind, i) in &events[at..end] {
-            lists[lifecycle_worker(selector, &records[i], threads)].push((kind, i));
-        }
-        at = end;
-
-        let results: Vec<Vec<(usize, Placement)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = lists
-                .iter()
-                .filter(|work| !work.is_empty())
-                .map(|work| {
-                    let mut shard = selector.shard();
-                    s.spawn(move || {
-                        let mut out = Vec::new();
-                        for &(kind, i) in work {
-                            let r = &records[i];
-                            match kind {
-                                EV_START => {
-                                    shard.call_start(r.id, r.first_joiner);
-                                }
-                                EV_FREEZE => {
-                                    // a stranded call never started tracking
-                                    let Some(initial) = shard.current_dc(r.id) else {
-                                        continue;
-                                    };
-                                    let decision =
-                                        shard.config_frozen(r.id, r.config, r.start_minute);
-                                    if let Some(final_dc) = decision.final_dc() {
-                                        out.push((i, Placement { initial, final_dc }));
-                                    }
-                                }
-                                _ => shard.call_end(r.id),
-                            }
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_default())
-                .collect()
-        });
-        for (i, p) in results.into_iter().flatten() {
-            placements[i] = Some(p);
+        let len = match swaps.get(swap_at) {
+            Some(next) => events[at..].partition_point(|&(t, _, _)| t < next.at_minute),
+            None => events.len() - at,
+        };
+        let segment = &events[at..at + len];
+        at += len;
+        let steps = fan_out(
+            selector,
+            records,
+            segment,
+            threads,
+            &mut WorkerDeaths::default(),
+        );
+        for (&(_, _, i), step) in segment.iter().zip(steps) {
+            if let Step::Frozen { initial, decision } = step {
+                placements[i] = decision
+                    .final_dc()
+                    .map(|final_dc| Placement { initial, final_dc });
+            }
         }
     }
+    // swaps scheduled past the last event still install, so the final plan
+    // state does not depend on where the trace happens to end
     for s in &swaps[swap_at..] {
         selector.install_plan(&s.artifact);
     }
@@ -611,36 +470,16 @@ fn replay_impl(
     m.runs.inc();
     let _t = m.wall_ns.start_timer();
     let records = db.records();
-    if records.is_empty() {
-        return ReplayReport {
-            mean_acl_ms: 0.0,
-            peaks: ProvisionedCapacity::zero(topo),
-            selector: selector.stats(),
-            per_dc_tallies: selector.per_dc_tallies(),
-            capacity_violations: 0,
-            worst_overshoot: 0.0,
-            calls: 0,
-            pack: cfg.pack.as_ref().map(|s| pack_pass(&[], &[], cfg, s)),
-            timing: ReplayTiming::default(),
-        };
-    }
-    let t0 = records.iter().map(|r| r.start_minute).min().unwrap();
-    let t1 = records.iter().map(|r| r.end_minute()).max().unwrap();
-    let horizon = (t1 - t0 + 1) as usize;
-
     let events = build_events(records, cfg.freeze_minutes);
     let mut swaps = cfg.swaps.clone();
     swaps.sort_by_key(|s| s.at_minute);
     let drive_started = Instant::now();
-    let placements = match threads {
-        None => drive_serial(selector, records, &events, &swaps),
-        Some(n) => drive_concurrent(selector, records, &events, n, &swaps),
-    };
+    let placements = drive(selector, records, &events, &swaps, threads);
     let drive = drive_started.elapsed();
     m.drive_ns.record_duration(drive);
 
     let account_started = Instant::now();
-    let (peaks, violations, worst, mean_acl) = account(
+    let mut report = account(
         topo,
         routing,
         latmap,
@@ -648,31 +487,16 @@ fn replay_impl(
         records,
         &placements,
         cfg,
-        t0,
-        horizon,
+        selector.stats(),
+        selector.per_dc_tallies(),
     );
-    let pack = cfg
-        .pack
-        .as_ref()
-        .map(|s| pack_pass(records, &placements, cfg, s));
-    let timing = ReplayTiming {
+    report.timing = ReplayTiming {
         drive,
         account: account_started.elapsed(),
     };
-
-    m.calls.add(records.len() as u64);
-    m.violations.add(violations);
-    ReplayReport {
-        mean_acl_ms: mean_acl,
-        peaks,
-        selector: selector.stats(),
-        per_dc_tallies: selector.per_dc_tallies(),
-        capacity_violations: violations,
-        worst_overshoot: worst,
-        calls: records.len() as u64,
-        pack,
-        timing,
-    }
+    m.calls.add(report.calls);
+    m.violations.add(report.capacity_violations);
+    report
 }
 
 /// Replay `db` through `selector`, serially, in trace order — the
@@ -724,41 +548,16 @@ pub fn replay_concurrent(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{all_at, db_of, record};
     use sb_core::{AllocationShares, PlannedQuotas};
     use sb_net::FailureScenario;
-    use sb_workload::{CallConfig, CallRecord, ConfigCatalog, DemandMatrix, MediaType};
+    use sb_workload::{ConfigId, DemandMatrix};
 
-    fn world() -> (
-        Topology,
-        RoutingTable,
-        LatencyMap,
-        ConfigCatalog,
-        sb_workload::ConfigId,
-    ) {
-        let topo = sb_net::presets::toy_three_dc();
+    fn world() -> (Topology, RoutingTable, LatencyMap, ConfigCatalog, ConfigId) {
+        let (topo, cat, id) = crate::testkit::world();
         let rt = RoutingTable::compute(&topo, FailureScenario::None);
         let lm = LatencyMap::from_routing(&topo, &rt);
-        let mut cat = ConfigCatalog::new();
-        let jp = topo.country_by_name("JP");
-        let id = cat.intern(CallConfig::new(vec![(jp, 2)], MediaType::Audio));
         (topo, rt, lm, cat, id)
-    }
-
-    fn record(
-        id: u64,
-        cfg: sb_workload::ConfigId,
-        start: u64,
-        dur: u16,
-        c: sb_net::CountryId,
-    ) -> CallRecord {
-        CallRecord {
-            id,
-            config: cfg,
-            start_minute: start,
-            duration_min: dur,
-            first_joiner: c,
-            join_offsets_s: vec![0, 60],
-        }
     }
 
     #[test]
@@ -766,17 +565,8 @@ mod tests {
         let (topo, rt, lm, cat, id) = world();
         let jp = topo.country_by_name("JP");
         let tokyo = topo.dc_by_name("Tokyo");
-        let mut db = CallRecordsDb::new(cat.clone());
-        for i in 0..10 {
-            db.push(record(i, id, i, 30, jp));
-        }
-        let mut shares = AllocationShares::new(2);
-        shares.set(id, 0, vec![(tokyo, 1.0)]);
-        shares.set(id, 1, vec![(tokyo, 1.0)]);
-        let mut demand = DemandMatrix::zero(1, 2, 30, 0);
-        demand.set(id, 0, 30.0);
-        demand.set(id, 1, 30.0);
-        let quotas = PlannedQuotas::from_plan(&shares, &demand);
+        let db = db_of(&cat, (0..10).map(|i| record(i, id, i, 30, jp)));
+        let quotas = all_at(id, tokyo, 2, 30.0);
         let sel = RealtimeSelector::from_artifact(&lm, &PlanArtifact::seed(quotas));
         let report = replay(&topo, &rt, &lm, &cat, &db, &sel, &ReplayConfig::default());
         assert_eq!(report.calls, 10);
@@ -803,15 +593,8 @@ mod tests {
         let (topo, rt, lm, cat, id) = world();
         let jp = topo.country_by_name("JP");
         let pune = topo.dc_by_name("Pune");
-        let mut db = CallRecordsDb::new(cat.clone());
-        for i in 0..10 {
-            db.push(record(i, id, 0, 30, jp));
-        }
-        let mut shares = AllocationShares::new(1);
-        shares.set(id, 0, vec![(pune, 1.0)]);
-        let mut demand = DemandMatrix::zero(1, 1, 30, 0);
-        demand.set(id, 0, 10.0);
-        let quotas = PlannedQuotas::from_plan(&shares, &demand);
+        let db = db_of(&cat, (0..10).map(|i| record(i, id, 0, 30, jp)));
+        let quotas = all_at(id, pune, 1, 10.0);
         let sel = RealtimeSelector::from_artifact(&lm, &PlanArtifact::seed(quotas));
         let report = replay(&topo, &rt, &lm, &cat, &db, &sel, &ReplayConfig::default());
         assert_eq!(report.selector.migrations, 10);
@@ -835,13 +618,7 @@ mod tests {
         for i in 0..5 {
             db.push(record(100 + i, id, 100 + 40 * i, 30, jp));
         }
-        let mut shares = AllocationShares::new(10);
-        let mut demand = DemandMatrix::zero(1, 10, 30, 0);
-        for s in 0..10 {
-            shares.set(id, s, vec![(tokyo, 1.0)]);
-            demand.set(id, s, 10.0);
-        }
-        let quotas = PlannedQuotas::from_plan(&shares, &demand);
+        let quotas = all_at(id, tokyo, 10, 10.0);
         let sel = RealtimeSelector::from_artifact(&lm, &PlanArtifact::seed(quotas));
         let report = replay(&topo, &rt, &lm, &cat, &db, &sel, &ReplayConfig::default());
         let cl = cat.config(id).compute_load();
@@ -853,15 +630,8 @@ mod tests {
         let (topo, rt, lm, cat, id) = world();
         let jp = topo.country_by_name("JP");
         let tokyo = topo.dc_by_name("Tokyo");
-        let mut db = CallRecordsDb::new(cat.clone());
-        for i in 0..4 {
-            db.push(record(i, id, 0, 20, jp));
-        }
-        let mut shares = AllocationShares::new(1);
-        shares.set(id, 0, vec![(tokyo, 1.0)]);
-        let mut demand = DemandMatrix::zero(1, 1, 30, 0);
-        demand.set(id, 0, 4.0);
-        let quotas = PlannedQuotas::from_plan(&shares, &demand);
+        let db = db_of(&cat, (0..4).map(|i| record(i, id, 0, 20, jp)));
+        let quotas = all_at(id, tokyo, 1, 4.0);
         let sel = RealtimeSelector::from_artifact(&lm, &PlanArtifact::seed(quotas));
         let mut cap = ProvisionedCapacity::zero(&topo);
         cap.cores = vec![0.01; topo.dcs.len()];

@@ -1,12 +1,22 @@
-//! Lightweight latency recording for store operations (the paper reports
-//! per-write latencies of 0.3–4.2 ms against Azure Redis, §6.6).
+//! Latency recording for store and selector operations (the paper reports
+//! per-write latencies of 0.3–4.2 ms against Azure Redis, §6.6; a selector
+//! op takes tens to hundreds of nanoseconds).
+//!
+//! The histogram is log-linear (HDR-style): every power of two is split into
+//! 32 linear sub-buckets, bounding the relative quantile error at ~3% across
+//! the full `u64` nanosecond range — fine enough to read a p999 off
+//! nanosecond-scale ops, where one bucket per power of two is off by up to 2×.
 
 use std::time::Duration;
 
-/// Fixed-bucket log-scale histogram of operation latencies.
+const SUB_BITS: u32 = 5;
+const SUB: usize = 1 << SUB_BITS;
+// max index is (58 + 1) * SUB + (SUB - 1) for ns = u64::MAX
+const BUCKETS: usize = (64 - SUB_BITS as usize + 1) * SUB;
+
+/// Log-linear histogram of operation latencies (nanosecond samples).
 #[derive(Clone, Debug)]
 pub struct LatencyHistogram {
-    /// Bucket `i` counts samples in `[2^i, 2^(i+1))` nanoseconds.
     buckets: Vec<u64>,
     count: u64,
     sum_ns: u128,
@@ -20,11 +30,31 @@ impl Default for LatencyHistogram {
     }
 }
 
+fn index_of(ns: u64) -> usize {
+    if ns < SUB as u64 {
+        return ns as usize;
+    }
+    let top = 63 - ns.leading_zeros();
+    let shift = top - SUB_BITS;
+    let sub = ((ns >> shift) & (SUB as u64 - 1)) as usize;
+    (shift as usize + 1) * SUB + sub
+}
+
+/// Upper edge (inclusive) of bucket `idx`, in nanoseconds.
+fn upper_edge(idx: usize) -> u64 {
+    if idx < SUB {
+        return idx as u64;
+    }
+    let shift = (idx / SUB - 1) as u32;
+    let sub = (idx % SUB) as u64;
+    ((SUB as u64 + sub) << shift) + ((1u64 << shift) - 1)
+}
+
 impl LatencyHistogram {
-    /// Empty histogram (buckets cover 1 ns … ~18 s).
+    /// Empty histogram covering 1 ns … `u64::MAX` ns.
     pub fn new() -> Self {
         LatencyHistogram {
-            buckets: vec![0; 64],
+            buckets: vec![0; BUCKETS],
             count: 0,
             sum_ns: 0,
             max_ns: 0,
@@ -35,8 +65,7 @@ impl LatencyHistogram {
     /// Record one sample.
     pub fn record(&mut self, d: Duration) {
         let ns = d.as_nanos().min(u64::MAX as u128) as u64;
-        let idx = (64 - ns.max(1).leading_zeros() as usize - 1).min(self.buckets.len() - 1);
-        self.buckets[idx] += 1;
+        self.buckets[index_of(ns)] += 1;
         self.count += 1;
         self.sum_ns += ns as u128;
         self.max_ns = self.max_ns.max(ns);
@@ -72,7 +101,7 @@ impl LatencyHistogram {
         Duration::from_nanos(self.max_ns)
     }
 
-    /// Minimum observed latency.
+    /// Minimum observed latency (zero when empty).
     pub fn min(&self) -> Duration {
         if self.count == 0 {
             Duration::ZERO
@@ -81,7 +110,8 @@ impl LatencyHistogram {
         }
     }
 
-    /// Approximate quantile (upper edge of the bucket containing it).
+    /// Quantile `q` in `[0, 1]`: the upper edge of the bucket containing the
+    /// `ceil(q·count)`-th sample, clamped to the observed max.
     pub fn quantile(&self, q: f64) -> Duration {
         assert!((0.0..=1.0).contains(&q));
         if self.count == 0 {
@@ -92,7 +122,7 @@ impl LatencyHistogram {
         for (i, &c) in self.buckets.iter().enumerate() {
             seen += c;
             if seen >= target {
-                return Duration::from_nanos(1u64 << (i + 1).min(63));
+                return Duration::from_nanos(upper_edge(i).min(self.max_ns));
             }
         }
         self.max()
@@ -137,5 +167,70 @@ mod tests {
         let mut h = LatencyHistogram::new();
         h.record(Duration::ZERO);
         assert_eq!(h.count(), 1);
+    }
+
+    #[test]
+    fn linear_region_is_exact() {
+        for ns in 0..SUB as u64 {
+            assert_eq!(index_of(ns), ns as usize);
+            assert_eq!(upper_edge(ns as usize), ns);
+        }
+    }
+
+    #[test]
+    fn buckets_are_contiguous_and_monotone() {
+        let mut prev = None;
+        for ns in [
+            31u64,
+            32,
+            33,
+            63,
+            64,
+            65,
+            100,
+            1_000,
+            1_023,
+            1_024,
+            65_535,
+            1 << 40,
+        ] {
+            let idx = index_of(ns);
+            assert!(idx < BUCKETS);
+            assert!(upper_edge(idx) >= ns, "edge({idx}) < {ns}");
+            if let Some(p) = prev {
+                assert!(idx >= p);
+            }
+            prev = Some(idx);
+        }
+        assert_eq!(index_of(u64::MAX), BUCKETS - 1);
+    }
+
+    #[test]
+    fn relative_error_is_bounded() {
+        // upper edge overestimates a sample by at most one sub-bucket width
+        for ns in [100u64, 999, 12_345, 1_000_000, 123_456_789] {
+            let edge = upper_edge(index_of(ns));
+            assert!(edge >= ns);
+            assert!((edge - ns) as f64 / ns as f64 <= 1.0 / SUB as f64 + 1e-9);
+        }
+    }
+
+    #[test]
+    fn quantiles_resolve_finely() {
+        let mut h = LatencyHistogram::new();
+        // 1000 samples at 100ns, 9 at 1µs, 1 at 1ms
+        for _ in 0..1000 {
+            h.record(Duration::from_nanos(100));
+        }
+        for _ in 0..9 {
+            h.record(Duration::from_micros(1));
+        }
+        h.record(Duration::from_millis(1));
+        assert_eq!(h.count(), 1010);
+        let p50 = h.quantile(0.5).as_nanos() as f64;
+        assert!((95.0..=110.0).contains(&p50), "{p50}");
+        let p999 = h.quantile(0.999).as_nanos() as f64;
+        assert!((900.0..=1100.0).contains(&p999), "{p999}");
+        assert_eq!(h.quantile(1.0), Duration::from_millis(1));
     }
 }

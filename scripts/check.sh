@@ -92,4 +92,29 @@ if [ -n "$panics" ]; then
     exit 1
 fi
 
+echo "==> one-drive-core gate: the call lifecycle and the partition rule live in sb-sim's drive.rs"
+# Replay, chaos, autoscale, the crash drill and the load bench are
+# configurations of crates/sim/src/drive.rs. Outside test modules nothing
+# else in sb-sim or the load generator may issue a start or a freeze, or
+# consult a quota-pool token (barrier-time rehome_call is not a lifecycle
+# event; packer.freeze is the intra-DC packer's own op) — a tenth copy of
+# the lifecycle fails here instead of appearing in the next PR.
+non_test() {
+    awk '/^#\[cfg\(test\)\]/{exit} !/^[[:space:]]*\/\//{print FILENAME":"FNR": "$0}' "$1"
+}
+copies=$(for f in crates/sim/src/*.rs crates/bench/src/load.rs; do
+    [ "$f" = crates/sim/src/drive.rs ] || non_test "$f"
+done | grep -E 'call_start\(|config_frozen\(|\.admit\(|\.freeze\(|pool_token\(' |
+    grep -v 'packer\.freeze(' || true)
+if [ -n "$copies" ]; then
+    echo "call-lifecycle or partition code outside crates/sim/src/drive.rs:" >&2
+    echo "$copies" >&2
+    exit 1
+fi
+partitions=$(non_test crates/sim/src/drive.rs | grep -c -E '[a-z_]\.pool_token\(' || true)
+if [ "$partitions" != 1 ]; then
+    echo "drive.rs must consult pool_token in exactly one place, found $partitions" >&2
+    exit 1
+fi
+
 echo "all checks passed"

@@ -178,7 +178,7 @@ pub mod prelude {
         };
         pub use sb_engine::{
             Admission, Engine, EngineConfig, EnginePackConfig, EngineStats, EngineWorker,
-            FineHistogram, ServerDeathReport,
+            ServerDeathReport,
         };
         pub use sb_pack::{
             CostModel, FleetPacker, FleetSpec, GrowthModel, PackPolicy, PackStats, PackerConfig,
@@ -190,5 +190,6 @@ pub mod prelude {
             FaultTimeline, PackReplayStats, PackSetup, PlanSwap, ReplanRequest, ReplanTrigger,
             Replanner, ReplayConfig, ReplayDriver, ReplayReport, ReplayStats, WindowStats,
         };
+        pub use sb_store::LatencyHistogram;
     }
 }

@@ -153,7 +153,7 @@ fn engine_prelude_covers_selector_replay_and_service() {
     worker.freeze(r.id, r.config, r.start_minute);
     worker.end(r.id);
     drop(worker);
-    let hist: FineHistogram = engine.op_latency();
+    let hist: LatencyHistogram = engine.op_latency();
     assert_eq!(hist.count(), 3);
     engine.begin_drain();
     assert!(engine.drained());

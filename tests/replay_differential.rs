@@ -8,10 +8,12 @@
 //! concurrent `ReplayDriver` to the same standard on `ChaosStats`.
 //!
 //! The same four seeded workloads are then offered to `sb-engine`'s
-//! admission path (`Engine::worker` → admit/freeze/end in the canonical
-//! replay event order): the engine must land on selector stats and per-DC
-//! tallies equal to the serial oracle, serially and across lifecycle-
-//! partitioned worker threads.
+//! admission path (the drive core's `fan_out` over `EngineWorker`, in the
+//! canonical replay event order): the engine must land on selector stats and
+//! per-DC tallies equal to the serial oracle, serially and across lifecycle-
+//! partitioned worker threads. Finally the engines are held to each other,
+//! not only to themselves: plain `replay` ≡ `ReplayDriver` with an empty
+//! fault timeline ≡ the engine path.
 
 use std::sync::Arc;
 
@@ -24,7 +26,8 @@ use switchboard::pack::{
     ServerId,
 };
 use switchboard::prelude::engine::{Engine, EngineConfig};
-use switchboard::sim::replay::{build_events, EV_FREEZE, EV_START};
+use switchboard::sim::drive::{fan_out, WorkerDeaths};
+use switchboard::sim::replay::build_events;
 use switchboard::sim::{
     replay, replay_concurrent, ChaosConfig, FaultEvent, FaultTimeline, PackSetup, ReplayConfig,
     ReplayDriver,
@@ -34,6 +37,15 @@ use switchboard::workload::{
 };
 
 const THREADS: [usize; 2] = [1, 8];
+
+/// The four seeded APAC days of this suite: `(seed, daily calls, plan
+/// coverage, quota scale, label)`.
+const WORLDS: [(u64, f64, f64, f64, &str); 4] = [
+    (11, 6_000.0, 0.95, 1.3, "ample"),
+    (23, 8_000.0, 0.90, 0.4, "pressure"),
+    (37, 5_000.0, 0.92, 1.0, "capacity"),
+    (53, 5_000.0, 0.92, 1.2, "chaos-seed"),
+];
 
 struct World {
     topo: Topology,
@@ -158,38 +170,8 @@ fn assert_engine_equivalence(w: &World, cfg: &ReplayConfig, label: &str) {
     let artifact = w.artifact();
     for threads in [1usize, 4] {
         let engine = Engine::new(&w.sd0.latmap, &artifact, &EngineConfig::default());
-        let mut lists: Vec<Vec<(u8, usize)>> = vec![Vec::new(); threads];
-        for &(_, kind, i) in &events {
-            let r = &records[i];
-            let t = match engine.pool_token(r.config, r.start_minute) {
-                Some(t) => t as usize % threads,
-                None => r.id as usize % threads,
-            };
-            lists[t].push((kind, i));
-        }
-        let engine_ref = &engine;
-        std::thread::scope(|s| {
-            for list in &lists {
-                let list = list.as_slice();
-                s.spawn(move || {
-                    let mut worker = engine_ref.worker();
-                    for &(kind, i) in list {
-                        let r = &records[i];
-                        match kind {
-                            EV_START => {
-                                worker.admit(r.id, r.first_joiner);
-                            }
-                            EV_FREEZE => {
-                                if worker.current_dc(r.id).is_some() {
-                                    worker.freeze(r.id, r.config, r.start_minute);
-                                }
-                            }
-                            _ => worker.end(r.id),
-                        }
-                    }
-                });
-            }
-        });
+        let no_deaths = &mut WorkerDeaths::default();
+        fan_out(&engine, records, &events, Some(threads), no_deaths);
         assert_eq!(
             engine.selector_stats(),
             oracle.stats().selector,
@@ -262,12 +244,8 @@ fn concurrent_replay_matches_serial_with_packed_placements() {
     // the four seeded APAC workloads of this suite, with the packing leg on:
     // serial oracle ≡ 1-thread ≡ 8-thread, bitwise on every stats field
     // including the per-server peak/placement tallies
-    for (seed, daily, cov, scale, label) in [
-        (11, 6_000.0, 0.95, 1.3, "pack-ample"),
-        (23, 8_000.0, 0.90, 0.4, "pack-pressure"),
-        (37, 5_000.0, 0.92, 1.0, "pack-capacity"),
-        (53, 5_000.0, 0.92, 1.2, "pack-chaos-seed"),
-    ] {
+    for (seed, daily, cov, scale, label) in WORLDS {
+        let label = &format!("pack-{label}");
         let w = world(seed, daily, cov, scale);
         let cfg = packed_config(&w);
         let serial = serial_replay(&w, &cfg);
@@ -375,9 +353,66 @@ fn concurrent_chaos_driver_matches_serial_through_faults() {
 
 #[test]
 fn engine_admission_path_matches_oracle_on_all_seeded_workloads() {
-    let cfg = ReplayConfig::default();
-    assert_engine_equivalence(&world(11, 6_000.0, 0.95, 1.3), &cfg, "ample");
-    assert_engine_equivalence(&world(23, 8_000.0, 0.90, 0.4), &cfg, "pressure");
-    assert_engine_equivalence(&world(37, 5_000.0, 0.92, 1.0), &cfg, "capacity");
-    assert_engine_equivalence(&world(53, 5_000.0, 0.92, 1.2), &cfg, "chaos-seed");
+    for (seed, daily, cov, scale, label) in WORLDS {
+        let w = world(seed, daily, cov, scale);
+        assert_engine_equivalence(&w, &ReplayConfig::default(), label);
+    }
+}
+
+/// `a` and `b` agree to 1e-9 relative (the replay and chaos engines add the
+/// same usage deltas and ACLs in record vs trace order, so the last bits of
+/// a float sum may differ).
+fn close(a: f64, b: f64) -> bool {
+    (a - b).abs() <= 1e-9 * a.abs().max(b.abs())
+}
+
+#[test]
+fn replay_chaos_and_engine_paths_agree_with_each_other() {
+    for (seed, daily, cov, scale, label) in WORLDS {
+        let w = world(seed, daily, cov, scale);
+        // a capacity that binds, so violations are part of the comparison
+        let mut cap = serial_replay(&w, &ReplayConfig::default()).peaks;
+        cap.cores.iter_mut().for_each(|c| *c *= 0.8);
+        cap.gbps.iter_mut().for_each(|g| *g *= 0.8);
+        let plain = serial_replay(
+            &w,
+            &ReplayConfig {
+                capacity: Some(cap.clone()),
+                ..Default::default()
+            },
+        );
+        assert!(plain.capacity_violations > 0, "{label}: capacity must bind");
+
+        let chaos = ReplayDriver::new(&w.topo, w.db.catalog(), &w.db, w.quotas.clone())
+            .config(ChaosConfig {
+                capacity: Some(cap),
+                ..ChaosConfig::default()
+            })
+            .run();
+        assert_eq!(
+            chaos.selector, plain.selector,
+            "{label}: every SelectorStats field, unknown_ends included"
+        );
+        assert_eq!(chaos.per_dc_tallies, plain.per_dc_tallies, "{label}");
+        assert_eq!(
+            chaos.capacity_violations, plain.capacity_violations,
+            "{label}"
+        );
+        assert!(
+            close(chaos.mean_acl_ms, plain.mean_acl_ms),
+            "{label}: mean ACL"
+        );
+        let pairs = (chaos.peaks.cores.iter().zip(&plain.peaks.cores))
+            .chain(chaos.peaks.gbps.iter().zip(&plain.peaks.gbps));
+        for (c, p) in pairs {
+            assert!(close(*c, *p), "{label}: peak {c} vs {p}");
+        }
+
+        let engine = Engine::new(&w.sd0.latmap, &w.artifact(), &EngineConfig::default());
+        let events = build_events(w.db.records(), ReplayConfig::default().freeze_minutes);
+        let no_deaths = &mut WorkerDeaths::default();
+        fan_out(&engine, w.db.records(), &events, None, no_deaths);
+        assert_eq!(engine.selector_stats(), plain.selector, "{label}: engine");
+        assert_eq!(engine.per_dc_tallies(), plain.per_dc_tallies, "{label}");
+    }
 }
