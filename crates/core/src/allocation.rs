@@ -1,16 +1,19 @@
 //! The daily allocation plan (§5.3, Eq. 10): with capacities fixed to what
 //! was provisioned, choose per-slot, per-config DC shares minimizing mean
 //! ACL. Because capacities are constants here, the LP decomposes per time
-//! slot into small independent problems.
+//! slot into small independent problems — [`SlotPlanner`] owns that LP; this
+//! is its one-shot form.
 
-use sb_lp::{LpProblem, Solver, Var};
-use sb_net::{LinkId, ProvisionedCapacity};
-use sb_workload::ConfigId;
+use std::sync::Arc;
+
+use sb_net::ProvisionedCapacity;
 
 use crate::formulation::{PlanningInputs, ProvisionError, ScenarioData, SolveOptions};
+use crate::plan::SlotPlanner;
 use crate::shares::AllocationShares;
 
-/// Compute the latency-optimal allocation plan under fixed capacity.
+/// Compute the latency-optimal allocation plan under fixed capacity:
+/// [`SlotPlanner`] built over `sd` alone and run once.
 ///
 /// Returns shares for every `(config, slot)` with demand. Infeasibility (the
 /// capacity cannot place a slot's demand within the latency filter) is
@@ -21,120 +24,8 @@ pub fn allocation_plan(
     capacity: &ProvisionedCapacity,
     opts: &SolveOptions,
 ) -> Result<AllocationShares, ProvisionError> {
-    let topo = inputs.topo;
-    let demand = inputs.demand;
-    let mut shares = AllocationShares::new(demand.num_slots());
-
-    // precompute per config: allowed DCs + per-DC link loads
-    struct CfgInfo {
-        id: ConfigId,
-        allowed: Vec<(sb_net::DcId, f64)>,
-        call_cl: f64,
-        per_dc_links: Vec<Vec<(LinkId, f64)>>,
-    }
-    let mut infos: Vec<CfgInfo> = Vec::new();
-    for (cfg_id, cfg) in inputs.catalog.iter() {
-        // the demand matrix may cover fewer configs than the catalog; skip
-        // (not stop at) configs beyond it — catalog order is not guaranteed
-        // to put all in-demand configs first
-        if cfg_id.index() >= demand.num_configs() {
-            continue;
-        }
-        if demand.series(cfg_id).iter().all(|&d| d <= opts.min_demand) {
-            continue;
-        }
-        let allowed = sd.latmap.allowed_dcs(cfg, inputs.latency_threshold_ms);
-        if allowed.is_empty() {
-            continue;
-        }
-        let nl = cfg.leg_network_load();
-        let per_dc_links = allowed
-            .iter()
-            .map(|&(dc, _)| {
-                let mut loads: Vec<(LinkId, f64)> = Vec::new();
-                for &(country, n) in cfg.participants() {
-                    if let Some(route) = sd.routing.route(country, dc) {
-                        for &l in &route.links {
-                            match loads.iter_mut().find(|(ll, _)| *ll == l) {
-                                Some((_, w)) => *w += n as f64 * nl,
-                                None => loads.push((l, n as f64 * nl)),
-                            }
-                        }
-                    }
-                }
-                loads
-            })
-            .collect();
-        infos.push(CfgInfo {
-            id: cfg_id,
-            allowed,
-            call_cl: cfg.compute_load(),
-            per_dc_links,
-        });
-    }
-
-    // headroom against round-off between the provisioning LP and this one
-    let slack = |v: f64| v * (1.0 + 1e-7) + 1e-7;
-
-    for slot in 0..demand.num_slots() {
-        let mut lp = LpProblem::new();
-        let mut compute_rows: Vec<Vec<(Var, f64)>> = vec![Vec::new(); topo.dcs.len()];
-        let mut network_rows: Vec<Vec<(Var, f64)>> = vec![Vec::new(); topo.links.len()];
-        let mut vars: Vec<(ConfigId, sb_net::DcId, Var, f64)> = Vec::new();
-        let mut any = false;
-        for info in &infos {
-            let d = demand.get(info.id, slot);
-            if d <= opts.min_demand {
-                continue;
-            }
-            any = true;
-            let mut completeness = Vec::with_capacity(info.allowed.len());
-            for (k, &(dc, acl)) in info.allowed.iter().enumerate() {
-                let v = lp.add_var(format!("S_{}_{}", info.id.index(), dc.index()), acl, 0.0, d);
-                completeness.push((v, 1.0));
-                compute_rows[dc.index()].push((v, info.call_cl));
-                for &(l, w) in &info.per_dc_links[k] {
-                    network_rows[l.index()].push((v, w));
-                }
-                vars.push((info.id, dc, v, d));
-            }
-            lp.add_eq(completeness, d);
-        }
-        if !any {
-            continue;
-        }
-        for dc in topo.dc_ids() {
-            let row = std::mem::take(&mut compute_rows[dc.index()]);
-            if !row.is_empty() {
-                lp.add_le(row, slack(capacity.cores[dc.index()]));
-            }
-        }
-        for l in topo.link_ids() {
-            let row = std::mem::take(&mut network_rows[l.index()]);
-            if !row.is_empty() {
-                lp.add_le(row, slack(capacity.gbps[l.index()]));
-            }
-        }
-        let sol = opts
-            .solver
-            .solve(&lp)
-            .map_err(|source| ProvisionError::Lp {
-                scenario: sd.scenario,
-                source,
-            })?;
-        use std::collections::HashMap;
-        let mut grouped: HashMap<ConfigId, Vec<(sb_net::DcId, f64)>> = HashMap::new();
-        for (cfg, dc, v, d) in vars {
-            let val = sol.value(v).max(0.0);
-            if val > 1e-9 * d.max(1.0) {
-                grouped.entry(cfg).or_default().push((dc, val / d));
-            }
-        }
-        for (cfg, fr) in grouped {
-            shares.set(cfg, slot, fr);
-        }
-    }
-    Ok(shares)
+    let mut planner = SlotPlanner::new(inputs, std::slice::from_ref(sd), capacity, opts);
+    Ok(Arc::unwrap_or_clone(planner.plan_initial(sd)?.artifact).shares)
 }
 
 #[cfg(test)]

@@ -10,8 +10,9 @@
 use sb_net::{DcId, LinkId, ProvisionedCapacity};
 use sb_workload::ConfigId;
 
-use crate::formulation::{PlanningInputs, ScenarioData, ScenarioSolution};
+use crate::formulation::{placement_grid, PlanningInputs, ScenarioData, ScenarioSolution};
 use crate::shares::AllocationShares;
+use crate::usage::link_loads;
 
 /// Options for the greedy solve.
 #[derive(Clone, Debug)]
@@ -55,39 +56,17 @@ pub fn solve_scenario_greedy(
 ) -> ScenarioSolution {
     let topo = inputs.topo;
     let demand = inputs.demand;
-    let mut dropped = Vec::new();
 
-    // build work items
+    // build work items: over `sd` alone the grid lists exactly the configs
+    // `sd` can host, and the rest are this scenario's drops
+    let (grid, dropped) = placement_grid(inputs, std::slice::from_ref(sd), opts.min_demand);
     let mut items: Vec<Item> = Vec::new();
-    for (cfg_id, cfg) in inputs.catalog.iter() {
-        if cfg_id.index() >= demand.num_configs() {
-            break;
-        }
-        if demand.series(cfg_id).iter().all(|&d| d <= opts.min_demand) {
-            continue;
-        }
+    for (cfg_id, _) in grid {
+        let cfg = inputs.catalog.config(cfg_id);
         let allowed = sd.latmap.allowed_dcs(cfg, inputs.latency_threshold_ms);
-        if allowed.is_empty() {
-            dropped.push(cfg_id);
-            continue;
-        }
-        let nl = cfg.leg_network_load();
         let links: Vec<Vec<(LinkId, f64)>> = allowed
             .iter()
-            .map(|&(dc, _)| {
-                let mut loads: Vec<(LinkId, f64)> = Vec::new();
-                for &(country, n) in cfg.participants() {
-                    if let Some(route) = sd.routing.route(country, dc) {
-                        for &l in &route.links {
-                            match loads.iter_mut().find(|(ll, _)| *ll == l) {
-                                Some((_, w)) => *w += n as f64 * nl,
-                                None => loads.push((l, n as f64 * nl)),
-                            }
-                        }
-                    }
-                }
-                loads
-            })
+            .map(|&(dc, _)| link_loads(&sd.routing, cfg, dc))
             .collect();
         for slot in 0..demand.num_slots() {
             let d = demand.get(cfg_id, slot);

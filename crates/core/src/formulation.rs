@@ -9,10 +9,11 @@
 
 use sb_lp::{Basis, GuardedSimplex, LpError, LpProblem, PreparedProblem, RevisedSimplex, Var};
 use sb_net::{DcId, FailureScenario, LinkId, ProvisionedCapacity, RoutingTable, Topology};
-use sb_workload::{ConfigCatalog, ConfigId, DemandMatrix};
+use sb_workload::{CallConfig, ConfigCatalog, ConfigId, DemandMatrix};
 
 use crate::latency::LatencyMap;
 use crate::shares::AllocationShares;
+use crate::usage::{for_each_link_load, link_loads};
 
 /// Everything the planner needs to know about the problem instance.
 #[derive(Copy, Clone)]
@@ -191,6 +192,82 @@ impl Default for SolveOptions {
     }
 }
 
+impl SolveOptions {
+    /// The engine both planning LPs (the Eq. 3–9 sweep and the Eq. 10 slot
+    /// planner) solve with: the primary under its budget, with the dense
+    /// retry `fallback_to_dense` asks for.
+    pub(crate) fn guarded(&self) -> GuardedSimplex {
+        GuardedSimplex {
+            primary: self.solver.clone(),
+            fallback_to_dense: self.fallback_to_dense,
+        }
+    }
+}
+
+/// One Eq. 6 row of a planning LP, as `(slot, link, terms)`: each term is a
+/// `(config, DC)` placement with the Gbps the row charges it per call.
+pub type NetworkRow = (usize, LinkId, Vec<(ConfigId, DcId, f64)>);
+
+/// Rows of a planning LP's placement grid: each demand-active config with the
+/// union of DCs the Eq. 4 latency filter allows it under *any* of `sds`, in
+/// first-seen order.
+pub(crate) type PlacementGrid = Vec<(ConfigId, Vec<DcId>)>;
+
+/// The placement grid over `sds`, plus the demand-active configs no scenario
+/// can host at all. Configs are in catalog order; one whose demand never
+/// exceeds `min_demand`, or that the demand matrix does not cover, has no row.
+pub(crate) fn placement_grid(
+    inputs: &PlanningInputs<'_>,
+    sds: &[ScenarioData],
+    min_demand: f64,
+) -> (PlacementGrid, Vec<ConfigId>) {
+    let demand = inputs.demand;
+    let mut grid = PlacementGrid::new();
+    let mut never_hostable = Vec::new();
+    for (cfg_id, cfg) in inputs.catalog.iter() {
+        if cfg_id.index() >= demand.num_configs()
+            || demand.series(cfg_id).iter().all(|&d| d <= min_demand)
+        {
+            continue;
+        }
+        let mut union: Vec<DcId> = Vec::new();
+        for sd in sds {
+            for (dc, _) in sd.latmap.allowed_dcs(cfg, inputs.latency_threshold_ms) {
+                if !union.contains(&dc) {
+                    union.push(dc);
+                }
+            }
+        }
+        if union.is_empty() {
+            never_hostable.push(cfg_id);
+        } else {
+            grid.push((cfg_id, union));
+        }
+    }
+    (grid, never_hostable)
+}
+
+/// One `(config, DC)` placement under a scenario: its ACL and the Gbps one
+/// call puts on each link ([`link_loads`]).
+pub(crate) type Placement = (f64, Vec<(LinkId, f64)>);
+
+/// What scenario `sd` makes of one grid row: per DC of `dcs`, the placement
+/// of `cfg` there, or `None` where the latency filter forbids it under `sd`.
+pub(crate) fn placements_under(
+    sd: &ScenarioData,
+    cfg: &CallConfig,
+    dcs: &[DcId],
+    latency_threshold_ms: f64,
+) -> Vec<Option<Placement>> {
+    let allowed = sd.latmap.allowed_dcs(cfg, latency_threshold_ms);
+    dcs.iter()
+        .map(|&dc| {
+            let &(_, acl) = allowed.iter().find(|&&(a, _)| a == dc)?;
+            Some((acl, link_loads(&sd.routing, cfg, dc)))
+        })
+        .collect()
+}
+
 /// One share variable `S_tcx` of the sweep model.
 #[derive(Clone, Debug)]
 struct ShareVar {
@@ -232,7 +309,7 @@ pub struct SweepModel {
     dominator: Vec<usize>,
     /// Demand-active configs hostable under ≥ 1 scenario, each with the
     /// union of allowed DCs across scenarios (first-seen order).
-    active: Vec<(ConfigId, Vec<DcId>)>,
+    active: PlacementGrid,
     /// `share_vars` range per `active` entry (configs are contiguous).
     share_range: Vec<(usize, usize)>,
     /// Demand-active configs unreachable under *every* scenario.
@@ -273,31 +350,7 @@ impl SweepModel {
             return Err(ProvisionError::EmptyDemand);
         }
 
-        // demand-active configs and their union of allowed DCs
-        let mut active: Vec<(ConfigId, Vec<DcId>)> = Vec::new();
-        let mut never_hostable = Vec::new();
-        for (cfg_id, cfg) in inputs.catalog.iter() {
-            if cfg_id.index() >= demand.num_configs() {
-                break;
-            }
-            let any_demand = demand.series(cfg_id).iter().any(|&d| d > opts.min_demand);
-            if !any_demand {
-                continue;
-            }
-            let mut union: Vec<DcId> = Vec::new();
-            for sd in sds {
-                for (dc, _) in sd.latmap.allowed_dcs(cfg, inputs.latency_threshold_ms) {
-                    if !union.contains(&dc) {
-                        union.push(dc);
-                    }
-                }
-            }
-            if union.is_empty() {
-                never_hostable.push(cfg_id);
-            } else {
-                active.push((cfg_id, union));
-            }
-        }
+        let (active, never_hostable) = placement_grid(inputs, sds, opts.min_demand);
 
         // Dominated-slot reduction (exact): if slot s's demand vector is
         // component-wise ≤ slot s''s, any feasible allocation for s' scaled
@@ -392,15 +445,11 @@ impl SweepModel {
                 .map(|&dc| {
                     let mut links: Vec<LinkId> = Vec::new();
                     for sd in sds {
-                        for &(country, _) in cfg.participants() {
-                            if let Some(route) = sd.routing.route(country, dc) {
-                                for &l in &route.links {
-                                    if !links.contains(&l) {
-                                        links.push(l);
-                                    }
-                                }
+                        for_each_link_load(&sd.routing, cfg, dc, 1.0, |l, _| {
+                            if !links.contains(&l) {
+                                links.push(l);
                             }
-                        }
+                        });
                     }
                     links
                 })
@@ -480,11 +529,7 @@ impl SweepModel {
         Ok(SweepModel {
             lp,
             prep,
-            solver: GuardedSimplex {
-                primary: opts.solver.clone(),
-                fallback_to_dense: opts.fallback_to_dense,
-                dense_var_limit: 0,
-            },
+            solver: opts.guarded(),
             warm_start: opts.warm_start,
             acl_epsilon: opts.acl_epsilon,
             min_demand: opts.min_demand,
@@ -513,6 +558,25 @@ impl SweepModel {
     /// Columns (variables) in the master LP.
     pub fn lp_cols(&self) -> usize {
         self.lp.num_vars()
+    }
+
+    /// Eq. 6 as the master LP states it for the scenario last solved: every
+    /// modeled `(slot, link)` row with the Gbps it charges per call of each
+    /// `(config, DC)` placement. A model-inspection view: tests hold it
+    /// against [`crate::usage::compute_usage`] of the solution's shares.
+    pub fn network_rows(&self) -> Vec<NetworkRow> {
+        // `share_vars` is in variable-creation order; a row's one column that
+        // is not a share variable is its link's `UN`
+        let share_var = |v: Var| {
+            let found = (self.share_vars).binary_search_by_key(&v.index(), |sv| sv.var.index());
+            found.ok().map(|i| &self.share_vars[i])
+        };
+        let rows = self.network_rows.iter().map(|&(row, slot, link)| {
+            let coeffs = self.lp.rows()[row].coeffs.iter();
+            let terms = coeffs.filter_map(|&(v, w)| share_var(v).map(|sv| (sv.cfg, sv.dc, w)));
+            (slot, link, terms.collect())
+        });
+        rows.collect()
     }
 
     /// Patch every scenario-dependent number in the master LP for `sd` /
@@ -563,50 +627,22 @@ impl SweepModel {
         let mut net_coeffs: Vec<Vec<(Var, f64)>> = vec![Vec::new(); self.network_rows.len()];
         for (ai, (cfg_id, union_dcs)) in self.active.iter().enumerate() {
             let cfg = inputs.catalog.config(*cfg_id);
-            let nl = cfg.leg_network_load();
-            let allowed = sd.latmap.allowed_dcs(cfg, self.latency_threshold_ms);
-            hostable[ai] = !allowed.is_empty();
+            let placements = placements_under(sd, cfg, union_dcs, self.latency_threshold_ms);
+            hostable[ai] = placements.iter().any(Option::is_some);
             if !hostable[ai] {
                 dropped.push(*cfg_id);
             }
-            // per union DC: ACL when allowed under this scenario, and the
-            // per-call link loads under this scenario's routing
-            let acl_of: Vec<Option<f64>> = union_dcs
-                .iter()
-                .map(|&dc| allowed.iter().find(|&&(a, _)| a == dc).map(|&(_, acl)| acl))
-                .collect();
-            let loads: Vec<Vec<(LinkId, f64)>> = union_dcs
-                .iter()
-                .enumerate()
-                .map(|(k, &dc)| {
-                    if acl_of[k].is_none() {
-                        return Vec::new();
-                    }
-                    let mut out: Vec<(LinkId, f64)> = Vec::new();
-                    for &(country, n) in cfg.participants() {
-                        if let Some(route) = sd.routing.route(country, dc) {
-                            for &l in &route.links {
-                                match out.iter_mut().find(|(ll, _)| *ll == l) {
-                                    Some((_, w)) => *w += n as f64 * nl,
-                                    None => out.push((l, n as f64 * nl)),
-                                }
-                            }
-                        }
-                    }
-                    out
-                })
-                .collect();
             let (s0, s1) = self.share_range[ai];
             for sv in &self.share_vars[s0..s1] {
                 let k = union_dcs
                     .iter()
                     .position(|&dc| dc == sv.dc)
                     .expect("share var DC is in the union");
-                match acl_of[k] {
-                    Some(acl) => {
+                match &placements[k] {
+                    Some((acl, loads)) => {
                         self.lp.set_var_upper(sv.var, sv.demand);
                         self.lp.set_var_cost(sv.var, self.acl_epsilon * acl);
-                        for &(l, w) in &loads[k] {
+                        for &(l, w) in loads {
                             let pos = self.net_pos[sv.slot * topo.links.len() + l.index()];
                             net_coeffs[pos].push((sv.var, w));
                         }
@@ -652,11 +688,6 @@ impl SweepModel {
             sb_lp::PatchOutcome::Patched,
             "scenario patches must be layout-stable"
         );
-        // Debugging hook: dump the exact model before solving (CPLEX LP
-        // format).
-        if let Some(path) = std::env::var_os("SB_DUMP_LP") {
-            let _ = std::fs::write(path, sb_lp::to_lp_format(&self.lp));
-        }
         let build_wall = build_start.elapsed();
 
         let warm = if self.warm_start { warm } else { None };
@@ -667,16 +698,6 @@ impl SweepModel {
                 scenario: sd.scenario,
                 source,
             })?;
-        if std::env::var_os("SB_SWEEP_DEBUG").is_some() {
-            eprintln!(
-                "  sweep {:?}: obj {:.6} viol {:.3e} rung {} warm {}",
-                sd.scenario,
-                sol.objective(),
-                self.lp.max_violation(sol.values()),
-                sol.stats().rung,
-                sol.stats().warm_started,
-            );
-        }
 
         // extract capacity: base plus purchased increment (base counts only
         // where the resource is actually usable under this scenario)
@@ -930,6 +951,54 @@ mod tests {
             got >= global_peak - 1e-6,
             "LP total {got} below global peak {global_peak}"
         );
+    }
+
+    #[test]
+    fn dc_outside_the_latency_filter_yields_no_placement() {
+        let (topo, cat, _) = instance();
+        let sd = ScenarioData::compute(&topo, FailureScenario::None);
+        let cfg = cat.config(ConfigId(0)); // two JP participants
+        let all: Vec<DcId> = topo.dc_ids().collect();
+        // a threshold only the home DC meets
+        let allowed = sd.latmap.allowed_dcs(cfg, 10.0);
+        assert_eq!(allowed.len(), 1);
+        let placed = placements_under(&sd, cfg, &all, 10.0);
+        for (&dc, p) in all.iter().zip(&placed) {
+            match p {
+                Some((acl, loads)) => {
+                    assert_eq!((dc, *acl), allowed[0]);
+                    assert_eq!(*loads, link_loads(&sd.routing, cfg, dc));
+                    assert!(!loads.is_empty());
+                }
+                None => assert_ne!(dc, allowed[0].0, "routable, but filtered out"),
+            }
+        }
+        assert_eq!(placed.iter().flatten().count(), 1);
+    }
+
+    #[test]
+    fn placement_grid_unions_scenarios_in_first_seen_order() {
+        let (topo, cat, mut demand) = instance();
+        let tokyo = topo.dc_by_name("Tokyo");
+        let inputs = PlanningInputs::new(&topo, &cat, &demand).with_latency_threshold(10.0);
+        let sds = [
+            ScenarioData::compute(&topo, FailureScenario::DcDown(tokyo)),
+            ScenarioData::compute(&topo, FailureScenario::None),
+        ];
+        // JP's row: the failover DC the first scenario falls back to, then
+        // Tokyo from the healthy one; a single scenario sees only its own
+        let (grid, never) = placement_grid(&inputs, &sds, 1e-3);
+        assert!(never.is_empty());
+        let fallback = sds[0].latmap.allowed_dcs(cat.config(ConfigId(0)), 10.0)[0].0;
+        assert_eq!(grid[0], (ConfigId(0), vec![fallback, tokyo]));
+        let (healthy, _) = placement_grid(&inputs, &sds[1..], 1e-3);
+        assert_eq!(healthy[0], (ConfigId(0), vec![tokyo]));
+        // a config whose demand never exceeds the floor has no row
+        demand.set(ConfigId(1), 0, 0.0);
+        demand.set(ConfigId(1), 1, 1e-4);
+        let inputs = PlanningInputs::new(&topo, &cat, &demand);
+        let (grid, _) = placement_grid(&inputs, &sds, 1e-3);
+        assert_eq!(grid.len(), 1);
     }
 
     #[test]

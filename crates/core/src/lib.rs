@@ -72,4 +72,6 @@ pub use realtime::{
     RestoreDebit, SelectorOutcome, SelectorRung, SelectorShard, SelectorStateExport, SelectorStats,
 };
 pub use shares::AllocationShares;
-pub use usage::{compute_usage, mean_acl, placed_fraction, UsageTimeline};
+pub use usage::{
+    compute_usage, for_each_link_load, link_loads, mean_acl, placed_fraction, UsageTimeline,
+};

@@ -31,9 +31,13 @@ use sb_net::{DcId, LinkId, ProvisionedCapacity};
 use sb_obs::{Table, Value};
 use sb_workload::{ConfigId, DemandMatrix};
 
-use crate::formulation::{PlanningInputs, ProvisionError, ScenarioData, SolveOptions};
+use crate::formulation::{
+    placement_grid, placements_under, NetworkRow, PlacementGrid, PlanningInputs, ProvisionError,
+    ScenarioData, SolveOptions,
+};
 use crate::realtime::PlannedQuotas;
 use crate::shares::AllocationShares;
+use crate::usage::for_each_link_load;
 
 /// Where a plan came from: the scenario it was solved against and the
 /// solve-effort statistics of the (re-)plan that produced it.
@@ -266,6 +270,12 @@ impl ReplanReport {
     }
 }
 
+/// Capacity-row right-hand side: the provisioned value plus headroom against
+/// round-off between the provisioning LP that produced it and the slot LPs.
+fn slack(v: f64) -> f64 {
+    v * (1.0 + 1e-7) + 1e-7
+}
+
 /// One share variable of a slot LP.
 #[derive(Clone, Copy, Debug)]
 struct SlotVar {
@@ -313,7 +323,7 @@ pub struct SlotPlanner<'a> {
     min_demand: f64,
     /// Configs with any demand: `(config, union allowed DCs)` in catalog
     /// order; DC order is first-seen across the build scenarios (stable).
-    active: Vec<(ConfigId, Vec<DcId>)>,
+    active: PlacementGrid,
     models: Vec<Option<SlotModel>>,
     bases: Vec<Option<Basis>>,
 }
@@ -330,44 +340,19 @@ impl<'a> SlotPlanner<'a> {
     ) -> SlotPlanner<'a> {
         let topo = inputs.topo;
         let demand = inputs.demand;
-        // active configs + union allowed DCs
-        let mut active: Vec<(ConfigId, Vec<DcId>)> = Vec::new();
-        for (cfg_id, cfg) in inputs.catalog.iter() {
-            if cfg_id.index() >= demand.num_configs() {
-                continue;
-            }
-            if demand.series(cfg_id).iter().all(|&d| d <= opts.min_demand) {
-                continue;
-            }
-            let mut dcs: Vec<DcId> = Vec::new();
-            for sd in sds {
-                for (dc, _) in sd.latmap.allowed_dcs(cfg, inputs.latency_threshold_ms) {
-                    if !dcs.contains(&dc) {
-                        dcs.push(dc);
-                    }
-                }
-            }
-            if !dcs.is_empty() {
-                active.push((cfg_id, dcs));
-            }
-        }
+        let (active, _) = placement_grid(inputs, sds, opts.min_demand);
         // union of links any modeled placement can load under any scenario
         let mut link_used = vec![false; topo.links.len()];
         for sd in sds {
             for (cfg_id, dcs) in &active {
                 let cfg = inputs.catalog.config(*cfg_id);
                 for &dc in dcs {
-                    for &(country, _) in cfg.participants() {
-                        if let Some(route) = sd.routing.route(country, dc) {
-                            for &l in &route.links {
-                                link_used[l.index()] = true;
-                            }
-                        }
-                    }
+                    for_each_link_load(&sd.routing, cfg, dc, 1.0, |l, _| {
+                        link_used[l.index()] = true;
+                    });
                 }
             }
         }
-        let slack = |v: f64| v * (1.0 + 1e-7) + 1e-7;
         let mut models: Vec<Option<SlotModel>> = Vec::with_capacity(demand.num_slots());
         for slot in 0..demand.num_slots() {
             let slot_cfgs: Vec<usize> = active
@@ -438,17 +423,33 @@ impl<'a> SlotPlanner<'a> {
         SlotPlanner {
             inputs: *inputs,
             capacity: capacity.clone(),
-            solver: GuardedSimplex {
-                primary: opts.solver.clone(),
-                fallback_to_dense: opts.fallback_to_dense,
-                dense_var_limit: 0,
-            },
+            solver: opts.guarded(),
             warm_start: opts.warm_start,
             min_demand: opts.min_demand,
             active,
             models,
             bases: (0..num_slots).map(|_| None).collect(),
         }
+    }
+
+    /// Eq. 6 as the slot LPs state it for the scenario last planned: every
+    /// modeled `(slot, link)` row with the Gbps it charges per call of each
+    /// `(config, DC)` placement. A model-inspection view: tests hold it
+    /// against [`crate::usage::compute_usage`] of the plan's shares.
+    pub fn network_rows(&self) -> Vec<NetworkRow> {
+        let mut rows = Vec::new();
+        for (slot, m) in self.models.iter().enumerate() {
+            let Some(m) = m else { continue };
+            for &(row, link) in &m.network_rows {
+                let terms = m.lp.rows()[row].coeffs.iter().map(|&(v, w)| {
+                    let sv = m.vars[v.index()];
+                    let (cfg, dcs) = &self.active[sv.cfg_pos];
+                    (*cfg, dcs[sv.dc_pos], w)
+                });
+                rows.push((slot, link, terms.collect()));
+            }
+        }
+        rows
     }
 
     /// Full plan for `sd` (epoch 1, all slots solved cold on the first
@@ -510,49 +511,13 @@ impl<'a> SlotPlanner<'a> {
 
         // scenario-dependent data shared by every slot: per (config, DC)
         // ACL and link loads under sd
-        let threshold = self.inputs.latency_threshold_ms;
-        let acl: Vec<Vec<Option<f64>>> = self
-            .active
-            .iter()
+        let placements: Vec<_> = (self.active.iter())
             .map(|(cfg_id, dcs)| {
                 let cfg = self.inputs.catalog.config(*cfg_id);
-                let allowed = sd.latmap.allowed_dcs(cfg, threshold);
-                dcs.iter()
-                    .map(|&dc| allowed.iter().find(|&&(a, _)| a == dc).map(|&(_, v)| v))
-                    .collect()
-            })
-            .collect();
-        let loads: Vec<Vec<Vec<(LinkId, f64)>>> = self
-            .active
-            .iter()
-            .enumerate()
-            .map(|(cfg_pos, (cfg_id, dcs))| {
-                let cfg = self.inputs.catalog.config(*cfg_id);
-                let nl = cfg.leg_network_load();
-                dcs.iter()
-                    .enumerate()
-                    .map(|(dc_pos, &dc)| {
-                        if acl[cfg_pos][dc_pos].is_none() {
-                            return Vec::new();
-                        }
-                        let mut out: Vec<(LinkId, f64)> = Vec::new();
-                        for &(country, n) in cfg.participants() {
-                            if let Some(route) = sd.routing.route(country, dc) {
-                                for &l in &route.links {
-                                    match out.iter_mut().find(|(ll, _)| *ll == l) {
-                                        Some((_, w)) => *w += n as f64 * nl,
-                                        None => out.push((l, n as f64 * nl)),
-                                    }
-                                }
-                            }
-                        }
-                        out
-                    })
-                    .collect()
+                placements_under(sd, cfg, dcs, self.inputs.latency_threshold_ms)
             })
             .collect();
 
-        let slack = |v: f64| v * (1.0 + 1e-7) + 1e-7;
         let obs_on = sb_obs::global().enabled();
         for slot in from_slot..num_slots {
             let Some(model) = self.models[slot].as_mut() else {
@@ -565,12 +530,12 @@ impl<'a> SlotPlanner<'a> {
             for v in &model.vars {
                 let (cfg_id, _) = self.active[v.cfg_pos];
                 let d = demand.get(cfg_id, slot);
-                match acl[v.cfg_pos][v.dc_pos] {
-                    Some(a) if d > self.min_demand => {
+                match &placements[v.cfg_pos][v.dc_pos] {
+                    Some((acl, loads)) if d > self.min_demand => {
                         model.lp.set_var_upper(v.var, d);
-                        model.lp.set_var_cost(v.var, a);
+                        model.lp.set_var_cost(v.var, *acl);
                         cfg_rhs[v.cfg_pos] = d;
-                        for &(l, w) in &loads[v.cfg_pos][v.dc_pos] {
+                        for &(l, w) in loads {
                             let pos = model.net_pos[l.index()];
                             // links outside the build-time union are not
                             // modeled (pass every re-plan scenario to

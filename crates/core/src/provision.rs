@@ -25,7 +25,10 @@ pub struct ProvisionerParams {
     pub with_backup: bool,
     /// Scenario-LP options.
     pub solve: SolveOptions,
-    /// Max worker threads for the scenario sweep (0 = available parallelism).
+    /// Max worker threads for [`solve_scenarios`] (0 = available
+    /// parallelism). [`provision`] never reads it: its increment and
+    /// refinement passes are one sequential chain, each solve warm-starting
+    /// from the previous one's basis.
     pub threads: usize,
     /// Cross-scenario refinement passes: each pass re-solves every scenario
     /// (including `F₀`) against the capacity the *other* scenarios already

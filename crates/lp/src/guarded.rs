@@ -27,25 +27,28 @@ pub struct GuardedSimplex {
     pub primary: RevisedSimplex,
     /// Disable to turn this into a plain budgeted `RevisedSimplex`.
     pub fallback_to_dense: bool,
-    /// Skip the dense fallback for models with more variables than this —
-    /// the dense tableau is O(rows × vars) per pivot and would outlast any
-    /// budget the primary just exhausted. `0` means no cap.
-    pub dense_var_limit: usize,
 }
+
+/// Largest model, in `rows × cols` of the [`LpProblem`], the dense fallback
+/// takes on. The tableau is dense in both dimensions (and grows a row per
+/// bounded variable), so past this it neither fits in memory nor finishes
+/// inside any budget the primary just exhausted: the APAC scenario sweep
+/// (671 × 1722) is well under, the planet `F₀` model (3214 × 27772, a
+/// multi-GB tableau) well over. An over-size model keeps the primary's error.
+const DENSE_MAX_CELLS: usize = 1 << 22;
 
 impl Default for GuardedSimplex {
     fn default() -> Self {
         GuardedSimplex {
             primary: RevisedSimplex::default(),
             fallback_to_dense: true,
-            dense_var_limit: 0,
         }
     }
 }
 
 impl GuardedSimplex {
     /// Guarded engine with default budgets (automatic iteration cap, no
-    /// time budget) and unconditional dense fallback.
+    /// time budget) and dense fallback.
     pub fn new() -> Self {
         Self::default()
     }
@@ -73,8 +76,8 @@ impl GuardedSimplex {
     /// 2. primary, cold — only when rung 1 actually warm-started and failed
     ///    for a *recoverable* reason (a stale basis can send the simplex on
     ///    a long degenerate walk that a cold phase-1 avoids);
-    /// 3. dense tableau engine, subject to `fallback_to_dense` and
-    ///    `dense_var_limit`.
+    /// 3. dense tableau engine, subject to `fallback_to_dense` and the
+    ///    model fitting a dense tableau (`rows × cols` at most 2²²).
     ///
     /// The winning rung is recorded in [`crate::SolveStats::rung`] and the ladder
     /// metrics.
@@ -127,10 +130,8 @@ impl GuardedSimplex {
         } else {
             err
         };
-        if self.fallback_to_dense && Self::recoverable(&err) {
-            if self.dense_var_limit > 0 && lp.num_vars() > self.dense_var_limit {
-                return Err(err);
-            }
+        let cells = lp.num_constraints().saturating_mul(lp.num_vars());
+        if self.fallback_to_dense && Self::recoverable(&err) && cells <= DENSE_MAX_CELLS {
             lp_metrics().record_fallback(&err);
             let mut s = DenseSimplex::new().solve(lp)?;
             s.stats.rung = SolveRung::DenseFallback;
@@ -150,10 +151,12 @@ impl Solver for GuardedSimplex {
 mod tests {
     use super::*;
 
+    /// A model large enough that a one-iteration budget cannot finish it.
     fn transport_lp() -> LpProblem {
-        // a model large enough that a one-iteration budget cannot finish it
-        let ns = 6;
-        let nd = 7;
+        transport(6, 7)
+    }
+
+    fn transport(ns: usize, nd: usize) -> LpProblem {
         let mut lp = LpProblem::new();
         let mut xs = Vec::new();
         for i in 0..ns {
@@ -220,15 +223,17 @@ mod tests {
     }
 
     #[test]
-    fn var_limit_skips_fallback() {
-        let lp = transport_lp();
+    fn oversize_model_skips_fallback() {
+        // 350 rows × 30,000 vars: too many cells for a dense tableau, so the
+        // starved primary's error comes back instead of a fallback attempt
+        let lp = transport(150, 200);
+        assert!(lp.num_constraints() * lp.num_vars() > DENSE_MAX_CELLS);
         let guarded = GuardedSimplex {
             primary: RevisedSimplex {
                 max_iterations: 1,
                 ..RevisedSimplex::default()
             },
             fallback_to_dense: true,
-            dense_var_limit: 3, // model has 42 vars — over the cap
         };
         assert_eq!(guarded.solve(&lp).unwrap_err(), LpError::IterationLimit);
     }
@@ -239,7 +244,6 @@ mod tests {
         let guarded = GuardedSimplex {
             primary: RevisedSimplex::with_time_budget(Duration::ZERO),
             fallback_to_dense: false,
-            dense_var_limit: 0,
         };
         assert_eq!(guarded.solve(&lp).unwrap_err(), LpError::TimeLimit);
     }

@@ -35,14 +35,16 @@
 //! Plan swaps, topology transitions and validity flips happen *between*
 //! [`fan_out`] calls: a segment is barrier-free by construction.
 
+use std::hash::BuildHasher;
 use std::sync::Arc;
 
 use sb_core::{
-    FreezeDecision, LatencyMap, PlanArtifact, PlannedQuotas, RealtimeSelector, SelectorOutcome,
-    SelectorShard,
+    for_each_link_load, FreezeDecision, LatencyMap, PlanArtifact, PlannedQuotas, RealtimeSelector,
+    SelectorOutcome, SelectorShard,
 };
 use sb_engine::{Admission, Engine, EngineWorker};
 use sb_net::{CountryId, DcId, ProvisionedCapacity, RoutingTable, Topology};
+use sb_store::BuildCallIdHasher;
 use sb_workload::{CallConfig, CallRecord, ConfigId};
 
 use crate::chaos::{ChaosState, FaultEvent, FaultTimeline, ReplanRequest, ReplanTrigger};
@@ -242,6 +244,32 @@ fn drive_list<D: Driven>(
         .collect()
 }
 
+/// The one partition rule: each record's whole lifecycle goes to the worker
+/// its quota pool hashes to (a pool-less lifecycle by call id), looked up
+/// once per record. Pool tokens are multiples of the DC count on a spread
+/// plan, so the key is mixed before the modulo — bare, every pool of a 4-DC
+/// world lands on worker 0. Returns each worker's event positions, in trace
+/// order.
+fn partition<D: Driven>(
+    target: &D,
+    records: &[CallRecord],
+    events: &[(u64, u8, usize)],
+    threads: usize,
+) -> Vec<Vec<usize>> {
+    let mix = BuildCallIdHasher::default();
+    let mut worker_of = vec![usize::MAX; records.len()];
+    let mut lists: Vec<Vec<usize>> = vec![Vec::new(); threads];
+    for (pos, &(_, _, i)) in events.iter().enumerate() {
+        if worker_of[i] == usize::MAX {
+            let r = &records[i];
+            let key = target.pool_token(r.config, r.start_minute).unwrap_or(r.id);
+            worker_of[i] = mix.hash_one(key) as usize % threads;
+        }
+        lists[worker_of[i]].push(pos);
+    }
+    lists
+}
+
 /// Drive one barrier-free segment of `events` (`(minute, kind, index into
 /// records)`, in canonical order) against `target` and return one [`Step`]
 /// per event, aligned with `events`.
@@ -264,19 +292,7 @@ pub fn fan_out<D: Driven>(
     let Some(threads) = threads.filter(|_| !events.is_empty()) else {
         return drive_list(target, records, events, 0..events.len());
     };
-    let threads = threads.max(1);
-    // the one partition rule: by quota pool, pool-less lifecycles by call id
-    // (fixed for a record's whole lifecycle, so looked up once per record)
-    let mut worker_of = vec![usize::MAX; records.len()];
-    let mut lists: Vec<Vec<usize>> = vec![Vec::new(); threads];
-    for (pos, &(_, _, i)) in events.iter().enumerate() {
-        if worker_of[i] == usize::MAX {
-            let r = &records[i];
-            let key = target.pool_token(r.config, r.start_minute).unwrap_or(r.id);
-            worker_of[i] = key as usize % threads;
-        }
-        lists[worker_of[i]].push(pos);
-    }
+    let mut lists = partition(target, records, events, threads.max(1));
     let tails: Vec<Vec<usize>> = lists
         .iter_mut()
         .enumerate()
@@ -512,16 +528,10 @@ impl UsageDeltas {
         let (a, b) = ((from - self.t0) as usize, (to - self.t0) as usize);
         self.cores[a][dc.index()] += c.compute_load();
         self.cores[b][dc.index()] -= c.compute_load();
-        let nl = c.leg_network_load();
-        for &(country, n) in c.participants() {
-            if let Some(route) = routing.route(country, dc) {
-                let w = n as f64 * nl;
-                for &l in &route.links {
-                    self.links[a][l.index()] += w;
-                    self.links[b][l.index()] -= w;
-                }
-            }
-        }
+        for_each_link_load(routing, c, dc, 1.0, |l, w| {
+            self.links[a][l.index()] += w;
+            self.links[b][l.index()] -= w;
+        });
     }
 
     /// Integrate minute by minute into `(peaks, violations, worst relative
@@ -634,6 +644,46 @@ mod tests {
         let mut deaths = WorkerDeaths::new(2, &faults);
         assert_eq!(serial, run(Some(2), &mut deaths));
         assert!(deaths.deaths >= 1 && deaths.takeover_ops > 0);
+    }
+
+    #[test]
+    fn spread_plan_pools_spread_over_the_workers() {
+        // 24 configs × 12 slots, every pool split evenly over APAC's four
+        // DCs: each pool token is a multiple of 4
+        let topo = sb_net::presets::apac();
+        assert_eq!(topo.dcs.len(), 4);
+        let jp = topo.country_by_name("JP");
+        let (configs, slots) = (24usize, 12usize);
+        let mut shares = sb_core::AllocationShares::new(slots);
+        let mut demand = sb_workload::DemandMatrix::zero(configs, slots, 30, 0);
+        let spread: Vec<(DcId, f64)> = topo.dc_ids().map(|dc| (dc, 0.25)).collect();
+        let mut records = Vec::new();
+        for c in 0..configs {
+            let cfg = ConfigId(c as u32);
+            for s in 0..slots {
+                shares.set(cfg, s, spread.clone());
+                demand.set(cfg, s, 40.0);
+                let id = records.len() as u64;
+                records.push(record(id, cfg, s as u64 * 30, 10, jp));
+            }
+        }
+        let quotas = PlannedQuotas::from_plan(&shares, &demand);
+        let selector = RealtimeSelector::from_artifact(&latmap(&topo), &PlanArtifact::seed(quotas));
+        for r in &records {
+            let token = selector.quota_pool_token(r.config, r.start_minute);
+            assert_eq!(token.expect("every call is planned") % 4, 0);
+        }
+        let events = build_events(&records, 5);
+        for threads in [2, 4] {
+            let lists = partition(&selector, &records, &events, threads);
+            let starts = |l: &Vec<usize>| l.iter().filter(|&&p| events[p].1 == EV_START).count();
+            let busiest = lists.iter().map(starts).max().unwrap_or(0);
+            assert!(
+                busiest * 10 <= records.len() * 7,
+                "{threads} workers: one owns {busiest} of {} lifecycles",
+                records.len()
+            );
+        }
     }
 
     /// A selector whose handles panic when asked to freeze call 3.

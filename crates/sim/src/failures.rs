@@ -2,9 +2,11 @@
 //! verify the provisioned backup capacity actually absorbs the failover
 //! (§2.1 requirement 2, §5.3 failure model).
 
-use sb_core::{LatencyMap, ScenarioData};
+use sb_core::ScenarioData;
 use sb_net::{FailureScenario, ProvisionedCapacity, Topology};
 use sb_workload::{CallRecordsDb, ConfigCatalog};
+
+use crate::drive::UsageDeltas;
 
 /// Outcome of one failure drill.
 #[derive(Clone, Debug)]
@@ -36,39 +38,17 @@ pub fn drill(
     capacity: &ProvisionedCapacity,
 ) -> DrillReport {
     let sd = ScenarioData::compute(topo, scenario);
-    let sd0 = ScenarioData::compute(topo, FailureScenario::None);
-    drill_with(topo, catalog, db, &sd, &sd0.latmap, capacity)
-}
-
-fn drill_with(
-    topo: &Topology,
-    catalog: &ConfigCatalog,
-    db: &CallRecordsDb,
-    sd: &ScenarioData,
-    latmap0: &LatencyMap,
-    capacity: &ProvisionedCapacity,
-) -> DrillReport {
+    let latmap0 = ScenarioData::compute(topo, FailureScenario::None).latmap;
     let records = db.records();
     let mut rehomed = 0u64;
     let mut stranded = 0u64;
     let mut acl_sum = 0.0;
     let mut acl_n = 0u64;
 
-    if records.is_empty() {
-        return DrillReport {
-            scenario: sd.scenario,
-            rehomed: 0,
-            stranded: 0,
-            peaks: ProvisionedCapacity::zero(topo),
-            violations: 0,
-            mean_acl_ms: 0.0,
-        };
-    }
-    let t0 = records.iter().map(|r| r.start_minute).min().unwrap();
-    let t1 = records.iter().map(|r| r.end_minute()).max().unwrap();
-    let horizon = (t1 - t0 + 1) as usize;
-    let mut core_delta = vec![vec![0.0f64; topo.dcs.len()]; horizon + 1];
-    let mut link_delta = vec![vec![0.0f64; topo.links.len()]; horizon + 1];
+    let t0 = records.iter().map(|r| r.start_minute).min().unwrap_or(0);
+    let t1 = records.iter().map(|r| r.end_minute()).max();
+    let horizon = t1.map_or(0, |t1| (t1 - t0 + 1) as usize);
+    let mut usage = UsageDeltas::new(topo, t0, horizon);
 
     for r in records {
         let cfg = catalog.config(r.config);
@@ -82,54 +62,14 @@ fn drill_with(
                 }
                 acl_sum += acl;
                 acl_n += 1;
-                let (a, b) = (
-                    (r.start_minute - t0) as usize,
-                    (r.end_minute() - t0) as usize,
-                );
-                core_delta[a][dc.index()] += cfg.compute_load();
-                core_delta[b][dc.index()] -= cfg.compute_load();
-                let nl = cfg.leg_network_load();
-                for &(country, n) in cfg.participants() {
-                    if let Some(route) = sd.routing.route(country, dc) {
-                        for &l in &route.links {
-                            link_delta[a][l.index()] += n as f64 * nl;
-                            link_delta[b][l.index()] -= n as f64 * nl;
-                        }
-                    }
-                }
+                usage.add(&sd.routing, cfg, dc, r.start_minute, r.end_minute());
             }
             None => stranded += 1,
         }
     }
 
-    let mut peaks = ProvisionedCapacity::zero(topo);
-    let mut violations = 0u64;
-    let mut cur_cores = vec![0.0f64; topo.dcs.len()];
-    let mut cur_links = vec![0.0f64; topo.links.len()];
-    for m in 0..horizon {
-        for (c, d) in cur_cores.iter_mut().zip(&core_delta[m]) {
-            *c += d;
-        }
-        for (c, d) in cur_links.iter_mut().zip(&link_delta[m]) {
-            *c += d;
-        }
-        for (p, &u) in peaks.cores.iter_mut().zip(&cur_cores) {
-            *p = p.max(u);
-        }
-        for (p, &u) in peaks.gbps.iter_mut().zip(&cur_links) {
-            *p = p.max(u);
-        }
-        for (i, &u) in cur_cores.iter().enumerate() {
-            if u > capacity.cores[i] + 1e-9 {
-                violations += 1;
-            }
-        }
-        for (i, &u) in cur_links.iter().enumerate() {
-            if u > capacity.gbps[i] + 1e-9 {
-                violations += 1;
-            }
-        }
-    }
+    let undegraded = vec![1.0; topo.dcs.len()];
+    let (peaks, violations, _) = usage.integrate(topo, Some(capacity), |_| &undegraded, |_, _| {});
 
     DrillReport {
         scenario: sd.scenario,

@@ -117,4 +117,28 @@ if [ "$partitions" != 1 ]; then
     exit 1
 fi
 
+echo "==> one-footprint gate: Eq. 5-6 is stated once, and no library reads the process environment"
+# A placement's network cost (n * leg_network_load on every link of the
+# route) is computed in crates/core/src/usage.rs and nowhere else: every LP
+# builder and every usage integrator in sb-core and sb-sim goes through
+# for_each_link_load / link_loads. A second caller of leg_network_load is a
+# second statement of InPath that must then agree to the last bit.
+footprints=$(for f in crates/core/src/*.rs crates/sim/src/*.rs; do non_test "$f"; done |
+    grep -F 'leg_network_load(' | cut -d: -f1 | sort -u || true)
+if [ "$footprints" != crates/core/src/usage.rs ]; then
+    echo "leg_network_load( outside test modules must appear in crates/core/src/usage.rs only, found in:" >&2
+    echo "$footprints" >&2
+    exit 1
+fi
+# A library solve must not branch on the process environment; only the
+# sb-bench binaries may read it.
+envs=$(for f in crates/*/src/*.rs crates/*/src/*/*.rs; do
+    case "$f" in crates/bench/*) ;; *) non_test "$f" ;; esac
+done | grep -F 'std::env::var' || true)
+if [ -n "$envs" ]; then
+    echo "environment read in library code:" >&2
+    echo "$envs" >&2
+    exit 1
+fi
+
 echo "all checks passed"
