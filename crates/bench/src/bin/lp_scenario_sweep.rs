@@ -10,25 +10,31 @@
 //! identical across variants to 1e-9 relative — warm starts, pricing and
 //! factorization are pure performance knobs.
 //!
-//! Usage: `lp_scenario_sweep [--smoke] [--json <path>] [--baseline <path>]
-//! [--metrics <path>]`
+//! Usage: `lp_scenario_sweep [--smoke | --planet | --planet-f0] [--json <path>]
+//! [--baseline <path>] [--metrics <path>]`
 //!
 //! `--smoke` (CI gate) runs the sparse variants for a single repetition and
 //! asserts their capacities match the committed dense-factorization baseline
 //! in `--baseline` (default `BENCH_lp.json`) to 1e-9 relative. The default
 //! (full) mode takes the best of 3, adds the dense-factorization baseline
 //! variant and the planet-scale leg, and rewrites `BENCH_lp.json` — capacity
-//! baseline included — with the measured numbers.
+//! baseline included — with the measured numbers. `--planet` runs the
+//! planet-scale leg alone; `--planet-f0` solves the benchmark's
+//! `plan_planet` LP (`F₀` without backup, production options) once. Both
+//! print where the iterations went straight from `SolveStats` — the table
+//! of EXPERIMENTS.md § "Where a planet iteration goes" — and rewrite
+//! nothing.
 
 use std::time::{Duration, Instant};
 
 use sb_bench::common::{
-    build_eval, build_eval_on, dump_metrics, metrics_path_from_args, print_table, EvalScale,
+    build_eval, build_eval_expected_on, build_eval_on, dump_metrics, metrics_path_from_args,
+    print_table, EvalScale,
 };
-use sb_core::formulation::{PlanningInputs, ProvisionError, SolveOptions};
+use sb_core::formulation::{PlanningInputs, ProvisionError, ScenarioData, SolveOptions};
 use sb_core::provision::{solve_scenarios, ProvisionerParams};
 use sb_core::ScenarioSolution;
-use sb_lp::{FactorKind, LpError, Pricing, RevisedSimplex};
+use sb_lp::{FactorKind, LpError, Pricing, RevisedSimplex, SolveStats};
 use sb_net::{FailureScenario, ProvisionedCapacity};
 
 struct Variant {
@@ -167,6 +173,71 @@ struct PlanetResult {
     dense_timed_out: bool,
 }
 
+/// Where one solve's iterations went, from its own `SolveStats`: the time of
+/// each step of the simplex loop and how sparse the two solves ran.
+fn print_iteration_split(label: &str, s: &SolveStats) {
+    let t = &s.times;
+    let steps = [
+        ("pricing (scan + resyncs)", t.pricing),
+        ("btran (pivot row's rho)", t.btran),
+        ("pivot row (CSR pass + d update)", t.pivot_row),
+        ("ftran (+ exact d_q)", t.ftran),
+        ("ratio test", t.ratio),
+        ("update (xb, eta, statuses)", t.update),
+        ("refactorization", t.refactor),
+    ];
+    let total: f64 = steps.iter().map(|(_, d)| d.as_secs_f64()).sum();
+    let iterations = s.total_iterations();
+    println!(
+        "{label}: {iterations} iterations, {} refactorizations, {} eta updates, {:.3} s in the pivot loops ({:.1} us/it), wall {:.3} s",
+        s.refactorizations,
+        s.eta_updates,
+        total,
+        1e6 * total / iterations.max(1) as f64,
+        s.wall.as_secs_f64()
+    );
+    let rows: Vec<Vec<String>> = steps
+        .iter()
+        .map(|(name, d)| {
+            let secs = d.as_secs_f64();
+            vec![
+                name.to_string(),
+                format!("{secs:.3}"),
+                format!("{:.0} %", 100.0 * secs / total.max(f64::MIN_POSITIVE)),
+            ]
+        })
+        .collect();
+    print_table(&["step", "seconds", "share"], &rows);
+    println!(
+        "steps visited per ftran {:.0}, per btran {:.0}; listed nonzeros of w {:.0}, of rho {:.0}; final basis nnz {}",
+        s.ftran_steps_visited, s.btran_steps_visited, s.w_nnz, s.rho_nnz, s.basis_nnz
+    );
+}
+
+/// One cold solve of the benchmark's `plan_planet` LP: `F₀` without backup on
+/// the synthetic planet's expected demand at 180-minute slots (the sizes of
+/// `benchmark/src/spec.rs`'s full `plan` stage), production solve options.
+fn run_planet_f0() {
+    let scale = EvalScale {
+        slot_minutes: 180,
+        ..EvalScale::planet()
+    };
+    let data = build_eval_expected_on(sb_net::presets::synthetic_planet(), &scale);
+    let inputs = PlanningInputs {
+        topo: &data.topo,
+        catalog: &data.catalog,
+        demand: &data.demand_env,
+        latency_threshold_ms: 120.0,
+    };
+    let sd0 = ScenarioData::compute(&data.topo, FailureScenario::None);
+    let sol = sb_core::solve_scenario(&inputs, &sd0, None, &SolveOptions::default())
+        .expect("the planet F0 solves on the primary rung");
+    print_iteration_split(
+        &format!("planet F0, {} x {}", sol.lp_rows, sol.lp_cols),
+        &sol.stats,
+    );
+}
+
 fn run_planet() -> PlanetResult {
     let scale = EvalScale::planet();
     eprintln!(
@@ -218,6 +289,7 @@ fn run_planet() -> PlanetResult {
         "planet sparse+devex: {} rows × {} cols, {:.3}s, {} iters, basis nnz {}",
         sol.lp_rows, sol.lp_cols, sparse_wall_s, sol.iterations, sol.stats.basis_nnz
     );
+    print_iteration_split("planet with backup, sparse+devex", &sol.stats);
 
     // Dense B⁻¹ is O(rows²) per pivot at this size; give it a budget the
     // sparse path beats many times over and require a typed timeout.
@@ -263,10 +335,15 @@ fn run_planet() -> PlanetResult {
 fn main() {
     let metrics = metrics_path_from_args();
     let smoke = std::env::args().any(|a| a == "--smoke");
-    if std::env::args().any(|a| a == "--planet") {
-        // planet leg only (no JSON rewrite): the solver-scaling story in
+    let planet_f0 = std::env::args().any(|a| a == "--planet-f0");
+    if planet_f0 || std::env::args().any(|a| a == "--planet") {
+        // planet solves only (no JSON rewrite): the solver-scaling story in
         // isolation, handy when iterating on the sparse core
-        run_planet();
+        if planet_f0 {
+            run_planet_f0();
+        } else {
+            run_planet();
+        }
         if let Some(path) = metrics {
             dump_metrics(&path);
         }
@@ -514,6 +591,10 @@ fn main() {
     out.push_str("  \"bench\": \"lp_scenario_sweep\",\n");
     out.push_str("  \"topology\": \"apac\",\n");
     out.push_str(&format!("  \"smoke\": {smoke},\n"));
+    // the sweep is single-threaded; recorded so every BENCH_*.json says what
+    // box its wall times come from
+    let hardware = std::thread::available_parallelism().map_or(1, |n| n.get());
+    out.push_str(&format!("  \"hardware_threads\": {hardware},\n"));
     out.push_str(&format!("  \"reps\": {reps},\n"));
     out.push_str(&format!("  \"scenarios\": {},\n", scenarios.len()));
     out.push_str(&format!("  \"lp_rows\": {},\n", lp_dims.0));

@@ -147,6 +147,25 @@ pub fn build_eval(scale: &EvalScale) -> EvalData {
 /// Build the evaluation pipeline on an explicit topology (the planet-scale
 /// solver stress leg uses [`sb_net::presets::synthetic_planet`]).
 pub fn build_eval_on(topo: Topology, scale: &EvalScale) -> EvalData {
+    build_eval_from(topo, scale, |g| {
+        g.sample_demand(scale.start_day, scale.days, 1)
+    })
+}
+
+/// [`build_eval_on`] from the universe's *expected* demand instead of a
+/// sampled trace — the world the benchmark's planning stages solve
+/// (`benchmark/src/world.rs::plan_world`), which no trace seed moves.
+pub fn build_eval_expected_on(topo: Topology, scale: &EvalScale) -> EvalData {
+    build_eval_from(topo, scale, |g| {
+        g.expected_demand(scale.start_day, scale.days)
+    })
+}
+
+fn build_eval_from(
+    topo: Topology,
+    scale: &EvalScale,
+    demand_of: impl FnOnce(&Generator) -> DemandMatrix,
+) -> EvalData {
     let workload = WorkloadParams {
         universe: sb_workload::UniverseParams {
             num_configs: scale.num_configs,
@@ -160,10 +179,7 @@ pub fn build_eval_on(topo: Topology, scale: &EvalScale) -> EvalData {
     };
     let (catalog, demand) = {
         let generator = Generator::new(&topo, workload.clone());
-        (
-            generator.universe().catalog.clone(),
-            generator.sample_demand(scale.start_day, scale.days, 1),
-        )
+        (generator.universe().catalog.clone(), demand_of(&generator))
     };
     let selected = demand.top_configs_covering(scale.coverage);
     let total = demand.total_calls();

@@ -14,6 +14,7 @@ pub(crate) struct LpMetrics {
     refactorizations: Counter,
     solve_wall_ns: Histogram,
     pricing_ns: Histogram,
+    btran_ns: Histogram,
     pivot_row_ns: Histogram,
     ftran_ns: Histogram,
     ratio_ns: Histogram,
@@ -31,6 +32,10 @@ pub(crate) struct LpMetrics {
     full_pricing_sweeps: Counter,
     eta_updates: Counter,
     devex_resets: Counter,
+    ftran_steps_visited: Histogram,
+    btran_steps_visited: Histogram,
+    w_nnz: Histogram,
+    rho_nnz: Histogram,
     basis_nnz: Gauge,
     fill_ratio: Gauge,
     restore_pivots: Counter,
@@ -58,6 +63,7 @@ impl LpMetrics {
         self.refactorizations.add(stats.refactorizations);
         self.solve_wall_ns.record_duration(stats.wall);
         self.pricing_ns.record_duration(stats.times.pricing);
+        self.btran_ns.record_duration(stats.times.btran);
         self.pivot_row_ns.record_duration(stats.times.pivot_row);
         self.ftran_ns.record_duration(stats.times.ftran);
         self.ratio_ns.record_duration(stats.times.ratio);
@@ -70,6 +76,13 @@ impl LpMetrics {
         self.full_pricing_sweeps.add(stats.full_pricing_sweeps);
         self.eta_updates.add(stats.eta_updates);
         self.devex_resets.add(stats.devex_resets);
+        // one sample per solve: that solve's mean, rounded
+        self.ftran_steps_visited
+            .record(stats.ftran_steps_visited.round() as u64);
+        self.btran_steps_visited
+            .record(stats.btran_steps_visited.round() as u64);
+        self.w_nnz.record(stats.w_nnz.round() as u64);
+        self.rho_nnz.record(stats.rho_nnz.round() as u64);
         self.basis_nnz.set(stats.basis_nnz as f64);
         self.fill_ratio.set(stats.fill_ratio);
     }
@@ -121,6 +134,7 @@ pub(crate) fn lp_metrics() -> &'static LpMetrics {
             refactorizations: reg.counter("lp.refactorizations"),
             solve_wall_ns: reg.histogram("lp.solve_wall_ns"),
             pricing_ns: reg.histogram("lp.pricing_ns"),
+            btran_ns: reg.histogram("lp.btran_ns"),
             pivot_row_ns: reg.histogram("lp.pivot_row_ns"),
             ftran_ns: reg.histogram("lp.ftran_ns"),
             ratio_ns: reg.histogram("lp.ratio_ns"),
@@ -138,6 +152,10 @@ pub(crate) fn lp_metrics() -> &'static LpMetrics {
             full_pricing_sweeps: reg.counter("lp.full_pricing_sweeps"),
             eta_updates: reg.counter("lp.eta_updates"),
             devex_resets: reg.counter("lp.devex_resets"),
+            ftran_steps_visited: reg.histogram("lp.ftran_steps_visited"),
+            btran_steps_visited: reg.histogram("lp.btran_steps_visited"),
+            w_nnz: reg.histogram("lp.w_nnz"),
+            rho_nnz: reg.histogram("lp.rho_nnz"),
             basis_nnz: reg.gauge("lp.basis_nnz"),
             fill_ratio: reg.gauge("lp.fill_ratio"),
             restore_pivots: reg.counter("lp.restore_pivots"),

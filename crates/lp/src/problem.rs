@@ -385,7 +385,7 @@ impl std::fmt::Display for SolveRung {
 }
 
 /// Where the revised engine's iteration time went: `wall` split by the step
-/// of the simplex loop that spent it. The six sum to the time inside the
+/// of the simplex loop that spent it. The seven sum to the time inside the
 /// pivot loops (the rest of `wall` is set-up and extraction). All zero for
 /// the dense tableau engine.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -394,8 +394,10 @@ pub struct IterationTimes {
     /// costs, plus every from-scratch recomputation of them (duals and the
     /// dot-product sweep).
     pub pricing: std::time::Duration,
-    /// The pivot-row kernel: `ρ = B⁻ᵀe_r`, `α_r = ρᵀA_N`, and the
-    /// reduced-cost (and devex weight) update it feeds.
+    /// `ρ = B⁻ᵀe_r` for the leaving row, the seed of the pivot-row kernel.
+    pub btran: std::time::Duration,
+    /// The rest of the pivot-row kernel: `α_r = ρᵀA_N` and the reduced-cost
+    /// (and devex weight) update it feeds.
     pub pivot_row: std::time::Duration,
     /// `B⁻¹A_q` for the entering column.
     pub ftran: std::time::Duration,
@@ -454,6 +456,16 @@ pub struct SolveStats {
     /// Times devex pricing reset its reference weights to all-ones after a
     /// weight overflowed.
     pub devex_resets: u64,
+    /// Mean elimination steps an entering-column ftran visited, of the
+    /// basis's `m` (0 for the dense inverse, which has no elimination order,
+    /// and when no ftran ran).
+    pub ftran_steps_visited: f64,
+    /// Mean elimination steps a pivot-row btran visited, likewise.
+    pub btran_steps_visited: f64,
+    /// Mean entries of `w = B⁻¹A_q` the ftran listed as possibly nonzero.
+    pub w_nnz: f64,
+    /// Mean entries of `ρ = B⁻ᵀe_r` the btran listed as possibly nonzero.
+    pub rho_nnz: f64,
 }
 
 impl SolveStats {

@@ -16,12 +16,18 @@
 //!   dot product only where the factorization is (every refactorization,
 //!   each phase's cost change) and before optimality is declared, so an
 //!   iteration costs two sparse solves, one partial row pass and an array
-//!   scan — no `O(nnz(A))` sweep.
+//!   scan — no `O(nnz(A))` sweep;
+//! * both solves come back with the ascending list of their nonzeros
+//!   ([`SolveVec`]), and everything that consumes one — the exact `d_q`, the
+//!   ratio test, the move of `x_B`, the eta, the pivot row — walks the list
+//!   instead of `0..m`. Ascending order keeps every sum and every candidate
+//!   list as a full pass would form it, so this skips zeros and changes no
+//!   pivot.
 //!
 //! Anti-cycling: Dantzig pricing normally, switching to Bland's rule after a
 //! run of degenerate pivots; this guarantees termination.
 
-use crate::factor::{make_factor, FactorKind, Factorization};
+use crate::factor::{make_factor, FactorKind, Factorization, SolveVec};
 use crate::metrics::{lp_metrics, RestoreGiveup};
 use crate::problem::{
     Basis, IterationTimes, LpError, LpProblem, Solution, SolveRung, SolveStats, Solver, VarStatus,
@@ -253,9 +259,15 @@ struct Engine<'a> {
     /// resync, kept current across pivots.
     cb: Vec<f64>,
     /// Scratch: `w = B⁻¹A_q` of the entering column.
-    w: Vec<f64>,
+    w: SolveVec,
     /// Scratch: `ρ = B⁻ᵀe_r` of the pivot row.
-    rho: Vec<f64>,
+    rho: SolveVec,
+    /// Entering-column ftrans, pivot-row btrans, and the listed entries of
+    /// the `w`s and `ρ`s they produced (for the stats' means).
+    ftrans: u64,
+    btrans: u64,
+    w_listed: u64,
+    rho_listed: u64,
     /// Scratch: the pivot row `α_r`, empty between pivots.
     row: PivotRow,
     /// Scratch: rows limiting the entering step.
@@ -423,8 +435,12 @@ impl<'a> Engine<'a> {
             lap_start: Instant::now(),
             y: vec![0.0; m],
             cb: vec![0.0; m],
-            w: vec![0.0; m],
-            rho: vec![0.0; m],
+            w: SolveVec::zeros(m),
+            rho: SolveVec::zeros(m),
+            ftrans: 0,
+            btrans: 0,
+            w_listed: 0,
+            rho_listed: 0,
             row: PivotRow::new(n, sf.cols.nnz()),
             ratio_cands: Vec::new(),
             favorable: Vec::new(),
@@ -621,9 +637,9 @@ impl<'a> Engine<'a> {
             let leaving = self.basis[leave_row];
             let target = if above { self.upper[leaving] } else { 0.0 };
             let delta = (self.xb[leave_row] - target) / best_alpha;
-            for i in 0..m {
+            for (i, wi) in self.w.iter() {
                 if i != leave_row {
-                    self.xb[i] -= delta * self.w[i];
+                    self.xb[i] -= delta * wi;
                 }
             }
             let enter_from = if self.status[enter] == VStat::Upper {
@@ -707,12 +723,14 @@ impl<'a> Engine<'a> {
     fn ftran(&mut self, j: usize) {
         let (rows, vals) = self.sf.cols.col(j);
         self.factor.ftran_sparse(rows, vals, &mut self.w);
+        self.ftrans += 1;
+        self.w_listed += self.w.nz.len() as u64;
     }
 
     /// Exact reduced cost `c_q − c_Bᵀw` of the column whose ftran image is
     /// in `w`.
     fn entering_reduced_cost(&self, enter: usize) -> f64 {
-        let cbw: f64 = self.cb.iter().zip(&self.w).map(|(&c, &w)| c * w).sum();
+        let cbw: f64 = self.w.iter().map(|(i, w)| self.cb[i] * w).sum();
         self.cost[enter] - cbw
     }
 
@@ -938,7 +956,7 @@ impl<'a> Engine<'a> {
         }
 
         // --- ratio test (shared two-pass Harris implementation) -------------
-        let winf = self.w.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
+        let winf = self.w.iter().fold(0.0f64, |acc, (_, v)| acc.max(v.abs()));
         // entering var moves by t >= 0 in direction sigma; basic values
         // change by −t·σ·w.
         let bound_flip_t = if self.upper[enter].is_finite() {
@@ -947,8 +965,8 @@ impl<'a> Engine<'a> {
             f64::INFINITY
         };
         self.ratio_cands.clear();
-        for i in 0..self.m {
-            let wi = sigma * self.w[i];
+        for (i, wi) in self.w.iter() {
+            let wi = sigma * wi;
             let bi = self.basis[i];
             if wi > self.eps {
                 self.ratio_cands.push(RatioCandidate {
@@ -985,7 +1003,7 @@ impl<'a> Engine<'a> {
             // basis too ill-conditioned to carry `xb`: re-run the ratio test
             // with Harris's bound relaxation, which gives up at most
             // `HARRIS_RELAX` of feasibility for the largest pivot in reach.
-            if self.w[row].abs() < self.eps.max(PIVOT_STABILITY_REL * winf) {
+            if self.w.val[row].abs() < self.eps.max(PIVOT_STABILITY_REL * winf) {
                 if self.pivots_since_refactor > 0 {
                     self.lap(|t| &mut t.ratio);
                     return StepOutcome::NeedsRefactor;
@@ -1004,8 +1022,8 @@ impl<'a> Engine<'a> {
                 // bound flip: entering var runs to its other bound; the basis
                 // and therefore every reduced cost stay as they are
                 let t = t.max(0.0);
-                for i in 0..self.m {
-                    self.xb[i] -= t * sigma * self.w[i];
+                for (i, wi) in self.w.iter() {
+                    self.xb[i] -= t * sigma * wi;
                 }
                 self.status[enter] = if sigma > 0.0 {
                     VStat::Upper
@@ -1026,12 +1044,17 @@ impl<'a> Engine<'a> {
         self.lap(|t| &mut t.pivot_row);
 
         // basis change
-        for i in 0..self.m {
+        for (i, wi) in self.w.iter() {
             if i != leave_row {
-                self.xb[i] -= t * sigma * self.w[i];
-                if self.xb[i] < 0.0 && self.xb[i] > -1e-9 {
-                    self.xb[i] = 0.0;
-                }
+                self.xb[i] -= t * sigma * wi;
+            }
+        }
+        // The clamp reaches entries this pivot did not move (set by a bound
+        // flip or a refactorization since), so it stays a pass over all of
+        // `xb`; the leaving row's slot is overwritten right below.
+        for x in &mut self.xb {
+            if *x < 0.0 && *x > -1e-9 {
+                *x = 0.0;
             }
         }
         // entering variable's new value
@@ -1070,7 +1093,10 @@ impl<'a> Engine<'a> {
     /// dual ratio test reads it in between.
     fn pivot_row(&mut self, r: usize) {
         self.factor.btran_unit(r, &mut self.rho);
-        for (i, &rv) in self.rho.iter().enumerate() {
+        self.btrans += 1;
+        self.rho_listed += self.rho.nz.len() as u64;
+        self.lap(|t| &mut t.btran);
+        for (i, rv) in self.rho.iter() {
             if rv == 0.0 {
                 continue;
             }
@@ -1092,7 +1118,7 @@ impl<'a> Engine<'a> {
     /// weight blows past 1e10 the reference framework is reset to all-ones
     /// (counted in `devex_resets`).
     fn update_reduced_costs(&mut self, enter: usize, leave_row: usize) {
-        let alpha_rq = self.w[leave_row];
+        let alpha_rq = self.w.val[leave_row];
         let theta = self.d[enter] / alpha_rq;
         let devex = matches!(self.pricing, Pricing::Devex { .. }) && alpha_rq.abs() > self.eps;
         let ratio_base = self.devex_w[enter] / (alpha_rq * alpha_rq);
@@ -1412,6 +1438,7 @@ impl RevisedSimplex {
             ));
         }
         let x = eng.extract();
+        let mean = |total: u64, over: u64| total as f64 / over.max(1) as f64;
         let values = sf.recover(&x);
         let objective = lp.objective_at(&values);
         eng.compute_duals();
@@ -1450,6 +1477,10 @@ impl RevisedSimplex {
             },
             eta_updates: eng.eta_updates,
             devex_resets: eng.devex_resets,
+            ftran_steps_visited: mean(eng.factor.steps_visited().0, eng.ftrans),
+            btran_steps_visited: mean(eng.factor.steps_visited().1, eng.btrans),
+            w_nnz: mean(eng.w_listed, eng.ftrans),
+            rho_nnz: mean(eng.rho_listed, eng.btrans),
         };
         lp_metrics().record_solve(&stats);
         Ok(Solution {
@@ -1895,9 +1926,14 @@ mod tests {
             let (enter, leaving) = (eng.basis[r], basis[r]);
             let mut dense = make_factor(FactorKind::Dense, m);
             dense.refactorize(&sf.cols, &basis).unwrap();
-            let mut rho = vec![0.0; m];
+            let mut rho = SolveVec::zeros(m);
             dense.btran_unit(r, &mut rho);
-            let alpha = |j: usize| sf.cols.iter_col(j).map(|(i, v)| rho[i] * v).sum::<f64>();
+            let alpha = |j: usize| {
+                sf.cols
+                    .iter_col(j)
+                    .map(|(i, v)| rho.val[i] * v)
+                    .sum::<f64>()
+            };
             let ratio_base = weights[enter] / (alpha(enter) * alpha(enter));
             let mut expect = weights;
             for j in 0..n {

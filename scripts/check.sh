@@ -38,11 +38,17 @@ echo "==> benchmark ruler: benchmark/run.sh --smoke (all four workloads, every c
 # next performance PR.
 benchmark/run.sh --smoke
 
-echo "==> benchmark ruler: planet plan still matches benchmark/expected/plan_planet.json (1e-9)"
+echo "==> benchmark ruler: planet plan still matches benchmark/expected/plan_planet.json (1e-9), on the pinned pivot path"
 # --smoke skips the expected-plan match (the recorded plans are full-size);
 # one short full-size planet pass checks it. A single workload always exits
-# 0 and reports its verdict on the last line.
-benchmark/run.sh --workload plan_planet --seconds 1 | tail -n 1 | grep -q '"correct":true'
+# 0 and reports its verdict on the last line. The iteration count is pinned
+# too: sb-lp's solve optimisations skip zeros and never reorder a sum, so an
+# unintended arithmetic change anywhere in the solver moves this number and
+# fails here; a deliberate one updates the constant (and the ones in
+# crates/lp/tests/pinned_pivot_path.rs) in the same PR.
+benchmark/run.sh --workload plan_planet --seconds 1 --out /tmp/plan_planet.json |
+    tail -n 1 | grep -q '"correct":true'
+grep -q '"lp_iterations": 8452\b' /tmp/plan_planet.json
 
 echo "==> benchmark ruler: bare engine equals the replay oracle at the full live-set size"
 # --smoke checks "selector stats and per-DC tallies equal the replay oracle"
