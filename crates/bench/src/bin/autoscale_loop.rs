@@ -22,17 +22,17 @@
 //! 4. **Memory is flat.** RSS is sampled at every install across the weeks
 //!    and must not grow with stream length.
 //!
-//! Usage: `autoscale_loop [--smoke] [--json <path>] [--metrics <path>]`
+//! Usage: `autoscale_loop [--json <path> | --check <path>] [--metrics <path>]`
 //!
-//! `--smoke` shrinks the world (one week, daily seasonality) for CI.
-//! Machine-readable numbers go to `BENCH_autoscale.json`.
+//! `--json` records `BENCH_autoscale.json` and `results/autoscale_loop.txt`,
+//! `--check` compares the counts with the committed file
+//! ([`sb_bench::report`]).
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use sb_bench::common::{
-    build_eval, dump_metrics, json_path_from_args, metrics_path_from_args, print_table, EvalScale,
-};
+use sb_bench::common::{build_eval, dump_metrics, metrics_path_from_args, EvalScale};
+use sb_bench::report::{Mode, Report};
 use sb_core::formulation::{PlanningInputs, ScenarioData, SolveOptions};
 use sb_core::{PlanArtifact, SlotPlanner};
 use sb_forecast::{StreamingForecaster, StreamingParams};
@@ -84,36 +84,17 @@ fn assert_stale_windows_close(report: &AutoscaleReport) {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
     let metrics_path = metrics_path_from_args();
-    let json_path = json_path_from_args("BENCH_autoscale.json");
+    let mode = Mode::from_args();
 
-    // smoke: one week with daily seasonality so the two-season warmup
-    // clears in two days and drift can fire in CI; full: four weeks with
-    // the paper's weekly seasonality
-    let (scale, season_days, watermark) = if smoke {
-        (
-            EvalScale {
-                num_configs: 60,
-                daily_calls: 1_000.0,
-                days: 7,
-                ..EvalScale::quick()
-            },
-            1usize,
-            0.10,
-        )
-    } else {
-        (
-            EvalScale {
-                num_configs: 240,
-                daily_calls: 3_000.0,
-                days: 28,
-                ..EvalScale::quick()
-            },
-            7usize,
-            0.15,
-        )
+    // four weeks with the paper's weekly seasonality
+    let scale = EvalScale {
+        num_configs: 240,
+        daily_calls: 3_000.0,
+        days: 28,
+        ..EvalScale::quick()
     };
+    let (season_days, watermark) = (7usize, 0.15);
     eprintln!(
         "building workload: {} configs, {:.0} calls/day, {} days, {}-min slots …",
         scale.num_configs, scale.daily_calls, scale.days, scale.slot_minutes
@@ -166,7 +147,7 @@ fn main() {
     let quotas = initial.artifact.quotas.clone();
 
     // control loop: drift-driven re-plans plus one scheduled re-plan per
-    // season (weekly in full mode — the §5.2 refresh cadence), which also
+    // season (weekly — the §5.2 refresh cadence), which also
     // samples RSS once per season for the flat-memory check
     let mut cfg = AutoscaleConfig::new(season_len);
     cfg.latency_min = REPLAN_LATENCY_MIN;
@@ -256,13 +237,11 @@ fn main() {
         drift_installs,
         report.drift_triggers
     );
-    if smoke {
-        assert!(
-            report.drift_triggers >= 1,
-            "smoke run must exercise at least one drift-induced stale window \
-             (watermark {watermark} never fired)"
-        );
-    }
+    assert!(
+        report.drift_triggers >= 1,
+        "the run must exercise at least one drift-induced stale window \
+         (watermark {watermark} never fired)"
+    );
 
     // contract 2: control-loop re-plans land warm
     let hit_rate = if solved > 0 {
@@ -332,138 +311,64 @@ fn main() {
         );
     }
 
+    let mut out = Report::new("autoscale_loop");
+    out.counts
+        .label("topology", "apac")
+        .int("days", u64::from(scale.days))
+        .int("windows", num_slots as u64)
+        .int("season_len", season_len as u64)
+        .fixed("watermark", watermark, 2)
+        .int("replan_latency_min", REPLAN_LATENCY_MIN)
+        .int("calls", report.calls)
+        .int("stranded", report.stranded)
+        .int("peak_inflight", report.peak_inflight as u64)
+        .int("plan_installs", report.plan_installs)
+        .int("stale_freezes", report.stale_freezes)
+        .int("plan_migrations", report.plan_migrations)
+        .fixed("final_nrmse", report.final_nrmse().unwrap_or(f64::NAN), 6)
+        .ints("install_minutes", rss_samples.iter().map(|&(m, _)| m))
+        // asserted above: contract 1, and contract 3 at 1 and 8 threads
+        .flag("stale_windows_close", true)
+        .flag("serial_equals_concurrent", true);
+    out.counts
+        .row("triggers")
+        .int("drift", report.drift_triggers)
+        .int("schedule", report.schedule_triggers);
+    out.counts
+        .row("warm")
+        .int("hits", warm_hits as u64)
+        .int("solved", solved as u64)
+        .fixed("hit_rate", hit_rate, 4)
+        .int("capacity_fallbacks", override_fallbacks);
     // per-season summary: forecast error against what it cost
-    println!("== autoscale_loop: closed-loop streaming control ==\n");
-    println!(
-        "APAC, {} days streamed in {} windows of {} min, season {} buckets, \
-         watermark {:.2}, re-plan latency {} min\n",
-        scale.days, num_slots, slot_min, season_len, watermark, REPLAN_LATENCY_MIN
-    );
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    let chunk = season_len;
-    for (si, ws) in report.windows.chunks(chunk).enumerate() {
-        let calls: u64 = ws.iter().map(|w| w.calls_started).sum();
+    for (si, ws) in report.windows.chunks(season_len).enumerate() {
         let nrmse: Vec<f64> = ws.iter().filter_map(|w| w.forecast_nrmse).collect();
-        let mean_nrmse = if nrmse.is_empty() {
-            "warmup".to_string()
-        } else {
-            format!("{:.3}", nrmse.iter().sum::<f64>() / nrmse.len() as f64)
-        };
-        let drifts: u64 = ws.iter().filter(|w| w.drift).count() as u64;
-        let installs: u64 = ws.iter().map(|w| w.plan_installs).sum();
-        let stale: u64 = ws.iter().map(|w| w.stale_freezes).sum();
-        let stranded: u64 = ws.iter().map(|w| w.stranded).sum();
-        let migr: u64 = ws.iter().map(|w| w.plan_migrations).sum();
-        rows.push(vec![
-            format!("{si}"),
-            calls.to_string(),
-            mean_nrmse,
-            drifts.to_string(),
-            installs.to_string(),
-            stale.to_string(),
-            stranded.to_string(),
-            migr.to_string(),
-        ]);
+        out.counts
+            .row("seasons")
+            .row(&si.to_string())
+            .int("calls", ws.iter().map(|w| w.calls_started).sum())
+            // `null` while the forecaster warms up
+            .fixed("nrmse", nrmse.iter().sum::<f64>() / nrmse.len() as f64, 3)
+            .int("drifts", ws.iter().filter(|w| w.drift).count() as u64)
+            .int("installs", ws.iter().map(|w| w.plan_installs).sum())
+            .int("stale_freezes", ws.iter().map(|w| w.stale_freezes).sum())
+            .int("stranded", ws.iter().map(|w| w.stranded).sum())
+            .int(
+                "plan_migrations",
+                ws.iter().map(|w| w.plan_migrations).sum(),
+            );
     }
-    print_table(
-        &[
-            "season",
-            "calls",
-            "nRMSE",
-            "drifts",
-            "installs",
-            "stale_frz",
-            "stranded",
-            "migr",
-        ],
-        &rows,
-    );
-    println!(
-        "\nloop: {} calls in {:.3}s, peak in-flight {} records, {} installs \
-         ({} drift / {} schedule triggers), {} stale freezes, 0 stranded",
-        report.calls,
-        run_wall,
-        report.peak_inflight,
-        report.plan_installs,
-        report.drift_triggers,
-        report.schedule_triggers,
-        report.stale_freezes,
-    );
-    println!(
-        "re-plans: {warm_hits}/{solved} slots warm ({:.0}%), {:.3}s total, \
-         {} capacity fallbacks; serial == concurrent",
-        hit_rate * 100.0,
-        replan_wall,
-        override_fallbacks
-    );
-    let rss_line: Vec<String> = rss_samples
-        .iter()
-        .map(|&(m, kb)| format!("{}d:{}M", m / 1440, kb / 1024))
-        .collect();
-    println!(
-        "rss: base {}M, installs [{}], end {}M — flat across the stream",
-        rss_base / 1024,
-        rss_line.join(" "),
-        rss_end / 1024
-    );
-
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"autoscale_loop\",\n");
-    out.push_str("  \"topology\": \"apac\",\n");
-    out.push_str(&format!("  \"smoke\": {smoke},\n"));
-    out.push_str(&format!("  \"days\": {},\n", scale.days));
-    out.push_str(&format!("  \"windows\": {num_slots},\n"));
-    out.push_str(&format!("  \"season_len\": {season_len},\n"));
-    out.push_str(&format!("  \"watermark\": {watermark},\n"));
-    out.push_str(&format!(
-        "  \"replan_latency_min\": {REPLAN_LATENCY_MIN},\n"
-    ));
-    out.push_str(&format!("  \"calls\": {},\n", report.calls));
-    out.push_str(&format!("  \"stranded\": {},\n", report.stranded));
-    out.push_str(&format!("  \"peak_inflight\": {},\n", report.peak_inflight));
-    out.push_str(&format!("  \"initial_wall_s\": {initial_wall:.6},\n"));
-    out.push_str(&format!("  \"loop_wall_s\": {run_wall:.6},\n"));
-    out.push_str(&format!(
-        "  \"triggers\": {{\"drift\": {}, \"schedule\": {}}},\n",
-        report.drift_triggers, report.schedule_triggers
-    ));
-    out.push_str(&format!("  \"plan_installs\": {},\n", report.plan_installs));
-    out.push_str(&format!("  \"stale_freezes\": {},\n", report.stale_freezes));
-    out.push_str(&format!(
-        "  \"plan_migrations\": {},\n",
-        report.plan_migrations
-    ));
-    out.push_str(&format!(
-        "  \"warm\": {{\"hits\": {warm_hits}, \"solved\": {solved}, \
-         \"hit_rate\": {hit_rate:.4}, \"wall_s\": {replan_wall:.6}, \
-         \"capacity_fallbacks\": {override_fallbacks}}},\n"
-    ));
-    out.push_str(&format!(
-        "  \"final_nrmse\": {},\n",
-        report
-            .final_nrmse()
-            .map_or("null".to_string(), |v| format!("{v:.6}"))
-    ));
-    let rss_json: Vec<String> = rss_samples
-        .iter()
-        .map(|&(m, kb)| format!("[{m}, {kb}]"))
-        .collect();
-    out.push_str(&format!(
-        "  \"rss\": {{\"base_kb\": {rss_base}, \"end_kb\": {rss_end}, \
-         \"at_installs\": [{}]}},\n",
-        rss_json.join(", ")
-    ));
-    out.push_str("  \"stale_windows_close\": true,\n");
-    out.push_str("  \"serial_equals_concurrent\": true\n");
-    out.push_str("}\n");
-    match std::fs::write(&json_path, out) {
-        Ok(()) => eprintln!("wrote {json_path}"),
-        Err(e) => {
-            eprintln!("failed to write {json_path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    out.host
+        .fixed("initial_wall_s", initial_wall, 6)
+        .fixed("loop_wall_s", run_wall, 6);
+    out.host.row("warm").fixed("wall_s", replan_wall, 6);
+    // flat across the stream (contract 4): sampled at each of `install_minutes`
+    out.host
+        .row("rss")
+        .int("base_kb", rss_base)
+        .int("end_kb", rss_end)
+        .ints("at_installs_kb", rss_samples.iter().map(|&(_, kb)| kb));
+    out.finish(&mode);
     if let Some(path) = metrics_path {
         dump_metrics(&path);
     }

@@ -10,20 +10,21 @@
 //! identical across variants to 1e-9 relative — warm starts, pricing and
 //! factorization are pure performance knobs.
 //!
-//! Usage: `lp_scenario_sweep [--smoke | --planet | --planet-f0] [--json <path>]
-//! [--baseline <path>] [--metrics <path>]`
+//! Usage: `lp_scenario_sweep [--smoke | --planet | --planet-f0]
+//! [--json <path> | --check <path>] [--metrics <path>]`
 //!
-//! `--smoke` (CI gate) runs the sparse variants for a single repetition and
-//! asserts their capacities match the committed dense-factorization baseline
-//! in `--baseline` (default `BENCH_lp.json`) to 1e-9 relative. The default
-//! (full) mode takes the best of 3, adds the dense-factorization baseline
-//! variant and the planet-scale leg, and rewrites `BENCH_lp.json` — capacity
-//! baseline included — with the measured numbers. `--planet` runs the
-//! planet-scale leg alone; `--planet-f0` solves the benchmark's
-//! `plan_planet` LP (`F₀` without backup, production options) once. Both
-//! print where the iterations went straight from `SolveStats` — the table
-//! of EXPERIMENTS.md § "Where a planet iteration goes" — and rewrite
-//! nothing.
+//! The default (full) mode takes the best of 3, adds the dense-factorization
+//! baseline variant and the planet-scale leg; `--json` records
+//! `BENCH_lp.json` — the dense variant's capacity arrays included — and
+//! `results/lp_scenario_sweep.txt`. `--smoke --check BENCH_lp.json` (the CI
+//! gate) runs the sparse variants for a single repetition, asserts their
+//! capacities match the committed dense arrays to 1e-9 relative, and
+//! compares the counts of the variants it ran with the committed file's
+//! ([`sb_bench::report`]). `--planet` runs the planet-scale leg alone;
+//! `--planet-f0` solves the benchmark's `plan_planet` LP (`F₀` without
+//! backup, production options) once. Both print where the iterations went
+//! straight from `SolveStats` — the table of EXPERIMENTS.md § "Where a
+//! planet iteration goes" — and record nothing.
 
 use std::time::{Duration, Instant};
 
@@ -31,57 +32,12 @@ use sb_bench::common::{
     build_eval, build_eval_expected_on, build_eval_on, dump_metrics, metrics_path_from_args,
     print_table, EvalScale,
 };
+use sb_bench::report::{Mode, Recorded, Report};
 use sb_core::formulation::{PlanningInputs, ProvisionError, ScenarioData, SolveOptions};
 use sb_core::provision::{solve_scenarios, ProvisionerParams};
 use sb_core::ScenarioSolution;
 use sb_lp::{FactorKind, LpError, Pricing, RevisedSimplex, SolveStats};
 use sb_net::{FailureScenario, ProvisionedCapacity};
-
-struct Variant {
-    name: &'static str,
-    warm_start: bool,
-    pricing: Pricing,
-    factorization: FactorKind,
-}
-
-#[derive(Default)]
-struct Aggregate {
-    wall_s: f64,
-    iterations: u64,
-    phase1_iterations: u64,
-    warm_started: u64,
-    phase1_iterations_saved: u64,
-    pricing_scans: u64,
-    pricing_cols_scanned: u64,
-    full_pricing_sweeps: u64,
-    refactorizations: u64,
-    eta_updates: u64,
-    devex_resets: u64,
-    max_basis_nnz: u64,
-    max_fill_ratio: f64,
-}
-
-fn aggregate(sols: &[ScenarioSolution], wall_s: f64) -> Aggregate {
-    let mut a = Aggregate {
-        wall_s,
-        ..Default::default()
-    };
-    for s in sols {
-        a.iterations += s.stats.phase1_iterations + s.stats.phase2_iterations;
-        a.phase1_iterations += s.stats.phase1_iterations;
-        a.warm_started += u64::from(s.stats.warm_started);
-        a.phase1_iterations_saved += s.stats.phase1_iterations_saved;
-        a.pricing_scans += s.stats.pricing_scans;
-        a.pricing_cols_scanned += s.stats.pricing_cols_scanned;
-        a.full_pricing_sweeps += s.stats.full_pricing_sweeps;
-        a.refactorizations += s.stats.refactorizations;
-        a.eta_updates += s.stats.eta_updates;
-        a.devex_resets += s.stats.devex_resets;
-        a.max_basis_nnz = a.max_basis_nnz.max(s.stats.basis_nnz);
-        a.max_fill_ratio = a.max_fill_ratio.max(s.stats.fill_ratio);
-    }
-    a
-}
 
 fn union_capacity(topo: &sb_net::Topology, sols: &[ScenarioSolution]) -> ProvisionedCapacity {
     let mut cap = ProvisionedCapacity::zero(topo);
@@ -91,22 +47,8 @@ fn union_capacity(topo: &sb_net::Topology, sols: &[ScenarioSolution]) -> Provisi
     cap
 }
 
-/// Largest relative component difference between two capacity vectors.
-fn capacity_rel_diff(a: &ProvisionedCapacity, b: &ProvisionedCapacity) -> f64 {
-    let mut worst: f64 = 0.0;
-    for (x, y) in a
-        .cores
-        .iter()
-        .zip(&b.cores)
-        .chain(a.gbps.iter().zip(&b.gbps))
-    {
-        worst = worst.max((x - y).abs() / x.abs().max(y.abs()).max(1.0));
-    }
-    worst
-}
-
-/// Same metric against flat baseline arrays read back from the committed
-/// JSON (cores then gbps).
+/// Largest relative component difference between a capacity vector and the
+/// dense baseline's flat arrays (cores then gbps).
 fn rel_diff_vs_baseline(cap: &ProvisionedCapacity, cores: &[f64], gbps: &[f64]) -> f64 {
     assert_eq!(cap.cores.len(), cores.len(), "baseline cores length");
     assert_eq!(cap.gbps.len(), gbps.len(), "baseline gbps length");
@@ -117,60 +59,11 @@ fn rel_diff_vs_baseline(cap: &ProvisionedCapacity, cores: &[f64], gbps: &[f64]) 
     worst
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// Render a float array with `Display` (shortest round-trip) so the baseline
-/// survives a JSON round trip bit-exactly.
-fn json_f64_array(vals: &[f64]) -> String {
-    let cells: Vec<String> = vals.iter().map(|v| format!("{v}")).collect();
-    format!("[{}]", cells.join(", "))
-}
-
-/// Extract a flat `"key": [1.0, 2.0, …]` array from a JSON text. Minimal on
-/// purpose: the file is machine-written by this binary, not arbitrary JSON.
-fn parse_f64_array(text: &str, key: &str) -> Option<Vec<f64>> {
-    let needle = format!("\"{key}\"");
-    let at = text.find(&needle)?;
-    let rest = &text[at + needle.len()..];
-    let open = rest.find('[')?;
-    let close = rest[open..].find(']')? + open;
-    rest[open + 1..close]
-        .split(',')
-        .map(|c| c.trim().parse::<f64>().ok())
-        .collect()
-}
-
-fn pricing_name(p: Pricing) -> String {
+fn pricing_name(p: Pricing) -> &'static str {
     match p {
-        Pricing::Dantzig => "dantzig".to_string(),
-        Pricing::Partial {
-            list_size,
-            full_sweep_every,
-        } => format!("partial({list_size},{full_sweep_every})"),
-        Pricing::Devex {
-            list_size,
-            full_sweep_every,
-        } => format!("devex({list_size},{full_sweep_every})"),
+        Pricing::Dantzig => "dantzig",
+        Pricing::Devex => "devex",
     }
-}
-
-/// The planet-scale leg: one cold `F₀` solve of the synthetic-planet master
-/// LP (≥10⁴ rows) per factorization backend. Sparse must finish inside a
-/// generous budget; dense must exhaust a short one — that asymmetry *is*
-/// the result.
-struct PlanetResult {
-    dcs: usize,
-    links: usize,
-    lp_rows: usize,
-    lp_cols: usize,
-    sparse_wall_s: f64,
-    sparse_iterations: u64,
-    sparse_basis_nnz: u64,
-    sparse_fill_ratio: f64,
-    dense_budget_s: f64,
-    dense_timed_out: bool,
 }
 
 /// Where one solve's iterations went, from its own `SolveStats`: the time of
@@ -238,7 +131,11 @@ fn run_planet_f0() {
     );
 }
 
-fn run_planet() -> PlanetResult {
+/// The planet-scale leg: one cold `F₀` solve of the synthetic-planet master
+/// LP (≥10⁴ rows) per factorization backend. Sparse must finish inside a
+/// generous budget; dense must exhaust a short one — that asymmetry *is*
+/// the result.
+fn run_planet(report: &mut Report) {
     let scale = EvalScale::planet();
     eprintln!(
         "planet leg: building workload ({} configs, {:.0} calls/day, {} days, {}-min slots) …",
@@ -258,7 +155,7 @@ fn run_planet() -> PlanetResult {
             warm_start: false,
             fallback_to_dense: false,
             solver: RevisedSimplex {
-                pricing: Pricing::devex(),
+                pricing: Pricing::Devex,
                 factorization: kind,
                 time_budget: Some(budget),
                 ..RevisedSimplex::new()
@@ -318,57 +215,68 @@ fn run_planet() -> PlanetResult {
         dense_budget.as_secs_f64()
     );
 
-    PlanetResult {
-        dcs: data.topo.dcs.len(),
-        links: data.topo.links.len(),
-        lp_rows: sol.lp_rows,
-        lp_cols: sol.lp_cols,
-        sparse_wall_s,
-        sparse_iterations: sol.iterations,
-        sparse_basis_nnz: sol.stats.basis_nnz,
-        sparse_fill_ratio: sol.stats.fill_ratio,
-        dense_budget_s: dense_budget.as_secs_f64(),
-        dense_timed_out,
-    }
+    report
+        .counts
+        .row("planet")
+        .label("topology", "synthetic_planet")
+        .int("dcs", data.topo.dcs.len() as u64)
+        .int("links", data.topo.links.len() as u64)
+        .int("lp_rows", sol.lp_rows as u64)
+        .int("lp_cols", sol.lp_cols as u64)
+        .int("sparse_iterations", sol.iterations)
+        .int("sparse_basis_nnz", sol.stats.basis_nnz)
+        .fixed("sparse_fill_ratio", sol.stats.fill_ratio, 4)
+        .fixed("dense_budget_s", dense_budget.as_secs_f64(), 1)
+        .flag("dense_timed_out", dense_timed_out);
+    report
+        .host
+        .row("planet")
+        .fixed("sparse_wall_s", sparse_wall_s, 6);
 }
 
 fn main() {
     let metrics = metrics_path_from_args();
+    let mode = Mode::from_args();
     let smoke = std::env::args().any(|a| a == "--smoke");
     let planet_f0 = std::env::args().any(|a| a == "--planet-f0");
     if planet_f0 || std::env::args().any(|a| a == "--planet") {
-        // planet solves only (no JSON rewrite): the solver-scaling story in
+        // planet solves only (nothing recorded): the solver-scaling story in
         // isolation, handy when iterating on the sparse core
         if planet_f0 {
             run_planet_f0();
         } else {
-            run_planet();
+            let mut report = Report::new("lp_scenario_sweep");
+            run_planet(&mut report);
+            report.finish(&Mode::Print);
         }
         if let Some(path) = metrics {
             dump_metrics(&path);
         }
         return;
     }
-    let mut json_path = String::from("BENCH_lp.json");
-    let mut baseline_path = String::from("BENCH_lp.json");
-    {
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
-            let missing = |flag: &str| -> String {
-                eprintln!("{flag} requires a path argument");
-                std::process::exit(2);
-            };
-            if a == "--json" {
-                json_path = args.next().unwrap_or_else(|| missing("--json"));
-            } else if let Some(p) = a.strip_prefix("--json=") {
-                json_path = p.to_string();
-            } else if a == "--baseline" {
-                baseline_path = args.next().unwrap_or_else(|| missing("--baseline"));
-            } else if let Some(p) = a.strip_prefix("--baseline=") {
-                baseline_path = p.to_string();
-            }
-        }
-    }
+    // The dense-factorization baseline is the pre-sparse engine; the smoke
+    // gate skips it (slow) and checks the sparse capacities against the
+    // arrays it left in the committed file.
+    let committed_dense = smoke.then(|| {
+        let Mode::Check(path) = &mode else {
+            eprintln!("--smoke needs --check <BENCH_lp.json>: it gates against the committed dense baseline");
+            std::process::exit(2);
+        };
+        let arrays = std::fs::read_to_string(path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| Recorded::parse(&text).map_err(|e| e.to_string()))
+            .and_then(|rec| {
+                let read = |key| rec.counts.read_floats(key).ok_or(format!("no array {key}"));
+                Ok((
+                    read("dense_baseline.capacity_cores")?,
+                    read("dense_baseline.capacity_gbps")?,
+                ))
+            });
+        arrays.unwrap_or_else(|e| {
+            eprintln!("lp_scenario_sweep: {}: {e}", path.display());
+            std::process::exit(1);
+        })
+    });
     let reps = if smoke { 1 } else { 3 };
 
     let scale = EvalScale::quick();
@@ -394,57 +302,41 @@ fn main() {
         data.topo.links.len()
     );
 
-    // The dense-factorization baseline is the pre-sparse engine; the smoke
-    // gate skips it (slow) and instead checks the sparse capacities against
-    // the committed baseline arrays it produced.
-    let mut variants = Vec::new();
-    if !smoke {
-        variants.push(Variant {
-            name: "cold+dantzig+dense",
-            warm_start: false,
-            pricing: Pricing::Dantzig,
-            factorization: FactorKind::Dense,
-        });
+    // (name, warm start, pricing, factorization)
+    const DENSE: &str = "cold+dantzig+dense";
+    let mut variants = vec![
+        (DENSE, false, Pricing::Dantzig, FactorKind::Dense),
+        (
+            "cold+dantzig",
+            false,
+            Pricing::Dantzig,
+            FactorKind::SparseLu,
+        ),
+        ("cold+devex", false, Pricing::Devex, FactorKind::SparseLu),
+        // `SolveOptions::default()`: what `provision` and the ruler's chain solve with
+        ("warm+dantzig", true, Pricing::Dantzig, FactorKind::SparseLu),
+        ("warm+devex", true, Pricing::Devex, FactorKind::SparseLu),
+    ];
+    let mut report = Report::new("lp_scenario_sweep");
+    report.host.int("reps", reps);
+    if smoke {
+        variants.remove(0);
+        for skipped in ["planet", "dense_baseline", "variants.cold+dantzig+dense"] {
+            report.not_run(skipped);
+        }
     }
-    variants.extend([
-        Variant {
-            name: "cold+dantzig",
-            warm_start: false,
-            pricing: Pricing::Dantzig,
-            factorization: FactorKind::SparseLu,
-        },
-        Variant {
-            name: "cold+devex",
-            warm_start: false,
-            pricing: Pricing::devex(),
-            factorization: FactorKind::SparseLu,
-        },
-        Variant {
-            name: "warm+partial",
-            warm_start: true,
-            pricing: Pricing::partial(),
-            factorization: FactorKind::SparseLu,
-        },
-        Variant {
-            name: "warm+devex",
-            warm_start: true,
-            pricing: Pricing::devex(),
-            factorization: FactorKind::SparseLu,
-        },
-    ]);
 
-    let mut aggs: Vec<Aggregate> = Vec::new();
+    let mut walls: Vec<(&str, f64)> = Vec::new();
     let mut caps: Vec<ProvisionedCapacity> = Vec::new();
     let mut sols_ref: Option<Vec<ScenarioSolution>> = None;
-    let mut lp_dims = (0usize, 0usize);
-    for v in &variants {
+    for &(name, warm_start, pricing, factorization) in &variants {
         let params = ProvisionerParams {
             with_backup: true,
             solve: SolveOptions {
-                warm_start: v.warm_start,
+                warm_start,
                 solver: RevisedSimplex {
-                    pricing: v.pricing,
-                    factorization: v.factorization,
+                    pricing,
+                    factorization,
                     ..RevisedSimplex::new()
                 },
                 ..SolveOptions::default()
@@ -473,106 +365,86 @@ fn main() {
                 }
             }
         } else {
+            report
+                .counts
+                .label("topology", "apac")
+                .int("scenarios", scenarios.len() as u64)
+                .int("lp_rows", sols[0].lp_rows as u64)
+                .int("lp_cols", sols[0].lp_cols as u64);
             sols_ref = Some(sols.clone());
         }
-        lp_dims = (sols[0].lp_rows, sols[0].lp_cols);
         caps.push(union_capacity(&data.topo, &sols));
-        let a = aggregate(&sols, wall);
+        let sum = |stat: fn(&SolveStats) -> u64| sols.iter().map(|s| stat(&s.stats)).sum::<u64>();
+        let warm_started = sum(|s| u64::from(s.warm_started));
         eprintln!(
-            "{:<18} {:.3}s  iters {}  warm {}/{}  cost {:.1}",
-            v.name,
+            "{:<18} {:.3}s  iters {}  warm {warm_started}/{}  cost {:.1}",
+            name,
             wall,
-            a.iterations,
-            a.warm_started,
+            sum(SolveStats::total_iterations),
             sols.len(),
             caps.last().unwrap().cost(&data.topo),
         );
-        aggs.push(a);
+        report
+            .counts
+            .row("variants")
+            .row(name)
+            .flag("warm_start", warm_start)
+            .label("pricing", pricing_name(pricing))
+            .label("factorization", &factorization.to_string())
+            .int("iterations", sum(SolveStats::total_iterations))
+            .int("phase1_iterations", sum(|s| s.phase1_iterations))
+            .int("warm_started", warm_started)
+            .int(
+                "phase1_iterations_saved",
+                sum(|s| s.phase1_iterations_saved),
+            )
+            .int("pricing_scans", sum(|s| s.pricing_scans))
+            .int("pricing_cols_scanned", sum(|s| s.pricing_cols_scanned))
+            .int("full_pricing_sweeps", sum(|s| s.full_pricing_sweeps))
+            .int("refactorizations", sum(|s| s.refactorizations))
+            .int("eta_updates", sum(|s| s.eta_updates))
+            .int("devex_resets", sum(|s| s.devex_resets))
+            .int(
+                "max_basis_nnz",
+                sols.iter().map(|s| s.stats.basis_nnz).max().unwrap_or(0),
+            )
+            .fixed(
+                "max_fill_ratio",
+                sols.iter().map(|s| s.stats.fill_ratio).fold(0.0, f64::max),
+                4,
+            );
+        report
+            .host
+            .row("variants")
+            .row(name)
+            .fixed("wall_s", wall, 6);
+        walls.push((name, wall));
     }
 
     // warm starts, pricing and factorization must not change what gets
-    // provisioned — and sparse must reproduce the dense capacities to 1e-9
-    let mut cap_diff: f64 = 0.0;
-    for cap in &caps[1..] {
-        cap_diff = cap_diff.max(capacity_rel_diff(&caps[0], cap));
-    }
-
-    println!("== LP scenario sweep: warm start × pricing × factorization ==\n");
-    println!(
-        "APAC, {} scenarios, master LP {} rows × {} cols, best of {reps}\n",
-        scenarios.len(),
-        lp_dims.0,
-        lp_dims.1
-    );
-    let rows: Vec<Vec<String>> = variants
+    // provisioned: every sparse variant reproduces the dense capacities —
+    // this run's, or under --smoke the committed ones — to 1e-9
+    let (dense_cores, dense_gbps, sparse_caps) = match committed_dense {
+        Some((cores, gbps)) => (cores, gbps, &caps[..]),
+        None => (caps[0].cores.clone(), caps[0].gbps.clone(), &caps[1..]),
+    };
+    let cap_diff = sparse_caps
         .iter()
-        .zip(&aggs)
-        .map(|(v, a)| {
-            vec![
-                v.name.to_string(),
-                v.factorization.to_string(),
-                format!("{:.3}", a.wall_s),
-                a.iterations.to_string(),
-                a.phase1_iterations.to_string(),
-                format!("{}/{}", a.warm_started, scenarios.len()),
-                a.eta_updates.to_string(),
-                a.refactorizations.to_string(),
-                a.max_basis_nnz.to_string(),
-                format!("{:.2}x", aggs[0].wall_s / a.wall_s),
-            ]
-        })
-        .collect();
-    print_table(
-        &[
-            "variant",
-            "factor",
-            "wall(s)",
-            "iters",
-            "phase1",
-            "warm",
-            "etas",
-            "refac",
-            "basis_nnz",
-            "speedup",
-        ],
-        &rows,
-    );
+        .map(|cap| rel_diff_vs_baseline(cap, &dense_cores, &dense_gbps))
+        .fold(0.0, f64::max);
     assert!(
         cap_diff <= 1e-9,
-        "variants disagree on provisioned capacity (max rel diff {cap_diff:.3e})"
+        "sparse capacities drifted from the dense baseline (max rel diff {cap_diff:.3e})"
     );
+    report.counts.sci("capacity_max_rel_diff", cap_diff);
 
-    let mut speedup_sparse_cold = 0.0;
-    let mut speedup_warm = 0.0;
-    if smoke {
-        // CI gate: the sparse path must reproduce the committed
-        // dense-factorization capacities bit-for-near-bit.
-        let text = std::fs::read_to_string(&baseline_path).unwrap_or_else(|e| {
-            panic!("smoke gate needs the committed baseline {baseline_path}: {e}")
-        });
-        let cores = parse_f64_array(&text, "baseline_capacity_cores")
-            .expect("baseline_capacity_cores array in baseline JSON");
-        let gbps = parse_f64_array(&text, "baseline_capacity_gbps")
-            .expect("baseline_capacity_gbps array in baseline JSON");
-        let vs_baseline = rel_diff_vs_baseline(&caps[0], &cores, &gbps);
-        println!(
-            "\nsparse vs committed dense baseline: max rel diff {vs_baseline:.1e} \
-             (gate 1e-9); variants mutually within {cap_diff:.1e}"
-        );
-        assert!(
-            vs_baseline <= 1e-9,
-            "sparse capacities drifted from the committed dense baseline \
-             (max rel diff {vs_baseline:.3e})"
-        );
-    } else {
-        // index 0 = dense baseline, 1 = cold+dantzig sparse, 3 = warm+partial
-        speedup_sparse_cold = aggs[0].wall_s / aggs[1].wall_s;
-        speedup_warm = aggs[0].wall_s / aggs[3].wall_s;
-        println!(
-            "\ncold sparse vs cold dense: {speedup_sparse_cold:.2}x; \
-             warm+partial vs cold dense: {speedup_warm:.2}x; \
-             capacities identical (max rel diff {cap_diff:.1e})"
-        );
+    if !smoke {
+        let wall_of = |name: &str| {
+            let found = walls.iter().find(|(n, _)| *n == name);
+            found.expect("a variant of this run").1
+        };
+        let speedup_sparse_cold = wall_of(DENSE) / wall_of("cold+dantzig");
+        let speedup_warm = wall_of(DENSE) / wall_of("warm+dantzig");
         assert!(
             speedup_sparse_cold >= 3.0,
             "expected >= 3x cold-solve speedup from sparse LU, measured {speedup_sparse_cold:.2}x"
@@ -581,114 +453,20 @@ fn main() {
             speedup_warm >= 2.0,
             "expected >= 2x end-to-end warm speedup, measured {speedup_warm:.2}x"
         );
+        report
+            .host
+            .fixed("speedup_sparse_cold_vs_dense_cold", speedup_sparse_cold, 4)
+            .fixed("speedup_warm_dantzig_vs_cold_dense", speedup_warm, 4);
+        run_planet(&mut report);
+        // the capacity baseline the sparse smoke gate checks against
+        report
+            .counts
+            .row("dense_baseline")
+            .label("factorization", &FactorKind::Dense.to_string())
+            .floats("capacity_cores", &dense_cores)
+            .floats("capacity_gbps", &dense_gbps);
     }
-
-    let planet = if smoke { None } else { Some(run_planet()) };
-
-    // machine-readable dump
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"lp_scenario_sweep\",\n");
-    out.push_str("  \"topology\": \"apac\",\n");
-    out.push_str(&format!("  \"smoke\": {smoke},\n"));
-    // the sweep is single-threaded; recorded so every BENCH_*.json says what
-    // box its wall times come from
-    let hardware = std::thread::available_parallelism().map_or(1, |n| n.get());
-    out.push_str(&format!("  \"hardware_threads\": {hardware},\n"));
-    out.push_str(&format!("  \"reps\": {reps},\n"));
-    out.push_str(&format!("  \"scenarios\": {},\n", scenarios.len()));
-    out.push_str(&format!("  \"lp_rows\": {},\n", lp_dims.0));
-    out.push_str(&format!("  \"lp_cols\": {},\n", lp_dims.1));
-    out.push_str("  \"variants\": [\n");
-    for (i, (v, a)) in variants.iter().zip(&aggs).enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"warm_start\": {}, \"pricing\": \"{}\", \
-             \"factorization\": \"{}\", \
-             \"wall_s\": {:.6}, \"iterations\": {}, \"phase1_iterations\": {}, \
-             \"warm_started\": {}, \"phase1_iterations_saved\": {}, \
-             \"pricing_scans\": {}, \"pricing_cols_scanned\": {}, \
-             \"full_pricing_sweeps\": {}, \"refactorizations\": {}, \
-             \"eta_updates\": {}, \"devex_resets\": {}, \
-             \"max_basis_nnz\": {}, \"max_fill_ratio\": {:.4}}}{}\n",
-            json_escape(v.name),
-            v.warm_start,
-            json_escape(&pricing_name(v.pricing)),
-            v.factorization,
-            a.wall_s,
-            a.iterations,
-            a.phase1_iterations,
-            a.warm_started,
-            a.phase1_iterations_saved,
-            a.pricing_scans,
-            a.pricing_cols_scanned,
-            a.full_pricing_sweeps,
-            a.refactorizations,
-            a.eta_updates,
-            a.devex_resets,
-            a.max_basis_nnz,
-            a.max_fill_ratio,
-            if i + 1 < variants.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    if !smoke {
-        out.push_str(&format!(
-            "  \"speedup_sparse_cold_vs_dense_cold\": {speedup_sparse_cold:.4},\n"
-        ));
-        out.push_str(&format!(
-            "  \"speedup_warm_partial_vs_cold_dense\": {speedup_warm:.4},\n"
-        ));
-    }
-    out.push_str(&format!("  \"capacity_max_rel_diff\": {cap_diff:.3e},\n"));
-    if let Some(p) = &planet {
-        out.push_str("  \"planet\": {\n");
-        out.push_str("    \"topology\": \"synthetic_planet\",\n");
-        out.push_str(&format!("    \"dcs\": {},\n", p.dcs));
-        out.push_str(&format!("    \"links\": {},\n", p.links));
-        out.push_str(&format!("    \"lp_rows\": {},\n", p.lp_rows));
-        out.push_str(&format!("    \"lp_cols\": {},\n", p.lp_cols));
-        out.push_str(&format!("    \"sparse_wall_s\": {:.6},\n", p.sparse_wall_s));
-        out.push_str(&format!(
-            "    \"sparse_iterations\": {},\n",
-            p.sparse_iterations
-        ));
-        out.push_str(&format!(
-            "    \"sparse_basis_nnz\": {},\n",
-            p.sparse_basis_nnz
-        ));
-        out.push_str(&format!(
-            "    \"sparse_fill_ratio\": {:.4},\n",
-            p.sparse_fill_ratio
-        ));
-        out.push_str(&format!(
-            "    \"dense_budget_s\": {:.1},\n",
-            p.dense_budget_s
-        ));
-        out.push_str(&format!("    \"dense_timed_out\": {}\n", p.dense_timed_out));
-        out.push_str("  },\n");
-    }
-    // committed capacity baseline: produced by the dense-factorization
-    // variant in full mode, checked by the sparse smoke gate
-    out.push_str(&format!(
-        "  \"baseline_factorization\": \"{}\",\n",
-        variants[0].factorization
-    ));
-    out.push_str(&format!(
-        "  \"baseline_capacity_cores\": {},\n",
-        json_f64_array(&caps[0].cores)
-    ));
-    out.push_str(&format!(
-        "  \"baseline_capacity_gbps\": {}\n",
-        json_f64_array(&caps[0].gbps)
-    ));
-    out.push_str("}\n");
-    match std::fs::write(&json_path, out) {
-        Ok(()) => eprintln!("wrote {json_path}"),
-        Err(e) => {
-            eprintln!("failed to write {json_path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    report.finish(&mode);
     if let Some(path) = metrics {
         dump_metrics(&path);
     }

@@ -7,85 +7,27 @@
 //! on the trace's global peak-concurrency snapshot (DC boundaries relaxed,
 //! so it lower-bounds any online policy).
 //!
-//! Usage: `pack_efficiency [--smoke] [--json <path>]`
+//! Usage: `pack_efficiency [--json <path> | --check <path>]`
 //!
-//! `--smoke` shrinks the workloads and additionally asserts the 8-thread
-//! concurrent replay's packing tallies are bitwise-identical to the serial
-//! oracle — it is the CI gate for the packing leg. The full run writes
-//! `BENCH_pack.json` and `results/pack_efficiency.txt`.
+//! Every run also asserts the 8-thread concurrent replay's packing tallies
+//! are bitwise-identical to the serial oracle. `--json` records
+//! `BENCH_pack.json` and `results/pack_efficiency.txt`, `--check` compares
+//! the counts with the committed file ([`sb_bench::report`]).
 
-use std::fmt::Write as _;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use sb_bench::common::json_path_from_args;
+use sb_bench::common::{seeded_worlds, SeededWorld as World};
+use sb_bench::report::{Mode, Report};
 use sb_core::formulation::ScenarioData;
-use sb_core::{AllocationShares, PlanArtifact, PlannedQuotas, RealtimeSelector};
-use sb_net::{FailureScenario, Topology};
+use sb_core::RealtimeSelector;
+use sb_net::FailureScenario;
 use sb_pack::{
     best_fit_decreasing, CostModel, FleetSpec, GrowthConfig, GrowthModel, PackPolicy, PackerConfig,
     ServerClass,
 };
 use sb_sim::{replay, replay_concurrent, PackSetup, ReplayConfig, ReplayReport};
-use sb_workload::{
-    CallRecord, CallRecordsDb, ConfigCatalog, Generator, UniverseParams, WorkloadParams,
-};
-
-struct World {
-    name: &'static str,
-    topo: Topology,
-    catalog: ConfigCatalog,
-    db: CallRecordsDb,
-    artifact: PlanArtifact,
-}
-
-/// A seeded APAC day: sampled trace + a synthetic plan spreading each
-/// planned config across every DC (same construction as the replay
-/// differential tests and the crash drill).
-fn world(
-    name: &'static str,
-    seed: u64,
-    daily_calls: f64,
-    coverage: f64,
-    quota_scale: f64,
-) -> World {
-    let topo = sb_net::presets::apac();
-    let params = WorkloadParams {
-        universe: UniverseParams {
-            num_configs: 250,
-            seed,
-            ..Default::default()
-        },
-        daily_calls,
-        slot_minutes: 120,
-        seed,
-        ..Default::default()
-    };
-    let generator = Generator::new(&topo, params);
-    let day = 2;
-    let expected = generator.expected_demand(day, 1);
-    let selected = expected.top_configs_covering(coverage);
-    let planned = expected.filtered(&selected).scaled(quota_scale);
-    let db = generator.sample_records(day, 1, seed);
-
-    let slots = planned.num_slots();
-    let mut shares = AllocationShares::new(slots);
-    let n = topo.dcs.len() as f64;
-    let spread: Vec<_> = topo.dc_ids().map(|d| (d, 1.0 / n)).collect();
-    for &cfg in &selected {
-        for s in 0..slots {
-            shares.set(cfg, s, spread.clone());
-        }
-    }
-    let quotas = PlannedQuotas::from_plan(&shares, &planned);
-    World {
-        name,
-        catalog: generator.universe().catalog.clone(),
-        topo,
-        db,
-        artifact: PlanArtifact::seed(quotas),
-    }
-}
+use sb_workload::CallRecord;
 
 /// The bench fleet: per DC, 4 large boxes plus 8 small ones — enough
 /// heterogeneity that best-fit and growth-aware scoring genuinely diverge.
@@ -122,33 +64,15 @@ fn packed_config(w: &World, policy: PackPolicy) -> ReplayConfig {
     }
 }
 
-fn run(w: &World, rcfg: &ReplayConfig) -> ReplayReport {
+/// Replay `w` under `rcfg`: the serial oracle, or `threads` workers.
+fn run(w: &World, rcfg: &ReplayConfig, threads: Option<usize>) -> ReplayReport {
     let sd0 = ScenarioData::compute(&w.topo, FailureScenario::None);
     let selector = RealtimeSelector::from_artifact(&sd0.latmap, &w.artifact);
-    replay(
-        &w.topo,
-        &sd0.routing,
-        &sd0.latmap,
-        &w.catalog,
-        &w.db,
-        &selector,
-        rcfg,
-    )
-}
-
-fn run_concurrent(w: &World, rcfg: &ReplayConfig, threads: usize) -> ReplayReport {
-    let sd0 = ScenarioData::compute(&w.topo, FailureScenario::None);
-    let selector = RealtimeSelector::from_artifact(&sd0.latmap, &w.artifact);
-    replay_concurrent(
-        &w.topo,
-        &sd0.routing,
-        &sd0.latmap,
-        &w.catalog,
-        &w.db,
-        &selector,
-        rcfg,
-        threads,
-    )
+    let (routing, latmap, catalog) = (&sd0.routing, &sd0.latmap, w.db.catalog());
+    match threads {
+        None => replay(&w.topo, routing, latmap, catalog, &w.db, &selector, rcfg),
+        Some(n) => replay_concurrent(&w.topo, routing, latmap, catalog, &w.db, &selector, rcfg, n),
+    }
 }
 
 /// Per-call costs live at the minute of peak total demand, mirroring the
@@ -212,38 +136,22 @@ fn peak_snapshot(records: &[CallRecord], cost: &CostModel) -> (u64, Vec<u32>) {
     (best, snapshot)
 }
 
-struct PolicyResult {
-    world: &'static str,
-    policy: &'static str,
-    placed: u64,
-    migrations: u64,
-    migr_per_1k: f64,
-    grow_rejections: u64,
-    servers_touched: usize,
-    wall: Duration,
-}
-
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let json_path = json_path_from_args("BENCH_pack.json");
-    let calls_scale = if smoke { 0.15 } else { 1.0 };
-
-    // the four seeded workloads of the replay differential suite: ample
-    // quota, quota pressure, capacity-checked, and the chaos seed
-    let worlds = [
-        world("ample", 11, 6_000.0 * calls_scale, 0.95, 1.3),
-        world("pressure", 23, 8_000.0 * calls_scale, 0.90, 0.4),
-        world("capacity", 37, 5_000.0 * calls_scale, 0.92, 1.0),
-        world("chaos-seed", 53, 5_000.0 * calls_scale, 0.92, 1.2),
-    ];
+    let mode = Mode::from_args();
+    let worlds = seeded_worlds();
     let policies = [
         ("best-fit", PackPolicy::BestFit),
         ("growth-aware", PackPolicy::GrowthAware),
     ];
 
     let cost = CostModel::default();
-    let mut results: Vec<PolicyResult> = Vec::new();
-    let mut baselines: Vec<(&'static str, u64, usize, usize, usize, f64)> = Vec::new();
+    let mut report = Report::new("pack_efficiency");
+    report
+        .counts
+        .label("topology", "apac")
+        .label("fleet", "per DC 4x32000 + 8x8000 mcpu")
+        // asserted per run below
+        .int("violations", 0);
     for w in &worlds {
         // offline lower bound: BFD over the peak-concurrency snapshot with
         // DC boundaries relaxed (one fleet-wide pool of servers)
@@ -256,31 +164,21 @@ fn main() {
         let (peak_mcpu, snapshot) = peak_snapshot(w.db.records(), &cost);
         let (bfd_servers, bfd_dropped) = best_fit_decreasing(&flat_caps, &snapshot);
         let fleet_cap: u64 = flat_caps.iter().map(|&c| c as u64).sum();
-        let peak_util = peak_mcpu as f64 / fleet_cap as f64;
-        baselines.push((
-            w.name,
-            peak_mcpu,
-            snapshot.len(),
-            bfd_servers,
-            bfd_dropped,
-            peak_util,
-        ));
-        eprintln!(
-            "world {}: {} calls, peak {} mcpu across {} live calls -> BFD lower bound {} servers \
-             ({} dropped, peak util {:.1}%)",
-            w.name,
-            w.db.len(),
-            peak_mcpu,
-            snapshot.len(),
-            bfd_servers,
-            bfd_dropped,
-            peak_util * 100.0
-        );
+        report
+            .counts
+            .row("baselines")
+            .row(w.name)
+            .int("peak_mcpu", peak_mcpu)
+            .int("peak_calls", snapshot.len() as u64)
+            .int("bfd_servers", bfd_servers as u64)
+            .int("bfd_dropped", bfd_dropped as u64)
+            .fixed("peak_util", peak_mcpu as f64 / fleet_cap as f64, 4);
 
         for &(pname, policy) in &policies {
             let started = Instant::now();
             let rcfg = packed_config(w, policy);
-            let rep = run(w, &rcfg);
+            let rep = run(w, &rcfg, None);
+            let wall = started.elapsed();
             let pack = rep.pack.as_ref().expect("packing leg was enabled");
             assert_eq!(
                 pack.violations, 0,
@@ -292,161 +190,34 @@ fn main() {
                 "world {} policy {pname}: packing leg never placed a call",
                 w.name
             );
-            if smoke {
-                let rep8 = run_concurrent(w, &rcfg, 8);
-                assert_eq!(
-                    rep8.pack, rep.pack,
-                    "world {} policy {pname}: 8-thread packing tallies diverged from serial",
-                    w.name
-                );
-            }
-            let servers_touched = pack.per_server_peak_mcpu.iter().filter(|&&p| p > 0).count();
-            let migrations = pack.stats.intra_dc_migrations();
-            results.push(PolicyResult {
-                world: w.name,
-                policy: pname,
-                placed: pack.stats.placed,
-                migrations,
-                migr_per_1k: migrations as f64 * 1_000.0 / pack.stats.placed as f64,
-                grow_rejections: pack.stats.grow_rejections,
-                servers_touched,
-                wall: started.elapsed(),
-            });
-        }
-    }
-
-    println!("== Packing efficiency: online policies vs offline BFD lower bound ==\n");
-    println!(
-        "fleet: per DC 4x32000 + 8x8000 mcpu; BFD packs the global peak-concurrency \
-         snapshot with DC boundaries relaxed\n"
-    );
-    let rows: Vec<Vec<String>> = results
-        .iter()
-        .map(|r| {
-            let bfd = baselines
-                .iter()
-                .find(|b| b.0 == r.world)
-                .map(|b| b.3)
-                .unwrap_or(0);
-            vec![
-                r.world.to_string(),
-                r.policy.to_string(),
-                r.placed.to_string(),
-                r.migrations.to_string(),
-                format!("{:.1}", r.migr_per_1k),
-                r.grow_rejections.to_string(),
-                r.servers_touched.to_string(),
-                bfd.to_string(),
-                format!("{:.2}", r.wall.as_secs_f64()),
-            ]
-        })
-        .collect();
-    sb_bench::common::print_table(
-        &[
-            "world", "policy", "placed", "migr", "migr/1k", "grow-rej", "servers", "bfd-lb",
-            "wall(s)",
-        ],
-        &rows,
-    );
-
-    // machine-readable dump
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"pack_efficiency\",\n");
-    out.push_str("  \"topology\": \"apac\",\n");
-    let _ = writeln!(out, "  \"smoke\": {smoke},");
-    out.push_str("  \"violations\": 0,\n");
-    out.push_str("  \"baselines\": [\n");
-    for (i, b) in baselines.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"world\": \"{}\", \"peak_mcpu\": {}, \"peak_calls\": {}, \
-             \"bfd_servers\": {}, \"bfd_dropped\": {}, \"peak_util\": {:.4}}}{}",
-            b.0,
-            b.1,
-            b.2,
-            b.3,
-            b.4,
-            b.5,
-            if i + 1 < baselines.len() { "," } else { "" }
-        );
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"policies\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"world\": \"{}\", \"policy\": \"{}\", \"placed\": {}, \
-             \"migrations\": {}, \"migr_per_1k\": {:.2}, \"grow_rejections\": {}, \
-             \"servers_touched\": {}, \"wall_s\": {:.3}}}{}",
-            r.world,
-            r.policy,
-            r.placed,
-            r.migrations,
-            r.migr_per_1k,
-            r.grow_rejections,
-            r.servers_touched,
-            r.wall.as_secs_f64(),
-            if i + 1 < results.len() { "," } else { "" }
-        );
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    match std::fs::write(&json_path, &out) {
-        Ok(()) => eprintln!("wrote {json_path}"),
-        Err(e) => {
-            eprintln!("failed to write {json_path}: {e}");
-            std::process::exit(1);
-        }
-    }
-    if !smoke {
-        let mut txt = String::new();
-        let _ = writeln!(
-            txt,
-            "Packing efficiency — online BestFit / GrowthAware vs offline BFD lower bound\n"
-        );
-        let _ = writeln!(
-            txt,
-            "{:<12} {:<14} {:>7} {:>6} {:>8} {:>9} {:>8} {:>7} {:>8}",
-            "world",
-            "policy",
-            "placed",
-            "migr",
-            "migr/1k",
-            "grow-rej",
-            "servers",
-            "bfd-lb",
-            "wall(s)"
-        );
-        for r in &results {
-            let bfd = baselines
-                .iter()
-                .find(|b| b.0 == r.world)
-                .map(|b| b.3)
-                .unwrap_or(0);
-            let _ = writeln!(
-                txt,
-                "{:<12} {:<14} {:>7} {:>6} {:>8.1} {:>9} {:>8} {:>7} {:>8.2}",
-                r.world,
-                r.policy,
-                r.placed,
-                r.migrations,
-                r.migr_per_1k,
-                r.grow_rejections,
-                r.servers_touched,
-                bfd,
-                r.wall.as_secs_f64()
+            let rep8 = run(w, &rcfg, Some(8));
+            assert_eq!(
+                rep8.pack, rep.pack,
+                "world {} policy {pname}: 8-thread packing tallies diverged from serial",
+                w.name
             );
-        }
-        let _ = writeln!(
-            txt,
-            "\nBFD packs the global peak-concurrency snapshot with DC boundaries relaxed \
-             (a lower bound on any online policy); every run had 0 capacity violations."
-        );
-        if let Err(e) = std::fs::write("results/pack_efficiency.txt", txt) {
-            eprintln!("failed to write results/pack_efficiency.txt: {e}");
-        } else {
-            eprintln!("wrote results/pack_efficiency.txt");
+            let migrations = pack.stats.intra_dc_migrations();
+            let servers_touched = pack.per_server_peak_mcpu.iter().filter(|&&p| p > 0).count();
+            let row = format!("{}/{pname}", w.name);
+            report
+                .counts
+                .row("policies")
+                .row(&row)
+                .int("placed", pack.stats.placed)
+                .int("migrations", migrations)
+                .fixed(
+                    "migr_per_1k",
+                    migrations as f64 * 1_000.0 / pack.stats.placed as f64,
+                    2,
+                )
+                .int("grow_rejections", pack.stats.grow_rejections)
+                .int("servers_touched", servers_touched as u64);
+            report
+                .host
+                .row("policies")
+                .row(&row)
+                .fixed("wall_s", wall.as_secs_f64(), 3);
         }
     }
+    report.finish(&mode);
 }

@@ -18,17 +18,17 @@
 //!    strand, and the concurrent engine must match the serial oracle
 //!    bit for bit across the swap.
 //!
-//! Usage: `replan_loop [--smoke] [--json <path>] [--metrics <path>]`
+//! Usage: `replan_loop [--json <path> | --check <path>] [--metrics <path>]`
 //!
-//! `--smoke` shrinks the workload for CI. Machine-readable numbers go to
-//! `BENCH_replan.json` (see README); the table goes to stdout.
+//! `--json` records `BENCH_replan.json` and `results/replan_loop.txt`,
+//! `--check` compares the counts with the committed file
+//! ([`sb_bench::report`]).
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use sb_bench::common::{
-    build_eval, dump_metrics, json_path_from_args, metrics_path_from_args, print_table, EvalScale,
-};
+use sb_bench::common::{build_eval, dump_metrics, metrics_path_from_args, EvalScale};
+use sb_bench::report::{Mode, Report};
 use sb_core::formulation::{PlanningInputs, ScenarioData, SolveOptions};
 use sb_core::{PlanArtifact, PlanDelta, ReplanReport, SlotPlanner};
 use sb_net::{DcId, FailureScenario, ProvisionedCapacity};
@@ -75,21 +75,11 @@ fn sweep(
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
     let metrics_path = metrics_path_from_args();
-    let json_path = json_path_from_args("BENCH_replan.json");
+    let mode = Mode::from_args();
 
-    let scale = if smoke {
-        EvalScale {
-            num_configs: 80,
-            daily_calls: 1_200.0,
-            days: 2,
-            ..EvalScale::quick()
-        }
-    } else {
-        EvalScale::quick()
-    };
-    let num_victims = if smoke { 2 } else { 4 };
+    let scale = EvalScale::quick();
+    let num_victims = 4;
     eprintln!(
         "building workload: {} configs, {:.0} calls/day, {}-min slots …",
         scale.num_configs, scale.daily_calls, scale.slot_minutes
@@ -280,103 +270,52 @@ fn main() {
         );
     }
 
-    println!("== replan_loop: plan lifecycle (re-plan + hot-swap) ==\n");
-    println!(
-        "APAC, {} slots/day, {} active victims, re-plan from slot {}, latency {} min\n",
-        num_slots,
-        victims.len(),
-        from_slot,
-        REPLAN_LATENCY_MIN
-    );
-    let rows = vec![
-        vec![
-            "initial (cold)".to_string(),
-            format!("{:.3}", initial_wall),
-            initial.solved_slots().to_string(),
-            "-".to_string(),
-            "-".to_string(),
-        ],
-        vec![
-            "replan warm".to_string(),
-            format!("{:.3}", warm.wall_s),
-            warm.solved.to_string(),
-            format!("{}/{}", warm.warm_hits, warm.solved),
-            format!("{:.2}x", speedup),
-        ],
-        vec![
-            "replan cold".to_string(),
-            format!("{:.3}", cold.wall_s),
-            cold.solved.to_string(),
-            "0".to_string(),
-            "1.00x".to_string(),
-        ],
-    ];
-    print_table(&["stage", "wall(s)", "slots", "warm", "speedup"], &rows);
-    println!(
-        "\ndrill: {} installs at minute {}, stale freezes {} -> {} \
-         (post-install {}), stranded {}, delta migrations {}",
-        replanned.plan_installs,
-        install_minute,
-        bare.selector.plan_stale,
-        replanned.selector.plan_stale,
-        post_install_stale,
-        replanned.stranded,
-        delta_migrations,
-    );
-    println!(
-        "warm-start hit rate {:.0}% over {} re-solved slots; serial == concurrent across the swap",
-        hit_rate * 100.0,
-        warm.solved
-    );
     assert!(
         hit_rate > 0.5,
         "per-slot warm-start hit rate {hit_rate:.2} must clear 50%"
     );
 
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"replan_loop\",\n");
-    out.push_str("  \"topology\": \"apac\",\n");
-    out.push_str(&format!("  \"smoke\": {smoke},\n"));
-    out.push_str(&format!("  \"slots\": {num_slots},\n"));
-    out.push_str(&format!("  \"from_slot\": {from_slot},\n"));
-    out.push_str(&format!("  \"victims\": {},\n", victims.len()));
-    out.push_str(&format!(
-        "  \"replan_latency_min\": {REPLAN_LATENCY_MIN},\n"
-    ));
-    out.push_str(&format!("  \"initial_wall_s\": {initial_wall:.6},\n"));
-    out.push_str(&format!(
-        "  \"warm\": {{\"wall_s\": {:.6}, \"warm_hits\": {}, \"solved\": {}, \
-         \"hit_rate\": {:.4}, \"iterations\": {}}},\n",
-        warm.wall_s, warm.warm_hits, warm.solved, hit_rate, warm.iterations
-    ));
-    out.push_str(&format!(
-        "  \"cold\": {{\"wall_s\": {:.6}, \"solved\": {}, \"iterations\": {}}},\n",
-        cold.wall_s, cold.solved, cold.iterations
-    ));
-    out.push_str(&format!("  \"speedup_warm_vs_cold\": {speedup:.4},\n"));
-    out.push_str(&format!("  \"delta_migrations\": {delta_migrations},\n"));
-    out.push_str(&format!(
-        "  \"drill\": {{\"plan_installs\": {}, \"install_minute\": {}, \
-         \"stale_freezes_bare\": {}, \"stale_freezes_replanned\": {}, \
-         \"post_install_stale_freezes\": {}, \"stranded\": {}, \
-         \"forced_migrations\": {}, \"serial_equals_concurrent\": true}}\n",
-        replanned.plan_installs,
-        install_minute,
-        bare.selector.plan_stale,
-        replanned.selector.plan_stale,
-        post_install_stale,
-        replanned.stranded,
-        replanned.forced_migrations
-    ));
-    out.push_str("}\n");
-    match std::fs::write(&json_path, out) {
-        Ok(()) => eprintln!("wrote {json_path}"),
-        Err(e) => {
-            eprintln!("failed to write {json_path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    let mut report = Report::new("replan_loop");
+    report
+        .counts
+        .label("topology", "apac")
+        .int("slots", num_slots as u64)
+        .int("from_slot", from_slot as u64)
+        .int("victims", victims.len() as u64)
+        .int("replan_latency_min", REPLAN_LATENCY_MIN)
+        .int("initial_solved", initial.solved_slots() as u64)
+        .int("delta_migrations", delta_migrations);
+    report
+        .counts
+        .row("warm")
+        .int("warm_hits", warm.warm_hits as u64)
+        .int("solved", warm.solved as u64)
+        .fixed("hit_rate", hit_rate, 4)
+        .int("iterations", warm.iterations);
+    report
+        .counts
+        .row("cold")
+        .int("solved", cold.solved as u64)
+        .int("iterations", cold.iterations);
+    report
+        .counts
+        .row("drill")
+        .int("plan_installs", replanned.plan_installs)
+        .int("install_minute", install_minute)
+        .int("stale_freezes_bare", bare.selector.plan_stale)
+        .int("stale_freezes_replanned", replanned.selector.plan_stale)
+        .int("post_install_stale_freezes", post_install_stale)
+        .int("stranded", replanned.stranded)
+        .int("forced_migrations", replanned.forced_migrations)
+        // the 1- and 8-thread drives compared equal across the swap
+        .flag("serial_equals_concurrent", true);
+    report
+        .host
+        .fixed("initial_wall_s", initial_wall, 6)
+        .fixed("speedup_warm_vs_cold", speedup, 4);
+    report.host.row("warm").fixed("wall_s", warm.wall_s, 6);
+    report.host.row("cold").fixed("wall_s", cold.wall_s, 6);
+    report.finish(&mode);
     if let Some(path) = metrics_path {
         dump_metrics(&path);
     }

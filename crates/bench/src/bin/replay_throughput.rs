@@ -8,32 +8,31 @@
 //! drive phase only (the part the concurrent engine parallelizes); the
 //! accounting pass is serial by design and identical across variants.
 //!
-//! Usage: `replay_throughput [--smoke] [--json <path>]`
+//! Usage: `replay_throughput [--json <path> | --check <path>]`
 //!
-//! `--smoke` shrinks the workload and skips the speedup assertion — it is the
-//! CI gate for serial/concurrent equivalence. The full run asserts a >= 3x
-//! drive speedup at 8 threads, but only when the host actually has 8 hardware
-//! threads to run them on; either way the measured numbers and the hardware
-//! parallelism land in `BENCH_replay.json` and
-//! `results/replay_throughput.txt`.
+//! One world size, best of three. A >= 3x drive speedup at 8 threads is
+//! asserted only when the host actually has 8 hardware threads to run them
+//! on; equivalence is asserted on every repetition either way. `--json`
+//! records `BENCH_replay.json` and `results/replay_throughput.txt`,
+//! `--check` compares the counts with the committed file
+//! ([`sb_bench::report`]).
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
-use sb_bench::common::{json_path_from_args, print_table, spread_plan_day};
+use sb_bench::common::spread_plan_day;
+use sb_bench::report::{Mode, Report};
 use sb_core::formulation::ScenarioData;
 use sb_core::{PlanArtifact, RealtimeSelector};
 use sb_net::FailureScenario;
 use sb_sim::{replay, replay_concurrent, ReplayConfig, ReplayReport};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+const REPS: usize = 3;
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let json_path = json_path_from_args("BENCH_replay.json");
-    let reps = if smoke { 1 } else { 3 };
+    let mode = Mode::from_args();
     let topo = sb_net::presets::apac();
-    let (db, quotas) = spread_plan_day(&topo, smoke);
+    let (db, quotas) = spread_plan_day(&topo);
     let sd0 = ScenarioData::compute(&topo, FailureScenario::None);
     let cfg = ReplayConfig::default();
 
@@ -65,7 +64,7 @@ fn main() {
     // best-of-reps drive time per variant; stats must match on every rep
     let best_of = |threads: Option<usize>, oracle: Option<&ReplayReport>| -> (f64, ReplayReport) {
         let mut best: Option<(f64, ReplayReport)> = None;
-        for _ in 0..reps {
+        for _ in 0..REPS {
             let t0 = Instant::now();
             let report = run(threads);
             let _wall = t0.elapsed();
@@ -102,105 +101,38 @@ fn main() {
         variants.push((format!("{t}-thread"), drive));
     }
 
-    let hardware = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let hardware = std::thread::available_parallelism().map_or(1, |n| n.get());
     let speedup8 = serial_drive / variants.last().unwrap().1;
-
-    println!("== Replay throughput: serial oracle vs concurrent sharded driver ==\n");
-    println!(
-        "APAC, {calls} calls, best of {reps}, {hardware} hardware thread(s); \
-         aggregate ReplayStats byte-identical across all variants\n"
-    );
-    let rows: Vec<Vec<String>> = variants
-        .iter()
-        .map(|(name, drive)| {
-            vec![
-                name.clone(),
-                format!("{drive:.3}"),
-                format!("{:.0}", calls as f64 / drive),
-                format!("{:.2}x", serial_drive / drive),
-            ]
-        })
-        .collect();
-    print_table(&["variant", "drive(s)", "calls/s", "speedup"], &rows);
-    println!("\n8-thread speedup over serial: {speedup8:.2}x");
-
-    if !smoke {
-        if hardware >= 8 {
-            assert!(
-                speedup8 >= 3.0,
-                "expected >= 3x drive speedup at 8 threads, measured {speedup8:.2}x"
-            );
-        } else {
-            println!(
-                "note: host has only {hardware} hardware thread(s) — the >= 3x \
-                 speedup assertion needs 8 and was skipped; equivalence was still \
-                 asserted on every run"
-            );
-        }
+    if hardware >= 8 {
+        assert!(
+            speedup8 >= 3.0,
+            "expected >= 3x drive speedup at 8 threads, measured {speedup8:.2}x"
+        );
+    } else {
+        eprintln!(
+            "note: host has only {hardware} hardware thread(s) — the >= 3x \
+             speedup assertion needs 8 and was skipped; equivalence was still \
+             asserted on every run"
+        );
     }
 
-    // machine-readable dump
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"replay_throughput\",\n");
-    out.push_str("  \"topology\": \"apac\",\n");
-    let _ = writeln!(out, "  \"smoke\": {smoke},");
-    let _ = writeln!(out, "  \"reps\": {reps},");
-    let _ = writeln!(out, "  \"calls\": {calls},");
-    let _ = writeln!(out, "  \"hardware_threads\": {hardware},");
-    out.push_str("  \"stats_identical\": true,\n");
-    out.push_str("  \"variants\": [\n");
-    for (i, (name, drive)) in variants.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"name\": \"{name}\", \"drive_s\": {drive:.6}, \
-             \"calls_per_sec\": {:.1}, \"speedup_vs_serial\": {:.4}}}{}",
-            calls as f64 / drive,
-            serial_drive / drive,
-            if i + 1 < variants.len() { "," } else { "" }
-        );
+    let mut report = Report::new("replay_throughput");
+    report
+        .counts
+        .label("topology", "apac")
+        .int("calls", calls)
+        // every repetition of every variant compared equal to the serial oracle
+        .flag("stats_identical", true);
+    report.host.int("reps", REPS as u64);
+    for (name, drive) in &variants {
+        report
+            .host
+            .row("variants")
+            .row(name)
+            .fixed("drive_s", *drive, 6)
+            .fixed("calls_per_sec", calls as f64 / drive, 1)
+            .fixed("speedup_vs_serial", serial_drive / drive, 4);
     }
-    out.push_str("  ],\n");
-    let _ = writeln!(out, "  \"speedup_8_thread\": {speedup8:.4}");
-    out.push_str("}\n");
-    match std::fs::write(&json_path, &out) {
-        Ok(()) => eprintln!("wrote {json_path}"),
-        Err(e) => {
-            eprintln!("failed to write {json_path}: {e}");
-            std::process::exit(1);
-        }
-    }
-    if !smoke {
-        let mut txt = String::new();
-        let _ = writeln!(
-            txt,
-            "Replay throughput — APAC, {calls} calls, best of {reps}, \
-             {hardware} hardware thread(s)\n"
-        );
-        let _ = writeln!(
-            txt,
-            "{:<10} {:>9} {:>10} {:>8}",
-            "variant", "drive(s)", "calls/s", "speedup"
-        );
-        for (name, drive) in &variants {
-            let _ = writeln!(
-                txt,
-                "{name:<10} {drive:>9.3} {:>10.0} {:>7.2}x",
-                calls as f64 / drive,
-                serial_drive / drive
-            );
-        }
-        let _ = writeln!(
-            txt,
-            "\naggregate ReplayStats byte-identical across all variants; \
-             8-thread speedup {speedup8:.2}x"
-        );
-        if let Err(e) = std::fs::write("results/replay_throughput.txt", txt) {
-            eprintln!("failed to write results/replay_throughput.txt: {e}");
-        } else {
-            eprintln!("wrote results/replay_throughput.txt");
-        }
-    }
+    report.host.fixed("speedup_8_thread", speedup8, 4);
+    report.finish(&mode);
 }

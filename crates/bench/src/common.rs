@@ -5,43 +5,31 @@
 use sb_core::formulation::{PlanningInputs, ScenarioData, SolveOptions};
 use sb_core::{
     allocation_plan, mean_acl, provision, provision_baseline, AllocationShares, BaselinePolicy,
-    PlannedQuotas, ProvisionerParams,
+    PlanArtifact, PlannedQuotas, ProvisionerParams,
 };
 use sb_net::{FailureScenario, Topology};
 use sb_workload::{
     CallRecordsDb, ConfigCatalog, ConfigId, DemandMatrix, Generator, UniverseParams, WorkloadParams,
 };
 
-/// The seeded APAC day the drive-throughput benches (`replay_throughput`,
-/// `engine_load`) replay: a sampled trace, and a synthetic plan spreading
-/// every planned config evenly across all DCs — enough quota pressure to
-/// exercise the pools without an LP solve. `smoke` shrinks it for CI.
-pub fn spread_plan_day(topo: &Topology, smoke: bool) -> (CallRecordsDb, PlannedQuotas) {
-    let (num_configs, daily_calls, slot_minutes, coverage) = if smoke {
-        (300, 4_000.0, 120, 0.97)
-    } else {
-        (2_000, 40_000.0, 240, 0.90)
-    };
-    let params = WorkloadParams {
-        universe: UniverseParams {
-            num_configs,
-            ..Default::default()
-        },
-        daily_calls,
-        slot_minutes,
-        ..Default::default()
-    };
+/// A seeded APAC day: a sampled trace, and a synthetic plan spreading every
+/// planned config (the head covering `coverage` of expected calls, demand
+/// scaled by `quota_scale`) evenly across all DCs — quota pressure on the
+/// pools without an LP solve. `quota_scale` < 1 runs the pools dry mid-day
+/// so the overflow/unplanned paths are exercised too.
+fn spread_plan(
+    topo: &Topology,
+    params: WorkloadParams,
+    coverage: f64,
+    quota_scale: f64,
+    trace_seed: u64,
+) -> (CallRecordsDb, PlannedQuotas) {
     let generator = Generator::new(topo, params);
     let day = 2;
     let expected = generator.expected_demand(day, 1);
     let selected = expected.top_configs_covering(coverage);
-    let planned_demand = expected.filtered(&selected).scaled(1.15);
-    let db = generator.sample_records(day, 1, 9);
-    eprintln!(
-        "APAC day trace: {} calls, plan covers {} configs",
-        db.len(),
-        selected.len()
-    );
+    let planned_demand = expected.filtered(&selected).scaled(quota_scale);
+    let db = generator.sample_records(day, 1, trace_seed);
     let slots = planned_demand.num_slots();
     let mut shares = AllocationShares::new(slots);
     let n = topo.dcs.len() as f64;
@@ -52,6 +40,68 @@ pub fn spread_plan_day(topo: &Topology, smoke: bool) -> (CallRecordsDb, PlannedQ
         }
     }
     (db, PlannedQuotas::from_plan(&shares, &planned_demand))
+}
+
+/// The spread-plan day the drive-throughput benches (`replay_throughput`,
+/// `engine_load`) replay.
+pub fn spread_plan_day(topo: &Topology) -> (CallRecordsDb, PlannedQuotas) {
+    let params = WorkloadParams {
+        universe: UniverseParams {
+            num_configs: 2_000,
+            ..Default::default()
+        },
+        daily_calls: 40_000.0,
+        slot_minutes: 240,
+        ..Default::default()
+    };
+    let (db, quotas) = spread_plan(topo, params, 0.90, 1.15, 9);
+    eprintln!("APAC day trace: {} calls", db.len());
+    (db, quotas)
+}
+
+/// One of the [`seeded_worlds`].
+pub struct SeededWorld {
+    /// Which regime the world exercises.
+    pub name: &'static str,
+    /// The APAC preset.
+    pub topo: Topology,
+    /// The sampled day (it carries the config catalog).
+    pub db: CallRecordsDb,
+    /// The spread plan as a seed artifact.
+    pub artifact: PlanArtifact,
+}
+
+/// The four seeded spread-plan days of the replay differential suite —
+/// ample quota, quota pressure (pools run dry), capacity-checked, and the
+/// chaos seed — that the crash drill and the packing bench both run.
+pub fn seeded_worlds() -> [SeededWorld; 4] {
+    [
+        ("ample", 11, 6_000.0, 0.95, 1.3),
+        ("pressure", 23, 8_000.0, 0.90, 0.4),
+        ("capacity", 37, 5_000.0, 0.92, 1.0),
+        ("chaos-seed", 53, 5_000.0, 0.92, 1.2),
+    ]
+    .map(|(name, seed, daily_calls, coverage, quota_scale)| {
+        let topo = sb_net::presets::apac();
+        let params = WorkloadParams {
+            universe: UniverseParams {
+                num_configs: 250,
+                seed,
+                ..Default::default()
+            },
+            daily_calls,
+            slot_minutes: 120,
+            seed,
+            ..Default::default()
+        };
+        let (db, quotas) = spread_plan(&topo, params, coverage, quota_scale, seed);
+        SeededWorld {
+            name,
+            topo,
+            db,
+            artifact: PlanArtifact::seed(quotas),
+        }
+    })
 }
 
 /// Size knobs for the evaluation pipeline.
@@ -293,7 +343,7 @@ pub fn sparkline(values: &[f64]) -> String {
 }
 
 /// Simple fixed-width text table.
-pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
+pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (w, cell) in widths.iter_mut().zip(row) {
@@ -306,13 +356,19 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
             .zip(&widths)
             .map(|(c, w)| format!("{c:>w$}", w = w))
             .collect();
-        println!("  {}", s.join("  "));
+        format!("  {}\n", s.join("  "))
     };
-    line(headers.iter().map(|s| s.to_string()).collect());
-    line(widths.iter().map(|w| "-".repeat(*w)).collect());
+    let mut out = line(headers.iter().map(|s| s.to_string()).collect());
+    out += &line(widths.iter().map(|w| "-".repeat(*w)).collect());
     for row in rows {
-        line(row.clone());
+        out += &line(row.clone());
     }
+    out
+}
+
+/// [`render_table`] to stdout.
+pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
+    print!("{}", render_table(headers, rows));
 }
 
 /// Parse `--metrics <path>` from the process args. When present, enables the
@@ -335,24 +391,6 @@ pub fn metrics_path_from_args() -> Option<std::path::PathBuf> {
         }
     }
     None
-}
-
-/// Parse `--json <path>` (or `--json=<path>`) from the process args: where a
-/// bench writes its machine-readable results, `default` when absent.
-pub fn json_path_from_args(default: &str) -> String {
-    let mut args = std::env::args().skip(1);
-    let mut path = default.to_string();
-    while let Some(a) = args.next() {
-        if a == "--json" {
-            path = args.next().unwrap_or_else(|| {
-                eprintln!("--json requires a path argument");
-                std::process::exit(2);
-            });
-        } else if let Some(p) = a.strip_prefix("--json=") {
-            path = p.to_string();
-        }
-    }
-    path
 }
 
 /// Write the global registry to `path` (TSV, or NDJSON for `.ndjson`/`.jsonl`).

@@ -31,7 +31,6 @@
 #![warn(missing_docs)]
 
 mod dense;
-mod export;
 mod factor;
 mod guarded;
 mod metrics;
@@ -51,7 +50,6 @@ extern crate self as sb_lp;
 mod sweep_gen;
 
 pub use dense::DenseSimplex;
-pub use export::to_lp_format;
 pub use factor::FactorKind;
 pub use guarded::GuardedSimplex;
 pub use problem::{

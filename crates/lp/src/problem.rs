@@ -437,8 +437,8 @@ pub struct SolveStats {
     /// declared) rather than maintained from the pivot row.
     pub pricing_cols_scanned: u64,
     /// Pricing passes that scanned every column's maintained reduced cost
-    /// (all of them under Dantzig pricing; partial and devex pricing exist
-    /// to shrink this number).
+    /// (all of them under Dantzig pricing; devex pricing's candidate list
+    /// exists to shrink this number).
     pub full_pricing_sweeps: u64,
     /// Which solve-ladder rung produced this solution.
     pub rung: SolveRung,

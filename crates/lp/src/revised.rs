@@ -63,56 +63,28 @@ pub enum Pricing {
     /// magnitude (lowest index on ties). Simple and steep; the scan is one
     /// pass over two `f64` arrays.
     Dantzig,
-    /// Candidate-list partial pricing: a full sweep harvests the
-    /// `list_size` most attractive columns, then subsequent iterations price
-    /// only that short list (dropping entries that turn unfavorable) until
-    /// it runs dry or `full_sweep_every` iterations have passed, whichever
-    /// comes first. Optimality is only ever declared by a *full* sweep over
-    /// freshly recomputed reduced costs, so the strategy trades
-    /// per-iteration cost for (possibly) more iterations — never
-    /// correctness.
-    Partial {
-        /// Candidate columns kept per full sweep.
-        list_size: usize,
-        /// Force a full sweep after this many candidate-list iterations
-        /// (keeps the list from going stale on degenerate stretches).
-        full_sweep_every: u64,
-    },
     /// Devex pricing (Forrest–Goldfarb): columns are scored by
     /// `d_j² / γ_j`, where the reference weight `γ_j` approximates the
     /// steepest-edge norm `‖B⁻¹A_j‖²` and is maintained from the same
-    /// pivot row that updates the reduced costs. Layered on the same
-    /// candidate-list machinery as [`Pricing::Partial`], so each iteration
-    /// still prices a short list;
-    /// the devex score just picks *better* columns, which on the
-    /// provisioning LPs cuts the pivot count well below Dantzig's.
-    Devex {
-        /// Candidate columns kept per full sweep.
-        list_size: usize,
-        /// Force a full sweep after this many candidate-list iterations.
-        full_sweep_every: u64,
-    },
+    /// pivot row that updates the reduced costs. A full sweep harvests the
+    /// 64 best-scored columns, then subsequent iterations price only that
+    /// short list (dropping entries that turn unfavorable) until it runs
+    /// dry or 64 iterations have passed, whichever comes first. Optimality
+    /// is only ever declared by a *full* sweep over freshly recomputed
+    /// reduced costs, so the strategy trades per-iteration cost for pivot
+    /// count — never correctness; on the with-backup planet LP the devex
+    /// score cuts the pivot count well below Dantzig's.
+    Devex,
 }
 
-impl Pricing {
-    /// Partial pricing with the default list size (64) and sweep period
-    /// (64) — a good fit for the provisioning LPs (thousands of columns,
-    /// few hundred pivots).
-    pub fn partial() -> Pricing {
-        Pricing::Partial {
-            list_size: 64,
-            full_sweep_every: 64,
-        }
-    }
-
-    /// Devex pricing with the default candidate-list parameters.
-    pub fn devex() -> Pricing {
-        Pricing::Devex {
-            list_size: 64,
-            full_sweep_every: 64,
-        }
-    }
-}
+/// Candidate columns a devex full sweep keeps. Retuning it or
+/// [`DEVEX_FULL_SWEEP_EVERY`] moved the provisioning LPs' pivot counts
+/// chaotically with no stable optimum (EXPERIMENTS.md), so both are
+/// constants.
+const DEVEX_LIST_SIZE: usize = 64;
+/// Devex forces a full sweep after this many candidate-list iterations
+/// (keeps the list from going stale on degenerate stretches).
+const DEVEX_FULL_SWEEP_EVERY: u64 = 64;
 
 /// Revised simplex with bounded variables.
 #[derive(Clone, Debug)]
@@ -166,18 +138,10 @@ impl RevisedSimplex {
         }
     }
 
-    /// Same engine with candidate-list partial pricing (default parameters).
-    pub fn with_partial_pricing() -> Self {
-        RevisedSimplex {
-            pricing: Pricing::partial(),
-            ..Self::default()
-        }
-    }
-
-    /// Same engine with devex pricing (default parameters).
+    /// Same engine with devex pricing.
     pub fn with_devex_pricing() -> Self {
         RevisedSimplex {
-            pricing: Pricing::devex(),
+            pricing: Pricing::Devex,
             ..Self::default()
         }
     }
@@ -235,7 +199,7 @@ struct Engine<'a> {
     refactor_every: u64,
     refactorizations: u64,
     pricing: Pricing,
-    /// Candidate columns harvested by the last full pricing sweep (partial
+    /// Candidate columns harvested by the last full pricing sweep (devex
     /// pricing only).
     cand: Vec<usize>,
     /// Candidate-list iterations since the last full sweep.
@@ -822,20 +786,16 @@ impl<'a> Engine<'a> {
         -self.dir[j] * self.d[j]
     }
 
-    /// Pricing score of a favorable column: `|d|` under Dantzig/partial,
-    /// `d²/γ_j` under devex.
-    fn score_of(&self, j: usize, d_abs: f64) -> f64 {
-        match self.pricing {
-            Pricing::Devex { .. } => d_abs * d_abs / self.devex_w[j],
-            _ => d_abs,
-        }
+    /// Devex score `d²/γ_j` of a favorable column.
+    fn devex_score(&self, j: usize, d_abs: f64) -> f64 {
+        d_abs * d_abs / self.devex_w[j]
     }
 
     /// Full pricing sweep over every column's maintained reduced cost. Under
-    /// partial/devex pricing it also repopulates the candidate list with the
-    /// `collect` best-scored columns. Returns the entering column and its
-    /// direction.
-    fn price_full(&mut self, bland: bool, collect: usize) -> Option<(usize, f64)> {
+    /// devex pricing it also repopulates the candidate list with the
+    /// [`DEVEX_LIST_SIZE`] best-scored columns. Returns the entering column
+    /// and its direction.
+    fn price_full(&mut self, bland: bool) -> Option<(usize, f64)> {
         self.full_pricing_sweeps += 1;
         self.iters_since_full_sweep = 0;
         self.cand.clear();
@@ -853,43 +813,32 @@ impl<'a> Engine<'a> {
             for j in 0..n {
                 let a = self.attractiveness(j);
                 if a > self.eps {
-                    let score = self.score_of(j, a);
-                    if collect > 0 {
-                        self.favorable.push((score, j));
-                    }
+                    let score = self.devex_score(j, a);
+                    self.favorable.push((score, j));
                     if score > best {
                         best = score;
                         enter = Some(j);
                     }
                 }
             }
-            if collect > 0 {
-                keep_top(&mut self.favorable, collect);
-                self.cand.extend(self.favorable.iter().map(|&(_, j)| j));
-            }
+            keep_top(&mut self.favorable, DEVEX_LIST_SIZE);
+            self.cand.extend(self.favorable.iter().map(|&(_, j)| j));
             enter
         };
         enter.map(|j| (j, self.dir[j]))
     }
 
     /// Select the entering column from the maintained reduced costs. Dantzig
-    /// (and Bland) always scan every column; partial pricing prices the
-    /// candidate list and falls back to a full sweep when the list runs dry,
-    /// goes stale, or fails to produce a favorable column.
+    /// (and Bland) always scan every column; devex prices the candidate list
+    /// and falls back to a full sweep when the list runs dry, goes stale, or
+    /// fails to produce a favorable column.
     fn select(&mut self, bland: bool) -> Option<(usize, f64)> {
-        let (list_size, full_sweep_every) = match self.pricing {
-            Pricing::Partial {
-                list_size,
-                full_sweep_every,
-            }
-            | Pricing::Devex {
-                list_size,
-                full_sweep_every,
-            } if !bland => (list_size, full_sweep_every),
-            _ => return self.price_full(bland, 0),
-        };
-        if self.cand.is_empty() || self.iters_since_full_sweep >= full_sweep_every {
-            return self.price_full(bland, list_size);
+        if bland
+            || self.pricing == Pricing::Dantzig
+            || self.cand.is_empty()
+            || self.iters_since_full_sweep >= DEVEX_FULL_SWEEP_EVERY
+        {
+            return self.price_full(bland);
         }
         // price the list in place, dropping entries that turned unfavorable
         let mut enter = None;
@@ -903,7 +852,7 @@ impl<'a> Engine<'a> {
             }
             self.cand[kept] = j;
             kept += 1;
-            let score = self.score_of(j, a);
+            let score = self.devex_score(j, a);
             if score > best {
                 best = score;
                 enter = Some(j);
@@ -911,7 +860,7 @@ impl<'a> Engine<'a> {
         }
         self.cand.truncate(kept);
         let Some(enter) = enter else {
-            return self.price_full(bland, list_size);
+            return self.price_full(bland);
         };
         self.iters_since_full_sweep += 1;
         Some((enter, self.dir[enter]))
@@ -1120,7 +1069,7 @@ impl<'a> Engine<'a> {
     fn update_reduced_costs(&mut self, enter: usize, leave_row: usize) {
         let alpha_rq = self.w.val[leave_row];
         let theta = self.d[enter] / alpha_rq;
-        let devex = matches!(self.pricing, Pricing::Devex { .. }) && alpha_rq.abs() > self.eps;
+        let devex = self.pricing == Pricing::Devex && alpha_rq.abs() > self.eps;
         let ratio_base = self.devex_w[enter] / (alpha_rq * alpha_rq);
         let mut blown = false;
         for k in 0..self.row.len {
@@ -1325,8 +1274,8 @@ impl RevisedSimplex {
         if !warm_started && sf.first_artificial < sf.n {
             // The phase-1 objective reshapes reduced costs on nearly every
             // pivot, so a candidate list harvested by one sweep is stale by
-            // the next — measured on the provisioning LPs, partial pricing
-            // more than tripled phase-1 iterations. Phase 1 therefore always
+            // the next — measured on the provisioning LPs, candidate-list
+            // pricing more than tripled phase-1 iterations. Phase 1 therefore always
             // prices with full Dantzig sweeps; the requested strategy is
             // restored for phase 2.
             eng.pricing = Pricing::Dantzig;
@@ -1753,24 +1702,24 @@ mod tests {
     }
 
     #[test]
-    fn partial_pricing_agrees_with_dantzig() {
+    fn devex_pricing_agrees_with_dantzig() {
         for (ns, nd) in [(8, 9), (12, 15), (4, 17)] {
             let lp = transport_lp(ns, nd);
             let dantzig = solve(&lp).unwrap();
-            let partial = RevisedSimplex::with_partial_pricing().solve(&lp).unwrap();
+            let devex = RevisedSimplex::with_devex_pricing().solve(&lp).unwrap();
             assert!(
-                (dantzig.objective() - partial.objective()).abs()
+                (dantzig.objective() - devex.objective()).abs()
                     < 1e-6 * (1.0 + dantzig.objective().abs())
             );
-            assert!(lp.max_violation(partial.values()) < 1e-6);
+            assert!(lp.max_violation(devex.values()) < 1e-6);
             // the whole point: phase-2 passes price the short list, while
             // every Dantzig pass scans all columns; and maintaining the
             // reduced costs means neither evaluates them by dot product per
             // pass
-            let (p, d) = (partial.stats(), dantzig.stats());
+            let (p, d) = (devex.stats(), dantzig.stats());
             assert!(
                 p.full_pricing_sweeps < p.pricing_scans,
-                "partial: {} full sweeps in {} passes",
+                "devex: {} full sweeps in {} passes",
                 p.full_pricing_sweeps,
                 p.pricing_scans
             );
@@ -1785,21 +1734,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn tiny_candidate_list_still_reaches_optimum() {
-        let lp = transport_lp(10, 11);
-        let solver = RevisedSimplex {
-            pricing: Pricing::Partial {
-                list_size: 2,
-                full_sweep_every: 3,
-            },
-            ..RevisedSimplex::default()
-        };
-        let s = solver.solve(&lp).unwrap();
-        let reference = solve(&lp).unwrap();
-        assert!((s.objective() - reference.objective()).abs() < 1e-6);
     }
 
     #[test]
@@ -1906,7 +1840,7 @@ mod tests {
             lp.add_le(vars.iter().copied().zip(coeffs).collect(), rhs);
         }
         let sf = StandardForm::build(&lp);
-        let mut eng = engine_at_start(&sf, Pricing::devex());
+        let mut eng = engine_at_start(&sf, Pricing::Devex);
         let (m, n) = (sf.m, sf.n);
         let (mut pivots, mut largest) = (0, 1.0f64);
         loop {
@@ -2018,7 +1952,7 @@ mod tests {
 
             #[test]
             fn holds_on_cold_warm_and_restore_paths(r in sweep_lp()) {
-                for pricing in [Pricing::Dantzig, Pricing::partial(), Pricing::devex()] {
+                for pricing in [Pricing::Dantzig, Pricing::Devex] {
                     for factorization in [FactorKind::SparseLu, FactorKind::Dense] {
                         sweep(&r, &RevisedSimplex { pricing, factorization, ..RevisedSimplex::new() });
                     }

@@ -173,7 +173,7 @@ proptest! {
     /// slackness, reduced-cost complementarity).
     #[test]
     fn sparse_and_dense_factorizations_agree(r in sweep_lp()) {
-        let sparse = solver_with(FactorKind::SparseLu, Pricing::devex());
+        let sparse = solver_with(FactorKind::SparseLu, Pricing::Devex);
         let dense = solver_with(FactorKind::Dense, Pricing::Dantzig);
         let mut b = build(&r);
         let mut prep = PreparedProblem::new(&b.lp);
@@ -193,11 +193,12 @@ proptest! {
     }
 
     /// A basis exported by one factorization backend warm-starts the other:
-    /// the sparse engine resumes from a dense-produced basis and vice versa,
-    /// and both reach the cold optimum of the patched problem.
+    /// the sparse engine — sparse LU + Dantzig, the pair production solves
+    /// with — resumes from a dense-produced basis and vice versa, and both
+    /// reach the cold optimum of the patched problem.
     #[test]
     fn warm_starts_cross_factorization_backends(r in sweep_lp()) {
-        let sparse = solver_with(FactorKind::SparseLu, Pricing::partial());
+        let sparse = solver_with(FactorKind::SparseLu, Pricing::Dantzig);
         let dense = solver_with(FactorKind::Dense, Pricing::Dantzig);
         let mut b = build(&r);
         let mut prep = PreparedProblem::new(&b.lp);
@@ -246,7 +247,7 @@ fn degenerate_rows_with_stale_etas_stay_nonsingular() {
     };
     let sparse = RevisedSimplex {
         refactor_every: u64::MAX,
-        ..solver_with(FactorKind::SparseLu, Pricing::devex())
+        ..solver_with(FactorKind::SparseLu, Pricing::Devex)
     };
     let dense = solver_with(FactorKind::Dense, Pricing::Dantzig);
 

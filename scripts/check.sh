@@ -25,13 +25,6 @@ cargo test --workspace -q
 echo "==> chaos smoke drill: sec63_failure_drills --smoke"
 cargo run --release -q -p sb-bench --bin sec63_failure_drills -- --smoke
 
-echo "==> solver smoke: lp_scenario_sweep --smoke (sparse vs committed dense baseline, 1e-9)"
-# Runs the sparse-factorization variants on the APAC sweep and asserts the
-# provisioned capacities match the committed dense-factorization baseline
-# arrays in BENCH_lp.json to 1e-9 relative.
-cargo run --release -q -p sb-bench --bin lp_scenario_sweep -- --smoke \
-    --json /tmp/BENCH_lp_smoke.json --baseline BENCH_lp.json
-
 echo "==> benchmark ruler: benchmark/run.sh --smoke (all four workloads, every correctness gate at smoke size)"
 # The benchmark is a package of its own that calls the crates' public
 # functions; a signature change that breaks it must fail here, not at the
@@ -62,30 +55,29 @@ CARGO_TARGET_DIR="$PWD/target" cargo test --release --offline -q --manifest-path
 echo "==> replay differential: serial oracle vs concurrent engine"
 cargo test -q --test replay_differential
 
-echo "==> replay equivalence smoke: replay_throughput --smoke"
-cargo run --release -q -p sb-bench --bin replay_throughput -- --smoke --json /tmp/BENCH_replay_smoke.json
-
-echo "==> engine equivalence smoke: engine_load --smoke"
-cargo run --release -q -p sb-bench --bin engine_load -- --smoke --json /tmp/BENCH_engine_smoke.json
-
 echo "==> plan-swap differential: identical-plan hot-swap is a no-op"
 cargo test -q --test plan_swap_differential
 
-echo "==> plan lifecycle smoke: replan_loop --smoke"
-cargo run --release -q -p sb-bench --bin replan_loop -- --smoke --json /tmp/BENCH_replan_smoke.json
-
-echo "==> closed-loop autoscaling smoke: autoscale_loop --smoke"
-# Streams a one-week world through the control loop and asserts the loop's
-# contract: every drift-induced stale window closes at its install with 0
-# stranded, re-plans land warm, and the threaded drive matches the serial
-# oracle stats bit for bit.
-cargo run --release -q -p sb-bench --bin autoscale_loop -- --smoke --json /tmp/BENCH_autoscale_smoke.json
-
-echo "==> crash-safety smoke: crash_recovery_drill --smoke"
-cargo run --release -q -p sb-bench --bin crash_recovery_drill -- --smoke --json /tmp/BENCH_crash_smoke.json
-
-echo "==> packing efficiency smoke: pack_efficiency --smoke (serial vs 8-thread tallies)"
-cargo run --release -q -p sb-bench --bin pack_efficiency -- --smoke --json /tmp/BENCH_pack_smoke.json
+echo "==> bench reports: every count in every committed BENCH_*.json, exactly"
+# Each file names the sb-bench binary that recorded it; that binary re-runs
+# at its one size and --check compares its fresh counts (migrations per 1k
+# placed calls, drift triggers -> installs -> stale freezes, redriven ops and
+# lost records per crash, warm-hit rate, simplex iterations, ...) with the
+# file's, exiting non-zero with each differing key. Every assertion of every
+# bench (serial == concurrent, recovered == uninterrupted, stale windows
+# close, 0 stranded) runs on the way. Timings live under "host" and are not
+# compared: BENCHMARK.json is the ruler for speed. lp_scenario_sweep's full
+# size is minutes, so it gates at --smoke: the sparse variants' counts, and
+# their capacities against the committed dense-factorization arrays at 1e-9.
+# After a deliberate behaviour change, re-record with --json in place of
+# --check (without --smoke) and commit the file with results/<bench>.txt.
+for f in BENCH_*.json; do
+    bench=$(sed -n 's/^  "bench": "\(.*\)",$/\1/p' "$f")
+    size=
+    [ "$bench" != lp_scenario_sweep ] || size=--smoke
+    echo "    $bench $size --check $f"
+    cargo run --release -q -p sb-bench --bin "$bench" -- $size --check "$f" >/dev/null
+done
 
 echo "==> panic-free service gate: no unwrap/expect on the engine's serve path"
 # The line-protocol serve loop must degrade typed (protocol errors on the
@@ -144,6 +136,26 @@ done | grep -F 'std::env::var' || true)
 if [ -n "$envs" ]; then
     echo "environment read in library code:" >&2
     echo "$envs" >&2
+    exit 1
+fi
+
+echo "==> one-bench-report gate: the BENCH_*.json format and the spread-plan day are each stated once"
+# crates/bench/src/report.rs is the only writer and reader of the bench
+# report: no other non-test line of sb-bench spells its JSON keys or writes
+# under results/, and the synthetic spread plan is built in common.rs only.
+emitters=$(for f in crates/bench/src/*.rs crates/bench/src/bin/*.rs; do
+    [ "$f" = crates/bench/src/report.rs ] || non_test "$f"
+done | grep -E '\\?"(bench|smoke)\\?"|results/' || true)
+if [ -n "$emitters" ]; then
+    echo "bench-report keys or results/ writes outside crates/bench/src/report.rs:" >&2
+    echo "$emitters" >&2
+    exit 1
+fi
+spreads=$(for f in crates/bench/src/*.rs crates/bench/src/bin/*.rs; do non_test "$f"; done |
+    grep -F 'shares.set(cfg, s, spread.clone())' | cut -d: -f1 | sort -u || true)
+if [ "$spreads" != crates/bench/src/common.rs ]; then
+    echo "the spread-plan share loop must appear in crates/bench/src/common.rs only, found in:" >&2
+    echo "$spreads" >&2
     exit 1
 fi
 
