@@ -5,19 +5,27 @@
 //! stranded calls and zero capacity violations. A deliberately undersized
 //! deployment is run as a negative control — it must violate.
 //!
-//! ```sh
-//! cargo run --release -p sb-bench --bin sec63_failure_drills            # full sweep (APAC)
-//! cargo run --release -p sb-bench --bin sec63_failure_drills -- --smoke # CI smoke (toy topo)
-//! cargo run --release -p sb-bench --bin sec63_failure_drills -- --metrics results/sec63.tsv
-//! ```
+//! Usage: `sec63_failure_drills [--json <path> | --check <path>] [--metrics <path>]`
+//!
+//! `--json` records `BENCH_failures.json` and
+//! `results/sec63_failure_drills.txt`, `--check` compares the counts with the
+//! committed file ([`sb_bench::report`]): per timeline the forced and plan
+//! migrations, stranded calls, violation minutes, worst overshoot and mean
+//! ACL, and the healthy run's per-DC / per-link usage peaks.
 
-use sb_bench::common::{dump_metrics, metrics_path_from_args, print_table};
+use std::time::Instant;
+
+use sb_bench::common::{dump_metrics, metrics_path_from_args};
+use sb_bench::report::{Mode, Report, Section};
 use sb_core::formulation::{PlanningInputs, ScenarioData, SolveOptions};
 use sb_core::provision::{provision, ProvisionerParams};
 use sb_core::{allocation_plan, PlannedQuotas};
 use sb_net::{FailureScenario, Node, ProvisionedCapacity, RoutingTable, Topology};
 use sb_sim::{ChaosConfig, ChaosReport, FaultTimeline, ReplayDriver};
 use sb_workload::{CallRecordsDb, ConfigCatalog, Generator, UniverseParams, WorkloadParams};
+
+/// The replayed day of the generator's week.
+const DAY: u32 = 2;
 
 fn node_name(topo: &Topology, n: Node) -> String {
     match n {
@@ -26,18 +34,16 @@ fn node_name(topo: &Topology, n: Node) -> String {
     }
 }
 
+fn link_name(topo: &Topology, l: sb_net::LinkId) -> String {
+    let link = &topo.links[l.index()];
+    format!("{}–{}", node_name(topo, link.a), node_name(topo, link.b))
+}
+
 fn scenario_label(topo: &Topology, sc: FailureScenario) -> String {
     match sc {
         FailureScenario::None => "healthy".to_string(),
         FailureScenario::DcDown(dc) => format!("DC {} down", topo.dcs[dc.index()].name),
-        FailureScenario::LinkDown(l) => {
-            let link = &topo.links[l.index()];
-            format!(
-                "link {}–{} down",
-                node_name(topo, link.a),
-                node_name(topo, link.b)
-            )
-        }
+        FailureScenario::LinkDown(l) => format!("link {} down", link_name(topo, l)),
     }
 }
 
@@ -52,29 +58,23 @@ struct Drill {
     recover_at: u64,
 }
 
-fn build(smoke: bool) -> Drill {
-    let topo = if smoke {
-        sb_net::presets::toy_three_dc()
-    } else {
-        sb_net::presets::apac()
-    };
-    let (num_configs, daily_calls) = if smoke { (60, 600.0) } else { (300, 3_000.0) };
+fn build() -> Drill {
+    let topo = sb_net::presets::apac();
     let params = WorkloadParams {
         universe: UniverseParams {
-            num_configs,
+            num_configs: 300,
             ..Default::default()
         },
-        daily_calls,
+        daily_calls: 3_000.0,
         slot_minutes: 120,
         ..Default::default()
     };
     let generator = Generator::new(&topo, params);
 
-    // plan day 2 from expected demand (§5.3 daily offline stage), with the
+    // plan the day from expected demand (§5.3 daily offline stage), with the
     // §5.2 head-selection + cushion, then provision with single-failure
     // backup capacity (the Table-3 "SB" configuration)
-    let day = 2;
-    let expected = generator.expected_demand(day, 1);
+    let expected = generator.expected_demand(DAY, 1);
     let selected = expected.top_configs_covering(0.9);
     let planned = expected.filtered(&selected).scaled(1.1);
     let inputs = PlanningInputs::new(&topo, &generator.universe().catalog, &planned);
@@ -142,23 +142,16 @@ fn build(smoke: bool) -> Drill {
     let shares = allocation_plan(&inputs, &sd0, &deployed, &SolveOptions::default())
         .expect("allocation plan");
     let quotas = PlannedQuotas::from_plan(&shares, &planned);
-    let db = generator.sample_records(day, 1, 4);
-    eprintln!("trace: {} calls on day {day}", db.len());
+    let db = generator.sample_records(DAY, 1, 4);
+    eprintln!("trace: {} calls on day {DAY}", db.len());
     let catalog = generator.universe().catalog.clone();
 
-    let scenarios: Vec<FailureScenario> = if smoke {
-        vec![
-            FailureScenario::DcDown(topo.dc_by_name("Tokyo")),
-            FailureScenario::LinkDown(sb_net::LinkId(0)),
-        ]
-    } else {
-        FailureScenario::enumerate(&topo)
-            .into_iter()
-            .filter(|s| *s != FailureScenario::None)
-            .collect()
-    };
+    let scenarios: Vec<FailureScenario> = FailureScenario::enumerate(&topo)
+        .into_iter()
+        .filter(|s| *s != FailureScenario::None)
+        .collect();
     // fault hits 10h into the day (inside the busy period), heals 2h later
-    let day_start = day as u64 * 24 * 60;
+    let day_start = DAY as u64 * 24 * 60;
     Drill {
         topo,
         catalog,
@@ -184,66 +177,54 @@ fn run_one(d: &Drill, sc: FailureScenario, capacity: &ProvisionedCapacity) -> Ch
         .run()
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let metrics = metrics_path_from_args();
-    let d = build(smoke);
+/// What one timeline cost: its migrations, strandings and violations.
+fn outcome(row: &mut Section, r: &ChaosReport) {
+    row.int("forced", r.forced_migrations)
+        .int("plan_migrations", r.plan_migrations)
+        .int("stranded", r.stranded)
+        .int("violations", r.capacity_violations)
+        .fixed("overshoot", r.worst_overshoot, 4)
+        .fixed("mean_acl_ms", r.mean_acl_ms, 4);
+}
 
-    println!(
-        "== §6.3 failure drills: mid-replay fault at minute {} (+2h recovery) ==\n",
-        d.fault_at
-    );
-    if std::env::var_os("SB_DEBUG_PEAKS").is_some() {
-        let r = run_one(&d, FailureScenario::None, &d.deployed);
-        eprintln!("healthy replay: {} violations", r.capacity_violations);
-        for (i, (&p, &c)) in r.peaks.cores.iter().zip(&d.deployed.cores).enumerate() {
-            eprintln!(
-                "  dc {i} {}: peak {:.2} / cap {:.2}",
-                d.topo.dcs[i].name, p, c
-            );
-        }
-        for (i, (&p, &c)) in r.peaks.gbps.iter().zip(&d.deployed.gbps).enumerate() {
-            if p > c {
-                let l = &d.topo.links[i];
-                eprintln!(
-                    "  link {i} {}-{}: peak {:.4} / cap {:.4} OVER",
-                    node_name(&d.topo, l.a),
-                    node_name(&d.topo, l.b),
-                    p,
-                    c
-                );
-            }
-        }
+fn main() {
+    let metrics = metrics_path_from_args();
+    let mode = Mode::from_args();
+    let started = Instant::now();
+    let d = build();
+
+    let mut report = Report::new("sec63_failure_drills");
+    report
+        .counts
+        .label("topology", "apac")
+        .int("day", u64::from(DAY))
+        .int("calls", d.db.len() as u64)
+        .int("fault_at", d.fault_at)
+        .int("recover_at", d.recover_at);
+
+    // the healthy day against the deployed capacity: where its peaks sit
+    let healthy = run_one(&d, FailureScenario::None, &d.deployed);
+    let row = report.counts.row("healthy");
+    outcome(row, &healthy);
+    for dc in d.topo.dc_ids() {
+        let peak = healthy.peaks.cores[dc.index()];
+        row.row("peak_cores")
+            .fixed(&d.topo.dcs[dc.index()].name, peak, 4);
     }
-    let mut rows = Vec::new();
+    for l in d.topo.link_ids() {
+        let peak = healthy.peaks.gbps[l.index()];
+        row.row("peak_gbps").fixed(&link_name(&d.topo, l), peak, 6);
+    }
+
     let mut bad = Vec::new();
     for &sc in &d.scenarios {
         let r = run_one(&d, sc, &d.deployed);
+        let label = scenario_label(&d.topo, sc);
         if r.stranded > 0 || r.capacity_violations > 0 {
-            bad.push(scenario_label(&d.topo, sc));
+            bad.push(label.clone());
         }
-        rows.push(vec![
-            scenario_label(&d.topo, sc),
-            r.forced_migrations.to_string(),
-            r.plan_migrations.to_string(),
-            r.stranded.to_string(),
-            r.capacity_violations.to_string(),
-            format!("{:.2}", r.worst_overshoot),
-            format!("{:.1}", r.mean_acl_ms),
-        ]);
+        outcome(report.counts.row("timelines").row(&label), &r);
     }
-    print_table(
-        &[
-            "timeline",
-            "forced",
-            "plan-migr",
-            "stranded",
-            "violations",
-            "overshoot",
-            "ACL(ms)",
-        ],
-        &rows,
-    );
 
     // negative control: a deployment at 10% of the provisioned capacity
     // must blow through its limits under the first DC failure — proves the
@@ -256,26 +237,27 @@ fn main() {
         *g *= 0.1;
     }
     let control = run_one(&d, d.scenarios[0], &undersized);
-    println!(
-        "\nnegative control (10% capacity, {}): {} violations, worst overshoot {:.2}",
-        scenario_label(&d.topo, d.scenarios[0]),
-        control.capacity_violations,
-        control.worst_overshoot
-    );
     assert!(
         control.capacity_violations > 0,
         "undersized deployment must report violations"
     );
+    assert!(
+        bad.is_empty(),
+        "timelines with stranded calls or violations: {}",
+        bad.join(", ")
+    );
+    let row = report.counts.row("negative_control");
+    row.label("timeline", &scenario_label(&d.topo, d.scenarios[0]))
+        .fixed("capacity_scale", 0.1, 2);
+    outcome(row, &control);
+    // asserted above: every single-failure timeline is absorbed
+    report.counts.flag("all_absorbed", true);
+    report
+        .host
+        .fixed("wall_s", started.elapsed().as_secs_f64(), 3);
+    report.finish(&mode);
 
     if let Some(path) = metrics {
         dump_metrics(&path);
     }
-    if !bad.is_empty() {
-        eprintln!("FAILED timelines: {}", bad.join(", "));
-        std::process::exit(1);
-    }
-    println!(
-        "\nall {} single-failure timelines absorbed: 0 stranded, 0 violations ✓",
-        d.scenarios.len()
-    );
 }

@@ -22,9 +22,6 @@ cargo test -q
 echo "==> workspace tests: cargo test --workspace -q"
 cargo test --workspace -q
 
-echo "==> chaos smoke drill: sec63_failure_drills --smoke"
-cargo run --release -q -p sb-bench --bin sec63_failure_drills -- --smoke
-
 echo "==> benchmark ruler: benchmark/run.sh --smoke (all four workloads, every correctness gate at smoke size)"
 # The benchmark is a package of its own that calls the crates' public
 # functions; a signature change that breaks it must fail here, not at the
