@@ -18,9 +18,13 @@
 //!    control-loop re-plans must clear 50 %.
 //! 3. **Serial == concurrent.** A second run replaying the recorded
 //!    installs on a threaded drive must match the serial oracle bit for
-//!    bit, [`sb_sim::AutoscaleStats`] included.
+//!    bit, [`sb_sim::LoopStats`] included.
 //! 4. **Memory is flat.** RSS is sampled at every install across the weeks
 //!    and must not grow with stream length.
+//!
+//! The loop checks usage against the provisioned capacity, so each season
+//! also reports what its re-plan churn cost: capacity violations, mean ACL
+//! and the per-DC / per-link peaks it needed.
 //!
 //! Usage: `autoscale_loop [--json <path> | --check <path>] [--metrics <path>]`
 //!
@@ -37,7 +41,7 @@ use sb_core::formulation::{PlanningInputs, ScenarioData, SolveOptions};
 use sb_core::{PlanArtifact, SlotPlanner};
 use sb_forecast::{StreamingForecaster, StreamingParams};
 use sb_net::FailureScenario;
-use sb_sim::{AutoscaleConfig, AutoscaleLoop, AutoscaleReport, ReplanRequest, ReplanTrigger};
+use sb_sim::{AutoscaleLoop, LoopConfig, LoopStats, LoopWindow, ReplanRequest, ReplanTrigger};
 use sb_workload::{DemandMatrix, Generator};
 
 /// Minutes between a trigger and its install (the controller's latency).
@@ -59,7 +63,7 @@ fn rss_kb() -> u64 {
 /// Scan the per-window breakdown and assert every drift-opened stale window
 /// closes at the next install: outside a drift-open interval, no window may
 /// record a stale freeze.
-fn assert_stale_windows_close(report: &AutoscaleReport) {
+fn assert_stale_windows_close(report: &LoopStats) {
     let mut open = false;
     let last = report.windows.len().saturating_sub(1);
     for (i, w) in report.windows.iter().enumerate() {
@@ -149,12 +153,15 @@ fn main() {
     // control loop: drift-driven re-plans plus one scheduled re-plan per
     // season (weekly — the §5.2 refresh cadence), which also
     // samples RSS once per season for the flat-memory check
-    let mut cfg = AutoscaleConfig::new(season_len);
-    cfg.latency_min = REPLAN_LATENCY_MIN;
-    cfg.schedule_every = Some(season_len as u64);
-    cfg.streaming = StreamingParams {
-        watermark,
-        ..StreamingParams::new(season_len)
+    let cfg = LoopConfig {
+        capacity: Some(capacity.clone()),
+        latency_min: REPLAN_LATENCY_MIN,
+        schedule_every: Some(season_len as u64),
+        forecaster: Some(StreamingParams {
+            watermark,
+            ..StreamingParams::new(season_len)
+        }),
+        ..LoopConfig::default()
     };
 
     let mut recorded: Vec<Option<Arc<PlanArtifact>>> = Vec::new();
@@ -171,7 +178,8 @@ fn main() {
     let run_t0 = Instant::now();
     let report = AutoscaleLoop::new(&data.topo, &generator, quotas.clone(), scale.days)
         .config(cfg.clone())
-        .planner(|req: &ReplanRequest, fc: &StreamingForecaster| {
+        .planner(|req: &ReplanRequest, fc: Option<&StreamingForecaster>| {
+            let fc = fc.expect("the stream runs a forecaster");
             let from = req.from_slot.unwrap_or(0);
             // forecast-derived override: raise the planned demand where the
             // forecaster now expects more than the batch plan assumed
@@ -221,6 +229,8 @@ fn main() {
         })
         .run();
     let run_wall = run_t0.elapsed().as_secs_f64();
+    let peak_inflight = report.peak_inflight;
+    let report = report.stats;
 
     // contract 1: nothing strands, every drift-opened window closes
     assert_eq!(report.stranded, 0, "no call may strand in the closed loop");
@@ -262,15 +272,16 @@ fn main() {
         let conc = AutoscaleLoop::new(&data.topo, &generator, quotas.clone(), scale.days)
             .config(cfg.clone())
             .threads(threads)
-            .planner(move |_req: &ReplanRequest, _fc: &StreamingForecaster| {
-                let a = arts.get(i).cloned().flatten();
-                i += 1;
-                a
-            })
+            .planner(
+                move |_req: &ReplanRequest, _fc: Option<&StreamingForecaster>| {
+                    let a = arts.get(i).cloned().flatten();
+                    i += 1;
+                    a
+                },
+            )
             .run();
         assert_eq!(
-            report.stats(),
-            conc.stats(),
+            report, conc.stats,
             "concurrent loop diverged from serial, threads={threads}"
         );
     }
@@ -287,7 +298,7 @@ fn main() {
         let arts = recorded.clone();
         let mem = AutoscaleLoop::new(&data.topo, &generator, quotas.clone(), scale.days)
             .config(cfg.clone())
-            .planner(|req: &ReplanRequest, _fc: &StreamingForecaster| {
+            .planner(|req: &ReplanRequest, _fc: Option<&StreamingForecaster>| {
                 rss_samples.push((req.install_minute, rss_kb()));
                 let a = arts.get(i).cloned().flatten();
                 i += 1;
@@ -295,8 +306,7 @@ fn main() {
             })
             .run();
         assert_eq!(
-            report.stats(),
-            mem.stats(),
+            report, mem.stats,
             "serial replay of the recorded installs diverged from the live run"
         );
         rss_kb()
@@ -321,10 +331,12 @@ fn main() {
         .int("replan_latency_min", REPLAN_LATENCY_MIN)
         .int("calls", report.calls)
         .int("stranded", report.stranded)
-        .int("peak_inflight", report.peak_inflight as u64)
+        .int("peak_inflight", peak_inflight as u64)
         .int("plan_installs", report.plan_installs)
         .int("stale_freezes", report.stale_freezes)
         .int("plan_migrations", report.plan_migrations)
+        .int("capacity_violations", report.capacity_violations)
+        .fixed("mean_acl_ms", report.mean_acl_ms, 4)
         .fixed("final_nrmse", report.final_nrmse().unwrap_or(f64::NAN), 6)
         .ints("install_minutes", rss_samples.iter().map(|&(m, _)| m))
         // asserted above: contract 1, and contract 3 at 1 and 8 threads
@@ -343,6 +355,15 @@ fn main() {
     // per-season summary: forecast error against what it cost
     for (si, ws) in report.windows.chunks(season_len).enumerate() {
         let nrmse: Vec<f64> = ws.iter().filter_map(|w| w.forecast_nrmse).collect();
+        let acl_sum: f64 = ws.iter().map(|w| w.acl_sum_ms).sum();
+        let placements: u64 = ws.iter().map(|w| w.placements).sum();
+        // what the season needed: per-resource peaks over its windows, summed
+        let needed = |peaks: fn(&LoopWindow) -> &[f64]| -> f64 {
+            let width = peaks(&ws[0]).len();
+            (0..width)
+                .map(|i| ws.iter().map(|w| peaks(w)[i]).fold(0.0, f64::max))
+                .sum()
+        };
         out.counts
             .row("seasons")
             .row(&si.to_string())
@@ -356,7 +377,11 @@ fn main() {
             .int(
                 "plan_migrations",
                 ws.iter().map(|w| w.plan_migrations).sum(),
-            );
+            )
+            .int("violations", ws.iter().map(|w| w.violations).sum())
+            .fixed("mean_acl_ms", acl_sum / placements.max(1) as f64, 4)
+            .fixed("peak_cores", needed(|w| &w.peak_cores), 3)
+            .fixed("peak_gbps", needed(|w| &w.peak_gbps), 4);
     }
     out.host
         .fixed("initial_wall_s", initial_wall, 6)

@@ -11,12 +11,13 @@
 //!    the wall times compare end to end. The per-slot warm-start hit rate
 //!    must clear 50 % (in practice it is ~100 %: every slot has a basis).
 //! 3. **Chaos drill** — a trace replay with a mid-day DC outage plus a
-//!    stale-plan onset; a `Replanner` with a configurable re-plan latency
-//!    rebuilds the tail of the plan and hot-swaps it into the live
-//!    selector. The stale window must close at the install (no
-//!    `plan_stale` freezes in any post-install window), nothing may
-//!    strand, and the concurrent engine must match the serial oracle
-//!    bit for bit across the swap.
+//!    stale-plan onset; a planner answering after a configurable re-plan
+//!    latency rebuilds the tail of the plan and hot-swaps it into the live
+//!    selector. The stale window must close at the install (no stale
+//!    freezes in any post-install window), nothing may strand, and the
+//!    concurrent engine must match the serial oracle bit for bit across
+//!    the swap. Usage is checked against the fixed capacity the planner
+//!    plans within: the drill reports its violations and mean ACL.
 //!
 //! Usage: `replan_loop [--json <path> | --check <path>] [--metrics <path>]`
 //!
@@ -32,7 +33,7 @@ use sb_bench::report::{Mode, Report};
 use sb_core::formulation::{PlanningInputs, ScenarioData, SolveOptions};
 use sb_core::{PlanArtifact, PlanDelta, ReplanReport, SlotPlanner};
 use sb_net::{DcId, FailureScenario, ProvisionedCapacity};
-use sb_sim::{ChaosConfig, FaultEvent, FaultTimeline, ReplanRequest, Replanner, ReplayDriver};
+use sb_sim::{FaultEvent, FaultTimeline, LoopConfig, ReplanRequest, ReplayDriver};
 use sb_workload::Generator;
 
 /// Re-plan latency the drill models (minutes between trigger and install).
@@ -194,17 +195,20 @@ fn main() {
             from: fault_at,
             until: None,
         });
-    let chaos_cfg = ChaosConfig {
-        window_minutes: 120,
-        ..ChaosConfig::default()
+    let chaos_cfg = LoopConfig {
+        capacity: Some(capacity.clone()),
+        latency_min: REPLAN_LATENCY_MIN,
+        ..LoopConfig::default()
     };
     let quotas = initial.artifact.quotas.clone();
+    let drill = || {
+        ReplayDriver::new(&data.topo, &data.catalog, &db, quotas.clone(), 120)
+            .config(chaos_cfg.clone())
+            .faults(timeline.clone())
+    };
 
-    // without a replanner the plan stays stale to the end of the trace
-    let bare = ReplayDriver::new(&data.topo, &data.catalog, &db, quotas.clone())
-        .config(chaos_cfg.clone())
-        .faults(timeline.clone())
-        .run();
+    // without a planner the plan stays stale to the end of the trace
+    let bare = drill().run().stats;
 
     // with one: re-plan the remaining slots under the outage, install after
     // the modeled latency; record the artifacts so the concurrent run can
@@ -212,20 +216,16 @@ fn main() {
     let victim_sd = &victims[0].1;
     let mut installed: Vec<Arc<PlanArtifact>> = Vec::new();
     let prev_art = initial.artifact.clone();
-    let mut build = |req: &ReplanRequest| {
-        let from = req.from_slot.unwrap_or(0);
-        let report = planner.replan_from(&prev_art, from, victim_sd, None).ok()?;
-        let art = Arc::new(Arc::unwrap_or_clone(report.artifact).with_epoch(req.epoch));
-        installed.push(art.clone());
-        Some(art)
-    };
-    let mut rp = Replanner::new(REPLAN_LATENCY_MIN, &mut build);
-    let replanned = ReplayDriver::new(&data.topo, &data.catalog, &db, quotas.clone())
-        .config(chaos_cfg.clone())
-        .faults(timeline.clone())
-        .replanner(&mut rp)
-        .run();
-    drop(rp);
+    let replanned = drill()
+        .planner(|req: &ReplanRequest, _| {
+            let from = req.from_slot.unwrap_or(0);
+            let report = planner.replan_from(&prev_art, from, victim_sd, None).ok()?;
+            let art = Arc::new(Arc::unwrap_or_clone(report.artifact).with_epoch(req.epoch));
+            installed.push(art.clone());
+            Some(art)
+        })
+        .run()
+        .stats;
     assert!(
         replanned.plan_installs >= 1,
         "the DC-down trigger must install a re-plan"
@@ -236,7 +236,7 @@ fn main() {
         .windows
         .iter()
         .filter(|w| w.start_minute >= install_minute)
-        .map(|w| w.plan_stale_freezes)
+        .map(|w| w.stale_freezes)
         .sum();
     assert_eq!(
         post_install_stale, 0,
@@ -251,21 +251,16 @@ fn main() {
     for threads in [1usize, 8] {
         let mut i = 0usize;
         let arts = installed.clone();
-        let mut replay_build = move |_req: &ReplanRequest| {
-            let a = arts.get(i).cloned();
-            i += 1;
-            a
-        };
-        let mut rp = Replanner::new(REPLAN_LATENCY_MIN, &mut replay_build);
-        let conc = ReplayDriver::new(&data.topo, &data.catalog, &db, quotas.clone())
-            .config(chaos_cfg.clone())
-            .faults(timeline.clone())
+        let conc = drill()
             .threads(threads)
-            .replanner(&mut rp)
+            .planner(move |_req: &ReplanRequest, _| {
+                let a = arts.get(i).cloned();
+                i += 1;
+                a
+            })
             .run();
         assert_eq!(
-            replanned.stats(),
-            conc.stats(),
+            replanned, conc.stats,
             "concurrent drill diverged from serial across the swap, threads={threads}"
         );
     }
@@ -307,6 +302,8 @@ fn main() {
         .int("post_install_stale_freezes", post_install_stale)
         .int("stranded", replanned.stranded)
         .int("forced_migrations", replanned.forced_migrations)
+        .int("violations", replanned.capacity_violations)
+        .fixed("mean_acl_ms", replanned.mean_acl_ms, 4)
         // the 1- and 8-thread drives compared equal across the swap
         .flag("serial_equals_concurrent", true);
     report

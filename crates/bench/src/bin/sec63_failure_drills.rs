@@ -21,7 +21,7 @@ use sb_core::formulation::{PlanningInputs, ScenarioData, SolveOptions};
 use sb_core::provision::{provision, ProvisionerParams};
 use sb_core::{allocation_plan, PlannedQuotas};
 use sb_net::{FailureScenario, Node, ProvisionedCapacity, RoutingTable, Topology};
-use sb_sim::{ChaosConfig, ChaosReport, FaultTimeline, ReplayDriver};
+use sb_sim::{FaultTimeline, LoopConfig, LoopStats, ReplayDriver};
 use sb_workload::{CallRecordsDb, ConfigCatalog, Generator, UniverseParams, WorkloadParams};
 
 /// The replayed day of the generator's week.
@@ -164,21 +164,21 @@ fn build() -> Drill {
     }
 }
 
-fn run_one(d: &Drill, sc: FailureScenario, capacity: &ProvisionedCapacity) -> ChaosReport {
+fn run_one(d: &Drill, sc: FailureScenario, capacity: &ProvisionedCapacity) -> LoopStats {
     let timeline = FaultTimeline::from_scenario(sc, d.fault_at, Some(d.recover_at));
-    let cfg = ChaosConfig {
+    let cfg = LoopConfig {
         capacity: Some(capacity.clone()),
-        window_minutes: 60,
-        ..ChaosConfig::default()
+        ..LoopConfig::default()
     };
-    ReplayDriver::new(&d.topo, &d.catalog, &d.db, d.quotas.clone())
+    ReplayDriver::new(&d.topo, &d.catalog, &d.db, d.quotas.clone(), 60)
         .config(cfg)
         .faults(timeline)
         .run()
+        .stats
 }
 
 /// What one timeline cost: its migrations, strandings and violations.
-fn outcome(row: &mut Section, r: &ChaosReport) {
+fn outcome(row: &mut Section, r: &LoopStats) {
     row.int("forced", r.forced_migrations)
         .int("plan_migrations", r.plan_migrations)
         .int("stranded", r.stranded)
@@ -207,12 +207,12 @@ fn main() {
     let row = report.counts.row("healthy");
     outcome(row, &healthy);
     for dc in d.topo.dc_ids() {
-        let peak = healthy.peaks.cores[dc.index()];
+        let peak = healthy.peak_cores[dc.index()];
         row.row("peak_cores")
             .fixed(&d.topo.dcs[dc.index()].name, peak, 4);
     }
     for l in d.topo.link_ids() {
-        let peak = healthy.peaks.gbps[l.index()];
+        let peak = healthy.peak_gbps[l.index()];
         row.row("peak_gbps").fixed(&link_name(&d.topo, l), peak, 6);
     }
 

@@ -38,7 +38,7 @@
 //!   only consulted at recovery.
 //! * [`ServiceFault::WorkerDeath`] — a concurrent-driver fault (an engine
 //!   worker dies mid-segment and the coordinator takes over its remaining
-//!   ops); honored by [`crate::chaos::ReplayDriver`], a no-op in this
+//!   ops); honored by the threaded [`crate::ControlLoop`], a no-op in this
 //!   serial harness.
 //! * [`ServiceFault::ServerDeath`] — one media server dies (requires
 //!   packing, [`sb_engine::EngineConfig::pack`]): the engine drains its
@@ -68,8 +68,8 @@ use crate::replay::{account, build_events, Placement, ReplayConfig, ReplayStats}
 pub enum ServiceFault {
     /// Engine worker `worker` dies after driving `after_ops` of its
     /// operations; the coordinator serially drives the rest of its segment
-    /// list. Concurrent-driver ([`crate::chaos::ReplayDriver`]) fault;
-    /// ignored by the serial crash drill.
+    /// list. Concurrent-driver ([`crate::ControlLoop`]) fault; ignored by
+    /// the serial crash drill.
     WorkerDeath {
         /// Worker index (modulo the driver's thread count).
         worker: usize,

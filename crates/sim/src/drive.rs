@@ -3,9 +3,9 @@
 //! The paper's real-time selector has one call lifecycle (§5.4): the first
 //! joiner arrives and the call is placed, the config freezes A minutes in
 //! and the call is tallied against the plan (and may migrate), the call
-//! ends. Every harness in this workspace — plain replay, the chaos engine,
-//! the autoscale loop, the crash drill, the `sb-bench` load generator — is a
-//! configuration of the three things this module owns:
+//! ends. Every harness in this workspace — plain replay, the control loop
+//! (chaos replay and autoscaling), the crash drill, the `sb-bench` load
+//! generator — is a configuration of the three things this module owns:
 //!
 //! * [`step`] — the only `START / FREEZE / END` match, over the four-method
 //!   [`Lifecycle`] handle trait, with **one liveness rule: the handle's own
@@ -25,29 +25,24 @@
 //!   [`ServiceFault::WorkerDeath`] cuts the dying worker's list and runs the
 //!   tail through a coordinator handle with the same [`step`]; a worker that
 //!   panics takes the drive down with it instead of being dropped.
-//! * the control plane and accounting the chaos engine and the autoscale
-//!   loop share: `install_schedule` (fault/stale/schedule trigger → install
-//!   minute), `ControlPlane::barrier` (swap topology → land due installs →
-//!   recompute plan validity → re-home displaced calls in id order) and
-//!   `UsageDeltas` (hosting intervals → per-minute usage → peaks and
-//!   violations).
+//! * `UsageDeltas` — hosting intervals → per-minute usage → peaks and
+//!   violations, the accounting plain replay and the control loop
+//!   ([`crate::control`]) share.
 //!
 //! Plan swaps, topology transitions and validity flips happen *between*
 //! [`fan_out`] calls: a segment is barrier-free by construction.
 
+use std::collections::VecDeque;
 use std::hash::BuildHasher;
-use std::sync::Arc;
 
 use sb_core::{
-    for_each_link_load, FreezeDecision, LatencyMap, PlanArtifact, PlannedQuotas, RealtimeSelector,
-    SelectorOutcome, SelectorShard,
+    for_each_link_load, FreezeDecision, RealtimeSelector, SelectorOutcome, SelectorShard,
 };
 use sb_engine::{Admission, Engine, EngineWorker};
 use sb_net::{CountryId, DcId, ProvisionedCapacity, RoutingTable, Topology};
 use sb_store::BuildCallIdHasher;
 use sb_workload::{CallConfig, CallRecord, ConfigId};
 
-use crate::chaos::{ChaosState, FaultEvent, FaultTimeline, ReplanRequest, ReplanTrigger};
 use crate::crash::ServiceFault;
 use crate::replay::{EV_FREEZE, EV_START};
 
@@ -322,194 +317,56 @@ pub fn fan_out<D: Driven>(
     out
 }
 
-/// The re-plan installs a fault timeline (plus explicit `schedule` minutes)
-/// asks for, as `(install minute, trigger minute, kind)` sorted by install
-/// minute: one per trigger minute (a fault outranks a staleness onset, which
-/// outranks a schedule entry), landing `latency` minutes after it, kept when
-/// it falls in `(t0, last]`.
-pub(crate) fn install_schedule(
-    timeline: &FaultTimeline,
-    on_dc_down: bool,
-    on_stale: bool,
-    schedule: &[u64],
-    latency: u64,
-    t0: u64,
-    last: u64,
-) -> Vec<(u64, u64, ReplanTrigger)> {
-    let mut triggers: Vec<(u64, ReplanTrigger)> = Vec::new();
-    for ev in timeline.events() {
-        match *ev {
-            FaultEvent::DcDown { at, .. } if on_dc_down => {
-                triggers.push((at, ReplanTrigger::Fault))
-            }
-            FaultEvent::PlanStale { from, .. } if on_stale => {
-                triggers.push((from, ReplanTrigger::Stale))
-            }
-            FaultEvent::DemandDrift { at, .. } if on_stale => {
-                triggers.push((at, ReplanTrigger::Stale))
-            }
-            _ => {}
-        }
-    }
-    triggers.extend(schedule.iter().map(|&m| (m, ReplanTrigger::Schedule)));
-    // the more specific kind sorts first, so the dedup keeps it
-    triggers.sort_unstable_by_key(|&(m, k)| (m, k as u8));
-    triggers.dedup_by_key(|p| p.0);
-    triggers
-        .into_iter()
-        .map(|(tr, kind)| (tr.saturating_add(latency).max(t0 + 1), tr, kind))
-        .filter(|&(inst, _, _)| inst <= last)
-        .collect()
-}
-
-/// What one [`ControlPlane::barrier`] did: the plans that landed (with what
-/// triggered each), and the calls whose hosting DC went down, in id order,
-/// with where the selector re-homed them ([`SelectorOutcome::Stranded`] =
-/// dropped).
-pub(crate) type Barrier = (
-    Vec<(ReplanTrigger, Arc<PlanArtifact>)>,
-    Vec<(u64, SelectorOutcome)>,
-);
-
-/// The selector plus the fault-driven view of the world it is driven under:
-/// composed fault state, routing, latency map and plan validity, advanced
-/// only at barriers.
-pub(crate) struct ControlPlane<'a> {
-    topo: &'a Topology,
-    timeline: &'a FaultTimeline,
-    /// Can a re-plan land at all (a replanner / plan builder is attached)?
-    replans: bool,
-    last_install: Option<u64>,
-    pub(crate) selector: RealtimeSelector,
-    state: ChaosState,
-    pub(crate) routing: RoutingTable,
-    pub(crate) latmap: LatencyMap,
-    /// Is the installed plan trusted right now (what the selector was told)?
-    pub(crate) plan_valid: bool,
-}
-
-impl<'a> ControlPlane<'a> {
-    /// A selector on the epoch-0 plan seeded from `quotas`, under the fault
-    /// state `timeline` composes at `t0`.
-    pub(crate) fn new(
-        topo: &'a Topology,
-        timeline: &'a FaultTimeline,
-        quotas: PlannedQuotas,
-        replans: bool,
-        t0: u64,
-    ) -> ControlPlane<'a> {
-        let state = timeline.state_at(topo, t0);
-        let routing = RoutingTable::compute_masked(topo, state.mask.clone());
-        let latmap = LatencyMap::from_routing(topo, &routing);
-        let selector = RealtimeSelector::from_artifact(&latmap, &PlanArtifact::seed(quotas));
-        let mut plane = ControlPlane {
-            topo,
-            timeline,
-            replans,
-            last_install: None,
-            selector,
-            state,
-            routing,
-            latmap,
-            plan_valid: true,
-        };
-        plane.publish_topology();
-        plane.trust(true);
-        plane
-    }
-
-    fn publish_topology(&self) {
-        let up: Vec<bool> = (self.topo.dc_ids())
-            .map(|d| self.state.mask.dc_up(d))
-            .collect();
-        self.selector.update_topology(&self.latmap, &up);
-    }
-
-    /// Recompute plan validity and tell the selector. A staleness window of
-    /// the timeline closes early once a re-plan has landed at or after its
-    /// onset ("stale until the re-plan lands"); `trusted: false` is the
-    /// caller's own distrust on top (an open drift window).
-    pub(crate) fn trust(&mut self, trusted: bool) {
-        let landed = matches!(
-            (self.state.stale_since, self.last_install),
-            (Some(onset), Some(inst)) if inst >= onset
-        );
-        self.plan_valid = trusted && (self.state.plan_valid || (self.replans && landed));
-        self.selector.set_plan_valid(self.plan_valid);
-    }
-
-    /// The barrier step at `minute`: swap in the topology of the fault state
-    /// composed there, land the `due` installs (`build` turns a request into
-    /// an artifact, `None` skips the install) **before** re-homing so
-    /// displaced calls fall onto the fresh quota pools, recompute plan
-    /// validity, then re-home every call hosted at a DC that is now down, in
-    /// id order (earlier re-homes may drain plan quota).
-    pub(crate) fn barrier(
-        &mut self,
-        minute: u64,
-        due: &[(u64, u64, ReplanTrigger)],
-        trusted: bool,
-        build: &mut dyn FnMut(&ReplanRequest) -> Option<Arc<PlanArtifact>>,
-    ) -> Barrier {
-        let state = self.timeline.state_at(self.topo, minute);
-        let rerouted = state.mask != self.state.mask;
-        self.state = state;
-        if rerouted {
-            self.routing = RoutingTable::compute_masked(self.topo, self.state.mask.clone());
-            self.latmap = LatencyMap::from_routing(self.topo, &self.routing);
-            self.publish_topology();
-        }
-        let mut installed = Vec::new();
-        for &(install_minute, trigger_minute, trigger) in due {
-            let req = ReplanRequest {
-                trigger,
-                trigger_minute,
-                install_minute,
-                epoch: self.selector.plan_epoch() + 1,
-                from_slot: self.selector.plan_slot_of_minute(install_minute),
-                state: self.state.clone(),
-            };
-            if let Some(artifact) = build(&req) {
-                self.selector.install_plan(&artifact);
-                self.last_install = Some(install_minute);
-                installed.push((trigger, artifact));
-            }
-        }
-        self.trust(trusted);
-        let mut rehomed = Vec::new();
-        if rerouted {
-            let mut displaced: Vec<u64> = self
-                .state
-                .mask
-                .down_dcs()
-                .flat_map(|dc| self.selector.calls_at(dc))
-                .collect();
-            displaced.sort_unstable();
-            for id in displaced {
-                rehomed.push((id, self.selector.rehome_call(id)));
-            }
-        }
-        (installed, rehomed)
+/// `sum / n`, 0 for no samples: a mean ACL.
+pub(crate) fn mean(sum: f64, n: u64) -> f64 {
+    if n > 0 {
+        sum / n as f64
+    } else {
+        0.0
     }
 }
 
-/// Per-minute usage deltas of hosting intervals, integrated into peaks and
-/// capacity violations — the accounting [`crate::replay()`] and the chaos
-/// engine share (they differ only in the order intervals are added).
+/// Per-minute usage deltas of hosting intervals, integrated in minute order
+/// into peaks and capacity violations — the accounting [`crate::replay()`]
+/// and the control loop share. Integration is incremental: a caller
+/// integrates a minute once no interval it can still add touches it, and
+/// the minute's row is dropped, so the rows held span only the minutes an
+/// open interval can still reach.
 pub(crate) struct UsageDeltas {
-    t0: u64,
-    cores: Vec<Vec<f64>>,
-    links: Vec<Vec<f64>>,
+    dcs: usize,
+    /// Minute of `rows[0]`, the next to integrate.
+    pub(crate) next: u64,
+    /// Per-minute deltas: per-DC cores, then per-link Gbps.
+    rows: VecDeque<Vec<f64>>,
+    /// Usage at the last integrated minute, laid out like a row.
+    pub(crate) cur: Vec<f64>,
+    peaks: Vec<f64>,
+    violations: u64,
+    worst: f64,
 }
 
 impl UsageDeltas {
-    /// Zero usage over `horizon` minutes starting at `t0`.
-    pub(crate) fn new(topo: &Topology, t0: u64, horizon: usize) -> UsageDeltas {
+    /// Zero usage from minute `t0` on.
+    pub(crate) fn new(topo: &Topology, t0: u64) -> UsageDeltas {
+        let width = topo.dcs.len() + topo.links.len();
         UsageDeltas {
-            t0,
-            cores: vec![vec![0.0; topo.dcs.len()]; horizon + 1],
-            links: vec![vec![0.0; topo.links.len()]; horizon + 1],
+            dcs: topo.dcs.len(),
+            next: t0,
+            rows: VecDeque::new(),
+            cur: vec![0.0; width],
+            peaks: vec![0.0; width],
+            violations: 0,
+            worst: 0.0,
         }
+    }
+
+    /// The deltas of `minute`, which must not be integrated yet.
+    fn row(&mut self, minute: u64) -> &mut [f64] {
+        let i = (minute - self.next) as usize;
+        if self.rows.len() <= i {
+            self.rows.resize(i + 1, vec![0.0; self.cur.len()]);
+        }
+        &mut self.rows[i]
     }
 
     /// Host one call of config `c` at `dc` over minutes `[from, to)`: its
@@ -525,52 +382,50 @@ impl UsageDeltas {
         if to <= from {
             return;
         }
-        let (a, b) = ((from - self.t0) as usize, (to - self.t0) as usize);
-        self.cores[a][dc.index()] += c.compute_load();
-        self.cores[b][dc.index()] -= c.compute_load();
+        self.row(from)[dc.index()] += c.compute_load();
+        self.row(to)[dc.index()] -= c.compute_load();
+        let dcs = self.dcs;
         for_each_link_load(routing, c, dc, 1.0, |l, w| {
-            self.links[a][l.index()] += w;
-            self.links[b][l.index()] -= w;
+            self.row(from)[dcs + l.index()] += w;
+            self.row(to)[dcs + l.index()] -= w;
         });
     }
 
-    /// Integrate minute by minute into `(peaks, violations, worst relative
-    /// overshoot)`. Violations are counted against `capacity` with the
-    /// per-DC cores scaled by `core_fraction(m)` (all ones when nothing is
-    /// degraded); `on_minute(m, v)` sees every minute index with the
-    /// violations it added.
-    pub(crate) fn integrate<'f>(
-        &self,
-        topo: &Topology,
+    /// Integrate minute `next` and return the violations it added,
+    /// counted against `capacity` with the per-DC cores scaled by
+    /// `core_fraction`.
+    pub(crate) fn integrate_minute(
+        &mut self,
         capacity: Option<&ProvisionedCapacity>,
-        core_fraction: impl Fn(usize) -> &'f [f64],
-        mut on_minute: impl FnMut(usize, u64),
-    ) -> (ProvisionedCapacity, u64, f64) {
-        let mut peaks = ProvisionedCapacity::zero(topo);
-        let mut cur = ProvisionedCapacity::zero(topo);
-        let (mut violations, mut worst) = (0u64, 0.0f64);
-        for m in 0..self.cores.len() - 1 {
-            let before = violations;
-            let fraction = core_fraction(m);
-            let mut track = |cur: &mut f64, peak: &mut f64, delta: f64, limit: Option<f64>| {
-                *cur += delta;
-                *peak = peak.max(*cur);
-                if let Some(limit) = limit.filter(|&l| *cur > l + 1e-9) {
-                    violations += 1;
-                    worst = worst.max((*cur - limit) / limit.max(1e-9));
-                }
-            };
-            for (i, &d) in self.cores[m].iter().enumerate() {
-                let limit = capacity.map(|cap| cap.cores[i] * fraction[i]);
-                track(&mut cur.cores[i], &mut peaks.cores[i], d, limit);
+        core_fraction: &[f64],
+    ) -> u64 {
+        let row = self.rows.pop_front();
+        let before = self.violations;
+        for i in 0..self.cur.len() {
+            self.cur[i] += row.as_ref().map_or(0.0, |r| r[i]);
+            self.peaks[i] = self.peaks[i].max(self.cur[i]);
+            let limit = capacity.map(|cap| match i.checked_sub(self.dcs) {
+                None => cap.cores[i] * core_fraction[i],
+                Some(l) => cap.gbps[l],
+            });
+            if let Some(limit) = limit.filter(|&l| self.cur[i] > l + 1e-9) {
+                self.violations += 1;
+                self.worst = self.worst.max((self.cur[i] - limit) / limit.max(1e-9));
             }
-            for (i, &d) in self.links[m].iter().enumerate() {
-                let limit = capacity.map(|cap| cap.gbps[i]);
-                track(&mut cur.gbps[i], &mut peaks.gbps[i], d, limit);
-            }
-            on_minute(m, violations - before);
         }
-        (peaks, violations, worst)
+        self.next += 1;
+        self.violations - before
+    }
+
+    /// `(peaks, violations, worst relative overshoot)` over the minutes
+    /// integrated so far.
+    pub(crate) fn totals(&self) -> (ProvisionedCapacity, u64, f64) {
+        let (cores, gbps) = self.peaks.split_at(self.dcs);
+        let peaks = ProvisionedCapacity {
+            cores: cores.to_vec(),
+            gbps: gbps.to_vec(),
+        };
+        (peaks, self.violations, self.worst)
     }
 }
 
@@ -579,7 +434,7 @@ mod tests {
     use super::*;
     use crate::replay::{build_events, EV_END};
     use crate::testkit::{all_at, record};
-    use sb_core::SelectorStats;
+    use sb_core::{LatencyMap, PlanArtifact, PlannedQuotas, SelectorStats};
     use sb_net::FailureScenario;
 
     fn latmap(topo: &Topology) -> LatencyMap {

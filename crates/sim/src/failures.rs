@@ -6,7 +6,8 @@ use sb_core::ScenarioData;
 use sb_net::{FailureScenario, ProvisionedCapacity, Topology};
 use sb_workload::{CallRecordsDb, ConfigCatalog};
 
-use crate::drive::UsageDeltas;
+use crate::drive::mean;
+use crate::replay::trace_usage;
 
 /// Outcome of one failure drill.
 #[derive(Clone, Debug)]
@@ -39,18 +40,12 @@ pub fn drill(
 ) -> DrillReport {
     let sd = ScenarioData::compute(topo, scenario);
     let latmap0 = ScenarioData::compute(topo, FailureScenario::None).latmap;
-    let records = db.records();
     let mut rehomed = 0u64;
     let mut stranded = 0u64;
     let mut acl_sum = 0.0;
     let mut acl_n = 0u64;
 
-    let t0 = records.iter().map(|r| r.start_minute).min().unwrap_or(0);
-    let t1 = records.iter().map(|r| r.end_minute()).max();
-    let horizon = t1.map_or(0, |t1| (t1 - t0 + 1) as usize);
-    let mut usage = UsageDeltas::new(topo, t0, horizon);
-
-    for r in records {
+    let (peaks, violations, _) = trace_usage(topo, db.records(), Some(capacity), |usage, _, r| {
         let cfg = catalog.config(r.config);
         // where would this call sit in healthy operation?
         let healthy = latmap0.acl_min_dc(cfg).map(|(dc, _)| dc);
@@ -66,10 +61,7 @@ pub fn drill(
             }
             None => stranded += 1,
         }
-    }
-
-    let undegraded = vec![1.0; topo.dcs.len()];
-    let (peaks, violations, _) = usage.integrate(topo, Some(capacity), |_| &undegraded, |_, _| {});
+    });
 
     DrillReport {
         scenario: sd.scenario,
@@ -77,11 +69,7 @@ pub fn drill(
         stranded,
         peaks,
         violations,
-        mean_acl_ms: if acl_n > 0 {
-            acl_sum / acl_n as f64
-        } else {
-            0.0
-        },
+        mean_acl_ms: mean(acl_sum, acl_n),
     }
 }
 

@@ -5,13 +5,15 @@
 //!
 //! * [`mod@replay`] — event-driven trace replay through the real-time selector
 //!   (per-call ACL, per-minute usage peaks, migrations, capacity violations);
-//! * [`chaos`] — timed mid-replay fault injection (`ReplayDriver` +
-//!   `FaultTimeline`) with fault-triggered re-planning;
+//! * [`control`] — the one windowed control loop: a materialized trace
+//!   (`ReplayDriver`, chaos replay) or a window stream (`AutoscaleLoop`,
+//!   closed-loop autoscaling) through the selector under a fault timeline,
+//!   with re-plans on fault/stale/schedule/drift triggers and capacity, ACL
+//!   and peaks accounted in every run;
+//! * [`chaos`] — the fault vocabulary (`FaultTimeline`, `FaultEvent`) and
+//!   what a re-plan is asked with (`ReplanTrigger`, `ReplanRequest`);
 //! * [`crash`] — crash/recovery drills for the journaled engine, plus the
 //!   `ServiceFault` vocabulary (worker deaths, journal stalls);
-//! * [`autoscale`] — the closed-loop autoscaler: streamed windows through the
-//!   selector, an online forecaster fed at every bucket close, and warm
-//!   re-plans on drift/schedule/fault triggers;
 //! * [`estimator`] — the §6.2 median leg-latency estimator (counterfactual
 //!   `Lat(x,u)` from pooled measurements);
 //! * [`failures`] — failure drills validating that backup capacity absorbs a
@@ -40,8 +42,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod autoscale;
 pub mod chaos;
+pub mod control;
 pub mod crash;
 pub mod drive;
 pub mod estimator;
@@ -50,12 +52,9 @@ pub mod replay;
 #[cfg(test)]
 mod testkit;
 
-pub use autoscale::{
-    AutoscaleConfig, AutoscaleLoop, AutoscaleReport, AutoscaleStats, AutoscaleWindow,
-};
-pub use chaos::{
-    ChaosConfig, ChaosReport, ChaosState, ChaosStats, FaultEvent, FaultTimeline, ReplanRequest,
-    ReplanTrigger, Replanner, ReplayDriver, WindowStats,
+pub use chaos::{ChaosState, FaultEvent, FaultTimeline, ReplanRequest, ReplanTrigger};
+pub use control::{
+    AutoscaleLoop, ControlLoop, LoopConfig, LoopReport, LoopStats, LoopWindow, ReplayDriver,
 };
 pub use crash::{
     drive_with_crashes, CrashDrillConfig, CrashDrillError, CrashOutcome, ServiceFault,

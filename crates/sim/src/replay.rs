@@ -29,7 +29,7 @@ use sb_pack::{CostModel, FleetPacker, FleetSpec, GrowthModel, PackStats, PackerC
 use sb_workload::joins::CONFIG_FREEZE_SECONDS;
 use sb_workload::{CallRecord, CallRecordsDb, ConfigCatalog};
 
-use crate::drive::{fan_out, Step, UsageDeltas, WorkerDeaths};
+use crate::drive::{fan_out, mean, Step, UsageDeltas, WorkerDeaths};
 
 struct ReplayMetrics {
     runs: Counter,
@@ -253,34 +253,25 @@ pub(crate) fn account(
     selector: SelectorStats,
     per_dc_tallies: Vec<u64>,
 ) -> ReplayReport {
-    let t0 = records.iter().map(|r| r.start_minute).min().unwrap_or(0);
-    let t1 = records.iter().map(|r| r.end_minute()).max();
-    let horizon = t1.map_or(0, |t1| (t1 - t0 + 1) as usize);
-    let mut usage = UsageDeltas::new(topo, t0, horizon);
     let mut acl_sum = 0.0;
     let mut acl_n = 0u64;
-    for (r, p) in records.iter().zip(placements) {
-        let Some(p) = p else {
-            continue; // stranded before freezing: never consumed resources
-        };
-        let c = catalog.config(r.config);
-        let freeze = r.start_minute + cfg.freeze_minutes.min(r.duration_min as u64);
-        usage.add(routing, c, p.initial, r.start_minute, freeze);
-        usage.add(routing, c, p.final_dc, freeze, r.end_minute());
-        if let Some(a) = latmap.acl(c, p.final_dc) {
-            acl_sum += a;
-            acl_n += 1;
-        }
-    }
-    let undegraded = vec![1.0; topo.dcs.len()];
+    let capacity = cfg.capacity.as_ref();
     let (peaks, capacity_violations, worst_overshoot) =
-        usage.integrate(topo, cfg.capacity.as_ref(), |_| &undegraded, |_, _| {});
+        trace_usage(topo, records, capacity, |usage, i, r| {
+            let Some(p) = placements[i] else {
+                return; // stranded before freezing: never consumed resources
+            };
+            let c = catalog.config(r.config);
+            let freeze = r.start_minute + cfg.freeze_minutes.min(r.duration_min as u64);
+            usage.add(routing, c, p.initial, r.start_minute, freeze);
+            usage.add(routing, c, p.final_dc, freeze, r.end_minute());
+            if let Some(a) = latmap.acl(c, p.final_dc) {
+                acl_sum += a;
+                acl_n += 1;
+            }
+        });
     ReplayReport {
-        mean_acl_ms: if acl_n > 0 {
-            acl_sum / acl_n as f64
-        } else {
-            0.0
-        },
+        mean_acl_ms: mean(acl_sum, acl_n),
         peaks,
         selector,
         per_dc_tallies,
@@ -290,6 +281,34 @@ pub(crate) fn account(
         pack: (cfg.pack.as_ref()).map(|s| pack_pass(records, placements, cfg, s)),
         timing: ReplayTiming::default(),
     }
+}
+
+/// `(peaks, violations, worst relative overshoot)` of a trace whose hosting
+/// intervals are known up front: `host` adds each record's intervals, then
+/// every minute from the first start to the last END is integrated against
+/// `capacity` (nothing degraded). The static failure drill and [`account`]
+/// both integrate this way.
+pub(crate) fn trace_usage(
+    topo: &Topology,
+    records: &[CallRecord],
+    capacity: Option<&ProvisionedCapacity>,
+    mut host: impl FnMut(&mut UsageDeltas, usize, &CallRecord),
+) -> (ProvisionedCapacity, u64, f64) {
+    let t0 = records.iter().map(|r| r.start_minute).min().unwrap_or(0);
+    let end = records
+        .iter()
+        .map(|r| r.end_minute() + 1)
+        .max()
+        .unwrap_or(t0);
+    let mut usage = UsageDeltas::new(topo, t0);
+    for (i, r) in records.iter().enumerate() {
+        host(&mut usage, i, r);
+    }
+    let undegraded = vec![1.0; topo.dcs.len()];
+    while usage.next < end {
+        usage.integrate_minute(capacity, &undegraded);
+    }
+    usage.totals()
 }
 
 // Pack-pass op kinds, ordered so same-minute ops apply as

@@ -112,6 +112,34 @@ if [ "$partitions" != 1 ]; then
     exit 1
 fi
 
+echo "==> one-control-loop gate: chaos replay and autoscaling are one windowed loop"
+# A materialized trace (ReplayDriver) and a window stream (AutoscaleLoop) are
+# two record sources of the loop in crates/sim/src/control.rs. Outside test
+# modules sb-sim has exactly one barrier call site, defines exactly one
+# per-window stats row, and integrates usage only in plain replay's
+# accounting and in the loop — a second loop, window type or integrator
+# fails here instead of appearing in the next PR.
+sim_non_test() {
+    for f in crates/sim/src/*.rs; do non_test "$f"; done
+}
+barriers=$(sim_non_test | grep -c -F '.barrier(' || true)
+if [ "$barriers" != 1 ]; then
+    echo "sb-sim must call .barrier( in exactly one place, found $barriers:" >&2
+    sim_non_test | grep -F '.barrier(' >&2
+    exit 1
+fi
+rows=$(sim_non_test | grep -c -E 'pub struct [A-Za-z0-9_]*Window(Stats)?\b' || true)
+if [ "$rows" != 1 ]; then
+    echo "sb-sim must define exactly one pub struct *Window / *WindowStats, found $rows:" >&2
+    sim_non_test | grep -E 'pub struct [A-Za-z0-9_]*Window(Stats)?\b' >&2
+    exit 1
+fi
+integrators=$(sim_non_test | grep -F 'UsageDeltas::new(' | cut -d: -f1 | sort -u | tr '\n' ' ')
+if [ "$integrators" != "crates/sim/src/control.rs crates/sim/src/replay.rs " ]; then
+    echo "UsageDeltas::new( outside test modules must appear in control.rs and replay.rs only, found in: $integrators" >&2
+    exit 1
+fi
+
 echo "==> one-footprint gate: Eq. 5-6 is stated once, and no library reads the process environment"
 # A placement's network cost (n * leg_network_load on every link of the
 # route) is computed in crates/core/src/usage.rs and nowhere else: every LP

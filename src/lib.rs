@@ -140,8 +140,9 @@ pub type Result<T> = std::result::Result<T, Error>;
 ///   [`GuardedSimplex`](prelude::solver::GuardedSimplex),
 ///   [`Basis`](prelude::solver::Basis), …) for programs that drive the
 ///   simplex engines directly.
-/// * [`prelude::engine`] — real-time selector, replay/chaos orchestration,
-///   the closed-loop autoscaler, and the `sb-engine` service layer.
+/// * [`prelude::engine`] — real-time selector, replay, the one control loop
+///   (chaos replay and closed-loop autoscaling), and the `sb-engine` service
+///   layer.
 pub mod prelude {
     pub use crate::{Error, Result};
     pub use sb_core::{
@@ -169,7 +170,7 @@ pub mod prelude {
         };
     }
 
-    /// Real-time selector primitives, replay/chaos orchestration, and the
+    /// Real-time selector primitives, replay, the one control loop, and the
     /// `sb-engine` service layer.
     pub mod engine {
         pub use sb_core::{
@@ -185,10 +186,9 @@ pub mod prelude {
             ServerClass, ServerId,
         };
         pub use sb_sim::{
-            replay, replay_concurrent, AutoscaleConfig, AutoscaleLoop, AutoscaleReport,
-            AutoscaleStats, AutoscaleWindow, ChaosConfig, ChaosReport, ChaosStats, FaultEvent,
-            FaultTimeline, PackReplayStats, PackSetup, PlanSwap, ReplanRequest, ReplanTrigger,
-            Replanner, ReplayConfig, ReplayDriver, ReplayReport, ReplayStats, WindowStats,
+            replay, replay_concurrent, AutoscaleLoop, ControlLoop, FaultEvent, FaultTimeline,
+            LoopConfig, LoopReport, LoopStats, LoopWindow, PackReplayStats, PackSetup, PlanSwap,
+            ReplanRequest, ReplanTrigger, ReplayConfig, ReplayDriver, ReplayReport, ReplayStats,
         };
         pub use sb_store::LatencyHistogram;
     }

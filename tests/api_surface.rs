@@ -135,14 +135,12 @@ fn engine_prelude_covers_selector_replay_and_service() {
     assert!(report.calls > 0);
     let _stats: SelectorStats = report.selector.clone();
 
-    // chaos orchestration through the builder
-    let chaos: ChaosReport = ReplayDriver::new(&topo, db.catalog(), &db, quotas)
-        .config(ChaosConfig {
-            window_minutes: 240,
-            ..ChaosConfig::default()
-        })
+    // chaos replay through the one control loop
+    let chaos: LoopReport = ReplayDriver::new(&topo, db.catalog(), &db, quotas, 240)
+        .config(LoopConfig::default())
         .run();
-    assert_eq!(chaos.stranded, 0);
+    let stats: LoopStats = chaos.stats;
+    assert_eq!(stats.stranded, 0);
 
     // the service layer
     let engine = Engine::new(&sd0.latmap, &artifact, &EngineConfig::default());

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use switchboard::forecast::{fit_auto, StreamingForecaster, StreamingParams};
 use switchboard::prelude::engine::{
-    AutoscaleConfig, AutoscaleLoop, FaultEvent, FaultTimeline, ReplanTrigger,
+    AutoscaleLoop, FaultEvent, FaultTimeline, LoopConfig, ReplanTrigger,
 };
 use switchboard::prelude::{
     AllocationShares, PlanArtifact, PlannedQuotas, Topology, UniverseParams, WorkloadParams,
@@ -119,8 +119,13 @@ fn combined_dc_down_and_worker_death_drill() {
         at: 400,
         recover_at: Some(1300),
     });
-    let mut cfg = AutoscaleConfig::new(g.slots_per_day());
-    cfg.streaming.watermark = 0.20;
+    let cfg = LoopConfig {
+        forecaster: Some(StreamingParams {
+            watermark: 0.20,
+            ..StreamingParams::new(g.slots_per_day())
+        }),
+        ..LoopConfig::default()
+    };
 
     let run = |threads: Option<usize>, deaths: Vec<ServiceFault>| {
         let mut l = AutoscaleLoop::new(&topo, &g, quotas.clone(), 3)
@@ -129,7 +134,7 @@ fn combined_dc_down_and_worker_death_drill() {
             .planner(|req, fc| {
                 // the live forecaster rides along on every install,
                 // fault-triggered ones included
-                assert!(fc.num_configs() > 0);
+                assert!(fc.is_some_and(|fc| fc.num_configs() > 0));
                 Some(Arc::new(
                     PlanArtifact::seed(quotas.clone()).with_epoch(req.epoch),
                 ))
@@ -140,7 +145,8 @@ fn combined_dc_down_and_worker_death_drill() {
         l.run()
     };
 
-    let serial = run(None, Vec::new());
+    let report = run(None, Vec::new());
+    let serial = &report.stats;
 
     // degradation ladder, not a cliff: calls hosted at the failed DC were
     // re-homed onto surviving DCs and nothing stranded
@@ -158,8 +164,9 @@ fn combined_dc_down_and_worker_death_drill() {
     // epochs install in strictly increasing order
     assert!(serial.installed_epochs.windows(2).all(|w| w[0] < w[1]));
     // the forecaster seeded inside the drill (daily season, 3 days)
-    assert!(serial.forecaster.num_seeded() > 0);
-    assert_eq!(serial.worker_deaths, 0);
+    let forecaster = report.forecaster.as_ref().expect("the stream runs one");
+    assert!(forecaster.num_seeded() > 0);
+    assert_eq!(report.worker_deaths, 0);
 
     // the concurrent drive with worker deaths injected matches the serial
     // oracle bit for bit: takeover keeps the drill's stats deterministic
@@ -170,6 +177,6 @@ fn combined_dc_down_and_worker_death_drill() {
         })
         .collect();
     let conc = run(Some(4), deaths);
-    assert_eq!(serial.stats(), conc.stats());
+    assert_eq!(*serial, conc.stats);
     assert!(conc.worker_deaths >= 1, "{}", conc.worker_deaths);
 }

@@ -3,9 +3,10 @@
 //! the serial `replay` oracle *exactly* — every `ReplayStats` field,
 //! including the f64 peaks/ACL (both engines share the record-order
 //! accounting pass, so the floats are bitwise-identical, not merely close)
-//! and the final per-DC freeze tallies. A fourth workload drives the chaos
-//! engine through a DC outage plus a stale-plan window and holds the
-//! concurrent `ReplayDriver` to the same standard on `ChaosStats`.
+//! and the final per-DC freeze tallies. A fourth workload drives the control
+//! loop over the trace (`ReplayDriver`) through a DC outage plus a
+//! stale-plan window and holds its concurrent drive to the same standard on
+//! `LoopStats`.
 //!
 //! The same four seeded workloads are then offered to `sb-engine`'s
 //! admission path (the drive core's `fan_out` over `EngineWorker`, in the
@@ -13,14 +14,16 @@
 //! per-DC tallies equal to the serial oracle, serially and across lifecycle-
 //! partitioned worker threads. Finally the engines are held to each other,
 //! not only to themselves: plain `replay` ≡ `ReplayDriver` with an empty
-//! fault timeline ≡ the engine path.
+//! fault timeline ≡ the engine path; and the loop's two record sources to
+//! each other: a window stream ≡ the same calls replayed as a trace.
 
 use std::sync::Arc;
 
 use switchboard::core::{
     AllocationShares, PlanArtifact, PlannedQuotas, RealtimeSelector, ScenarioData,
 };
-use switchboard::net::{FailureScenario, Topology};
+use switchboard::forecast::StreamingParams;
+use switchboard::net::{FailureScenario, ProvisionedCapacity, Topology};
 use switchboard::pack::{
     CostModel, FleetSpec, GrowthConfig, GrowthModel, PackPolicy, PackerConfig, ServerClass,
     ServerId,
@@ -29,8 +32,8 @@ use switchboard::prelude::engine::{Engine, EngineConfig};
 use switchboard::sim::drive::{fan_out, WorkerDeaths};
 use switchboard::sim::replay::build_events;
 use switchboard::sim::{
-    replay, replay_concurrent, ChaosConfig, FaultEvent, FaultTimeline, PackSetup, ReplayConfig,
-    ReplayDriver,
+    replay, replay_concurrent, AutoscaleLoop, FaultEvent, FaultTimeline, LoopConfig, LoopWindow,
+    PackSetup, ReplayConfig, ReplayDriver,
 };
 use switchboard::workload::{
     CallRecordsDb, DemandMatrix, Generator, UniverseParams, WorkloadParams,
@@ -325,28 +328,21 @@ fn concurrent_chaos_driver_matches_serial_through_faults() {
             from: t0 + 400,
             until: Some(t0 + 600),
         });
-    let cfg = ChaosConfig {
-        window_minutes: 120,
-        ..ChaosConfig::default()
-    };
-    let serial = ReplayDriver::new(&w.topo, w.db.catalog(), &w.db, w.quotas.clone())
-        .config(cfg.clone())
+    let serial = ReplayDriver::new(&w.topo, w.db.catalog(), &w.db, w.quotas.clone(), 120)
         .faults(timeline.clone())
         .run();
     assert!(
-        serial.forced_migrations > 0,
+        serial.stats.forced_migrations > 0,
         "the outage must re-home in-flight calls"
     );
     for threads in THREADS {
-        let conc = ReplayDriver::new(&w.topo, w.db.catalog(), &w.db, w.quotas.clone())
-            .config(cfg.clone())
+        let conc = ReplayDriver::new(&w.topo, w.db.catalog(), &w.db, w.quotas.clone(), 120)
             .faults(timeline.clone())
             .threads(threads)
             .run();
         assert_eq!(
-            serial.stats(),
-            conc.stats(),
-            "chaos ChaosStats, threads={threads}"
+            serial.stats, conc.stats,
+            "chaos LoopStats, threads={threads}"
         );
     }
 }
@@ -383,12 +379,13 @@ fn replay_chaos_and_engine_paths_agree_with_each_other() {
         );
         assert!(plain.capacity_violations > 0, "{label}: capacity must bind");
 
-        let chaos = ReplayDriver::new(&w.topo, w.db.catalog(), &w.db, w.quotas.clone())
-            .config(ChaosConfig {
+        let chaos = ReplayDriver::new(&w.topo, w.db.catalog(), &w.db, w.quotas.clone(), 60)
+            .config(LoopConfig {
                 capacity: Some(cap),
-                ..ChaosConfig::default()
+                ..LoopConfig::default()
             })
-            .run();
+            .run()
+            .stats;
         assert_eq!(
             chaos.selector, plain.selector,
             "{label}: every SelectorStats field, unknown_ends included"
@@ -402,8 +399,8 @@ fn replay_chaos_and_engine_paths_agree_with_each_other() {
             close(chaos.mean_acl_ms, plain.mean_acl_ms),
             "{label}: mean ACL"
         );
-        let pairs = (chaos.peaks.cores.iter().zip(&plain.peaks.cores))
-            .chain(chaos.peaks.gbps.iter().zip(&plain.peaks.gbps));
+        let pairs = (chaos.peak_cores.iter().zip(&plain.peaks.cores))
+            .chain(chaos.peak_gbps.iter().zip(&plain.peaks.gbps));
         for (c, p) in pairs {
             assert!(close(*c, *p), "{label}: peak {c} vs {p}");
         }
@@ -414,5 +411,141 @@ fn replay_chaos_and_engine_paths_agree_with_each_other() {
         fan_out(&engine, w.db.records(), &events, None, no_deaths);
         assert_eq!(engine.selector_stats(), plain.selector, "{label}: engine");
         assert_eq!(engine.per_dc_tallies(), plain.per_dc_tallies, "{label}");
+    }
+}
+
+/// The two record sources of the one control loop agree: a window stream's
+/// batches collected into a trace in call-id order (so the slice's
+/// position tie-break is the stream's call-id one), replayed as a slice at
+/// the slot width, reproduce the streamed run under faults, a binding
+/// capacity and re-plans — every stats field bit for bit except the
+/// forecaster's (only the stream runs one) and the window geometry of the
+/// tail (the slice cuts windows to its last END, the stream charges calls
+/// outliving it to its last window).
+#[test]
+fn slice_and_stream_sources_agree_bitwise() {
+    let topo = switchboard::net::presets::apac();
+    let g = Generator::new(
+        &topo,
+        WorkloadParams {
+            universe: UniverseParams {
+                num_configs: 40,
+                seed: 7,
+                ..Default::default()
+            },
+            daily_calls: 1_500.0,
+            slot_minutes: 120,
+            seed: 7,
+            ..Default::default()
+        },
+    );
+    let days = 2;
+    let mut records: Vec<_> = g
+        .window_stream(0, days, 0)
+        .flat_map(|b| b.records)
+        .collect();
+    records.sort_by_key(|r| r.id);
+    // the slice's windows start at its first call: aligned with the stream's
+    assert_eq!(records.iter().map(|r| r.start_minute).min(), Some(0));
+    let mut db = CallRecordsDb::new(g.universe().catalog.clone());
+    records.into_iter().for_each(|r| db.push(r));
+
+    let n = topo.dcs.len();
+    let mut shares = AllocationShares::new(12);
+    for spec in &g.universe().specs {
+        for s in 0..12 {
+            shares.set(
+                spec.id,
+                s,
+                topo.dc_ids().map(|d| (d, 1.0 / n as f64)).collect(),
+            );
+        }
+    }
+    let demand = g.expected_demand(0, 1);
+    let quotas = PlannedQuotas::from_plan(&shares, &demand);
+    let planner = |req: &switchboard::sim::ReplanRequest, _: Option<&_>| {
+        Some(Arc::new(
+            PlanArtifact::seed(quotas.clone()).with_epoch(req.epoch),
+        ))
+    };
+    let probe = AutoscaleLoop::new(&topo, &g, quotas.clone(), days)
+        .run()
+        .stats;
+    let capacity = ProvisionedCapacity {
+        cores: probe.peak_cores.iter().map(|p| p * 0.9).collect(),
+        gbps: probe.peak_gbps.iter().map(|p| p * 0.9).collect(),
+    };
+    let timeline = FaultTimeline::new()
+        .with(FaultEvent::DcDown {
+            dc: topo.dcs[0].id,
+            at: 300,
+            recover_at: Some(700),
+        })
+        .with(FaultEvent::CapacityDegraded {
+            dc: topo.dcs[1].id,
+            fraction: 0.5,
+            at: 900,
+            recover_at: Some(1300),
+        })
+        .with(FaultEvent::PlanStale {
+            from: 1000,
+            until: None,
+        });
+    let cfg = LoopConfig {
+        capacity: Some(capacity),
+        ..LoopConfig::default()
+    };
+
+    for threads in [None, Some(2)] {
+        let slice = ReplayDriver::new(&topo, db.catalog(), &db, quotas.clone(), 120)
+            .config(cfg.clone())
+            .faults(timeline.clone())
+            .planner(planner);
+        let stream = AutoscaleLoop::new(&topo, &g, quotas.clone(), days)
+            .config(LoopConfig {
+                forecaster: Some(StreamingParams::new(g.slots_per_day() * 7)),
+                ..cfg.clone()
+            })
+            .faults(timeline.clone())
+            .planner(planner);
+        let (slice, stream) = match threads {
+            Some(t) => (slice.threads(t).run(), stream.threads(t).run()),
+            None => (slice.run(), stream.run()),
+        };
+        let (mut slice, mut stream) = (slice.stats, stream.stats);
+        assert!(stream.forced_migrations > 0 && stream.plan_installs == 2);
+        assert!(stream.capacity_violations > 0 && stream.stale_freezes > 0);
+        assert!(stream.forecast_observed > 0);
+        for w in &mut stream.windows {
+            (w.forecast_nrmse, w.drift) = (None, false);
+        }
+        (stream.forecast_observed, stream.forecast_drifts) = (0, 0);
+
+        // windows before the stream's last one are the same windows
+        let last = stream.windows.len() - 1;
+        assert!(slice.windows.len() > last + 1, "calls outlive the stream");
+        assert_eq!(slice.windows[..last], stream.windows[..last]);
+        // the slice's tail windows add up to the stream's last one
+        let (tail, end) = (&slice.windows[last..], &stream.windows[last]);
+        let counts = |w: &LoopWindow| {
+            [
+                w.calls_started,
+                w.plan_migrations,
+                w.forced_migrations,
+                w.stranded,
+                w.violations,
+                w.plan_installs,
+                w.stale_freezes,
+            ]
+        };
+        let folded =
+            (tail.iter().map(counts)).fold([0; 7], |a, c| std::array::from_fn(|i| a[i] + c[i]));
+        assert_eq!(folded, counts(end), "threads={threads:?}");
+        assert_eq!(tail.iter().map(|w| w.down_dcs).max(), Some(end.down_dcs));
+
+        // and every other field, floats bitwise
+        slice.windows.clear();
+        stream.windows.clear();
+        assert_eq!(slice, stream, "threads={threads:?}");
     }
 }
