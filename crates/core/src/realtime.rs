@@ -502,14 +502,13 @@ impl QuotaTable {
         let (mut carried, mut quota_initial, mut quota_after) = (0u64, 0u64, 0u64);
         for (key, counts) in quotas.iter() {
             let start = dcs.len() as u32;
-            let prev_range = prev.and_then(|t| t.range(key.0, key.1));
+            let prev_pool = prev.and_then(|t| Some((t, t.range(key.0, key.1)?)));
             for &(dc, q) in counts {
                 // first old entry for this DC in the same pool, as the
                 // striped-map swap did with `iter().find(|e| e.dc == dc)`
-                let was = prev_range
-                    .clone()
-                    .and_then(|r| {
-                        let t = prev.expect("prev_range implies prev");
+                let was = prev_pool
+                    .as_ref()
+                    .and_then(|(t, r)| {
                         r.clone()
                             .find(|&i| t.dcs[i] == dc)
                             .map(|i| t.consumed[i].load(Ordering::Relaxed))

@@ -30,6 +30,16 @@ use sb_workload::ConfigId;
 
 use crate::wal::{self, freeze_kind, WalRecord};
 
+/// One serving op in this many is timed. A worker counts its admits, joins,
+/// media changes, freezes and ends; the first and every `OP_SAMPLE`-th after
+/// it is sampled, and a sampled op's latency and its store write's are
+/// recorded with weight `OP_SAMPLE`
+/// ([`LatencyHistogram::record_n`]), so [`Engine::op_latency`] and
+/// [`Engine::store_latency`] keep estimating every op. The other ops read
+/// no clock — unless an admit deadline is configured, which needs a reading
+/// on every admit, freeze and end.
+pub const OP_SAMPLE: u64 = 64;
+
 /// Overload-protection knobs: watermarks that turn admissions into typed
 /// [`Admission::Shed`] outcomes instead of letting the engine collapse.
 ///
@@ -225,7 +235,8 @@ pub struct EngineStats {
     pub plans_installed: u64,
     /// Currently live calls (selector view).
     pub active_calls: usize,
-    /// Call-state writes persisted to the store.
+    /// Call-state store write attempts (failed ones and retries included),
+    /// counted exactly rather than sampled.
     pub store_writes: u64,
     /// Admissions shed at the queue-depth watermark.
     pub shed_queue_depth: u64,
@@ -275,7 +286,9 @@ pub struct Engine {
     store_write_failures: AtomicU64,
     store_degraded: AtomicBool,
     journal_failures: AtomicU64,
-    /// EWMA of recent admit latencies, in nanoseconds (α = 1/8).
+    store_writes: AtomicU64,
+    /// EWMA of recent admit latencies, in nanoseconds (α = 1/8); kept only
+    /// while an admit deadline is configured, the one reader.
     ewma_admit_ns: AtomicU64,
     op_latency: Mutex<LatencyHistogram>,
     store_latency: Mutex<LatencyHistogram>,
@@ -303,6 +316,7 @@ impl Engine {
             store_write_failures: AtomicU64::new(0),
             store_degraded: AtomicBool::new(false),
             journal_failures: AtomicU64::new(0),
+            store_writes: AtomicU64::new(0),
             ewma_admit_ns: AtomicU64::new(0),
             op_latency: Mutex::new(LatencyHistogram::new()),
             store_latency: Mutex::new(LatencyHistogram::new()),
@@ -338,6 +352,8 @@ impl Engine {
             shard: self.selector.shard(),
             ops: LatencyHistogram::new(),
             store_hist: LatencyHistogram::new(),
+            op_count: 0,
+            store_writes: 0,
         }
     }
 
@@ -507,7 +523,7 @@ impl Engine {
             ended: self.ended.load(Ordering::Relaxed),
             plans_installed: self.plans_installed.load(Ordering::Relaxed),
             active_calls: self.selector.active_calls(),
-            store_writes: self.store_latency.lock().count(),
+            store_writes: self.store_writes.load(Ordering::Relaxed),
             shed_queue_depth: self.shed_queue.load(Ordering::Relaxed),
             shed_latency: self.shed_latency.load(Ordering::Relaxed),
             shed_store: self.shed_store.load(Ordering::Relaxed),
@@ -521,12 +537,17 @@ impl Engine {
         }
     }
 
-    /// Selector-op latency distribution merged from flushed workers.
+    /// Serving-op latency distribution (admit, freeze, end) merged from
+    /// flushed workers: one op in [`OP_SAMPLE`] is timed and recorded with
+    /// weight [`OP_SAMPLE`], so its count is a multiple of that and its
+    /// mean and quantiles estimate every op.
     pub fn op_latency(&self) -> LatencyHistogram {
         self.op_latency.lock().clone()
     }
 
-    /// Store write-latency distribution merged from flushed workers.
+    /// Store write-latency distribution of the sampled ops' writes, merged
+    /// from flushed workers and weighted like [`Engine::op_latency`];
+    /// [`EngineStats::store_writes`] is the exact write count.
     pub fn store_latency(&self) -> LatencyHistogram {
         self.store_latency.lock().clone()
     }
@@ -700,7 +721,12 @@ impl Engine {
             ..RecoveryReport::default()
         };
         let mut delta = SelectorStats::default();
-        let mut hist = LatencyHistogram::new();
+        // a fresh store has no failed shard: every replayed write lands
+        let mut writes = 0u64;
+        let mut write = |ev| {
+            let _ = engine.store.try_write(ev);
+            writes += 1;
+        };
         // Per-call packing view rebuilt from the records: hosting DC,
         // charged participants, frozen flag. Reservations are recomputed
         // (they are a pure function of the participant count by
@@ -751,35 +777,26 @@ impl Engine {
                                     pack_slots.insert(*call, (place.0, 1, false));
                                 }
                             }
-                            engine.store.apply(
-                                CallEvent::Start {
-                                    call: *call,
-                                    country: *country,
-                                    dc: place.index() as u16,
-                                },
-                                &mut hist,
-                            );
+                            write(CallEvent::Start {
+                                call: *call,
+                                country: *country,
+                                dc: place.index() as u16,
+                            });
                         }
                         SelectorOutcome::Stranded => delta.stranded += 1,
                     }
                 }
                 WalRecord::Join { call, country } => {
-                    engine.store.apply(
-                        CallEvent::Join {
-                            call: *call,
-                            country: *country,
-                        },
-                        &mut hist,
-                    );
+                    write(CallEvent::Join {
+                        call: *call,
+                        country: *country,
+                    });
                 }
                 WalRecord::Media { call, media } => {
-                    engine.store.apply(
-                        CallEvent::Media {
-                            call: *call,
-                            media: wal_media(*media),
-                        },
-                        &mut hist,
-                    );
+                    write(CallEvent::Media {
+                        call: *call,
+                        media: wal_media(*media),
+                    });
                 }
                 WalRecord::Freeze {
                     call,
@@ -853,15 +870,11 @@ impl Engine {
                                 freeze_kind::OVERFLOW => delta.overflow += 1,
                                 _ => {}
                             }
-                            engine
-                                .store
-                                .apply(CallEvent::Freeze { call: *call }, &mut hist);
+                            write(CallEvent::Freeze { call: *call });
                         }
                         freeze_kind::ALREADY_FROZEN => {
                             delta.duplicate_freezes += 1;
-                            engine
-                                .store
-                                .apply(CallEvent::Freeze { call: *call }, &mut hist);
+                            write(CallEvent::Freeze { call: *call });
                         }
                         freeze_kind::UNKNOWN => delta.unknown_freezes += 1,
                         _ => return Err(RecoveryError::BadRecord { index }),
@@ -877,9 +890,7 @@ impl Engine {
                     // set evolves identically to the original run, so the
                     // tallies match without a recorded flag
                     engine.selector.call_end(*call);
-                    engine
-                        .store
-                        .apply(CallEvent::End { call: *call }, &mut hist);
+                    write(CallEvent::End { call: *call });
                     engine.ended.fetch_add(1, Ordering::Relaxed);
                     report.ends += 1;
                 }
@@ -981,7 +992,7 @@ impl Engine {
             }
         }
         engine.selector.add_stats(&delta);
-        engine.store_latency.lock().merge(&hist);
+        engine.store_writes.store(writes, Ordering::Relaxed);
         engine.journal = Some(journal);
         report.live_calls = engine.selector.active_calls();
         report.plan_epoch = engine.plan_epoch();
@@ -1114,35 +1125,81 @@ impl std::fmt::Display for RecoveryError {
 impl std::error::Error for RecoveryError {}
 
 /// Per-thread engine handle: wraps a [`sb_core::SelectorShard`] plus local
-/// latency histograms; everything merges back into the [`Engine`] on
-/// [`flush`](EngineWorker::flush) or drop.
+/// latency histograms and counters; everything merges back into the
+/// [`Engine`] on [`flush`](EngineWorker::flush) or drop.
 pub struct EngineWorker<'a> {
     engine: &'a Engine,
     shard: sb_core::SelectorShard<'a>,
     ops: LatencyHistogram,
     store_hist: LatencyHistogram,
+    /// Serving ops issued so far: picks the 1-in-[`OP_SAMPLE`] that are timed.
+    op_count: u64,
+    store_writes: u64,
+}
+
+/// A serving op as it starts: whether it is sampled, and the clock reading
+/// a timed op (admit, freeze, end) started at, taken when it is sampled or
+/// an admit deadline needs one.
+#[derive(Copy, Clone)]
+struct OpStart {
+    sampled: bool,
+    at: Option<Instant>,
 }
 
 impl EngineWorker<'_> {
+    /// Count one serving op; `true` when it is one of the sampled 1 in
+    /// [`OP_SAMPLE`].
+    fn tick(&mut self) -> bool {
+        let sampled = self.op_count.is_multiple_of(OP_SAMPLE);
+        self.op_count += 1;
+        sampled
+    }
+
+    /// Count one timed op and read the clock when the sample or the admit
+    /// deadline (the EWMA watermark and `persist`'s retry budget) needs it.
+    fn start_op(&mut self) -> OpStart {
+        let sampled = self.tick();
+        let timed = sampled || self.engine.overload.admit_deadline.is_some();
+        OpStart {
+            sampled,
+            at: timed.then(Instant::now),
+        }
+    }
+
+    /// The op's latency so far, when its clock was read; recorded into the
+    /// op histogram with weight [`OP_SAMPLE`] when the op is sampled.
+    fn stop_op(&mut self, op: OpStart) -> Option<Duration> {
+        let elapsed = op.at?.elapsed();
+        if op.sampled {
+            self.ops.record_n(elapsed, OP_SAMPLE);
+        }
+        Some(elapsed)
+    }
+
     /// Persist one store event with bounded exponential backoff: retries
     /// [`OverloadConfig::store_retry_limit`] times (doubling from
     /// [`OverloadConfig::store_retry_base`], never sleeping past the admit
     /// deadline's remaining budget), then abandons the write, marks the
     /// store degraded, and lets the selector remain the source of truth —
     /// the store is a stale-read cache until it heals. Any successful write
-    /// clears the degraded flag. `started` is when the op's deadline began
-    /// to run; ops that take no reading of their own pass `None`, and the
-    /// clock is read only if the first write fails.
-    fn persist(&mut self, ev: CallEvent, mut started: Option<Instant>) {
+    /// clears the degraded flag. A sampled op's attempts are timed into the
+    /// store histogram with weight [`OP_SAMPLE`]; every attempt is counted.
+    /// `op.at` is when the op's deadline began to run; ops that take no
+    /// reading of their own pass `None`, and the clock is read only if the
+    /// first write fails.
+    fn persist(&mut self, ev: CallEvent, op: OpStart) {
+        let OpStart { sampled, mut at } = op;
         let ov = &self.engine.overload;
+        let store = &self.engine.store;
         let mut attempt: u32 = 0;
         loop {
-            if self
-                .engine
-                .store
-                .try_apply(ev, &mut self.store_hist)
-                .is_ok()
-            {
+            self.store_writes += 1;
+            let written = if sampled {
+                store.try_apply_n(ev, &mut self.store_hist, OP_SAMPLE)
+            } else {
+                store.try_write(ev)
+            };
+            if written.is_ok() {
                 self.engine.store_degraded.store(false, Ordering::Relaxed);
                 return;
             }
@@ -1155,8 +1212,7 @@ impl EngineWorker<'_> {
             }
             let mut backoff = ov.store_retry_base * 2u32.saturating_pow(attempt);
             if let Some(deadline) = ov.admit_deadline {
-                let budget =
-                    deadline.saturating_sub(started.get_or_insert_with(Instant::now).elapsed());
+                let budget = deadline.saturating_sub(at.get_or_insert_with(Instant::now).elapsed());
                 if budget.is_zero() {
                     self.engine
                         .store_write_failures
@@ -1176,8 +1232,8 @@ impl EngineWorker<'_> {
     /// decision, and persist the `Start` record. Rejected outright while
     /// the engine drains; shed (typed, never a panic) past an overload
     /// watermark. Admit latency — selector + journal + store, sheds
-    /// included — lands in [`Engine::op_latency`], so the p99 there is the
-    /// deadline the engine is held to.
+    /// included — is sampled into [`Engine::op_latency`], so the p99 there
+    /// is the deadline the engine is held to.
     pub fn admit(&mut self, call: u64, first_joiner: CountryId) -> Admission {
         if self.engine.draining.load(Ordering::Relaxed) {
             self.engine
@@ -1185,7 +1241,7 @@ impl EngineWorker<'_> {
                 .fetch_add(1, Ordering::Relaxed);
             return Admission::Draining;
         }
-        let t = Instant::now();
+        let op = self.start_op();
         let ov = &self.engine.overload;
         if let Some(reason) = {
             if ov
@@ -1209,7 +1265,7 @@ impl EngineWorker<'_> {
                 ShedReason::StoreBackoff => &self.engine.shed_store,
             }
             .fetch_add(1, Ordering::Relaxed);
-            self.ops.record(t.elapsed());
+            self.stop_op(op);
             return Admission::Shed { reason };
         }
         let outcome = self.shard.call_start(call, first_joiner);
@@ -1236,23 +1292,25 @@ impl EngineWorker<'_> {
                     country: first_joiner.0,
                     dc: dc.index() as u16,
                 },
-                Some(t),
+                op,
             );
         }
-        let elapsed = t.elapsed();
-        self.ops.record(elapsed);
-        // EWMA with α = 1/8: cheap, monotone-decaying admission pressure
-        let sample = elapsed.as_nanos() as u64;
-        let _ =
-            self.engine
-                .ewma_admit_ns
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |old| {
+        let elapsed = self.stop_op(op);
+        if let (Some(elapsed), Some(_)) = (elapsed, self.engine.overload.admit_deadline) {
+            // EWMA with α = 1/8: cheap, monotone-decaying admission pressure
+            let sample = elapsed.as_nanos() as u64;
+            let _ = self.engine.ewma_admit_ns.fetch_update(
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+                |old| {
                     Some(if old == 0 {
                         sample
                     } else {
                         old - old / 8 + sample / 8
                     })
-                });
+                },
+            );
+        }
         Admission::Granted(outcome)
     }
 
@@ -1261,6 +1319,10 @@ impl EngineWorker<'_> {
     /// neighbours when it is frozen in place); every touched call's
     /// resulting `(server, cost)` is journaled as a [`WalRecord::Pack`].
     pub fn join(&mut self, call: u64, country: CountryId) {
+        let op = OpStart {
+            sampled: self.tick(),
+            at: None,
+        };
         self.engine.journal_append(&WalRecord::Join {
             call,
             country: country.0,
@@ -1294,26 +1356,30 @@ impl EngineWorker<'_> {
                 call,
                 country: country.0,
             },
-            None,
+            op,
         );
     }
 
     /// The call's media classification changed.
     pub fn set_media(&mut self, call: u64, media: MediaFlag) {
+        let op = OpStart {
+            sampled: self.tick(),
+            at: None,
+        };
         self.engine.journal_append(&WalRecord::Media {
             call,
             media: media_code(media),
         });
-        self.persist(CallEvent::Media { call, media }, None);
+        self.persist(CallEvent::Media { call, media }, op);
     }
 
     /// The call's config froze (A minutes in): tally it against the plan,
     /// migrating if the plan disagrees with the initial placement, journal
     /// the decision, and persist the freeze.
     pub fn freeze(&mut self, call: u64, config: ConfigId, start_minute: u64) -> FreezeDecision {
-        let t = Instant::now();
+        let op = self.start_op();
         let decision = self.shard.config_frozen(call, config, start_minute);
-        self.ops.record(t.elapsed());
+        self.stop_op(op);
         let (kind, from, to) = wal::encode_freeze(decision);
         let mut to_server = wal::NO_SERVER;
         if let Some(rt) = &self.engine.pack {
@@ -1341,23 +1407,23 @@ impl EngineWorker<'_> {
             to_server,
         });
         if !matches!(decision, FreezeDecision::UnknownCall) {
-            self.persist(CallEvent::Freeze { call }, Some(t));
+            self.persist(CallEvent::Freeze { call }, op);
         }
         decision
     }
 
     /// The call ended: release selector state and delete the store record.
     pub fn end(&mut self, call: u64) {
-        let t = Instant::now();
+        let op = self.start_op();
         if let Some(rt) = &self.engine.pack {
             if let Some(dc) = self.shard.current_dc(call) {
                 rt.packer.remove(dc, call);
             }
         }
         self.shard.call_end(call);
-        self.ops.record(t.elapsed());
+        self.stop_op(op);
         self.engine.journal_append(&WalRecord::End { call });
-        self.persist(CallEvent::End { call }, Some(t));
+        self.persist(CallEvent::End { call }, op);
         self.engine.ended.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -1372,9 +1438,12 @@ impl EngineWorker<'_> {
         self.shard.refresh_topology();
     }
 
-    /// Merge local stats and latency samples into the engine.
+    /// Merge local stats, counters and latency samples into the engine.
     pub fn flush(&mut self) {
         self.shard.flush();
+        self.engine
+            .store_writes
+            .fetch_add(std::mem::take(&mut self.store_writes), Ordering::Relaxed);
         self.engine.op_latency.lock().merge(&self.ops);
         self.ops = LatencyHistogram::new();
         self.engine.store_latency.lock().merge(&self.store_hist);
@@ -1439,7 +1508,79 @@ mod tests {
         assert_eq!(stats.selector.calls, 1);
         assert_eq!(stats.selector.freezes, 1);
         assert_eq!(stats.store_writes, 5);
-        assert_eq!(engine.op_latency().count(), 3);
+        // admit, freeze, end: the first is sampled and stands for OP_SAMPLE
+        assert_eq!(engine.op_latency().count(), OP_SAMPLE);
+    }
+
+    #[test]
+    fn one_op_in_op_sample_is_timed_and_store_writes_are_exact() {
+        let (topo, latmap, artifact, cfg) = world();
+        let ecfg = EngineConfig {
+            store_shards: 1, // one shard: failing it fails every write
+            overload: OverloadConfig {
+                store_retry_base: Duration::from_micros(1),
+                store_retry_limit: 1,
+                ..OverloadConfig::default()
+            },
+            ..EngineConfig::default()
+        };
+        let engine = Engine::new(&latmap, &artifact, &ecfg);
+        let jp = topo.country_by_name("JP");
+        let mut w = engine.worker();
+        let timed_count = |k: u64| OP_SAMPLE * k.div_ceil(OP_SAMPLE);
+        assert!(w.admit(0, jp).dc().is_some());
+        w.flush();
+        assert_eq!(engine.op_latency().count(), timed_count(1));
+        w.freeze(0, cfg, 0);
+        w.end(0);
+        for call in 1..70 {
+            assert!(w.admit(call, jp).dc().is_some());
+            w.freeze(call, cfg, 0);
+            w.end(call);
+        }
+        w.flush();
+        // 210 timed ops; ops 0, 64, 128 and 192 are sampled, each with a
+        // store write
+        assert_eq!(engine.op_latency().count(), timed_count(210));
+        assert_eq!(engine.store_latency().count(), 4 * OP_SAMPLE);
+        assert_eq!(engine.stats().store_writes, 210);
+
+        // a failed-shard write and its one retry are two writes
+        assert!(w.admit(100, jp).dc().is_some());
+        engine.store().fail_shard(0, true);
+        w.join(100, jp);
+        engine.store().fail_shard(0, false);
+        w.end(100);
+        drop(w);
+        let stats = engine.stats();
+        assert_eq!(stats.store_retries, 1);
+        assert_eq!(stats.store_write_failures, 1);
+        assert_eq!(stats.store_writes, 210 + 1 + 2 + 1);
+        assert_eq!(engine.op_latency().count(), timed_count(210));
+    }
+
+    #[test]
+    fn latency_watermark_sheds_typed() {
+        let (topo, latmap, artifact, _) = world();
+        let mut cfg = EngineConfig::default();
+        cfg.overload.admit_deadline = Some(Duration::from_nanos(1));
+        let engine = Engine::new(&latmap, &artifact, &cfg);
+        let jp = topo.country_by_name("JP");
+        let mut w = engine.worker();
+        // the first admit takes longer than 1 ns, so the EWMA it seeds is
+        // over the deadline and the next admission is shed
+        assert!(matches!(w.admit(1, jp), Admission::Granted(_)));
+        assert_eq!(
+            w.admit(2, jp),
+            Admission::Shed {
+                reason: ShedReason::LatencyWatermark
+            }
+        );
+        assert!(engine.store().get(2).is_none());
+        drop(w);
+        let stats = engine.stats();
+        assert_eq!(stats.shed_latency, 1);
+        assert_eq!(stats.admitted, 1);
     }
 
     #[test]
@@ -1714,6 +1855,25 @@ mod tests {
         assert_eq!(stats.death_rehomes, 1);
         assert_eq!(stats.removed, 1);
         assert_eq!(engine.packer().unwrap().capacity_violations(), 0);
+    }
+
+    #[test]
+    fn duplicate_admit_keeps_the_call_on_its_server() {
+        let (topo, latmap, artifact, _) = world();
+        let engine = Engine::new(&latmap, &artifact, &pack_config(&[2_000, 2_000]));
+        let jp = topo.country_by_name("JP");
+        let mut w = engine.worker();
+        let dc = w.admit(1, jp).dc().expect("placed");
+        let packer = engine.packer().unwrap();
+        let home = packer.server_of(dc, 1).expect("admission packs the call");
+        assert_eq!(w.admit(1, jp).dc(), Some(dc));
+        assert_eq!(packer.server_of(dc, 1), Some(home));
+        assert_eq!(
+            packer.stats().placed,
+            1,
+            "the duplicate is not charged again"
+        );
+        assert_eq!(packer.capacity_violations(), 0);
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //!   latency samples locally (merged on flush/drop);
 //!   [`Engine::op_latency`] and [`Engine::store_latency`] are
 //!   [`sb_store::LatencyHistogram`]s (log-linear, p50/p99/p999 at nanosecond
-//!   scale);
+//!   scale) over one serving op in [`OP_SAMPLE`], each sample recorded with
+//!   weight [`OP_SAMPLE`] so counts, means and quantiles estimate every op —
+//!   the other ops read no clock; [`EngineStats::store_writes`] is exact;
 //! * `sb-engine` (the binary) — a line-protocol service front end over an
 //!   [`Engine`] (stdin/stdout or TCP), driven interactively or by the
 //!   `engine_load` bench.
@@ -50,7 +52,7 @@ pub mod wal;
 
 pub use engine::{
     Admission, Engine, EngineConfig, EnginePackConfig, EngineStats, EngineWorker, OverloadConfig,
-    RecoveryError, RecoveryReport, ServerDeathReport, ShedReason,
+    RecoveryError, RecoveryReport, ServerDeathReport, ShedReason, OP_SAMPLE,
 };
 pub use protocol::{Command, ProtocolError, MAX_LINE_BYTES};
 pub use wal::{WalDecodeError, WalRecord};

@@ -410,11 +410,12 @@ impl DcPacker {
         Some(slot)
     }
 
+    /// Place a new call; a call already placed here stays on its server,
+    /// which is returned, and nothing is charged or counted again.
     fn place(&mut self, call: u64, participants: u32, cost: u32, reserve: u32) -> Option<u16> {
-        assert!(
-            !self.calls.contains_key(&call),
-            "call {call} already placed in this DC"
-        );
+        if let Some(slot) = self.calls.get(&call) {
+            return Some(slot.server);
+        }
         let reserve = reserve.max(cost);
         match self.fit(cost, reserve, None, false) {
             Some(i) => {
@@ -550,7 +551,9 @@ impl DcPacker {
             }) else {
                 break;
             };
-            let v = self.detach(victim).unwrap();
+            let Some(v) = self.detach(victim) else {
+                break;
+            };
             self.attach(victim, CallSlot { server: to, ..v });
             changed.push((victim, to, v.cost));
             victims += 1;
@@ -602,7 +605,9 @@ impl DcPacker {
         let mut rehomed = Vec::new();
         let mut spilled = Vec::new();
         for id in on_server {
-            let c = self.detach(id).unwrap();
+            let Some(c) = self.detach(id) else {
+                continue;
+            };
             match self.fit(c.cost, c.reserve, None, false) {
                 Some(to) => {
                     self.attach(id, CallSlot { server: to, ..c });
@@ -769,7 +774,8 @@ impl FleetPacker {
     }
 
     /// Place a new call in `dc`. Returns the chosen server, or `None` if no
-    /// live server fits (the call stays DC-placed but unpacked).
+    /// live server fits (the call stays DC-placed but unpacked). A call
+    /// already placed in `dc` stays where it is and its server is returned.
     pub fn place(
         &self,
         dc: DcId,

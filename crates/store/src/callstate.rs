@@ -48,10 +48,14 @@ pub enum MediaFlag {
 }
 
 /// The evolving state of one call.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct CallState {
-    /// `(country, participant count)` accumulated so far.
-    pub participants: Vec<(u16, u16)>,
+    /// The first joiner's `(country, participant count)`.
+    first: (u16, u16),
+    /// `(country, participant count)` of every other country, in the order
+    /// each first joined: a call all of whose participants join from one
+    /// country never allocates.
+    more: Vec<(u16, u16)>,
     /// Current media classification.
     pub media: MediaFlag,
     /// Assigned DC index.
@@ -61,9 +65,36 @@ pub struct CallState {
 }
 
 impl CallState {
+    fn start(country: u16, dc: u16) -> CallState {
+        CallState {
+            first: (country, 1),
+            more: Vec::new(),
+            media: MediaFlag::Audio,
+            dc,
+            frozen: false,
+        }
+    }
+
+    fn join(&mut self, country: u16) {
+        if self.first.0 == country {
+            self.first.1 += 1;
+            return;
+        }
+        match self.more.iter_mut().find(|(c, _)| *c == country) {
+            Some((_, n)) => *n += 1,
+            None => self.more.push((country, 1)),
+        }
+    }
+
+    /// `(country, participant count)` accumulated so far, in the order each
+    /// country first joined.
+    pub fn participants(&self) -> impl Iterator<Item = (u16, u16)> + '_ {
+        std::iter::once(self.first).chain(self.more.iter().copied())
+    }
+
     /// Total participants.
     pub fn total_participants(&self) -> u32 {
-        self.participants.iter().map(|&(_, n)| n as u32).sum()
+        self.participants().map(|(_, n)| n as u32).sum()
     }
 }
 
@@ -161,32 +192,39 @@ impl CallStateStore {
         ev: CallEvent,
         hist: &mut LatencyHistogram,
     ) -> Result<(), StoreWriteError> {
+        self.try_apply_n(ev, hist, 1)
+    }
+
+    /// [`CallStateStore::try_apply`] for a 1-in-`n` sample of a caller's
+    /// writes: the attempt's latency is recorded with weight `n`
+    /// ([`LatencyHistogram::record_n`]).
+    pub fn try_apply_n(
+        &self,
+        ev: CallEvent,
+        hist: &mut LatencyHistogram,
+        n: u64,
+    ) -> Result<(), StoreWriteError> {
         let t = Instant::now();
+        let written = self.try_write(ev);
+        hist.record_n(t.elapsed(), n);
+        written
+    }
+
+    /// Apply one event without timing it — the write
+    /// [`CallStateStore::try_apply`] times. A write routed to a failed shard
+    /// is dropped and reported.
+    pub fn try_write(&self, ev: CallEvent) -> Result<(), StoreWriteError> {
         if !self.simulated_rtt.is_zero() {
             std::thread::sleep(self.simulated_rtt);
         }
         let written = match ev {
             CallEvent::Start { call, country, dc } => self
                 .map
-                .try_insert(
-                    call,
-                    CallState {
-                        participants: vec![(country, 1)],
-                        media: MediaFlag::Audio,
-                        dc,
-                        frozen: false,
-                    },
-                )
+                .try_insert(call, CallState::start(country, dc))
                 .map(drop),
-            CallEvent::Join { call, country } => self
-                .map
-                .try_update(&call, |st| {
-                    match st.participants.iter_mut().find(|(c, _)| *c == country) {
-                        Some((_, n)) => *n += 1,
-                        None => st.participants.push((country, 1)),
-                    }
-                })
-                .map(drop),
+            CallEvent::Join { call, country } => {
+                self.map.try_update(&call, |st| st.join(country)).map(drop)
+            }
             CallEvent::Media { call, media } => {
                 self.map.try_update(&call, |st| st.media = media).map(drop)
             }
@@ -195,7 +233,6 @@ impl CallStateStore {
             }
             CallEvent::End { call } => self.map.try_remove(&call).map(drop),
         };
-        hist.record(t.elapsed());
         written.map_err(|failed| StoreWriteError {
             shard: failed.shard,
             call: ev.call(),
@@ -274,7 +311,7 @@ mod tests {
         store.apply(CallEvent::Freeze { call: 1 }, &mut h);
         let st = store.get(1).unwrap();
         assert_eq!(st.total_participants(), 3);
-        assert_eq!(st.participants, vec![(3, 2), (5, 1)]);
+        assert_eq!(st.participants().collect::<Vec<_>>(), vec![(3, 2), (5, 1)]);
         assert_eq!(st.media, MediaFlag::Video);
         assert!(st.frozen);
         assert_eq!(store.active_calls(), 1);
@@ -282,6 +319,32 @@ mod tests {
         assert!(store.get(1).is_none());
         assert_eq!(store.active_calls(), 0);
         assert_eq!(h.count(), 6);
+    }
+
+    #[test]
+    fn participants_keep_first_join_order() {
+        let store = CallStateStore::new(4);
+        let join = |country| store.try_write(CallEvent::Join { call: 2, country });
+        store
+            .try_write(CallEvent::Start {
+                call: 2,
+                country: 7,
+                dc: 1,
+            })
+            .unwrap();
+        let st = store.get(2).unwrap();
+        assert_eq!(st.participants().collect::<Vec<_>>(), vec![(7, 1)]);
+        assert_eq!(st.more.capacity(), 0, "a one-country call never allocates");
+        for country in [7, 4, 7, 9, 4, 4] {
+            join(country).unwrap();
+        }
+        let st = store.get(2).unwrap();
+        assert_eq!(
+            st.participants().collect::<Vec<_>>(),
+            vec![(7, 3), (4, 3), (9, 1)]
+        );
+        assert_eq!(st.total_participants(), 7);
+        assert_eq!(std::mem::size_of::<CallState>(), 32);
     }
 
     #[test]
@@ -339,6 +402,17 @@ mod tests {
             .unwrap();
         assert_eq!(store.get(4).unwrap().total_participants(), 2);
         assert_eq!(h.count(), 3); // failed attempts are timed too
+                                  // the untimed core reports the same drop and records nothing
+        store.fail_shard(0, true);
+        assert_eq!(
+            store.try_write(CallEvent::End { call: 4 }),
+            Err(StoreWriteError { shard: 0, call: 4 })
+        );
+        assert_eq!(store.dropped_writes(), 2);
+        store
+            .try_apply_n(CallEvent::Freeze { call: 4 }, &mut h, 64)
+            .unwrap_err();
+        assert_eq!(h.count(), 3 + 64);
     }
 
     #[test]

@@ -305,8 +305,9 @@ impl Journal {
                 return torn(records);
             }
             let crc = u32::from_le_bytes([buf[pos + 4], buf[pos + 5], buf[pos + 6], buf[pos + 7]]);
-            let seq =
-                u64::from_le_bytes(buf[pos + 8..pos + 16].try_into().expect("slice is 8 bytes"));
+            let Ok(seq) = buf[pos + 8..pos + 16].try_into().map(u64::from_le_bytes) else {
+                return Err(JournalReadError::CorruptRecord { index });
+            };
             let payload = &buf[pos + 16..frame_end];
             if crc32(seq, payload) != crc {
                 if frame_end == buf.len() {

@@ -64,12 +64,21 @@ impl LatencyHistogram {
 
     /// Record one sample.
     pub fn record(&mut self, d: Duration) {
+        self.record_n(d, 1);
+    }
+
+    /// Record one sample standing for `n` operations (a 1-in-`n` sample):
+    /// the same histogram as `n` calls of [`LatencyHistogram::record`], so
+    /// count, mean and quantiles estimate every operation.
+    pub fn record_n(&mut self, d: Duration, n: u64) {
         let ns = d.as_nanos().min(u64::MAX as u128) as u64;
-        self.buckets[index_of(ns)] += 1;
-        self.count += 1;
-        self.sum_ns += ns as u128;
-        self.max_ns = self.max_ns.max(ns);
-        self.min_ns = self.min_ns.min(ns);
+        self.buckets[index_of(ns)] += n;
+        self.count += n;
+        self.sum_ns += ns as u128 * n as u128;
+        if n > 0 {
+            self.max_ns = self.max_ns.max(ns);
+            self.min_ns = self.min_ns.min(ns);
+        }
     }
 
     /// Merge another histogram (per-thread → global aggregation).
@@ -160,6 +169,37 @@ mod tests {
         assert_eq!(a.mean(), Duration::from_micros(10));
         assert_eq!(a.min(), Duration::from_micros(5));
         assert_eq!(a.max(), Duration::from_micros(15));
+    }
+
+    #[test]
+    fn record_n_is_n_records() {
+        let samples = [
+            (Duration::from_nanos(17), 1),
+            (Duration::from_nanos(340), 64),
+            (Duration::from_micros(2), 3),
+            (Duration::from_millis(5), 64),
+            (Duration::ZERO, 0),
+        ];
+        let mut weighted = LatencyHistogram::new();
+        let mut repeated = LatencyHistogram::new();
+        for &(d, n) in &samples {
+            weighted.record_n(d, n);
+            for _ in 0..n {
+                repeated.record(d);
+            }
+        }
+        assert_eq!(weighted.buckets, repeated.buckets);
+        assert_eq!(weighted.count(), 132);
+        assert_eq!(weighted.count(), repeated.count());
+        assert_eq!(weighted.sum_ns, repeated.sum_ns);
+        assert_eq!(weighted.mean(), repeated.mean());
+        // a zero-weight sample moves neither extreme
+        assert_eq!(weighted.min(), Duration::from_nanos(17));
+        assert_eq!(weighted.min(), repeated.min());
+        assert_eq!(weighted.max(), repeated.max());
+        for q in [0.0, 0.01, 0.5, 0.9, 0.99, 0.999, 1.0] {
+            assert_eq!(weighted.quantile(q), repeated.quantile(q), "q = {q}");
+        }
     }
 
     #[test]

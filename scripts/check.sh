@@ -76,16 +76,46 @@ for f in BENCH_*.json; do
     cargo run --release -q -p sb-bench --bin "$bench" -- $size --check "$f" >/dev/null
 done
 
-echo "==> panic-free service gate: no unwrap/expect on the engine's serve path"
-# The line-protocol serve loop must degrade typed (protocol errors on the
-# wire, exit codes at startup) — a panicking unwrap/expect would let one
-# malformed frame or I/O hiccup kill the service.
-panics=$(grep -n -E '\.(unwrap|expect)\(' crates/engine/src/main.rs || true)
+# Print a source file's lines outside its test module (everything before the
+# first top-level #[cfg(test)]), skipping line comments, as "file:line: text".
+non_test() {
+    awk '/^#\[cfg\(test\)\]/{exit} !/^[[:space:]]*\/\//{print FILENAME":"FNR": "$0}' "$1"
+}
+
+echo "==> panic-free serve-path gate: no unwrap/expect/assert!/panic!/unreachable! outside tests"
+# Every file an admit, join, freeze, end, journal append, WAL decode, protocol
+# line or recovery passes through must end in a typed error or a
+# degraded-but-correct answer (a duplicate admit keeps the call where it is),
+# never a panic that kills the service. debug_assert! states an internal
+# invariant and is compiled out of release builds, so it is allowed.
+serve_path="crates/engine/src/engine.rs crates/engine/src/wal.rs
+    crates/engine/src/protocol.rs crates/engine/src/main.rs
+    crates/store/src/callstate.rs crates/store/src/map.rs crates/store/src/journal.rs
+    crates/core/src/realtime.rs crates/pack/src/packer.rs crates/sim/src/drive.rs"
+panics=$(for f in $serve_path; do non_test "$f"; done |
+    grep -E '\.(unwrap|expect)\(|(^|[^_[:alnum:]])(assert|panic|unreachable)!' || true)
 if [ -n "$panics" ]; then
-    echo "unwrap/expect on the engine serve path:" >&2
+    echo "panicking calls on the serve path:" >&2
     echo "$panics" >&2
     exit 1
 fi
+
+echo "==> serve-path clock gate: a serving op reads the clock only when it is sampled"
+# EngineWorker times one op in OP_SAMPLE (crates/engine/src/engine.rs); the
+# others read no clock unless an admit deadline is configured. The store's
+# one reading times a write (CallStateStore::try_apply_n, under try_apply),
+# and engine.rs
+# keeps three: a timed op's start, persist's retry budget and wait_drained's
+# timeout. A new per-op reading fails here instead of in the next benchmark.
+for expect in "crates/store/src/callstate.rs 1" "crates/engine/src/engine.rs 3"; do
+    set -- $expect
+    reads=$(non_test "$1" | grep -c -F 'Instant::now' || true)
+    if [ "$reads" != "$2" ]; then
+        echo "$1 must read Instant::now in $2 place(s) outside tests, found $reads:" >&2
+        non_test "$1" | grep -F 'Instant::now' >&2
+        exit 1
+    fi
+done
 
 echo "==> one-drive-core gate: the call lifecycle and the partition rule live in sb-sim's drive.rs"
 # Replay, chaos, autoscale, the crash drill and the load bench are
@@ -94,9 +124,6 @@ echo "==> one-drive-core gate: the call lifecycle and the partition rule live in
 # consult a quota-pool token (barrier-time rehome_call is not a lifecycle
 # event; packer.freeze is the intra-DC packer's own op) — a tenth copy of
 # the lifecycle fails here instead of appearing in the next PR.
-non_test() {
-    awk '/^#\[cfg\(test\)\]/{exit} !/^[[:space:]]*\/\//{print FILENAME":"FNR": "$0}' "$1"
-}
 copies=$(for f in crates/sim/src/*.rs crates/bench/src/load.rs; do
     [ "$f" = crates/sim/src/drive.rs ] || non_test "$f"
 done | grep -E 'call_start\(|config_frozen\(|\.admit\(|\.freeze\(|pool_token\(' |
