@@ -64,7 +64,7 @@ pub use latency::LatencyMap;
 pub use metrics::PLAN_SLOT_COLUMNS;
 pub use plan::{
     PlanArtifact, PlanDelta, PlanParseError, PlanProvenance, QuotaChange, ReplanReport,
-    SlotPlanner, SlotSolveInfo, PLAN_EXPORT_COLUMNS,
+    SlotPlanner, SlotSolveInfo,
 };
 pub use provision::{provision, ProvisionerParams, ProvisioningPlan};
 pub use realtime::{

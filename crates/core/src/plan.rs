@@ -11,7 +11,8 @@
 //!   (scenario planned against, solve statistics, the slot the re-plan
 //!   started from). Installed into a selector with
 //!   [`crate::RealtimeSelector::install_plan`], persisted with
-//!   [`PlanArtifact::to_tsv`] / [`PlanArtifact::to_ndjson`].
+//!   [`PlanArtifact::to_ndjson`] — the one plan format, which the engine's
+//!   journal, its recovery and its operator `install` all read.
 //! * [`PlanDelta`] — the per-`(config, slot, DC)` quota diff between two
 //!   artifacts, and the migration set it implies.
 //! * [`SlotPlanner`] — the incremental re-planner. The allocation LP (Eq.
@@ -28,7 +29,7 @@ use std::time::{Duration, Instant};
 
 use sb_lp::{Basis, GuardedSimplex, LpProblem, PreparedProblem, SolveRung, Var};
 use sb_net::{DcId, LinkId, ProvisionedCapacity};
-use sb_obs::{Table, Value};
+use sb_obs::Value;
 use sb_workload::{ConfigId, DemandMatrix};
 
 use crate::formulation::{
@@ -40,15 +41,15 @@ use crate::shares::AllocationShares;
 use crate::usage::for_each_link_load;
 
 /// Where a plan came from: the scenario it was solved against and the
-/// solve-effort statistics of the (re-)plan that produced it.
+/// solve-effort statistics of the (re-)plan that produced it. Every field is
+/// a function of the solve's inputs, so the same re-plan persists to the
+/// same bytes; its wall time is [`ReplanReport::wall`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PlanProvenance {
     /// Debug rendering of the [`sb_net::FailureScenario`] planned against.
     pub scenario: String,
     /// First slot re-solved by the producing re-plan (0 for a full plan).
     pub built_at_slot: usize,
-    /// Wall time of the producing (re-)plan, nanoseconds.
-    pub solve_wall_ns: u64,
     /// Slots whose warm start was accepted by the engine.
     pub warm_slots: u32,
     /// Slots solved cold (no basis, or basis rejected).
@@ -64,7 +65,6 @@ impl Default for PlanProvenance {
         PlanProvenance {
             scenario: "None".to_string(),
             built_at_slot: 0,
-            solve_wall_ns: 0,
             warm_slots: 0,
             cold_slots: 0,
             copied_slots: 0,
@@ -633,7 +633,6 @@ impl<'a> SlotPlanner<'a> {
         let provenance = PlanProvenance {
             scenario: format!("{:?}", sd.scenario),
             built_at_slot: from_slot,
-            solve_wall_ns: u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX),
             warm_slots: slots_info
                 .iter()
                 .filter(|s| !s.copied && s.warm_started)
@@ -660,15 +659,10 @@ impl<'a> SlotPlanner<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// Persistence (TSV / NDJSON via the sb-obs table writer)
+// Persistence (NDJSON)
 // ---------------------------------------------------------------------------
 
-/// Columns of the persisted plan table: one row per `(config, slot, dc)`
-/// share entry, in plan order (`quota` is `-` when the slot's demand
-/// rounded to zero and no quota pool exists).
-pub const PLAN_EXPORT_COLUMNS: [&str; 5] = ["config", "slot", "dc", "share", "quota"];
-
-/// A persisted plan failed to parse.
+/// A persisted plan failed to parse, or names a DC its topology lacks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanParseError(pub String);
 
@@ -684,9 +678,10 @@ fn err(msg: impl Into<String>) -> PlanParseError {
     PlanParseError(msg.into())
 }
 
-/// One export row: `(config, slot, dc, share, quota)` — share is `None` for
-/// quota-only pools, quota is `None` where no quota pool exists (both are
-/// written as `-`).
+/// One export row: `(config, slot, dc, share, quota)`, one per
+/// `(config, slot, dc)` entry in plan order — share is `None` for
+/// quota-only pools, quota is `None` where the slot's demand rounded to zero
+/// and no quota pool exists (both are written as `-`).
 type PlanRow = (usize, usize, usize, Option<f64>, Option<u32>);
 
 /// Visit the export rows. Row order: pools sorted by `(config, slot)`,
@@ -737,38 +732,12 @@ fn for_each_export_row<R: FnMut(PlanRow)>(artifact: &PlanArtifact, mut row: R) {
     }
 }
 
-/// The export rows as an sb-obs [`Table`] (the TSV form's writer).
-fn export_table(artifact: &PlanArtifact) -> Table {
-    let t = Table::standalone(&PLAN_EXPORT_COLUMNS);
-    let dash = || Value::from("-");
-    for_each_export_row(artifact, |(cfg, slot, dc, share, quota)| {
-        t.push(vec![
-            Value::from(cfg),
-            Value::from(slot),
-            Value::from(dc),
-            share.map_or_else(dash, Value::from),
-            quota.map_or_else(dash, Value::from),
-        ]);
-    });
-    t
-}
-
 struct MetaFields {
     epoch: u64,
     slot_minutes: u32,
     start_minute: u64,
     num_slots: usize,
     provenance: PlanProvenance,
-}
-
-fn meta_of(artifact: &PlanArtifact) -> MetaFields {
-    MetaFields {
-        epoch: artifact.epoch,
-        slot_minutes: artifact.quotas.slot_minutes(),
-        start_minute: artifact.quotas.start_minute(),
-        num_slots: artifact.quotas.num_slots(),
-        provenance: artifact.provenance.clone(),
-    }
 }
 
 fn rebuild(meta: MetaFields, rows: Vec<PlanRow>) -> Result<PlanArtifact, PlanParseError> {
@@ -816,131 +785,41 @@ fn rebuild(meta: MetaFields, rows: Vec<PlanRow>) -> Result<PlanArtifact, PlanPar
 }
 
 impl PlanArtifact {
-    /// Serialize as TSV: a `#plan` metadata line (tab-separated `key=value`
-    /// pairs) followed by the [`PLAN_EXPORT_COLUMNS`] table rendered by the
-    /// sb-obs table writer. Shares use Rust's shortest round-trip float
-    /// formatting, so [`PlanArtifact::from_tsv`] reconstructs them exactly.
-    pub fn to_tsv(&self) -> String {
-        let m = meta_of(self);
-        let p = &m.provenance;
-        let mut out = format!(
-            "#plan\tepoch={}\tslot_minutes={}\tstart_minute={}\tnum_slots={}\t\
-             built_at_slot={}\tsolve_wall_ns={}\twarm_slots={}\tcold_slots={}\t\
-             copied_slots={}\ttotal_iterations={}\tscenario={}\n",
-            m.epoch,
-            m.slot_minutes,
-            m.start_minute,
-            m.num_slots,
-            p.built_at_slot,
-            p.solve_wall_ns,
-            p.warm_slots,
-            p.cold_slots,
-            p.copied_slots,
-            p.total_iterations,
-            p.scenario,
-        );
-        out.push_str(&export_table(self).render_tsv());
-        out
-    }
-
-    /// Parse an artifact previously written by [`PlanArtifact::to_tsv`].
-    pub fn from_tsv(s: &str) -> Result<PlanArtifact, PlanParseError> {
-        let mut lines = s.lines();
-        let meta_line = lines.next().ok_or_else(|| err("empty input"))?;
-        let rest = meta_line
-            .strip_prefix("#plan\t")
-            .ok_or_else(|| err("missing #plan metadata line"))?;
-        let mut kv: HashMap<&str, &str> = HashMap::new();
-        for field in rest.split('\t') {
-            let (k, v) = field
-                .split_once('=')
-                .ok_or_else(|| err(format!("bad metadata field {field:?}")))?;
-            kv.insert(k, v);
+    /// This plan, if every DC it names — in its quotas and its shares — is
+    /// one of the `num_dcs` DCs of the topology it is about to serve. A plan
+    /// from outside the process (an operator's `install`, a recovered
+    /// journal) passes this one range check before a selector indexes
+    /// per-DC state by its entries.
+    pub fn check_dcs(self, num_dcs: usize) -> Result<PlanArtifact, PlanParseError> {
+        let quota_dcs = (self.quotas.iter()).flat_map(|(_, e)| e.iter().map(|&(dc, _)| dc));
+        let share_dcs = (self.shares.iter()).flat_map(|(_, _, f)| f.iter().map(|&(dc, _)| dc));
+        let unknown = quota_dcs.chain(share_dcs).find(|dc| dc.index() >= num_dcs);
+        match unknown {
+            Some(dc) => Err(err(format!(
+                "dc {} is not one of the topology's {num_dcs} DCs",
+                dc.index()
+            ))),
+            None => Ok(self),
         }
-        fn get<T: std::str::FromStr>(
-            kv: &HashMap<&str, &str>,
-            key: &str,
-        ) -> Result<T, PlanParseError> {
-            kv.get(key)
-                .ok_or_else(|| err(format!("missing metadata key {key}")))?
-                .parse()
-                .map_err(|_| err(format!("bad value for metadata key {key}")))
-        }
-        let meta = MetaFields {
-            epoch: get(&kv, "epoch")?,
-            slot_minutes: get(&kv, "slot_minutes")?,
-            start_minute: get(&kv, "start_minute")?,
-            num_slots: get(&kv, "num_slots")?,
-            provenance: PlanProvenance {
-                scenario: kv
-                    .get("scenario")
-                    .ok_or_else(|| err("missing metadata key scenario"))?
-                    .to_string(),
-                built_at_slot: get(&kv, "built_at_slot")?,
-                solve_wall_ns: get(&kv, "solve_wall_ns")?,
-                warm_slots: get(&kv, "warm_slots")?,
-                cold_slots: get(&kv, "cold_slots")?,
-                copied_slots: get(&kv, "copied_slots")?,
-                total_iterations: get(&kv, "total_iterations")?,
-            },
-        };
-        let header = lines.next().ok_or_else(|| err("missing header line"))?;
-        if header != PLAN_EXPORT_COLUMNS.join("\t") {
-            return Err(err(format!("unexpected header {header:?}")));
-        }
-        let mut rows = Vec::new();
-        for line in lines {
-            if line.is_empty() {
-                continue;
-            }
-            let cells: Vec<&str> = line.split('\t').collect();
-            if cells.len() != PLAN_EXPORT_COLUMNS.len() {
-                return Err(err(format!("bad row arity in {line:?}")));
-            }
-            let quota = match cells[4] {
-                "-" => None,
-                q => Some(q.parse().map_err(|_| err(format!("bad quota {q:?}")))?),
-            };
-            let share = match cells[3] {
-                "-" => None,
-                s => Some(s.parse().map_err(|_| err(format!("bad share {s:?}")))?),
-            };
-            rows.push((
-                cells[0]
-                    .parse()
-                    .map_err(|_| err(format!("bad config {:?}", cells[0])))?,
-                cells[1]
-                    .parse()
-                    .map_err(|_| err(format!("bad slot {:?}", cells[1])))?,
-                cells[2]
-                    .parse()
-                    .map_err(|_| err(format!("bad dc {:?}", cells[2])))?,
-                share,
-                quota,
-            ));
-        }
-        rebuild(meta, rows)
     }
 
     /// The `{"plan":{…}}` metadata line of the NDJSON form.
     fn ndjson_meta_line(&self) -> String {
-        let m = meta_of(self);
-        let p = &m.provenance;
+        let (q, p) = (&self.quotas, &self.provenance);
         let scenario = p.scenario.replace('\\', "\\\\").replace('"', "\\\"");
         format!(
             concat!(
                 r#"{{"plan":{{"epoch":{},"slot_minutes":{},"start_minute":{},"#,
-                r#""num_slots":{},"built_at_slot":{},"solve_wall_ns":{},"#,
+                r#""num_slots":{},"built_at_slot":{},"#,
                 r#""warm_slots":{},"cold_slots":{},"copied_slots":{},"#,
                 r#""total_iterations":{},"scenario":"{}"}}}}"#,
                 "\n"
             ),
-            m.epoch,
-            m.slot_minutes,
-            m.start_minute,
-            m.num_slots,
+            self.epoch,
+            q.slot_minutes(),
+            q.start_minute(),
+            q.num_slots(),
             p.built_at_slot,
-            p.solve_wall_ns,
             p.warm_slots,
             p.cold_slots,
             p.copied_slots,
@@ -950,7 +829,9 @@ impl PlanArtifact {
     }
 
     /// Serialize as NDJSON: a `{"plan":{…}}` metadata object followed by
-    /// one object per table row (same rows as the TSV form). The rows are
+    /// one `{"config","slot","dc","share","quota"}` object per export row.
+    /// Shares use Rust's shortest round-trip float formatting, so
+    /// [`PlanArtifact::from_ndjson`] reconstructs them exactly. The rows are
     /// written straight into the output — byte for byte what the sb-obs
     /// table renderer produces for them, without a `Vec<Value>` per row and
     /// a `String` per cell; an engine journals this on every plan install.
@@ -976,6 +857,9 @@ impl PlanArtifact {
     }
 
     /// Parse an artifact previously written by [`PlanArtifact::to_ndjson`].
+    /// Keys the writer no longer emits (`solve_wall_ns`) are ignored. A zero
+    /// slot width and a non-finite share are refused; DC ids are checked
+    /// against a topology by [`PlanArtifact::check_dcs`].
     pub fn from_ndjson(s: &str) -> Result<PlanArtifact, PlanParseError> {
         let mut lines = s.lines();
         let meta_line = lines.next().ok_or_else(|| err("empty input"))?;
@@ -1023,13 +907,16 @@ impl PlanArtifact {
             provenance: PlanProvenance {
                 scenario: raw_field(meta_line, "scenario")?,
                 built_at_slot: num_field(meta_line, "built_at_slot")?,
-                solve_wall_ns: num_field(meta_line, "solve_wall_ns")?,
                 warm_slots: num_field(meta_line, "warm_slots")?,
                 cold_slots: num_field(meta_line, "cold_slots")?,
                 copied_slots: num_field(meta_line, "copied_slots")?,
                 total_iterations: num_field(meta_line, "total_iterations")?,
             },
         };
+        if meta.slot_minutes == 0 {
+            // every minute → slot lookup divides by it
+            return Err(err("slot_minutes must be positive"));
+        }
         let mut rows = Vec::new();
         for line in lines {
             if line.is_empty() {
@@ -1041,7 +928,10 @@ impl PlanArtifact {
             };
             let share = match raw_field(line, "share")?.as_str() {
                 "-" => None,
-                s => Some(s.parse().map_err(|_| err(format!("bad share {s:?}")))?),
+                s => match s.parse::<f64>() {
+                    Ok(x) if x.is_finite() => Some(x),
+                    _ => return Err(err(format!("bad share {s:?}"))),
+                },
             };
             rows.push((
                 num_field(line, "config")?,
@@ -1190,27 +1080,6 @@ mod tests {
     }
 
     #[test]
-    fn tsv_round_trip_is_exact() {
-        let (topo, cat, demand) = instance();
-        let (capacity, healthy, down) = planner_world(&topo, &cat, &demand);
-        let inputs = PlanningInputs::new(&topo, &cat, &demand);
-        let mut planner = SlotPlanner::new(
-            &inputs,
-            &[healthy.clone(), down],
-            &capacity,
-            &SolveOptions::default(),
-        );
-        let report = planner.plan_initial(&healthy).unwrap();
-        let tsv = report.artifact.to_tsv();
-        let back = PlanArtifact::from_tsv(&tsv).unwrap();
-        assert_eq!(back, *report.artifact);
-        // quota entry order survives (tie-breaking-relevant)
-        for (key, entries) in report.artifact.quotas.iter() {
-            assert_eq!(back.quotas.get(key.0, key.1), entries);
-        }
-    }
-
-    #[test]
     fn ndjson_round_trip_is_exact() {
         let (topo, cat, demand) = instance();
         let (capacity, healthy, down) = planner_world(&topo, &cat, &demand);
@@ -1230,6 +1099,65 @@ mod tests {
         let back = PlanArtifact::from_ndjson(&nd).unwrap();
         assert_eq!(back, *report.artifact);
         assert_eq!(back.provenance.scenario, format!("{:?}", down.scenario));
+        // quota entry order survives (tie-breaking-relevant)
+        for (key, entries) in report.artifact.quotas.iter() {
+            assert_eq!(back.quotas.get(key.0, key.1), entries);
+        }
+    }
+
+    /// Two runs of the same re-plan persist to the same bytes: a plan's
+    /// journal record carries nothing measured on the clock.
+    #[test]
+    fn identical_replans_persist_byte_identically() {
+        let (topo, cat, demand) = instance();
+        let (capacity, healthy, down) = planner_world(&topo, &cat, &demand);
+        let inputs = PlanningInputs::new(&topo, &cat, &demand);
+        let run = || {
+            let sds = [healthy.clone(), down.clone()];
+            let mut planner = SlotPlanner::new(&inputs, &sds, &capacity, &SolveOptions::default());
+            let first = planner.plan_initial(&healthy).unwrap();
+            let second = planner
+                .replan_from(&first.artifact, 1, &down, None)
+                .unwrap();
+            (first.artifact.to_ndjson(), second.artifact.to_ndjson())
+        };
+        assert_eq!(run(), run());
+    }
+
+    /// The meta line written before provenance dropped its wall time still
+    /// parses: journals recorded then recover.
+    #[test]
+    fn a_meta_line_carrying_solve_wall_ns_still_parses() {
+        let nd = concat!(
+            r#"{"plan":{"epoch":3,"slot_minutes":30,"start_minute":60,"num_slots":2,"#,
+            r#""built_at_slot":1,"solve_wall_ns":987654,"warm_slots":1,"cold_slots":0,"#,
+            r#""copied_slots":1,"total_iterations":12,"scenario":"None"}}"#,
+            "\n",
+            r#"{"config":0,"slot":1,"dc":2,"share":"-","quota":4}"#,
+            "\n"
+        );
+        let a = PlanArtifact::from_ndjson(nd).unwrap();
+        assert_eq!((a.epoch, a.provenance.total_iterations), (3, 12));
+        assert_eq!(a.quotas.get(ConfigId(0), 1), &[(DcId(2), 4)]);
+        assert_eq!(PlanArtifact::from_ndjson(&a.to_ndjson()).unwrap(), a);
+        assert!(!a.to_ndjson().contains("solve_wall_ns"));
+    }
+
+    /// The reference renderer `to_ndjson` is held to: the export rows as an
+    /// sb-obs table.
+    fn export_table(artifact: &PlanArtifact) -> sb_obs::Table {
+        let t = sb_obs::Table::standalone(&["config", "slot", "dc", "share", "quota"]);
+        let dash = || Value::from("-");
+        for_each_export_row(artifact, |(cfg, slot, dc, share, quota)| {
+            t.push(vec![
+                Value::from(cfg),
+                Value::from(slot),
+                Value::from(dc),
+                share.map_or_else(dash, Value::from),
+                quota.map_or_else(dash, Value::from),
+            ]);
+        });
+        t
     }
 
     #[test]
@@ -1255,7 +1183,6 @@ mod tests {
             PlanProvenance {
                 scenario: r#"LinkDown("a\b", "c")"#.to_string(),
                 built_at_slot: 1,
-                solve_wall_ns: 123_456,
                 warm_slots: 2,
                 cold_slots: 1,
                 copied_slots: 0,
@@ -1289,24 +1216,71 @@ mod tests {
         assert_eq!(artifact.shares.iter().count(), 0, "seed drops shares");
         let nd_back = PlanArtifact::from_ndjson(&artifact.to_ndjson()).unwrap();
         assert_eq!(nd_back, artifact);
-        let tsv_back = PlanArtifact::from_tsv(&artifact.to_tsv()).unwrap();
-        assert_eq!(tsv_back, artifact);
         assert_eq!(nd_back.quotas.get(cfg, 0), &[(DcId(0), 10)]);
+    }
+
+    /// A one-slot plan's meta line with slot width `slot_minutes`, followed
+    /// by `row`.
+    fn plan_text(slot_minutes: u32, row: &str) -> String {
+        format!(
+            concat!(
+                r#"{{"plan":{{"epoch":1,"slot_minutes":{},"start_minute":0,"num_slots":1,"#,
+                r#""built_at_slot":0,"warm_slots":0,"cold_slots":0,"copied_slots":0,"#,
+                r#""total_iterations":0,"scenario":"None"}}}}"#,
+                "\n{}\n"
+            ),
+            slot_minutes, row
+        )
     }
 
     #[test]
     fn malformed_artifacts_are_rejected() {
-        assert!(PlanArtifact::from_tsv("").is_err());
-        assert!(PlanArtifact::from_tsv("not a plan\n").is_err());
-        assert!(PlanArtifact::from_tsv("#plan\tepoch=1\n").is_err());
         assert!(PlanArtifact::from_ndjson("").is_err());
+        assert!(PlanArtifact::from_ndjson("not a plan\n").is_err());
         assert!(PlanArtifact::from_ndjson("{\"plan\":{\"epoch\":1}}\n").is_err());
-        // bad row arity
-        let bad = "#plan\tepoch=1\tslot_minutes=30\tstart_minute=0\tnum_slots=1\t\
-                   built_at_slot=0\tsolve_wall_ns=0\twarm_slots=0\tcold_slots=0\t\
-                   copied_slots=0\ttotal_iterations=0\tscenario=None\n\
-                   config\tslot\tdc\tshare\tquota\n0\t0\t0\n";
-        assert!(PlanArtifact::from_tsv(bad).is_err());
+        let good = r#"{"config":0,"slot":0,"dc":0,"share":1,"quota":3}"#;
+        assert!(PlanArtifact::from_ndjson(&plan_text(30, good)).is_ok());
+        for row in [
+            // bad row arity: a row missing its share and quota
+            r#"{"config":0,"slot":0,"dc":0}"#,
+            // non-numeric fields
+            r#"{"config":x,"slot":0,"dc":0,"share":1,"quota":3}"#,
+            r#"{"config":0,"slot":0,"dc":0,"share":1,"quota":"three"}"#,
+            r#"{"config":0,"slot":0,"dc":0,"share":one,"quota":3}"#,
+            // a share the selector cannot hold, and a slot past the horizon
+            r#"{"config":0,"slot":0,"dc":0,"share":inf,"quota":3}"#,
+            r#"{"config":0,"slot":1,"dc":0,"share":1,"quota":3}"#,
+        ] {
+            assert!(
+                PlanArtifact::from_ndjson(&plan_text(30, row)).is_err(),
+                "{row}"
+            );
+        }
+    }
+
+    /// Regression: a zero slot width parsed, and the first freeze after the
+    /// install divided by it.
+    #[test]
+    fn zero_slot_width_is_rejected() {
+        let row = r#"{"config":0,"slot":0,"dc":0,"share":1,"quota":3}"#;
+        assert!(PlanArtifact::from_ndjson(&plan_text(30, row)).is_ok());
+        let e = PlanArtifact::from_ndjson(&plan_text(0, row)).unwrap_err();
+        assert!(e.0.contains("slot_minutes"), "{e}");
+    }
+
+    #[test]
+    fn dcs_are_checked_against_the_topology() {
+        let row = |dc: u32| format!(r#"{{"config":0,"slot":0,"dc":{dc},"share":1,"quota":3}}"#);
+        let plan = |dc| PlanArtifact::from_ndjson(&plan_text(30, &row(dc))).unwrap();
+        assert!(plan(2).check_dcs(3).is_ok());
+        let e = plan(999).check_dcs(3).unwrap_err();
+        assert!(e.0.contains("dc 999"), "{e}");
+        // a share-only entry is checked too
+        let mut shares = AllocationShares::new(1);
+        shares.set(ConfigId(0), 0, vec![(DcId(3), 1.0)]);
+        let q = PlannedQuotas::from_parts(30, 0, 1, HashMap::new());
+        let a = PlanArtifact::new(1, shares, q, PlanProvenance::default());
+        assert!(a.check_dcs(3).is_err());
     }
 
     #[test]

@@ -712,8 +712,14 @@ impl Engine {
         let Some(WalRecord::PlanInstall { ndjson }) = ops.first() else {
             return Err(RecoveryError::NoBootPlan);
         };
-        let boot =
-            PlanArtifact::from_ndjson(ndjson).map_err(|_| RecoveryError::PlanParse { index: 0 })?;
+        // a plan the journal holds is outside input: parsed, then checked
+        // against the topology before any freeze indexes a DC by it
+        let plan = |ndjson: &str, index: u64| {
+            PlanArtifact::from_ndjson(ndjson)
+                .and_then(|a| a.check_dcs(latmap.num_dcs()))
+                .map_err(|_| RecoveryError::PlanParse { index })
+        };
+        let boot = plan(ndjson, 0)?;
         let mut engine = Engine::new(latmap, &boot, cfg);
         let mut report = RecoveryReport {
             records: ops.len() as u64,
@@ -737,8 +743,7 @@ impl Engine {
             let index = i as u64;
             match rec {
                 WalRecord::PlanInstall { ndjson } => {
-                    let art = PlanArtifact::from_ndjson(ndjson)
-                        .map_err(|_| RecoveryError::PlanParse { index })?;
+                    let art = plan(ndjson, index)?;
                     engine.selector.install_plan(&art);
                     engine.plans_installed.fetch_add(1, Ordering::Relaxed);
                     report.plans += 1;
@@ -1085,7 +1090,8 @@ pub enum RecoveryError {
     },
     /// Record 0 is not a plan install — the engine cannot know its plan.
     NoBootPlan,
-    /// A journaled plan artifact failed to parse.
+    /// A journaled plan artifact failed to parse, or names a DC the
+    /// recovering engine's topology lacks.
     PlanParse {
         /// 0-based record index.
         index: u64,
@@ -1109,7 +1115,8 @@ impl std::fmt::Display for RecoveryError {
             RecoveryError::PlanParse { index } => {
                 write!(
                     f,
-                    "journaled plan artifact at index {index} failed to parse"
+                    "journaled plan artifact at index {index} failed to parse or \
+                     names an unknown DC"
                 )
             }
             RecoveryError::Inconsistent { index } => {
@@ -1711,6 +1718,117 @@ mod tests {
         let rescan = Journal::scan(&path).unwrap();
         assert_eq!(rescan.records.len() as u64, report.records + 1);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Quotas for `cfg` in each of four 30-minute slots: `per_slot` calls
+    /// split over `dcs` by share.
+    fn quotas_at(cfg: ConfigId, dcs: &[(DcId, f64)], per_slot: f64) -> PlannedQuotas {
+        let mut shares = AllocationShares::new(4);
+        let mut demand = DemandMatrix::zero(1, 4, 30, 0);
+        for s in 0..4 {
+            shares.set(cfg, s, dcs.to_vec());
+            demand.set(cfg, s, per_slot);
+        }
+        PlannedQuotas::from_plan(&shares, &demand)
+    }
+
+    #[test]
+    fn recovery_across_a_mid_run_install_matches_the_live_engine() {
+        let (topo, latmap, _, cfg) = world();
+        let (jp, tokyo, pune) = (
+            topo.country_by_name("JP"),
+            topo.dc_by_name("Tokyo"),
+            topo.dc_by_name("Pune"),
+        );
+        // a tight boot plan (3 calls a slot, all at Tokyo), then a re-spread
+        // of the same pools (5 at Tokyo, 5 at Pune): Tokyo's 3 consumed
+        // carry over, so the install leaves 2 there
+        let boot = PlanArtifact::seed(quotas_at(cfg, &[(tokyo, 1.0)], 3.0));
+        let respread = quotas_at(cfg, &[(tokyo, 0.5), (pune, 0.5)], 10.0);
+        let respread = PlanArtifact::seed(respread).with_epoch(1);
+        for sync_every in [1, 7] {
+            let path = temp_journal_path(&format!("mid-run-install-{sync_every}"));
+            let jcfg = JournalConfig {
+                sync_every,
+                ..JournalConfig::default()
+            };
+            let journal = Journal::create(&path, jcfg).unwrap();
+            let ecfg = EngineConfig::default();
+            let engine = Engine::with_journal(&latmap, &boot, &ecfg, journal).unwrap();
+            let mut w = engine.worker();
+            // 8 freezes on 3 quota: 3 stay, 5 overflow
+            for call in 0..8 {
+                assert!(w.admit(call, jp).dc().is_some());
+                w.freeze(call, cfg, 0);
+            }
+            w.end(0);
+            let swap = engine.install_plan(&respread);
+            w.refresh();
+            assert_eq!(swap.carried_consumed, 3, "sync_every={sync_every}");
+            // 7 more: 2 stay on Tokyo's carried-over remainder, 5 migrate
+            for call in 8..15 {
+                assert!(w.admit(call, jp).dc().is_some());
+                w.freeze(call, cfg, 0);
+            }
+            w.end(9);
+            drop(w);
+            engine.sync_journal();
+            let state = engine.export_selector_state();
+            let stats = engine.stats().selector;
+            assert_eq!((stats.migrations, stats.overflow), (5, 5));
+            assert_eq!(engine.journal().unwrap().crash(), 0);
+            drop(engine);
+
+            let (recovered, report) = Engine::recover(&latmap, &ecfg, jcfg, &path).unwrap();
+            let _ = std::fs::remove_file(&path);
+            assert_eq!(report.plans, 1, "sync_every={sync_every}");
+            assert_eq!(recovered.plan_epoch(), 1);
+            assert_eq!(recovered.export_selector_state(), state);
+            assert_eq!(recovered.stats().selector, stats);
+        }
+    }
+
+    /// Regression: a journaled plan with a zero slot width, or naming a DC
+    /// the topology lacks, recovered — and the first freeze under it divided
+    /// by zero or indexed past the per-DC state. Recovery now refuses it,
+    /// typed.
+    #[test]
+    fn recovery_refuses_a_hostile_plan_install() {
+        let (topo, latmap, artifact, cfg) = world();
+        let jp = topo.country_by_name("JP");
+        let tokyo = topo.dc_by_name("Tokyo");
+        let pools = |dc| std::collections::HashMap::from([((cfg, 0), vec![(dc, 5)])]);
+        for (label, hostile) in [
+            (
+                "zero slot width",
+                PlannedQuotas::from_parts(0, 0, 4, pools(tokyo)),
+            ),
+            (
+                "unknown dc",
+                PlannedQuotas::from_parts(30, 0, 4, pools(DcId(999))),
+            ),
+        ] {
+            let path = temp_journal_path("hostile-plan");
+            let jcfg = JournalConfig {
+                sync_every: 1,
+                ..JournalConfig::default()
+            };
+            let journal = Journal::create(&path, jcfg).unwrap();
+            let ecfg = EngineConfig::default();
+            let engine = Engine::with_journal(&latmap, &artifact, &ecfg, journal).unwrap();
+            assert!(engine.worker().admit(1, jp).dc().is_some());
+            engine.install_plan(&PlanArtifact::seed(hostile).with_epoch(1));
+            drop(engine);
+            let recovered = Engine::recover(&latmap, &ecfg, jcfg, &path);
+            let _ = std::fs::remove_file(&path);
+            match recovered {
+                Err(e) => assert_eq!(e, RecoveryError::PlanParse { index: 2 }, "{label}"),
+                Ok((engine, _)) => {
+                    engine.worker().freeze(1, cfg, 0);
+                    panic!("{label}: the hostile plan was recovered");
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! media <id> audio|video|screen record a media change
 //! freeze <id> <config> <minute> freeze the config, tally against the plan
 //! end <id>                      end the call
-//! install <path>                hot-swap a plan artifact (.tsv or .ndjson)
+//! install <path>                hot-swap an NDJSON plan artifact
 //! drain                         stop admitting; in-flight calls finish
 //! stats                         counter + latency snapshot
 //! ping                          liveness probe
@@ -209,11 +209,8 @@ impl Service {
             }
             Command::Install { path } => match std::fs::read_to_string(&path) {
                 Ok(text) => {
-                    let parsed = if path.ends_with(".ndjson") {
-                        PlanArtifact::from_ndjson(&text)
-                    } else {
-                        PlanArtifact::from_tsv(&text)
-                    };
+                    let parsed = PlanArtifact::from_ndjson(&text)
+                        .and_then(|a| a.check_dcs(self.topo.dcs.len()));
                     match parsed {
                         Ok(artifact) => {
                             let swap = self.engine.install_plan(&artifact);

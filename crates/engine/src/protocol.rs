@@ -121,7 +121,7 @@ pub enum Command {
     },
     /// `install <path>`.
     Install {
-        /// Plan artifact path (.tsv or .ndjson).
+        /// Path of an NDJSON plan artifact.
         path: String,
     },
     /// Stop admitting; in-flight calls finish.

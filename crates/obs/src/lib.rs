@@ -353,10 +353,10 @@ pub struct Table {
 }
 
 impl Table {
-    /// A free-standing, always-enabled table not attached to any registry.
-    /// This is the writer used for single-table artifact exports (e.g.
-    /// persisted allocation plans), where rows must be recorded regardless
-    /// of the global registry's enablement.
+    /// A free-standing, always-enabled table not attached to any registry,
+    /// whose rows are recorded regardless of the global registry's
+    /// enablement (e.g. the reference renderer a persisted plan's NDJSON
+    /// writer is tested against).
     pub fn standalone(columns: &[&str]) -> Table {
         Table {
             core: Arc::new(TableCore {
@@ -365,20 +365,6 @@ impl Table {
             }),
             enabled: Arc::new(AtomicBool::new(true)),
         }
-    }
-
-    /// Render this table alone as TSV: a header line of column names, then
-    /// one tab-separated line per row.
-    pub fn render_tsv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.core.columns.join("\t"));
-        out.push('\n');
-        for row in self.core.rows.lock().iter() {
-            let cells: Vec<String> = row.iter().map(|v| v.to_string()).collect();
-            out.push_str(&cells.join("\t"));
-            out.push('\n');
-        }
-        out
     }
 
     /// Render this table alone as NDJSON: one `{"col":value,…}` object per

@@ -63,7 +63,7 @@ use crate::drive::{step, Step};
 use crate::replay::{account, build_events, Placement, ReplayConfig, ReplayStats};
 
 /// One injected service-layer fault, scheduled over the trace's canonical
-/// serial operation index (0-based; swaps and skipped freezes do not count).
+/// serial operation index (0-based; skipped freezes do not count).
 #[derive(Clone, Copy, Debug)]
 pub enum ServiceFault {
     /// Engine worker `worker` dies after driving `after_ops` of its
@@ -117,8 +117,8 @@ pub enum ServiceFault {
 /// commit, the engine knobs, and the fault schedule.
 #[derive(Clone, Debug, Default)]
 pub struct CrashDrillConfig {
-    /// Trace schedule (freeze minutes, capacity check, plan hot-swaps) —
-    /// the same config the no-crash oracle runs with.
+    /// Trace schedule (freeze minutes, capacity check, packing leg) — the
+    /// same config the no-crash oracle runs with.
     pub replay: ReplayConfig,
     /// Journal group-commit knobs. A large `sync_every` widens the
     /// crash-loss window the drill must recover across.
@@ -203,12 +203,11 @@ pub struct CrashOutcome {
 }
 
 /// What one processed step contributed to the journal: which trace event or
-/// plan swap it was, and how many records the journal was *expected* to
+/// server death it was, and how many records the journal was *expected* to
 /// hold afterwards — the realignment key after a crash.
 #[derive(Clone, Copy, Debug)]
 enum Journaled {
     Event(usize),
-    Swap(usize),
     Death(usize),
 }
 
@@ -243,8 +242,6 @@ pub fn drive_with_crashes(
     let latmap = LatencyMap::from_routing(topo, &routing);
     let records = db.records();
     let events = build_events(records, cfg.replay.freeze_minutes);
-    let mut swaps = cfg.replay.swaps.clone();
-    swaps.sort_by_key(|s| s.at_minute);
 
     // fault schedule over the canonical serial op index
     let mut windows: Vec<(u64, u64, JournalFault)> = Vec::new();
@@ -287,7 +284,6 @@ pub fn drive_with_crashes(
     let mut placements: Vec<Option<Placement>> = vec![None; records.len()];
 
     let mut cursor = 0usize; // next event
-    let mut swap_at = 0usize; // next plan swap
     let mut op_count = 0u64; // cumulative ops driven (redrives included)
     let mut next_crash = 0usize;
     let mut next_death = 0usize;
@@ -301,23 +297,7 @@ pub fn drive_with_crashes(
         {
             let mut w = engine.worker();
             let mut last_fault = JournalFault::None;
-            while cursor < events.len() || swap_at < swaps.len() {
-                // plan swaps due before the next event install first (they
-                // journal + sync eagerly, so they never die in a crash)
-                let next_minute = events.get(cursor).map(|&(t, _, _)| t);
-                if swap_at < swaps.len()
-                    && next_minute.is_none_or(|t| swaps[swap_at].at_minute <= t)
-                {
-                    let art = &swaps[swap_at].artifact;
-                    let _ = engine.install_plan(art);
-                    w.refresh();
-                    expected.push(WalRecord::PlanInstall {
-                        ndjson: art.to_ndjson(),
-                    });
-                    history.push((Journaled::Swap(swap_at), expected.len() as u64));
-                    swap_at += 1;
-                    continue;
-                }
+            while cursor < events.len() {
                 // server deaths due at this op fire before it, like crashes;
                 // their records sync eagerly so a crash never splits them
                 while next_death < deaths.len() && deaths[next_death].0 <= op_count {
@@ -422,7 +402,6 @@ pub fn drive_with_crashes(
                     cursor = cursor.min(idx);
                     redriven_ops += 1;
                 }
-                Journaled::Swap(s) => swap_at = swap_at.min(s),
                 // unreachable in practice — death records sync eagerly —
                 // but popping one re-fires it identically if it ever dies
                 Journaled::Death(k) => {

@@ -29,8 +29,9 @@
 //!   violations, the accounting plain replay and the control loop
 //!   ([`crate::control`]) share.
 //!
-//! Plan swaps, topology transitions and validity flips happen *between*
-//! [`fan_out`] calls: a segment is barrier-free by construction.
+//! Plan installs, topology transitions and validity flips happen *between*
+//! [`fan_out`] calls, at the control loop's one barrier: a segment is
+//! barrier-free by construction.
 
 use std::collections::VecDeque;
 use std::hash::BuildHasher;

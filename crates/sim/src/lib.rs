@@ -62,6 +62,6 @@ pub use crash::{
 pub use estimator::{estimate_from_trace, sample_leg_latency, LatencyEstimator};
 pub use failures::{drill, DrillReport};
 pub use replay::{
-    replay, replay_concurrent, PackReplayStats, PackSetup, PlanSwap, ReplayConfig, ReplayReport,
-    ReplayStats, ReplayTiming,
+    replay, replay_concurrent, PackReplayStats, PackSetup, ReplayConfig, ReplayReport, ReplayStats,
+    ReplayTiming,
 };

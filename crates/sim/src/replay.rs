@@ -12,17 +12,18 @@
 //!   threads, whole call lifecycles pinned to a worker by quota pool (see
 //!   [`crate::drive`] for why that reproduces the serial drive exactly).
 //!
-//! Plan swaps rebuild the pool table, so they are the only barriers: the
-//! trace is cut into segments at swap minutes and each install lands between
-//! two segments. Every statistic is a count (order-insensitive sum), and the
-//! float outputs (peaks, ACL, overshoot) are computed *after* the drive by
-//! `account`, which walks placements in record order — the identical code
-//! path for both drives, hence byte-identical floats.
+//! A replay runs under the one plan its selector was built with, so the
+//! whole trace is one barrier-free segment; a plan installed mid-run is the
+//! control loop's business ([`crate::control`]). Every statistic is a count
+//! (order-insensitive sum), and the float outputs (peaks, ACL, overshoot)
+//! are computed *after* the drive by `account`, which walks placements in
+//! record order — the identical code path for both drives, hence
+//! byte-identical floats.
 
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use sb_core::{LatencyMap, PlanArtifact, RealtimeSelector, SelectorStats};
+use sb_core::{LatencyMap, RealtimeSelector, SelectorStats};
 use sb_net::{DcId, ProvisionedCapacity, RoutingTable, Topology};
 use sb_obs::{Counter, Histogram};
 use sb_pack::{CostModel, FleetPacker, FleetSpec, GrowthModel, PackStats, PackerConfig, ServerId};
@@ -51,20 +52,6 @@ fn replay_metrics() -> &'static ReplayMetrics {
             drive_ns: reg.histogram("replay.drive_ns"),
         }
     })
-}
-
-/// A scheduled mid-replay plan hot-swap: `artifact` is installed into the
-/// selector just before the first event at or after `at_minute`.
-///
-/// Swaps are barriers: the trace is cut into segments at swap minutes and
-/// every worker has joined before an install — so no selector operation ever
-/// races one and the serial-oracle stats equality holds across swaps.
-#[derive(Clone, Debug)]
-pub struct PlanSwap {
-    /// First trace minute the new plan applies to.
-    pub at_minute: u64,
-    /// The plan to install.
-    pub artifact: Arc<PlanArtifact>,
 }
 
 /// Two-level placement add-on for a replay: when set, every accounted call
@@ -107,8 +94,6 @@ pub struct ReplayConfig {
     pub freeze_minutes: u64,
     /// Capacity to check usage against (violations are counted per minute).
     pub capacity: Option<ProvisionedCapacity>,
-    /// Mid-replay plan hot-swaps (installed in `at_minute` order).
-    pub swaps: Vec<PlanSwap>,
     /// Optional intra-DC packing leg (shared across clones of the config).
     pub pack: Option<Arc<PackSetup>>,
 }
@@ -118,7 +103,6 @@ impl Default for ReplayConfig {
         ReplayConfig {
             freeze_minutes: (CONFIG_FREEZE_SECONDS / 60) as u64,
             capacity: None,
-            swaps: Vec::new(),
             pack: None,
         }
     }
@@ -425,55 +409,6 @@ fn pack_pass(
     }
 }
 
-/// Drive the event timeline through `selector`, serially (`threads: None`)
-/// or across worker threads. `swaps` must be sorted by `at_minute`; each is
-/// installed just before the first event at or after its minute, which cuts
-/// the timeline into the barrier-free segments [`fan_out`] drives.
-fn drive(
-    selector: &RealtimeSelector,
-    records: &[CallRecord],
-    events: &[(u64, u8, usize)],
-    swaps: &[PlanSwap],
-    threads: Option<usize>,
-) -> Vec<Option<Placement>> {
-    let mut placements: Vec<Option<Placement>> = vec![None; records.len()];
-    let mut swap_at = 0usize;
-    let mut at = 0usize;
-    while at < events.len() {
-        while swap_at < swaps.len() && swaps[swap_at].at_minute <= events[at].0 {
-            selector.install_plan(&swaps[swap_at].artifact);
-            swap_at += 1;
-        }
-        // segment = all events before the next pending swap minute
-        let len = match swaps.get(swap_at) {
-            Some(next) => events[at..].partition_point(|&(t, _, _)| t < next.at_minute),
-            None => events.len() - at,
-        };
-        let segment = &events[at..at + len];
-        at += len;
-        let steps = fan_out(
-            selector,
-            records,
-            segment,
-            threads,
-            &mut WorkerDeaths::default(),
-        );
-        for (&(_, _, i), step) in segment.iter().zip(steps) {
-            if let Step::Frozen { initial, decision } = step {
-                placements[i] = decision
-                    .final_dc()
-                    .map(|final_dc| Placement { initial, final_dc });
-            }
-        }
-    }
-    // swaps scheduled past the last event still install, so the final plan
-    // state does not depend on where the trace happens to end
-    for s in &swaps[swap_at..] {
-        selector.install_plan(&s.artifact);
-    }
-    placements
-}
-
 #[allow(clippy::too_many_arguments)]
 fn replay_impl(
     topo: &Topology,
@@ -490,10 +425,22 @@ fn replay_impl(
     let _t = m.wall_ns.start_timer();
     let records = db.records();
     let events = build_events(records, cfg.freeze_minutes);
-    let mut swaps = cfg.swaps.clone();
-    swaps.sort_by_key(|s| s.at_minute);
     let drive_started = Instant::now();
-    let placements = drive(selector, records, &events, &swaps, threads);
+    let steps = fan_out(
+        selector,
+        records,
+        &events,
+        threads,
+        &mut WorkerDeaths::default(),
+    );
+    let mut placements: Vec<Option<Placement>> = vec![None; records.len()];
+    for (&(_, _, i), step) in events.iter().zip(steps) {
+        if let Step::Frozen { initial, decision } = step {
+            placements[i] = decision
+                .final_dc()
+                .map(|final_dc| Placement { initial, final_dc });
+        }
+    }
     let drive = drive_started.elapsed();
     m.drive_ns.record_duration(drive);
 
@@ -568,7 +515,7 @@ pub fn replay_concurrent(
 mod tests {
     use super::*;
     use crate::testkit::{all_at, db_of, record};
-    use sb_core::{AllocationShares, PlannedQuotas};
+    use sb_core::{AllocationShares, PlanArtifact, PlannedQuotas};
     use sb_net::FailureScenario;
     use sb_workload::{ConfigId, DemandMatrix};
 

@@ -52,7 +52,8 @@ CARGO_TARGET_DIR="$PWD/target" cargo test --release --offline -q --manifest-path
 echo "==> replay differential: serial oracle vs concurrent engine"
 cargo test -q --test replay_differential
 
-echo "==> plan-swap differential: identical-plan hot-swap is a no-op"
+echo "==> install differential: installing the live plan at the control loop's barrier is a no-op"
+cargo test -q --test replay_differential identical_plan_install_is_a_noop_through_the_control_loop
 cargo test -q --test plan_swap_differential
 
 echo "==> bench reports: every count in every committed BENCH_*.json, exactly"
@@ -164,6 +165,23 @@ fi
 integrators=$(sim_non_test | grep -F 'UsageDeltas::new(' | cut -d: -f1 | sort -u | tr '\n' ' ')
 if [ "$integrators" != "crates/sim/src/control.rs crates/sim/src/replay.rs " ]; then
     echo "UsageDeltas::new( outside test modules must appear in control.rs and replay.rs only, found in: $integrators" >&2
+    exit 1
+fi
+
+echo "==> one-install-path gate: a running plan changes at the loop's barrier, and NDJSON is the one plan format"
+# In simulation a plan is installed mid-run only by ControlPlane::barrier
+# (crates/sim/src/control.rs); outside simulation, by Engine::install_plan.
+# A second schedule of installs in sb-sim, or a second plan format in
+# sb-core, fails here.
+installs=$(sim_non_test | { grep -F 'install_plan(' || true; } | cut -d: -f1 | tr '\n' ' ')
+if [ "$installs" != "crates/sim/src/control.rs " ]; then
+    echo "sb-sim must call install_plan( exactly once, in control.rs, found in: $installs" >&2
+    exit 1
+fi
+formats=$(for f in crates/core/src/*.rs; do non_test "$f"; done | grep -E '(to|from)_tsv\(' || true)
+if [ -n "$formats" ]; then
+    echo "a second plan format in sb-core:" >&2
+    echo "$formats" >&2
     exit 1
 fi
 

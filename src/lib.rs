@@ -187,7 +187,7 @@ pub mod prelude {
         };
         pub use sb_sim::{
             replay, replay_concurrent, AutoscaleLoop, ControlLoop, FaultEvent, FaultTimeline,
-            LoopConfig, LoopReport, LoopStats, LoopWindow, PackReplayStats, PackSetup, PlanSwap,
+            LoopConfig, LoopReport, LoopStats, LoopWindow, PackReplayStats, PackSetup,
             ReplanRequest, ReplanTrigger, ReplayConfig, ReplayDriver, ReplayReport, ReplayStats,
         };
         pub use sb_store::LatencyHistogram;

@@ -37,10 +37,10 @@ fn root_prelude_covers_the_readme_pipeline() {
     let artifact = PlanArtifact::seed(quotas);
     assert_eq!(artifact.epoch, 0);
 
-    // round-trip through the TSV export the ops tooling consumes
-    let tsv = artifact.to_tsv();
-    let parsed = PlanArtifact::from_tsv(&tsv).unwrap();
-    assert_eq!(parsed.quotas.num_slots(), artifact.quotas.num_slots());
+    // round-trip through the NDJSON form the engine journals and installs
+    let ndjson = artifact.to_ndjson();
+    let parsed = PlanArtifact::from_ndjson(&ndjson).unwrap();
+    assert_eq!(parsed, artifact);
 }
 
 /// The LP layer from the `sb-lp` crate docs, against `prelude::solver`

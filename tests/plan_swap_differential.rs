@@ -1,191 +1,26 @@
-//! Differential tests for mid-replay plan hot-swap: installing a
-//! byte-identical `PlanArtifact` while a replay is in flight must be a
-//! behavioral no-op. The swap drains and rebuilds every quota pool with
-//! consumed-tally carry-over, so if that bookkeeping double-counted a freeze
-//! or resurrected spent quota, the stats would drift — instead the serial,
-//! 1-thread, and 8-thread `ReplayStats` must all stay bitwise-equal to a
-//! swap-free run, floats included.
+//! Differential tests for a mid-run plan install: installing the plan
+//! already live while a trace is in flight must be a behavioral no-op. A
+//! running plan changes only at the control loop's barrier, which drains and
+//! rebuilds every quota pool with consumed-tally carry-over; if that
+//! bookkeeping double-counted a freeze or resurrected spent quota, the stats
+//! would drift from an install-free run. The same property runs over every
+//! world of `replay_differential.rs`; these two worlds are seeded apart from
+//! that table.
 
-use std::sync::Arc;
+mod common;
 
-use switchboard::core::{
-    AllocationShares, PlanArtifact, PlanProvenance, PlannedQuotas, RealtimeSelector, ScenarioData,
-};
-use switchboard::net::{FailureScenario, Topology};
-use switchboard::sim::{replay, replay_concurrent, PlanSwap, ReplayConfig, ReplayStats};
-use switchboard::workload::{
-    CallRecordsDb, DemandMatrix, Generator, UniverseParams, WorkloadParams,
-};
-
-const THREADS: [usize; 2] = [1, 8];
-
-struct World {
-    topo: Topology,
-    db: CallRecordsDb,
-    shares: AllocationShares,
-    quotas: PlannedQuotas,
-    sd0: ScenarioData,
-}
-
-/// A seeded APAC day with a synthetic even-spread plan, same shape as the
-/// replay differential harness. `quota_scale` < 1 drains pools mid-day so
-/// the swap's consumed-carry-over path actually matters.
-fn world(seed: u64, daily_calls: f64, coverage: f64, quota_scale: f64) -> World {
-    let topo = switchboard::net::presets::apac();
-    let params = WorkloadParams {
-        universe: UniverseParams {
-            num_configs: 250,
-            seed,
-            ..Default::default()
-        },
-        daily_calls,
-        slot_minutes: 120,
-        seed,
-        ..Default::default()
-    };
-    let generator = Generator::new(&topo, params);
-    let day = 2;
-    let expected = generator.expected_demand(day, 1);
-    let selected = expected.top_configs_covering(coverage);
-    let planned: DemandMatrix = expected.filtered(&selected).scaled(quota_scale);
-    let db = generator.sample_records(day, 1, seed);
-    assert!(db.len() > 200, "trace too small to be a meaningful test");
-
-    let slots = planned.num_slots();
-    let mut shares = AllocationShares::new(slots);
-    let n = topo.dcs.len() as f64;
-    let spread: Vec<_> = topo.dc_ids().map(|d| (d, 1.0 / n)).collect();
-    for &cfg in &selected {
-        for s in 0..slots {
-            shares.set(cfg, s, spread.clone());
-        }
-    }
-    let quotas = PlannedQuotas::from_plan(&shares, &planned);
-    let sd0 = ScenarioData::compute(&topo, FailureScenario::None);
-    World {
-        topo,
-        db,
-        shares,
-        quotas,
-        sd0,
-    }
-}
-
-fn run_serial(w: &World, cfg: &ReplayConfig) -> ReplayStats {
-    let selector =
-        RealtimeSelector::from_artifact(&w.sd0.latmap, &PlanArtifact::seed(w.quotas.clone()));
-    let report = replay(
-        &w.topo,
-        &w.sd0.routing,
-        &w.sd0.latmap,
-        w.db.catalog(),
-        &w.db,
-        &selector,
-        cfg,
-    );
-    report.stats()
-}
-
-fn run_concurrent(w: &World, cfg: &ReplayConfig, threads: usize) -> ReplayStats {
-    let selector =
-        RealtimeSelector::from_artifact(&w.sd0.latmap, &PlanArtifact::seed(w.quotas.clone()));
-    let report = replay_concurrent(
-        &w.topo,
-        &w.sd0.routing,
-        &w.sd0.latmap,
-        w.db.catalog(),
-        &w.db,
-        &selector,
-        cfg,
-        threads,
-    );
-    report.stats()
-}
-
-/// The identical-plan artifact: same shares, same quota pools, next epoch.
-fn identical_artifact(w: &World, epoch: u64) -> Arc<PlanArtifact> {
-    Arc::new(PlanArtifact::new(
-        epoch,
-        w.shares.clone(),
-        w.quotas.clone(),
-        PlanProvenance::default(),
-    ))
-}
+use common::{assert_identical_install_is_noop, world};
 
 #[test]
 fn identical_plan_swap_is_a_noop_under_quota_pressure() {
-    // 45% quotas: pools drain before and after the swap, so resurrected
+    // 45% quotas: pools drain before and after each install, so resurrected
     // quota would surface as extra plan placements immediately
     let w = world(71, 8_000.0, 0.90, 0.45);
-    let baseline = run_serial(&w, &ReplayConfig::default());
-    assert!(baseline.calls > 0);
-    assert!(
-        baseline.selector.overflow > 0,
-        "pools must actually run dry for carry-over to matter"
-    );
-
-    let t0 = w.db.records().iter().map(|r| r.start_minute).min().unwrap();
-    let t1 =
-        w.db.records()
-            .iter()
-            .map(|r| r.start_minute + r.duration_min as u64)
-            .max()
-            .unwrap();
-    let mid = t0 + (t1 - t0) / 2;
-    // two swaps, both byte-identical to the live plan: mid-morning and
-    // mid-afternoon, exercising repeated drains of partially-consumed pools
-    let swapped = ReplayConfig {
-        swaps: vec![
-            PlanSwap {
-                at_minute: t0 + (t1 - t0) / 4,
-                artifact: identical_artifact(&w, 2),
-            },
-            PlanSwap {
-                at_minute: mid,
-                artifact: identical_artifact(&w, 3),
-            },
-        ],
-        ..Default::default()
-    };
-
-    let serial_swapped = run_serial(&w, &swapped);
-    assert_eq!(
-        baseline, serial_swapped,
-        "serial replay drifted across an identical-plan swap"
-    );
-    assert_eq!(
-        baseline.mean_acl_ms.to_bits(),
-        serial_swapped.mean_acl_ms.to_bits(),
-        "mean ACL not bitwise-identical across the swap"
-    );
-    for threads in THREADS {
-        let conc = run_concurrent(&w, &swapped, threads);
-        assert_eq!(
-            baseline, conc,
-            "concurrent replay with swaps drifted, threads={threads}"
-        );
-    }
+    assert_identical_install_is_noop(&w, "pressure-71", true);
 }
 
 #[test]
 fn identical_plan_swap_is_a_noop_with_ample_quotas() {
     let w = world(83, 5_000.0, 0.95, 1.3);
-    let baseline = run_serial(&w, &ReplayConfig::default());
-    assert!(baseline.calls > 0);
-    let t0 = w.db.records().iter().map(|r| r.start_minute).min().unwrap();
-    let swapped = ReplayConfig {
-        swaps: vec![PlanSwap {
-            at_minute: t0 + 300,
-            artifact: identical_artifact(&w, 2),
-        }],
-        ..Default::default()
-    };
-    assert_eq!(baseline, run_serial(&w, &swapped), "serial drifted");
-    for threads in THREADS {
-        assert_eq!(
-            baseline,
-            run_concurrent(&w, &swapped, threads),
-            "threads={threads} drifted"
-        );
-    }
+    assert_identical_install_is_noop(&w, "ample-83", false);
 }

@@ -15,15 +15,18 @@
 //! partitioned worker threads. Finally the engines are held to each other,
 //! not only to themselves: plain `replay` ≡ `ReplayDriver` with an empty
 //! fault timeline ≡ the engine path; and the loop's two record sources to
-//! each other: a window stream ≡ the same calls replayed as a trace.
+//! each other: a window stream ≡ the same calls replayed as a trace. A
+//! mid-run install goes through the loop's one barrier, and installing the
+//! plan already live is held to be a no-op there.
+
+mod common;
 
 use std::sync::Arc;
 
-use switchboard::core::{
-    AllocationShares, PlanArtifact, PlannedQuotas, RealtimeSelector, ScenarioData,
-};
+use common::{assert_identical_install_is_noop, close, world, World, THREADS};
+use switchboard::core::{AllocationShares, PlanArtifact, PlannedQuotas};
 use switchboard::forecast::StreamingParams;
-use switchboard::net::{FailureScenario, ProvisionedCapacity, Topology};
+use switchboard::net::ProvisionedCapacity;
 use switchboard::pack::{
     CostModel, FleetSpec, GrowthConfig, GrowthModel, PackPolicy, PackerConfig, ServerClass,
     ServerId,
@@ -35,11 +38,7 @@ use switchboard::sim::{
     replay, replay_concurrent, AutoscaleLoop, FaultEvent, FaultTimeline, LoopConfig, LoopWindow,
     PackSetup, ReplayConfig, ReplayDriver,
 };
-use switchboard::workload::{
-    CallRecordsDb, DemandMatrix, Generator, UniverseParams, WorkloadParams,
-};
-
-const THREADS: [usize; 2] = [1, 8];
+use switchboard::workload::{CallRecordsDb, Generator, UniverseParams, WorkloadParams};
 
 /// The four seeded APAC days of this suite: `(seed, daily calls, plan
 /// coverage, quota scale, label)`.
@@ -49,67 +48,6 @@ const WORLDS: [(u64, f64, f64, f64, &str); 4] = [
     (37, 5_000.0, 0.92, 1.0, "capacity"),
     (53, 5_000.0, 0.92, 1.2, "chaos-seed"),
 ];
-
-struct World {
-    topo: Topology,
-    db: CallRecordsDb,
-    quotas: PlannedQuotas,
-    sd0: ScenarioData,
-}
-
-impl World {
-    fn artifact(&self) -> PlanArtifact {
-        PlanArtifact::seed(self.quotas.clone())
-    }
-
-    fn selector(&self) -> RealtimeSelector {
-        RealtimeSelector::from_artifact(&self.sd0.latmap, &self.artifact())
-    }
-}
-
-/// A seeded APAC day: sampled trace + a synthetic plan spreading each
-/// planned config across every DC. `quota_scale` shrinks the planned demand
-/// so the quota pools run dry mid-day and the overflow/unplanned paths get
-/// exercised, not just the happy path.
-fn world(seed: u64, daily_calls: f64, coverage: f64, quota_scale: f64) -> World {
-    let topo = switchboard::net::presets::apac();
-    let params = WorkloadParams {
-        universe: UniverseParams {
-            num_configs: 250,
-            seed,
-            ..Default::default()
-        },
-        daily_calls,
-        slot_minutes: 120,
-        seed,
-        ..Default::default()
-    };
-    let generator = Generator::new(&topo, params);
-    let day = 2;
-    let expected = generator.expected_demand(day, 1);
-    let selected = expected.top_configs_covering(coverage);
-    let planned: DemandMatrix = expected.filtered(&selected).scaled(quota_scale);
-    let db = generator.sample_records(day, 1, seed);
-    assert!(db.len() > 200, "trace too small to be a meaningful test");
-
-    let slots = planned.num_slots();
-    let mut shares = AllocationShares::new(slots);
-    let n = topo.dcs.len() as f64;
-    let spread: Vec<_> = topo.dc_ids().map(|d| (d, 1.0 / n)).collect();
-    for &cfg in &selected {
-        for s in 0..slots {
-            shares.set(cfg, s, spread.clone());
-        }
-    }
-    let quotas = PlannedQuotas::from_plan(&shares, &planned);
-    let sd0 = ScenarioData::compute(&topo, FailureScenario::None);
-    World {
-        topo,
-        db,
-        quotas,
-        sd0,
-    }
-}
 
 fn serial_replay(w: &World, cfg: &ReplayConfig) -> switchboard::sim::ReplayReport {
     let selector = w.selector();
@@ -355,11 +293,15 @@ fn engine_admission_path_matches_oracle_on_all_seeded_workloads() {
     }
 }
 
-/// `a` and `b` agree to 1e-9 relative (the replay and chaos engines add the
-/// same usage deltas and ACLs in record vs trace order, so the last bits of
-/// a float sum may differ).
-fn close(a: f64, b: f64) -> bool {
-    (a - b).abs() <= 1e-9 * a.abs().max(b.abs())
+/// Installing the plan that is already live is a no-op through the control
+/// loop's barrier, over every world of this suite (see
+/// `common::assert_identical_install_is_noop`).
+#[test]
+fn identical_plan_install_is_a_noop_through_the_control_loop() {
+    for (seed, daily, cov, scale, label) in WORLDS {
+        let w = world(seed, daily, cov, scale);
+        assert_identical_install_is_noop(&w, label, label == "pressure");
+    }
 }
 
 #[test]
