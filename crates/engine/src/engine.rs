@@ -23,7 +23,7 @@ use sb_pack::{
     PackerConfig, ServerId,
 };
 use sb_store::{
-    BuildCallIdHasher, CallEvent, CallStateStore, Journal, JournalConfig, JournalReadError,
+    BuildCallIdHasher, CallEvent, CallStateStore, Frames, Journal, JournalConfig, JournalReadError,
     LatencyHistogram, MediaFlag,
 };
 use sb_workload::ConfigId;
@@ -333,12 +333,10 @@ impl Engine {
         cfg: &EngineConfig,
         journal: Journal,
     ) -> Result<Engine, sb_store::JournalError> {
-        journal.append(
-            &WalRecord::PlanInstall {
-                ndjson: artifact.to_ndjson(),
-            }
-            .encode(),
-        )?;
+        let boot = WalRecord::PlanInstall {
+            ndjson: artifact.to_ndjson(),
+        };
+        journal.append_with(|f| boot.frame(f))?;
         journal.sync()?;
         let mut engine = Engine::new(latmap, artifact, cfg);
         engine.journal = Some(journal);
@@ -362,9 +360,10 @@ impl Engine {
     /// eagerly when the engine is journaled — a plan install is never lost
     /// to the group-commit window.
     pub fn install_plan(&self, artifact: &PlanArtifact) -> PlanSwapStats {
-        self.journal_append(&WalRecord::PlanInstall {
+        let rec = WalRecord::PlanInstall {
             ndjson: artifact.to_ndjson(),
-        });
+        };
+        self.journal_op(|f| rec.frame(f));
         if let Some(j) = &self.journal {
             if j.sync().is_err() {
                 self.journal_failures.fetch_add(1, Ordering::Relaxed);
@@ -375,13 +374,16 @@ impl Engine {
         swap
     }
 
-    /// Append one WAL record, if journaled. Append failures (injected
-    /// drops, I/O errors) are counted and the engine keeps serving —
+    /// Journal one op's WAL records, if journaled: `write` frames them
+    /// ([`WalRecord::frame`]) in the order recovery reads them, and they go
+    /// out as one append — one lock, one fault check, one group-commit
+    /// check. A failed append (an injected drop, an I/O error) loses the
+    /// op's records together and is counted once; the engine keeps serving —
     /// availability wins over durability, and a later crash surfaces the
     /// gap as a typed realignment error instead of silent divergence.
-    fn journal_append(&self, rec: &WalRecord) {
+    fn journal_op(&self, write: impl FnOnce(&mut Frames<'_>)) {
         if let Some(j) = &self.journal {
-            if j.append(&rec.encode()).is_err() {
+            if j.append_with(write).is_err() {
                 self.journal_failures.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -470,11 +472,12 @@ impl Engine {
         let st = self.forecast.as_ref()?;
         let mut st = st.lock();
         let bucket = st.next_bucket.get(&config).copied().unwrap_or(0);
-        self.journal_append(&WalRecord::ForecastMark {
+        let mark = WalRecord::ForecastMark {
             config,
             bucket,
             value_bits: value.to_bits(),
-        });
+        };
+        self.journal_op(|f| mark.frame(f));
         st.next_bucket.insert(config, bucket + 1);
         st.marks += 1;
         Some(st.fc.observe(config, value))
@@ -591,8 +594,9 @@ impl Engine {
     /// cannot absorb fall back to the selector's re-home ladder (plan →
     /// locality → any-reachable), re-packing survivors at their new DC.
     /// Every displaced call's destination is journaled as a
-    /// [`WalRecord::Pack`] record, so recovery replays the drain without
-    /// re-running any packing decision. A no-op (still counted) on an
+    /// [`WalRecord::Pack`] record after the death, in the same append, so
+    /// recovery replays the drain without re-running any packing decision
+    /// and a crash never splits it. A no-op (still counted) on an
     /// empty server; a full no-op when packing is disabled or the server
     /// was already dead.
     pub fn kill_server(&self, server: ServerId) -> ServerDeathReport {
@@ -601,52 +605,32 @@ impl Engine {
             report.already_dead = true;
             return report;
         };
-        let journal = |report: &mut ServerDeathReport, rec: WalRecord| {
-            self.journal_append(&rec);
-            report.records.push(rec);
-        };
-        journal(
-            &mut report,
-            WalRecord::ServerDeath {
-                dc: server.dc.0,
-                server: server.index,
-            },
-        );
+        report.records.push(WalRecord::ServerDeath {
+            dc: server.dc.0,
+            server: server.index,
+        });
         let r = rt.packer.kill_server(server);
         report.already_dead = r.already_dead;
         report.was_empty = r.was_empty;
-        if r.already_dead {
-            return report;
-        }
-        for &(call, srv, cost) in &r.rehomed {
-            let participants = rt
-                .packer
-                .call_info(server.dc, call)
-                .map_or(0, |i| i.participants);
-            journal(
-                &mut report,
-                WalRecord::Pack {
-                    call,
-                    dc: server.dc.0,
-                    server: srv,
-                    participants,
-                    cost_mcpu: cost,
-                },
-            );
+        for c in &r.rehomed {
+            report.records.push(WalRecord::Pack {
+                call: c.call,
+                dc: server.dc.0,
+                server: c.server,
+                participants: c.participants,
+                cost_mcpu: c.cost_mcpu,
+            });
             report.rehomed += 1;
         }
         for sp in &r.spilled {
             let outcome = self.selector.rehome_call(sp.call);
             let (dc16, rung) = wal::encode_outcome(outcome);
-            journal(
-                &mut report,
-                WalRecord::Rehome {
-                    call: sp.call,
-                    dc: dc16,
-                    rung,
-                },
-            );
-            match outcome.dc() {
+            report.records.push(WalRecord::Rehome {
+                call: sp.call,
+                dc: dc16,
+                rung,
+            });
+            let (dc, server) = match outcome.dc() {
                 Some(new_dc) => {
                     let placed = rt.packer.place(
                         new_dc,
@@ -658,33 +642,27 @@ impl Engine {
                     if sp.frozen {
                         rt.packer.freeze(new_dc, sp.call);
                     }
-                    journal(
-                        &mut report,
-                        WalRecord::Pack {
-                            call: sp.call,
-                            dc: new_dc.0,
-                            server: placed.map_or(wal::NO_SERVER, |s| s.index),
-                            participants: sp.participants,
-                            cost_mcpu: sp.cost_mcpu,
-                        },
-                    );
                     report.spilled_rehomed += 1;
+                    (new_dc.0, placed.map_or(wal::NO_SERVER, |s| s.index))
                 }
                 None => {
-                    journal(
-                        &mut report,
-                        WalRecord::Pack {
-                            call: sp.call,
-                            dc: wal::NO_DC,
-                            server: wal::NO_SERVER,
-                            participants: sp.participants,
-                            cost_mcpu: sp.cost_mcpu,
-                        },
-                    );
                     report.stranded += 1;
+                    (wal::NO_DC, wal::NO_SERVER)
                 }
-            }
+            };
+            report.records.push(WalRecord::Pack {
+                call: sp.call,
+                dc,
+                server,
+                participants: sp.participants,
+                cost_mcpu: sp.cost_mcpu,
+            });
         }
+        self.journal_op(|f| {
+            for rec in &report.records {
+                rec.frame(f);
+            }
+        });
         report
     }
 
@@ -1284,13 +1262,14 @@ impl EngineWorker<'_> {
                 .map_or(wal::NO_SERVER, |s| s.index),
             _ => wal::NO_SERVER,
         };
-        self.engine.journal_append(&WalRecord::Admit {
+        let rec = WalRecord::Admit {
             call,
             country: first_joiner.0,
             dc: dc16,
             rung,
             server,
-        });
+        };
+        self.engine.journal_op(|f| rec.frame(f));
         self.engine.admitted.fetch_add(1, Ordering::Relaxed);
         if let Some(dc) = outcome.dc() {
             self.persist(
@@ -1324,40 +1303,44 @@ impl EngineWorker<'_> {
     /// A participant joined an admitted call. With packing enabled the
     /// call's charge grows, which may re-pack it (or evict unfrozen
     /// neighbours when it is frozen in place); every touched call's
-    /// resulting `(server, cost)` is journaled as a [`WalRecord::Pack`].
+    /// resulting `(server, participants, cost)` is journaled as a
+    /// [`WalRecord::Pack`] after the [`WalRecord::Join`], in one append.
     pub fn join(&mut self, call: u64, country: CountryId) {
         let op = OpStart {
             sampled: self.tick(),
             at: None,
         };
-        self.engine.journal_append(&WalRecord::Join {
-            call,
-            country: country.0,
+        let grown = self.engine.pack.as_ref().and_then(|rt| {
+            let dc = self.shard.current_dc(call)?;
+            let p = rt
+                .packer
+                .call_info(dc, call)?
+                .participants
+                .saturating_add(1);
+            Some((
+                dc,
+                rt.packer
+                    .grow(dc, call, p, rt.cost.cost_mcpu(p), rt.reserve(p)),
+            ))
         });
-        if let Some(rt) = &self.engine.pack {
-            if let Some(dc) = self.shard.current_dc(call) {
-                if let Some(info) = rt.packer.call_info(dc, call) {
-                    let p = info.participants.saturating_add(1);
-                    let out = rt
-                        .packer
-                        .grow(dc, call, p, rt.cost.cost_mcpu(p), rt.reserve(p));
-                    for &(c, srv, cost) in &out.changed {
-                        let participants = if c == call {
-                            p
-                        } else {
-                            rt.packer.call_info(dc, c).map_or(0, |i| i.participants)
-                        };
-                        self.engine.journal_append(&WalRecord::Pack {
-                            call: c,
-                            dc: dc.0,
-                            server: srv,
-                            participants,
-                            cost_mcpu: cost,
-                        });
-                    }
-                }
+        self.engine.journal_op(|f| {
+            WalRecord::Join {
+                call,
+                country: country.0,
             }
-        }
+            .frame(f);
+            let Some((dc, out)) = &grown else { return };
+            for c in &out.changed {
+                WalRecord::Pack {
+                    call: c.call,
+                    dc: dc.0,
+                    server: c.server,
+                    participants: c.participants,
+                    cost_mcpu: c.cost_mcpu,
+                }
+                .frame(f);
+            }
+        });
         self.persist(
             CallEvent::Join {
                 call,
@@ -1373,10 +1356,11 @@ impl EngineWorker<'_> {
             sampled: self.tick(),
             at: None,
         };
-        self.engine.journal_append(&WalRecord::Media {
+        let rec = WalRecord::Media {
             call,
             media: media_code(media),
-        });
+        };
+        self.engine.journal_op(|f| rec.frame(f));
         self.persist(CallEvent::Media { call, media }, op);
     }
 
@@ -1403,7 +1387,7 @@ impl EngineWorker<'_> {
                 }
             }
         }
-        self.engine.journal_append(&WalRecord::Freeze {
+        let rec = WalRecord::Freeze {
             call,
             config: config.0,
             start_minute,
@@ -1412,7 +1396,8 @@ impl EngineWorker<'_> {
             from,
             to,
             to_server,
-        });
+        };
+        self.engine.journal_op(|f| rec.frame(f));
         if !matches!(decision, FreezeDecision::UnknownCall) {
             self.persist(CallEvent::Freeze { call }, op);
         }
@@ -1429,7 +1414,7 @@ impl EngineWorker<'_> {
         }
         self.shard.call_end(call);
         self.stop_op(op);
-        self.engine.journal_append(&WalRecord::End { call });
+        self.engine.journal_op(|f| WalRecord::End { call }.frame(f));
         self.persist(CallEvent::End { call }, op);
         self.engine.ended.fetch_add(1, Ordering::Relaxed);
     }
@@ -1941,6 +1926,53 @@ mod tests {
             }),
             ..EngineConfig::default()
         }
+    }
+
+    #[test]
+    fn a_join_and_its_pack_records_are_one_append() {
+        let (topo, latmap, artifact, _) = world();
+        let path = temp_journal_path("one-append");
+        let jcfg = JournalConfig {
+            sync_every: 1,
+            ..JournalConfig::default()
+        };
+        let journal = Journal::create(&path, jcfg).unwrap();
+        let ecfg = pack_config(&[2_000, 2_000]);
+        let engine = Engine::with_journal(&latmap, &artifact, &ecfg, journal).unwrap();
+        let jp = topo.country_by_name("JP");
+        let mut w = engine.worker();
+        assert!(w.admit(1, jp).dc().is_some());
+        let j = engine.journal().unwrap();
+        let (records, syncs) = (j.appended_records(), j.sync_count());
+        // a Join and the grown call's Pack: two records, one append, so one
+        // group commit at sync_every 1
+        w.join(1, jp);
+        assert_eq!(j.appended_records() - records, 2);
+        assert_eq!(j.sync_count() - syncs, 1);
+        // a dropped join loses both records and counts one failure
+        j.set_fault(sb_store::JournalFault::Drop);
+        w.join(1, jp);
+        j.set_fault(sb_store::JournalFault::None);
+        assert_eq!(j.appended_records() - records, 2);
+        assert_eq!(engine.stats().journal_failures, 1);
+        drop(w);
+        let scan = Journal::scan(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let tail: Vec<WalRecord> = scan.records[2..]
+            .iter()
+            .map(|p| WalRecord::decode(p).unwrap())
+            .collect();
+        assert!(matches!(
+            tail[..],
+            [
+                WalRecord::Join { call: 1, .. },
+                WalRecord::Pack {
+                    call: 1,
+                    participants: 2,
+                    ..
+                }
+            ]
+        ));
     }
 
     #[test]

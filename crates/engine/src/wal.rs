@@ -18,6 +18,7 @@ use std::fmt;
 
 use sb_core::{FreezeDecision, SelectorOutcome, SelectorRung};
 use sb_net::DcId;
+use sb_store::Frames;
 
 /// Sentinel DC index meaning "no DC" (stranded admission, unknown freeze).
 pub const NO_DC: u16 = u16::MAX;
@@ -247,6 +248,18 @@ impl WalRecord {
     /// Serialize to the journal payload bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(32);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Frame this record into one journal append, encoded in place.
+    pub fn frame(&self, frames: &mut Frames<'_>) {
+        frames.frame(|out| self.encode_into(out));
+    }
+
+    /// Append the journal payload bytes to `out` — [`WalRecord::encode`]
+    /// without a buffer of its own.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             WalRecord::PlanInstall { ndjson } => {
                 out.push(TAG_PLAN_INSTALL);
@@ -336,7 +349,6 @@ impl WalRecord {
                 out.extend_from_slice(&value_bits.to_le_bytes());
             }
         }
-        out
     }
 
     /// Deserialize from journal payload bytes.
@@ -523,6 +535,10 @@ mod tests {
         for rec in records {
             let bytes = rec.encode();
             assert_eq!(WalRecord::decode(&bytes).unwrap(), rec, "{rec:?}");
+            // in place: appended after whatever the buffer already holds
+            let mut buf = vec![0xAA];
+            rec.encode_into(&mut buf);
+            assert_eq!((buf[0], &buf[1..]), (0xAA, &bytes[..]), "{rec:?}");
         }
     }
 

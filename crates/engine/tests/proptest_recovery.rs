@@ -8,15 +8,22 @@
 //! * a **torn tail** (truncate at any byte offset) recovers to a valid
 //!   prefix, and recovering the same journal twice is bitwise-deterministic;
 //! * a **flipped byte** anywhere in the file yields a typed error or a
-//!   clean prefix of the original record stream — never divergent state.
+//!   clean prefix of the original record stream — never divergent state;
+//! * an **untorn log** of a packing engine recovers to the live packing
+//!   state.
+//!
+//! Each property runs on a plain engine and on a packing one (two servers
+//! per DC), whose joins journal a `Join` and its `Pack` records in one
+//! append — a torn tail can split that pair.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 use sb_core::{AllocationShares, LatencyMap, PlanArtifact, PlannedQuotas};
-use sb_engine::{Engine, EngineConfig, RecoveryError, WalRecord};
-use sb_net::{CountryId, FailureScenario, RoutingTable};
+use sb_engine::{Engine, EngineConfig, EnginePackConfig, RecoveryError, WalRecord};
+use sb_net::{CountryId, DcId, FailureScenario, RoutingTable};
+use sb_pack::{CostModel, FleetSpec, GrowthModel, PackStateExport, PackerConfig};
 use sb_store::{Journal, JournalConfig, JournalReadError, MediaFlag};
 use sb_workload::{ConfigId, DemandMatrix};
 
@@ -58,6 +65,26 @@ fn world() -> (LatencyMap, PlanArtifact) {
     )
 }
 
+/// A plain engine, or (`packed`) one packing onto two servers per DC, tight
+/// enough that joins can re-pack, evict or be refused.
+fn engine_config(packed: bool) -> EngineConfig {
+    let mut spec = FleetSpec::empty(3); // toy_three_dc
+    for d in 0..3 {
+        for cap in [2_500, 1_500] {
+            spec.push_server(DcId(d), cap);
+        }
+    }
+    EngineConfig {
+        pack: packed.then(|| EnginePackConfig {
+            spec,
+            packer: PackerConfig::default(),
+            cost: CostModel::default(),
+            growth: Some(GrowthModel::flat(2)),
+        }),
+        ..EngineConfig::default()
+    }
+}
+
 static CASE: AtomicU64 = AtomicU64::new(0);
 
 fn temp_path(tag: &str) -> PathBuf {
@@ -79,17 +106,23 @@ fn media_of(code: u8) -> MediaFlag {
     }
 }
 
-/// Drive `ops` through a journaled engine (every record synced) and return
-/// the journal path.
-fn run_journaled(latmap: &LatencyMap, artifact: &PlanArtifact, ops: &[Op], tag: &str) -> PathBuf {
+/// Drive `ops` through a journaled engine (every append synced) and return
+/// the journal path and the live packing state.
+fn run_journaled(
+    latmap: &LatencyMap,
+    artifact: &PlanArtifact,
+    ecfg: &EngineConfig,
+    ops: &[Op],
+    tag: &str,
+) -> (PathBuf, Option<PackStateExport>) {
     let path = temp_path(tag);
     let jcfg = JournalConfig {
         sync_every: 1,
         ..JournalConfig::default()
     };
     let journal = Journal::create(&path, jcfg).expect("create journal");
-    let engine = Engine::with_journal(latmap, artifact, &EngineConfig::default(), journal)
-        .expect("boot journaled engine");
+    let engine =
+        Engine::with_journal(latmap, artifact, ecfg, journal).expect("boot journaled engine");
     let mut w = engine.worker();
     for op in ops {
         match *op {
@@ -106,7 +139,7 @@ fn run_journaled(latmap: &LatencyMap, artifact: &PlanArtifact, ops: &[Op], tag: 
     }
     drop(w);
     engine.sync_journal();
-    path
+    (path, engine.export_pack_state())
 }
 
 /// Read the raw framed bytes of the last record (for duplication).
@@ -134,17 +167,17 @@ proptest! {
     /// record) is detected as a typed sequence error, never replayed twice.
     #[test]
     fn duplicated_tail_record_is_a_typed_error(
-        ops in proptest::collection::vec(op_strategy(), 1..40)
+        ops in proptest::collection::vec(op_strategy(), 1..40),
+        packed in 0u8..2,
     ) {
         let (latmap, artifact) = world();
-        let path = run_journaled(&latmap, &artifact, &ops, "dup");
+        let ecfg = engine_config(packed == 1);
+        let (path, _) = run_journaled(&latmap, &artifact, &ecfg, &ops, "dup");
         let frame = last_frame(&path).expect("at least the boot plan record");
         let mut bytes = std::fs::read(&path).expect("read journal");
         bytes.extend_from_slice(&frame);
         std::fs::write(&path, &bytes).expect("write duplicated tail");
-        let res = Engine::recover(
-            &latmap, &EngineConfig::default(), JournalConfig::default(), &path,
-        );
+        let res = Engine::recover(&latmap, &ecfg, JournalConfig::default(), &path);
         match res {
             Err(RecoveryError::Journal(JournalReadError::SeqMismatch { .. })) => {}
             other => {
@@ -162,9 +195,11 @@ proptest! {
     fn torn_tail_recovers_to_a_deterministic_prefix(
         ops in proptest::collection::vec(op_strategy(), 1..40),
         cut in 0usize..200,
+        packed in 0u8..2,
     ) {
         let (latmap, artifact) = world();
-        let path = run_journaled(&latmap, &artifact, &ops, "torn");
+        let ecfg = engine_config(packed == 1);
+        let (path, _) = run_journaled(&latmap, &artifact, &ecfg, &ops, "torn");
         let bytes = std::fs::read(&path).expect("read journal");
         let full_records = Journal::scan(&path).expect("scan full journal").records;
         // keep at least the magic + the boot-plan frame so recovery can boot
@@ -174,8 +209,7 @@ proptest! {
 
         let jcfg = JournalConfig::default();
         let (engine_a, report_a) =
-            Engine::recover(&latmap, &EngineConfig::default(), jcfg, &path)
-                .expect("torn tail must recover");
+            Engine::recover(&latmap, &ecfg, jcfg, &path).expect("torn tail must recover");
         prop_assert!(report_a.records as usize <= full_records.len());
         // the recovered ops are a strict prefix of the original stream
         for (i, rec) in report_a.ops.iter().enumerate() {
@@ -184,15 +218,16 @@ proptest! {
         }
         let state_a = engine_a.export_selector_state();
         let stats_a = engine_a.stats();
+        let pack_a = engine_a.export_pack_state();
         drop(engine_a);
 
-        let (engine_b, report_b) =
-            Engine::recover(&latmap, &EngineConfig::default(), jcfg, &path)
-                .expect("second recovery must also succeed");
+        let (engine_b, report_b) = Engine::recover(&latmap, &ecfg, jcfg, &path)
+            .expect("second recovery must also succeed");
         prop_assert_eq!(report_b.records, report_a.records);
         prop_assert_eq!(report_b.torn_tail_bytes, 0); // first pass truncated it
         prop_assert_eq!(engine_b.export_selector_state(), state_a);
         prop_assert_eq!(engine_b.stats(), stats_a);
+        prop_assert_eq!(engine_b.export_pack_state(), pack_a);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -203,18 +238,18 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..30),
         flip_at in 0usize..4096,
         flip_bit in 0u8..8,
+        packed in 0u8..2,
     ) {
         let (latmap, artifact) = world();
-        let path = run_journaled(&latmap, &artifact, &ops, "flip");
+        let ecfg = engine_config(packed == 1);
+        let (path, _) = run_journaled(&latmap, &artifact, &ecfg, &ops, "flip");
         let full_records = Journal::scan(&path).expect("scan full journal").records;
         let mut bytes = std::fs::read(&path).expect("read journal");
         let at = flip_at % bytes.len();
         bytes[at] ^= 1 << flip_bit;
         std::fs::write(&path, &bytes).expect("write flipped journal");
 
-        match Engine::recover(
-            &latmap, &EngineConfig::default(), JournalConfig::default(), &path,
-        ) {
+        match Engine::recover(&latmap, &ecfg, JournalConfig::default(), &path) {
             Err(_) => {} // typed error: detected
             Ok((engine, report)) => {
                 // accepted: every surviving record must match the original
@@ -229,5 +264,23 @@ proptest! {
             }
         }
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// An untorn log of a packing engine recovers to the live packing
+    /// state: every re-pack, eviction and refusal a join journaled lands
+    /// where the live packer put it.
+    #[test]
+    fn untorn_log_recovers_to_the_live_pack_state(
+        ops in proptest::collection::vec(op_strategy(), 1..60)
+    ) {
+        let (latmap, artifact) = world();
+        let ecfg = engine_config(true);
+        let (path, live) = run_journaled(&latmap, &artifact, &ecfg, &ops, "untorn");
+        let recovered = Engine::recover(&latmap, &ecfg, JournalConfig::default(), &path);
+        let _ = std::fs::remove_file(&path);
+        let (engine, report) = recovered.expect("an untorn log recovers");
+        prop_assert_eq!(report.torn_tail_bytes, 0);
+        prop_assert!(live.is_some());
+        prop_assert_eq!(engine.export_pack_state(), live);
     }
 }

@@ -46,5 +46,5 @@ pub use fleet::{CostModel, FleetSpec, ServerClass, ServerId, NO_SERVER};
 pub use growth::{GrowthConfig, GrowthModel};
 pub use packer::{
     best_fit_decreasing, CallInfo, FleetPacker, GrowKind, GrowOutcome, KillResult, MoveDcOutcome,
-    PackPolicy, PackStateExport, PackStats, PackerConfig, SpilledCall,
+    PackPolicy, PackStateExport, PackStats, PackerConfig, SlotChange, SpilledCall,
 };

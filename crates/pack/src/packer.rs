@@ -12,16 +12,22 @@
 //! packer reproduces the same placements and [`PackStats`] bit for bit —
 //! the property the serial-oracle differential harness checks.
 //!
+//! The call table is hashed, so it has no order of its own: wherever call
+//! order is observable it is restored explicitly — eviction candidates are
+//! sorted by (cost, id), a server death drains in ascending id order, and
+//! [`FleetPacker::export_state`] lists calls by id.
+//!
 //! # Hard vs soft state
 //!
 //! `used` (actual cost) is hard: no op ever leaves a live server with
 //! `used > capacity`. `reserved` (predicted cost) is soft: reservations
 //! guide scoring and proactive moves but may overshoot capacity freely.
 
-use std::collections::btree_map::{BTreeMap, Entry};
+use std::collections::hash_map::{Entry, HashMap};
 
 use parking_lot::Mutex;
 use sb_net::DcId;
+use sb_store::BuildCallIdHasher;
 
 use crate::fleet::{FleetSpec, ServerId, NO_SERVER};
 
@@ -144,16 +150,40 @@ pub enum GrowKind {
     Unknown,
 }
 
-/// Result of a growth op: the resolution plus the resulting
-/// `(call, server, cost)` of every call whose placement or cost changed
-/// (the grown call itself and any evicted victims) — exactly what a WAL
+/// Where an op left one call it moved or re-charged — exactly what a WAL
 /// needs to journal to make the op replayable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SlotChange {
+    /// Call id.
+    pub call: u64,
+    /// Server index the call now occupies.
+    pub server: u16,
+    /// Charged participant count.
+    pub participants: u32,
+    /// Charged cost in millicores.
+    pub cost_mcpu: u32,
+}
+
+impl SlotChange {
+    fn of(call: u64, slot: &CallSlot) -> SlotChange {
+        SlotChange {
+            call,
+            server: slot.server,
+            participants: slot.participants,
+            cost_mcpu: slot.cost,
+        }
+    }
+}
+
+/// Result of a growth op: the resolution plus the resulting slot of every
+/// call whose placement or cost changed (the grown call itself and any
+/// evicted victims).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GrowOutcome {
     /// Resolution.
     pub kind: GrowKind,
-    /// Resulting `(call, server index, cost_mcpu)` per touched call.
-    pub changed: Vec<(u64, u16, u32)>,
+    /// Resulting slot per touched call.
+    pub changed: Vec<SlotChange>,
 }
 
 /// A call that could not be re-homed inside its DC after a server death.
@@ -178,8 +208,8 @@ pub struct KillResult {
     pub already_dead: bool,
     /// The server hosted no calls (the death is still counted).
     pub was_empty: bool,
-    /// Calls re-homed inside the DC: `(call, new server index, cost)`.
-    pub rehomed: Vec<(u64, u16, u32)>,
+    /// Calls re-homed inside the DC, in ascending id order.
+    pub rehomed: Vec<SlotChange>,
     /// Calls the DC could not absorb; the caller owns their fate.
     pub spilled: Vec<SpilledCall>,
 }
@@ -271,7 +301,7 @@ pub struct PackStateExport {
 struct DcPacker {
     cfg: PackerConfig,
     servers: Vec<Srv>,
-    calls: BTreeMap<u64, CallSlot>,
+    calls: HashMap<u64, CallSlot, BuildCallIdHasher>,
     stats: PackStats,
 }
 
@@ -290,7 +320,7 @@ impl DcPacker {
                     placed: 0,
                 })
                 .collect(),
-            calls: BTreeMap::new(),
+            calls: HashMap::default(),
             stats: PackStats::default(),
         }
     }
@@ -301,8 +331,14 @@ impl DcPacker {
     /// sense growth-aware) takes the tightest fit on reserved cost among
     /// servers whose reservations also fit; if every feasible server is
     /// predicted-overcommitted it falls back to the one with the most
-    /// predicted headroom, unless `preferred_only`. One scan tracks both
-    /// candidates; ties go to the lowest server index.
+    /// predicted headroom, unless `preferred_only`. Ties go to the lowest
+    /// server index.
+    ///
+    /// One scan with no data-dependent branch: each server folds a key into
+    /// the running minimum of `leftover << 16 | index` (so the lowest index
+    /// wins a tie) and one into the running maximum of
+    /// `1 + (headroom << 16 | !index)` (same tie-break; 0 means none). A
+    /// server outside a candidate set folds in the identity instead.
     fn fit(
         &self,
         cost: u32,
@@ -311,37 +347,36 @@ impl DcPacker {
         preferred_only: bool,
     ) -> Option<u16> {
         let best_fit = self.cfg.policy == PackPolicy::BestFit && !preferred_only;
-        // (leftover, index) of the tightest fit; (headroom, index) of the
-        // roomiest predicted-overcommitted server
-        let mut tightest: Option<(u32, u16)> = None;
-        let mut roomiest: Option<(u32, u16)> = None;
+        let skip = exclude.map_or(u32::MAX, u32::from);
+        let mut tightest = u64::MAX;
+        let mut roomiest = 0u64;
         for (i, s) in self.servers.iter().enumerate() {
-            let i = i as u16;
-            if !s.live || Some(i) == exclude || s.used.saturating_add(cost) > s.cap {
-                continue;
-            }
-            let leftover = if best_fit {
-                Some(s.cap - s.used - cost)
+            let feasible = s.live & (i as u32 != skip) & (s.used.saturating_add(cost) <= s.cap);
+            // best-fit scores the actual cost, growth-aware the reserved;
+            // under best-fit a feasible server always fits
+            let need = if best_fit {
+                s.used.saturating_add(cost)
             } else {
-                s.cap.checked_sub(s.reserved.saturating_add(reserve))
+                s.reserved.saturating_add(reserve)
             };
-            match leftover {
-                Some(l) if tightest.is_none_or(|(t, _)| l < t) => tightest = Some((l, i)),
-                Some(_) => {}
-                None => {
-                    let headroom = s.cap.saturating_sub(s.reserved);
-                    if roomiest.is_none_or(|(r, _)| headroom > r) {
-                        roomiest = Some((headroom, i));
-                    }
-                }
-            }
+            let fits = need <= s.cap;
+            let index = i as u64 & 0xFFFF;
+            let tight = (u64::from(s.cap.wrapping_sub(need)) << 16) | index;
+            let room =
+                1 + ((u64::from(s.cap.saturating_sub(s.reserved)) << 16) | (!index & 0xFFFF));
+            // all ones when the server is a candidate, zero when not
+            let in_tight = 0u64.wrapping_sub(u64::from(feasible & fits));
+            let in_room = 0u64.wrapping_sub(u64::from(feasible & !fits));
+            tightest = tightest.min(tight | !in_tight);
+            roomiest = roomiest.max(room & in_room);
         }
+        let tightest = (tightest != u64::MAX).then_some(tightest as u16);
+        let roomiest = (roomiest != 0).then(|| !((roomiest - 1) as u16));
         let choice = if preferred_only {
             tightest
         } else {
             tightest.or(roomiest)
-        }
-        .map(|(_, i)| i);
+        };
         #[cfg(test)]
         assert_eq!(
             choice,
@@ -473,8 +508,9 @@ impl DcPacker {
                 let s = &self.servers[fi];
                 if s.reserved > s.cap.saturating_add(self.cfg.hysteresis_mcpu) {
                     if let Some(to) = self.fit(cost, reserve, Some(from), true) {
+                        let moved = CallSlot { server: to, ..next };
                         self.detach(call);
-                        self.attach(call, CallSlot { server: to, ..next });
+                        self.attach(call, moved);
                         self.stats.proactive_repacks += 1;
                         return GrowOutcome {
                             kind: GrowKind::Moved {
@@ -482,22 +518,23 @@ impl DcPacker {
                                 to,
                                 proactive: true,
                             },
-                            changed: vec![(call, to, cost)],
+                            changed: vec![SlotChange::of(call, &moved)],
                         };
                     }
                 }
             }
             return GrowOutcome {
                 kind: GrowKind::Stayed,
-                changed: vec![(call, from, cost)],
+                changed: vec![SlotChange::of(call, &next)],
             };
         }
         if !slot.frozen {
             // forced move: the grown call no longer fits where it is
             return match self.fit(cost, reserve, Some(from), false) {
                 Some(to) => {
+                    let moved = CallSlot { server: to, ..next };
                     self.detach(call);
-                    self.attach(call, CallSlot { server: to, ..next });
+                    self.attach(call, moved);
                     self.stats.repacks += 1;
                     GrowOutcome {
                         kind: GrowKind::Moved {
@@ -505,7 +542,7 @@ impl DcPacker {
                             to,
                             proactive: false,
                         },
-                        changed: vec![(call, to, cost)],
+                        changed: vec![SlotChange::of(call, &moved)],
                     }
                 }
                 None => {
@@ -528,7 +565,7 @@ impl DcPacker {
                 self.detach(call);
                 self.attach(call, next);
                 self.stats.evictions += victims as u64;
-                changed.push((call, from, cost));
+                changed.push(SlotChange::of(call, &next));
                 return GrowOutcome {
                     kind: GrowKind::Evicted { victims },
                     changed,
@@ -554,8 +591,9 @@ impl DcPacker {
             let Some(v) = self.detach(victim) else {
                 break;
             };
-            self.attach(victim, CallSlot { server: to, ..v });
-            changed.push((victim, to, v.cost));
+            let moved = CallSlot { server: to, ..v };
+            self.attach(victim, moved);
+            changed.push(SlotChange::of(victim, &moved));
             victims += 1;
         }
         self.stats.evictions += victims as u64;
@@ -594,13 +632,14 @@ impl DcPacker {
         }
         self.servers[i].live = false;
         self.stats.server_deaths += 1;
-        // BTreeMap iteration → calls drain in ascending id order
-        let on_server: Vec<u64> = self
+        // calls drain in ascending id order
+        let mut on_server: Vec<u64> = self
             .calls
             .iter()
             .filter(|&(_, c)| c.server == server)
             .map(|(&id, _)| id)
             .collect();
+        on_server.sort_unstable();
         let was_empty = on_server.is_empty();
         let mut rehomed = Vec::new();
         let mut spilled = Vec::new();
@@ -610,9 +649,10 @@ impl DcPacker {
             };
             match self.fit(c.cost, c.reserve, None, false) {
                 Some(to) => {
-                    self.attach(id, CallSlot { server: to, ..c });
+                    let moved = CallSlot { server: to, ..c };
+                    self.attach(id, moved);
                     self.stats.death_rehomes += 1;
-                    rehomed.push((id, to, c.cost));
+                    rehomed.push(SlotChange::of(id, &moved));
                 }
                 None => {
                     self.stats.death_spills += 1;
@@ -655,7 +695,7 @@ impl DcPacker {
             reserve,
             frozen,
         };
-        // a known call is rewritten where it sits in the tree
+        // a known call is rewritten where it sits in the table
         match self.calls.entry(call) {
             Entry::Occupied(mut e) => {
                 let old = e.insert(next);
@@ -679,11 +719,12 @@ impl DcPacker {
                 live: s.live,
             })
             .collect();
-        let calls = self
+        let mut calls: Vec<CallExport> = self
             .calls
             .iter()
             .map(|(&id, c)| (id, c.server, c.participants, c.cost, c.reserve, c.frozen))
             .collect();
+        calls.sort_unstable_by_key(|c| c.0);
         (servers, calls)
     }
 
@@ -1120,7 +1161,15 @@ mod tests {
                 proactive: false
             }
         );
-        assert_eq!(out.changed, vec![(1, 1, 1_100)]);
+        assert_eq!(
+            out.changed,
+            vec![SlotChange {
+                call: 1,
+                server: 1,
+                participants: 3,
+                cost_mcpu: 1_100
+            }]
+        );
         assert_eq!(p.stats().repacks, 1);
         assert_eq!(p.server_of(D0, 1).unwrap().index, 1);
     }

@@ -23,7 +23,7 @@ use proptest::prelude::*;
 use sb_net::DcId;
 use sb_pack::{
     CostModel, FleetPacker, FleetSpec, GrowKind, PackPolicy, PackStateExport, PackerConfig,
-    ServerId,
+    ServerId, SlotChange,
 };
 
 /// One interpreted op; generated tuples index into a mix table so each test
@@ -259,7 +259,10 @@ fn run_ops(
                         out.kind
                     );
                 }
-                for &(id, server, _) in &out.changed {
+                for &SlotChange {
+                    call: id, server, ..
+                } in &out.changed
+                {
                     if id != call {
                         prop_assert!(!model[&id].1, "frozen call {} evicted as a victim", id);
                     }
@@ -314,7 +317,7 @@ fn run_ops(
                 for s in &r.spilled {
                     prop_assert!(model.remove(&s.call).is_some(), "spilled unknown call");
                 }
-                for &(id, _, _) in &r.rehomed {
+                for &SlotChange { call: id, .. } in &r.rehomed {
                     prop_assert!(model.contains_key(&id), "rehomed unknown call {}", id);
                 }
             }

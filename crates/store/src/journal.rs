@@ -1,12 +1,14 @@
 //! Write-ahead journal: append-only, CRC-framed, fsync-batched.
 //!
-//! The engine appends one opaque payload per lifecycle operation
-//! (admission / join / media change / freeze / end / plan install) and the
-//! journal makes a durable prefix of those payloads survive a process
-//! crash. Durability is batched: appends accumulate in an in-memory buffer
-//! and are written + `fsync`ed together once either `sync_every` records
-//! are pending or the `group_commit` window has elapsed — the classic
-//! group-commit trade of bounded loss for bounded write amplification.
+//! The engine appends the opaque payloads of one lifecycle operation
+//! (admission / join / media change / freeze / end / plan install) as one
+//! [`Journal::append_with`] call, each framed in place into an in-memory
+//! buffer under one lock, and the journal makes a durable prefix of those
+//! payloads survive a process crash. Durability is batched: appends
+//! accumulate in the buffer and are written + `fsync`ed together once
+//! either `sync_every` records are pending or the `group_commit` window has
+//! elapsed (checked once per append call) — the classic group-commit trade
+//! of bounded loss for bounded write amplification.
 //!
 //! ## On-disk format
 //!
@@ -32,10 +34,10 @@
 //! [`Journal::recover`] sees only records that were actually durable.
 //!
 //! Fault injection mirrors the sharded-map chaos hooks: a
-//! [`JournalFault::Stall`] delays every append (slow disk), a
-//! [`JournalFault::Drop`] fails appends with a typed error (full disk /
-//! dead volume) without consuming sequence numbers, so the surviving log
-//! stays dense and scannable.
+//! [`JournalFault::Stall`] delays every append call (slow disk), a
+//! [`JournalFault::Drop`] fails append calls whole with a typed error (full
+//! disk / dead volume) without consuming sequence numbers, so the surviving
+//! log stays dense and scannable.
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -57,26 +59,63 @@ const FRAME_HEADER: usize = 4 + 4 + 8;
 /// and stay far below this.
 pub const MAX_FRAME_LEN: u32 = 64 << 20;
 
-/// CRC-32 (IEEE 802.3, reflected) over `seq || payload`. Hand-rolled table
-/// — the workspace vendors no checksum crate and the journal must not grow
-/// a dependency for 20 lines of table math.
-fn crc32(seq: u64, payload: &[u8]) -> u32 {
-    const POLY: u32 = 0xEDB8_8320;
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, e) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
-            }
-            *e = c;
+/// The CRC-32 (IEEE 802.3, reflected) polynomial.
+const POLY: u32 = 0xEDB8_8320;
+
+/// Slice-by-8 tables: `CRC_TABLES[0]` is the classic bytewise table, and
+/// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes, so
+/// eight input bytes fold into the register with eight independent lookups.
+/// Hand-rolled — the workspace vendors no checksum crate and the journal
+/// must not grow a dependency for a page of table math.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
+            bit += 1;
         }
-        t
-    });
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// CRC-32 (IEEE 802.3, reflected) of `bytes`: a frame's `seq || payload`.
+/// Eight bytes a step through the slice-by-8 tables, the tail bytewise;
+/// the same polynomial and the same value as the bytewise loop.
+fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = !0u32;
-    for &b in seq.to_le_bytes().iter().chain(payload) {
-        c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -191,6 +230,34 @@ pub struct JournalScan {
     pub records: Vec<Vec<u8>>,
     /// Bytes past the last valid frame (half-written tail), 0 if clean.
     pub torn_tail_bytes: u64,
+}
+
+/// The records of one [`Journal::append_with`] call, framed in place into
+/// the journal's group-commit buffer.
+pub struct Frames<'a> {
+    buf: &'a mut Vec<u8>,
+    next_seq: u64,
+    written: u64,
+}
+
+impl Frames<'_> {
+    /// Frame one record: reserve its header, let `write` append the payload
+    /// (it may only append), then patch in the length and the CRC. Returns
+    /// the record's sequence number.
+    pub fn frame(&mut self, write: impl FnOnce(&mut Vec<u8>)) -> u64 {
+        let seq = self.next_seq + self.written;
+        let start = self.buf.len();
+        self.buf.extend_from_slice(&[0; 8]);
+        self.buf.extend_from_slice(&seq.to_le_bytes());
+        write(self.buf);
+        let body = &self.buf[start + 8..];
+        let len = body.len() as u32;
+        let crc = crc32(body);
+        self.buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+        self.buf[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+        self.written += 1;
+        seq
+    }
 }
 
 struct Inner {
@@ -308,8 +375,7 @@ impl Journal {
             let Ok(seq) = buf[pos + 8..pos + 16].try_into().map(u64::from_le_bytes) else {
                 return Err(JournalReadError::CorruptRecord { index });
             };
-            let payload = &buf[pos + 16..frame_end];
-            if crc32(seq, payload) != crc {
+            if crc32(&buf[pos + 8..frame_end]) != crc {
                 if frame_end == buf.len() {
                     // bad CRC on the final frame: half-written tail
                     return torn(records);
@@ -323,7 +389,7 @@ impl Journal {
                     found: seq,
                 });
             }
-            records.push(payload.to_vec());
+            records.push(buf[pos + 16..frame_end].to_vec());
             pos = frame_end;
         }
     }
@@ -359,7 +425,23 @@ impl Journal {
     /// Append one record; returns its sequence number. Durability is
     /// deferred to the group commit — call [`Journal::sync`] to force it.
     pub fn append(&self, payload: &[u8]) -> Result<u64, JournalError> {
-        match *self.fault.lock() {
+        self.append_with(|f| f.frame(|out| out.extend_from_slice(payload)))
+    }
+
+    /// Append the records `write` frames ([`Frames::frame`]), in order and
+    /// as one unit: one fault check, one lock and one group-commit check
+    /// whatever their number, each record framed straight into the
+    /// group-commit buffer. A [`JournalFault::Drop`] rejects the whole call
+    /// before `write` runs and consumes no sequence number; a
+    /// [`JournalFault::Stall`] delays it once. Returns what `write` returns.
+    pub fn append_with<R>(
+        &self,
+        write: impl FnOnce(&mut Frames<'_>) -> R,
+    ) -> Result<R, JournalError> {
+        // copy the fault out: a stall must not hold the fault lock while it
+        // sleeps, or concurrent appends serialize and a heal waits it out
+        let fault = *self.fault.lock();
+        match fault {
             JournalFault::None => {}
             JournalFault::Stall(d) => {
                 self.stalled.fetch_add(1, Ordering::Relaxed);
@@ -370,26 +452,27 @@ impl Journal {
                 return Err(JournalError::Dropped);
             }
         }
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         if inner.crashed {
             return Err(JournalError::Crashed);
         }
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        let crc = crc32(seq, payload);
-        let len = (8 + payload.len()) as u32;
-        inner.pending.extend_from_slice(&len.to_le_bytes());
-        inner.pending.extend_from_slice(&crc.to_le_bytes());
-        inner.pending.extend_from_slice(&seq.to_le_bytes());
-        inner.pending.extend_from_slice(payload);
-        inner.pending_records += 1;
-        self.appended.fetch_add(1, Ordering::Relaxed);
+        let mut frames = Frames {
+            buf: &mut inner.pending,
+            next_seq: inner.next_seq,
+            written: 0,
+        };
+        let out = write(&mut frames);
+        let written = frames.written;
+        inner.next_seq += written;
+        inner.pending_records += written;
+        self.appended.fetch_add(written, Ordering::Relaxed);
         if inner.pending_records >= self.cfg.sync_every as u64
             || inner.last_sync.elapsed() >= self.cfg.group_commit
         {
-            self.sync_locked(&mut inner)?;
+            self.sync_locked(inner)?;
         }
-        Ok(seq)
+        Ok(out)
     }
 
     fn sync_locked(&self, inner: &mut Inner) -> Result<(), JournalError> {
@@ -397,14 +480,16 @@ impl Journal {
             inner.last_sync = Instant::now();
             return Ok(());
         }
-        let pending = std::mem::take(&mut inner.pending);
         let n = inner.pending_records;
-        inner.pending_records = 0;
-        inner
+        // the buffer keeps its capacity for the next batch; a failed write
+        // loses the batch either way
+        let written = inner
             .file
-            .write_all(&pending)
-            .and_then(|()| inner.file.sync_data())
-            .map_err(|e| JournalError::Io(e.to_string()))?;
+            .write_all(&inner.pending)
+            .and_then(|()| inner.file.sync_data());
+        inner.pending.clear();
+        inner.pending_records = 0;
+        written.map_err(|e| JournalError::Io(e.to_string()))?;
         inner.synced_records += n;
         inner.last_sync = Instant::now();
         self.syncs.fetch_add(1, Ordering::Relaxed);
@@ -442,8 +527,8 @@ impl Journal {
         &self.path
     }
 
-    /// Records accepted by [`Journal::append`] since creation (durable or
-    /// still pending).
+    /// Records framed by accepted appends since creation (durable or still
+    /// pending).
     pub fn appended_records(&self) -> u64 {
         self.appended.load(Ordering::Relaxed)
     }
@@ -633,6 +718,124 @@ mod tests {
         j.append(b"slow").unwrap();
         assert!(t.elapsed() >= Duration::from_millis(2));
         assert_eq!(j.stalled_appends(), 1);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The bytewise CRC the sliced one replaced: one table lookup per byte of
+    /// `seq || payload`, the reference every test below holds it to.
+    fn crc32_bytewise(seq: u64, payload: &[u8]) -> u32 {
+        let mut table = [0u32; 256];
+        for (i, e) in table.iter_mut().enumerate() {
+            let mut c = i as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
+            }
+            *e = c;
+        }
+        let mut c = !0u32;
+        for &b in seq.to_le_bytes().iter().chain(payload) {
+            c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    fn seq_payload(seq: u64, payload: &[u8]) -> Vec<u8> {
+        let mut v = seq.to_le_bytes().to_vec();
+        v.extend_from_slice(payload);
+        v
+    }
+
+    #[test]
+    fn sliced_crc_equals_the_bytewise_reference() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        // the CRC-32/ISO-HDLC check value
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut random = |n: usize| (0..n).map(|_| rng.gen::<u32>() as u8).collect::<Vec<u8>>();
+        let payload = random(64);
+        for seq in [0, 1, 255, 65_537, u64::MAX / 3, u64::MAX] {
+            for len in 0..=64 {
+                let p = &payload[..len];
+                assert_eq!(
+                    crc32(&seq_payload(seq, p)),
+                    crc32_bytewise(seq, p),
+                    "seq {seq}, payload length {len}"
+                );
+            }
+        }
+        let big = random(1 << 20);
+        assert_eq!(crc32(&seq_payload(3, &big)), crc32_bytewise(3, &big));
+    }
+
+    #[test]
+    fn append_with_frames_a_batch_under_one_group_commit_check() {
+        let path = tmp("append_with");
+        let j = Journal::create(&path, cfg_every(3)).unwrap();
+        // two frames in one call: one check, 2 < 3 pending, no sync
+        let seqs = j
+            .append_with(|f| [f.frame(|o| o.extend_from_slice(b"a")), f.frame(|_| {})])
+            .unwrap();
+        assert_eq!(seqs, [0, 1]);
+        assert_eq!((j.pending_records(), j.sync_count()), (2, 0));
+        // two more: 4 >= 3 at the call's one check, both synced together
+        j.append_with(|f| {
+            f.frame(|o| o.extend_from_slice(b"bb"));
+            f.frame(|o| o.extend_from_slice(b"ccc"));
+        })
+        .unwrap();
+        assert_eq!((j.pending_records(), j.sync_count()), (0, 1));
+        assert_eq!(j.appended_records(), 4);
+        // a dropped call loses all its frames and no sequence number
+        j.set_fault(JournalFault::Drop);
+        let ran = std::cell::Cell::new(false);
+        let dropped = j.append_with(|f| {
+            ran.set(true);
+            f.frame(|o| o.push(0))
+        });
+        assert_eq!(dropped, Err(JournalError::Dropped));
+        assert!(!ran.get(), "a dropped append never runs its writer");
+        j.set_fault(JournalFault::None);
+        assert_eq!(j.append(b"dd").unwrap(), 4);
+        j.sync().unwrap();
+        let scan = Journal::scan(&path).unwrap();
+        let want: [&[u8]; 5] = [b"a", b"", b"bb", b"ccc", b"dd"];
+        assert_eq!(scan.records, want.map(<[u8]>::to_vec));
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Regression: a stall slept with the fault lock held, so two
+    /// concurrent stalled appends took two stalls and a heal issued during
+    /// a stall waited for it to end.
+    #[test]
+    fn a_stall_holds_no_lock_while_it_sleeps() {
+        let path = tmp("stall_unlocked");
+        let j = Journal::create(&path, cfg_every(1_000)).unwrap();
+        let stall = Duration::from_millis(60);
+        j.set_fault(JournalFault::Stall(stall));
+        // two appends released together sleep side by side
+        let start = std::sync::Barrier::new(2);
+        let t = Instant::now();
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    start.wait();
+                    j.append(b"slow").unwrap()
+                });
+            }
+        });
+        let both = t.elapsed();
+        assert!(both < stall * 3 / 2, "two stalls overlap: {both:?}");
+        // a heal issued while an append is stalling returns at once
+        let heal = std::thread::scope(|s| {
+            s.spawn(|| j.append(b"slow").unwrap());
+            while j.stalled_appends() < 3 {
+                std::thread::yield_now();
+            }
+            let t = Instant::now();
+            j.set_fault(JournalFault::None);
+            t.elapsed()
+        });
+        assert!(heal < stall / 2, "a heal waits for no stall: {heal:?}");
         std::fs::remove_file(&path).ok();
     }
 

@@ -52,6 +52,9 @@ CARGO_TARGET_DIR="$PWD/target" cargo test --release --offline -q --manifest-path
 echo "==> replay differential: serial oracle vs concurrent engine"
 cargo test -q --test replay_differential
 
+echo "==> durable differential: a journaled packing drive writes its recorded WAL bytes and packing"
+cargo test -q -p sb-engine --test pinned_wal
+
 echo "==> install differential: installing the live plan at the control loop's barrier is a no-op"
 cargo test -q --test replay_differential identical_plan_install_is_a_noop_through_the_control_loop
 cargo test -q --test plan_swap_differential
@@ -117,6 +120,33 @@ for expect in "crates/store/src/callstate.rs 1" "crates/engine/src/engine.rs 3";
         exit 1
     fi
 done
+
+echo "==> one-journal-path gate: an op's WAL records go out in one append, framed in place"
+# Every engine op frames its records straight into the journal's group-commit
+# buffer inside one Journal::append_with (WalRecord::frame), so non-test
+# engine.rs encodes no record into a buffer of its own; the journal reads the
+# clock once per append call (the group-commit age check), not once per
+# record; and the packer's call table is hashed, with call-id order restored
+# explicitly where it is observable. A second append path, a per-record clock
+# read or an ordered call table fails here instead of in the next benchmark.
+encodes=$(non_test crates/engine/src/engine.rs | grep -F '.encode()' || true)
+if [ -n "$encodes" ]; then
+    echo "crates/engine/src/engine.rs must frame records in place, found .encode():" >&2
+    echo "$encodes" >&2
+    exit 1
+fi
+ages=$(non_test crates/store/src/journal.rs | grep -c -F '.elapsed()' || true)
+if [ "$ages" != 1 ]; then
+    echo "crates/store/src/journal.rs must call .elapsed() in 1 place outside tests, found $ages:" >&2
+    non_test crates/store/src/journal.rs | grep -F '.elapsed()' >&2
+    exit 1
+fi
+ordered=$(non_test crates/pack/src/packer.rs | grep -F 'BTreeMap' || true)
+if [ -n "$ordered" ]; then
+    echo "crates/pack/src/packer.rs must keep its call table hashed, found BTreeMap:" >&2
+    echo "$ordered" >&2
+    exit 1
+fi
 
 echo "==> one-drive-core gate: the call lifecycle and the partition rule live in sb-sim's drive.rs"
 # Replay, chaos, autoscale, the crash drill and the load bench are
