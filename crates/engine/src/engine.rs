@@ -666,28 +666,29 @@ impl Engine {
         report
     }
 
-    /// Rebuild an engine from its journal: scan the log (truncating a torn
-    /// tail), re-install the boot plan from record 0, then re-apply every
-    /// durable operation's *recorded decision* — selector call state, quota
-    /// debits, per-DC tallies, statistics, store writes, and the plan epoch
-    /// all land bitwise-identical to an uninterrupted run over the same
-    /// durable prefix. The returned engine appends to the same journal,
-    /// resuming at the next sequence number.
+    /// Rebuild an engine from its journal in one validating pass: re-install
+    /// the boot plan from record 0, then decode and re-apply every durable
+    /// operation's *recorded decision* as its frame is read — selector call
+    /// state, quota debits, per-DC tallies, statistics, store writes, and
+    /// the plan epoch all land bitwise-identical to an uninterrupted run
+    /// over the same durable prefix. The first problem in log order is the
+    /// error, and a refused recovery leaves the file as it found it: a torn
+    /// tail is truncated only after the last record is applied. The
+    /// returned engine appends to the same journal, resuming at the next
+    /// sequence number.
     pub fn recover(
         latmap: &LatencyMap,
         cfg: &EngineConfig,
         jcfg: JournalConfig,
         path: &Path,
     ) -> Result<(Engine, RecoveryReport), RecoveryError> {
-        let (journal, scan) = Journal::recover(path, jcfg).map_err(RecoveryError::Journal)?;
-        let mut ops = Vec::with_capacity(scan.records.len());
-        for (i, payload) in scan.records.iter().enumerate() {
-            ops.push(
-                WalRecord::decode(payload)
-                    .map_err(|_| RecoveryError::BadRecord { index: i as u64 })?,
-            );
-        }
-        let Some(WalRecord::PlanInstall { ndjson }) = ops.first() else {
+        let mut frames = Journal::reopen(path).map_err(RecoveryError::Journal)?;
+        let boot = frames
+            .next_frame()
+            .map_err(RecoveryError::Journal)?
+            .ok_or(RecoveryError::NoBootPlan)?;
+        let boot = WalRecord::decode(boot).map_err(|_| RecoveryError::BadRecord { index: 0 })?;
+        let WalRecord::PlanInstall { ndjson } = boot else {
             return Err(RecoveryError::NoBootPlan);
         };
         // a plan the journal holds is outside input: parsed, then checked
@@ -697,13 +698,9 @@ impl Engine {
                 .and_then(|a| a.check_dcs(latmap.num_dcs()))
                 .map_err(|_| RecoveryError::PlanParse { index })
         };
-        let boot = plan(ndjson, 0)?;
+        let boot = plan(&ndjson, 0)?;
         let mut engine = Engine::new(latmap, &boot, cfg);
-        let mut report = RecoveryReport {
-            records: ops.len() as u64,
-            torn_tail_bytes: scan.torn_tail_bytes,
-            ..RecoveryReport::default()
-        };
+        let mut report = RecoveryReport::default();
         let mut delta = SelectorStats::default();
         // a fresh store has no failed shard: every replayed write lands
         let mut writes = 0u64;
@@ -717,9 +714,11 @@ impl Engine {
         // construction), so they are never journaled.
         let mut pack_slots: std::collections::HashMap<u64, (u16, u32, bool), BuildCallIdHasher> =
             Default::default();
-        for (i, rec) in ops.iter().enumerate().skip(1) {
-            let index = i as u64;
-            match rec {
+        let mut index = 0;
+        while let Some(payload) = frames.next_frame().map_err(RecoveryError::Journal)? {
+            index += 1;
+            let rec = WalRecord::decode(payload).map_err(|_| RecoveryError::BadRecord { index })?;
+            match &rec {
                 WalRecord::PlanInstall { ndjson } => {
                     let art = plan(ndjson, index)?;
                     engine.selector.install_plan(&art);
@@ -974,12 +973,13 @@ impl Engine {
                 }
             }
         }
+        report.records = frames.records();
+        report.torn_tail_bytes = frames.torn_tail_bytes();
+        engine.journal = Some(frames.resume(path, jcfg).map_err(RecoveryError::Journal)?);
         engine.selector.add_stats(&delta);
         engine.store_writes.store(writes, Ordering::Relaxed);
-        engine.journal = Some(journal);
         report.live_calls = engine.selector.active_calls();
         report.plan_epoch = engine.plan_epoch();
-        report.ops = ops;
         Ok((engine, report))
     }
 }
@@ -1049,9 +1049,6 @@ pub struct RecoveryReport {
     pub live_calls: usize,
     /// Plan epoch after replay.
     pub plan_epoch: u64,
-    /// The decoded records, in journal order — crash harnesses realign
-    /// their event cursor against these.
-    pub ops: Vec<WalRecord>,
 }
 
 /// Why a recovery failed. Every variant is a typed, diagnosable refusal —
@@ -1776,42 +1773,60 @@ mod tests {
     /// Regression: a journaled plan with a zero slot width, or naming a DC
     /// the topology lacks, recovered — and the first freeze under it divided
     /// by zero or indexed past the per-DC state. Recovery now refuses it,
-    /// typed.
+    /// typed, and leaves the log byte for byte as it found it, torn tail
+    /// included: the tail is cut only once every record has been applied.
     #[test]
     fn recovery_refuses_a_hostile_plan_install() {
         let (topo, latmap, artifact, cfg) = world();
         let jp = topo.country_by_name("JP");
         let tokyo = topo.dc_by_name("Tokyo");
         let pools = |dc| std::collections::HashMap::from([((cfg, 0), vec![(dc, 5)])]);
-        for (label, hostile) in [
-            (
-                "zero slot width",
-                PlannedQuotas::from_parts(0, 0, 4, pools(tokyo)),
-            ),
-            (
-                "unknown dc",
-                PlannedQuotas::from_parts(30, 0, 4, pools(DcId(999))),
-            ),
-        ] {
-            let path = temp_journal_path("hostile-plan");
-            let jcfg = JournalConfig {
-                sync_every: 1,
-                ..JournalConfig::default()
-            };
-            let journal = Journal::create(&path, jcfg).unwrap();
-            let ecfg = EngineConfig::default();
-            let engine = Engine::with_journal(&latmap, &artifact, &ecfg, journal).unwrap();
-            assert!(engine.worker().admit(1, jp).dc().is_some());
-            engine.install_plan(&PlanArtifact::seed(hostile).with_epoch(1));
-            drop(engine);
-            let recovered = Engine::recover(&latmap, &ecfg, jcfg, &path);
-            let _ = std::fs::remove_file(&path);
-            match recovered {
-                Err(e) => assert_eq!(e, RecoveryError::PlanParse { index: 2 }, "{label}"),
-                Ok((engine, _)) => {
-                    engine.worker().freeze(1, cfg, 0);
-                    panic!("{label}: the hostile plan was recovered");
+        for torn_tail in [false, true] {
+            for (label, hostile) in [
+                (
+                    "zero slot width",
+                    PlannedQuotas::from_parts(0, 0, 4, pools(tokyo)),
+                ),
+                (
+                    "unknown dc",
+                    PlannedQuotas::from_parts(30, 0, 4, pools(DcId(999))),
+                ),
+            ] {
+                let path = temp_journal_path("hostile-plan");
+                let jcfg = JournalConfig {
+                    sync_every: 1,
+                    ..JournalConfig::default()
+                };
+                let journal = Journal::create(&path, jcfg).unwrap();
+                let ecfg = EngineConfig::default();
+                let engine = Engine::with_journal(&latmap, &artifact, &ecfg, journal).unwrap();
+                assert!(engine.worker().admit(1, jp).dc().is_some());
+                engine.install_plan(&PlanArtifact::seed(hostile).with_epoch(1));
+                drop(engine);
+                let mut log = std::fs::read(&path).unwrap();
+                if torn_tail {
+                    // half a frame header: a write the crash cut short
+                    log.extend_from_slice(&[0x2a; 7]);
+                    std::fs::write(&path, &log).unwrap();
                 }
+                let recovered = Engine::recover(&latmap, &ecfg, jcfg, &path);
+                let after = std::fs::read(&path).unwrap();
+                let _ = std::fs::remove_file(&path);
+                match recovered {
+                    Err(e) => assert_eq!(
+                        e,
+                        RecoveryError::PlanParse { index: 2 },
+                        "{label}, torn tail {torn_tail}"
+                    ),
+                    Ok((engine, _)) => {
+                        engine.worker().freeze(1, cfg, 0);
+                        panic!("{label}: the hostile plan was recovered");
+                    }
+                }
+                assert!(
+                    after == log,
+                    "{label}, torn tail {torn_tail}: a refused recovery changed the log"
+                );
             }
         }
     }

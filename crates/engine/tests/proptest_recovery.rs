@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 use sb_core::{AllocationShares, LatencyMap, PlanArtifact, PlannedQuotas};
-use sb_engine::{Engine, EngineConfig, EnginePackConfig, RecoveryError, WalRecord};
+use sb_engine::{Engine, EngineConfig, EnginePackConfig, RecoveryError};
 use sb_net::{CountryId, DcId, FailureScenario, RoutingTable};
 use sb_pack::{CostModel, FleetSpec, GrowthModel, PackStateExport, PackerConfig};
 use sb_store::{Journal, JournalConfig, JournalReadError, MediaFlag};
@@ -210,12 +210,12 @@ proptest! {
         let jcfg = JournalConfig::default();
         let (engine_a, report_a) =
             Engine::recover(&latmap, &ecfg, jcfg, &path).expect("torn tail must recover");
-        prop_assert!(report_a.records as usize <= full_records.len());
-        // the recovered ops are a strict prefix of the original stream
-        for (i, rec) in report_a.ops.iter().enumerate() {
-            let orig = WalRecord::decode(&full_records[i]).expect("original record decodes");
-            prop_assert_eq!(rec.clone(), orig);
-        }
+        // the recovered log is a prefix of the original stream, and recovery
+        // counted exactly its records
+        let kept = Journal::scan(&path).expect("scan recovered journal").records;
+        prop_assert_eq!(report_a.records, kept.len() as u64);
+        prop_assert!(kept.len() <= full_records.len());
+        prop_assert_eq!(&kept[..], &full_records[..kept.len()]);
         let state_a = engine_a.export_selector_state();
         let stats_a = engine_a.stats();
         let pack_a = engine_a.export_pack_state();
@@ -250,16 +250,19 @@ proptest! {
         std::fs::write(&path, &bytes).expect("write flipped journal");
 
         match Engine::recover(&latmap, &ecfg, JournalConfig::default(), &path) {
-            Err(_) => {} // typed error: detected
+            // typed error: detected, and the log left as it was
+            Err(_) => {
+                let after = std::fs::read(&path).expect("read refused journal");
+                prop_assert!(after == bytes, "a refused recovery changed the log");
+            }
             Ok((engine, report)) => {
                 // accepted: every surviving record must match the original
-                // stream record-for-record (prefix property)
-                prop_assert!(report.records as usize <= full_records.len());
-                for (i, rec) in report.ops.iter().enumerate() {
-                    let orig = WalRecord::decode(&full_records[i])
-                        .expect("original record decodes");
-                    prop_assert_eq!(rec.clone(), orig);
-                }
+                // stream record-for-record (prefix property), and recovery
+                // counted exactly the records the log keeps
+                let kept = Journal::scan(&path).expect("scan recovered journal").records;
+                prop_assert_eq!(report.records, kept.len() as u64);
+                prop_assert!(kept.len() <= full_records.len());
+                prop_assert_eq!(&kept[..], &full_records[..kept.len()]);
                 drop(engine);
             }
         }

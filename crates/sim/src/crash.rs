@@ -376,18 +376,22 @@ pub fn drive_with_crashes(
             .map_err(CrashDrillError::Recovery)?;
         engine = recovered;
 
-        // the durable prefix must match the driven history record-for-record
-        if report.ops.len() > expected.len() {
+        // the durable prefix, read back from the recovered log, must match
+        // the driven history record-for-record
+        let durable = Journal::scan(journal_path)
+            .map_err(|e| CrashDrillError::Recovery(RecoveryError::Journal(e)))?
+            .records;
+        if durable.len() > expected.len() {
             return Err(CrashDrillError::LogMismatch {
                 index: expected.len() as u64,
             });
         }
-        for (i, rec) in report.ops.iter().enumerate() {
-            if &expected[i] != rec {
+        for (i, payload) in durable.iter().enumerate() {
+            if !matches!(WalRecord::decode(payload), Ok(rec) if rec == expected[i]) {
                 return Err(CrashDrillError::LogMismatch { index: i as u64 });
             }
         }
-        expected.truncate(report.ops.len());
+        expected.truncate(durable.len());
 
         // pop every step whose journal record died with the tail; redrive
         // them (the recovered state is exactly the state the dead engine

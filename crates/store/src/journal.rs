@@ -28,10 +28,16 @@
 //! is the *expected* crash artifact and is truncated on recovery; a corrupt
 //! frame with valid data after it is a hard [`JournalReadError`].
 //!
+//! One [`JournalReader`] validates frames, streaming the file through a
+//! fixed buffer: [`Journal::scan`] collects its payloads read-only, and
+//! recovery ([`Journal::reopen`]) applies each as it is read and truncates
+//! a torn tail only once the last one is applied
+//! ([`JournalReader::resume`]).
+//!
 //! Because appends buffer in memory until the group-commit fires, the file
 //! content is always exactly the synced prefix: [`Journal::crash`] models a
 //! process death by discarding the buffer, and a subsequent
-//! [`Journal::recover`] sees only records that were actually durable.
+//! [`Journal::reopen`] sees only records that were actually durable.
 //!
 //! Fault injection mirrors the sharded-map chaos hooks: a
 //! [`JournalFault::Stall`] delays every append call (slow disk), a
@@ -41,7 +47,7 @@
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{ErrorKind, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -260,6 +266,187 @@ impl Frames<'_> {
     }
 }
 
+/// Bytes of the log a [`JournalReader`] holds at once. Only a frame longer
+/// than this (a large plan artifact) grows the buffer, to that one frame.
+const READ_BUF: usize = 256 << 10;
+
+fn read_io(e: std::io::Error) -> JournalReadError {
+    JournalReadError::Io(e.to_string())
+}
+
+/// One validating pass over a journal, frame by frame, through one
+/// fixed-size buffer (256 KiB): the magic is checked on open, then
+/// [`next_frame`](JournalReader::next_frame) checks each frame's length,
+/// CRC and sequence number and lends out its payload. A torn tail ends the
+/// frames ([`torn_tail_bytes`](JournalReader::torn_tail_bytes)); mid-log
+/// corruption and sequence errors are typed [`JournalReadError`]s, the
+/// first one in log order. The reader itself never writes.
+pub struct JournalReader<R = File> {
+    src: R,
+    /// Bytes in the log, taken when the reader opened it.
+    len: u64,
+    /// Log offset of the next frame; everything before it is valid.
+    pos: u64,
+    /// Frames handed out: the sequence number the next frame must carry.
+    records: u64,
+    /// `buf[start..end]` holds the log's bytes from `pos` on.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    /// Bytes past the last valid frame, once the frames have ended.
+    torn: Option<u64>,
+}
+
+impl JournalReader<File> {
+    fn from_file(file: File) -> Result<JournalReader<File>, JournalReadError> {
+        let len = file.metadata().map_err(read_io)?.len();
+        JournalReader::new(file, len)
+    }
+
+    /// Hand the log back as a journal appending after its last valid
+    /// frame: truncate the torn tail, if any, and resume at the next
+    /// sequence number. The tail is known only once the frames have ended,
+    /// so a reader that has not yielded its last frame refuses, typed.
+    pub fn resume(self, path: &Path, cfg: JournalConfig) -> Result<Journal, JournalReadError> {
+        let Some(torn) = self.torn else {
+            return Err(JournalReadError::Io(
+                "journal resumed before its last frame was read".into(),
+            ));
+        };
+        let mut file = self.src;
+        if torn > 0 {
+            file.set_len(self.pos)
+                .and_then(|()| file.sync_data())
+                .map_err(read_io)?;
+        }
+        file.seek(SeekFrom::Start(self.pos)).map_err(read_io)?;
+        Ok(Journal::with_file(file, self.records, path, cfg))
+    }
+}
+
+impl<R: Read> JournalReader<R> {
+    /// A reader over the `len`-byte log `src`, its magic checked.
+    fn new(src: R, len: u64) -> Result<JournalReader<R>, JournalReadError> {
+        let magic = JOURNAL_MAGIC.len();
+        if len < magic as u64 {
+            return Err(JournalReadError::BadMagic);
+        }
+        let mut reader = JournalReader {
+            src,
+            len,
+            pos: 0,
+            records: 0,
+            buf: vec![0; len.min(READ_BUF as u64) as usize],
+            start: 0,
+            end: 0,
+            torn: None,
+        };
+        reader.fill(magic)?;
+        if reader.buf[..magic] != JOURNAL_MAGIC {
+            return Err(JournalReadError::BadMagic);
+        }
+        reader.start = magic;
+        reader.pos = magic as u64;
+        Ok(reader)
+    }
+
+    /// The next frame's payload, or `None` once the frames have ended
+    /// (cleanly or at a torn tail). A nonsense length field, a frame
+    /// overrunning the end of the log, or a bad CRC on the log's last frame
+    /// is a torn tail: there is no valid data after it. (A mid-log flipped
+    /// length byte degrades to tail truncation too — recovery then rebuilds
+    /// the prefix, which is exactly the "identical state or typed error"
+    /// contract.) A bad CRC with data after it is
+    /// [`JournalReadError::CorruptRecord`]; a sequence number other than
+    /// the frame's position is [`JournalReadError::SeqMismatch`]. An error
+    /// leaves the reader where it was: asking again returns it again.
+    pub fn next_frame(&mut self) -> Result<Option<&[u8]>, JournalReadError> {
+        if self.torn.is_some() {
+            return Ok(None);
+        }
+        let remaining = self.len - self.pos;
+        if remaining < FRAME_HEADER as u64 {
+            self.torn = Some(remaining);
+            return Ok(None);
+        }
+        self.fill(FRAME_HEADER)?;
+        let h = &self.buf[self.start..];
+        let len = u32::from_le_bytes([h[0], h[1], h[2], h[3]]);
+        let frame = 8 + u64::from(len);
+        if !(8..=MAX_FRAME_LEN).contains(&len) || frame > remaining {
+            self.torn = Some(remaining);
+            return Ok(None);
+        }
+        let frame = frame as usize;
+        self.fill(frame)?;
+        let f = &self.buf[self.start..self.start + frame];
+        let crc = u32::from_le_bytes([f[4], f[5], f[6], f[7]]);
+        if crc32(&f[8..]) != crc {
+            if frame as u64 == remaining {
+                self.torn = Some(remaining);
+                return Ok(None);
+            }
+            return Err(JournalReadError::CorruptRecord {
+                index: self.records,
+            });
+        }
+        let mut seq = [0; 8];
+        seq.copy_from_slice(&f[8..16]);
+        let seq = u64::from_le_bytes(seq);
+        if seq != self.records {
+            return Err(JournalReadError::SeqMismatch {
+                index: self.records,
+                expected: self.records,
+                found: seq,
+            });
+        }
+        let payload = self.start + FRAME_HEADER..self.start + frame;
+        self.start += frame;
+        self.pos += frame as u64;
+        self.records += 1;
+        Ok(Some(&self.buf[payload]))
+    }
+
+    /// Frames yielded so far.
+    pub fn records(&self) -> u64 {
+        self.records
+    }
+
+    /// Bytes past the last valid frame (a half-written tail); 0 until the
+    /// frames have ended, and 0 for a clean log.
+    pub fn torn_tail_bytes(&self) -> u64 {
+        self.torn.unwrap_or(0)
+    }
+
+    /// Make `buf[start..]` hold at least `n` bytes of the log from `pos`
+    /// on, reading as far ahead as the buffer allows. The caller has
+    /// checked that the log holds them.
+    fn fill(&mut self, n: usize) -> Result<(), JournalReadError> {
+        if self.end - self.start >= n {
+            return Ok(());
+        }
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        if self.buf.len() < n {
+            self.buf.resize(n, 0);
+        }
+        while self.end < n {
+            match self.src.read(&mut self.buf[self.end..]) {
+                Ok(0) => {
+                    return Err(JournalReadError::Io(
+                        "journal ended before its length while it was read".into(),
+                    ))
+                }
+                Ok(k) => self.end += k,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(read_io(e)),
+            }
+        }
+        Ok(())
+    }
+}
+
 struct Inner {
     file: File,
     /// Encoded frames not yet written+synced. The file on disk always
@@ -321,105 +508,33 @@ impl Journal {
     }
 
     /// Scan a journal file without opening it for writing: validates magic,
-    /// CRCs, and sequence density; truncates nothing.
+    /// CRCs, and sequence density; truncates nothing. A collect over a
+    /// [`JournalReader`].
     pub fn scan(path: &Path) -> Result<JournalScan, JournalReadError> {
-        let mut buf = Vec::new();
-        File::open(path)
-            .and_then(|mut f| f.read_to_end(&mut buf))
-            .map_err(|e| JournalReadError::Io(e.to_string()))?;
-        Journal::scan_bytes(&buf)
+        let file = File::open(path).map_err(read_io)?;
+        let mut frames = JournalReader::from_file(file)?;
+        let mut records = Vec::new();
+        while let Some(payload) = frames.next_frame()? {
+            records.push(payload.to_vec());
+        }
+        Ok(JournalScan {
+            records,
+            torn_tail_bytes: frames.torn_tail_bytes(),
+        })
     }
 
-    fn scan_bytes(buf: &[u8]) -> Result<JournalScan, JournalReadError> {
-        if buf.len() < JOURNAL_MAGIC.len() || buf[..JOURNAL_MAGIC.len()] != JOURNAL_MAGIC {
-            return Err(JournalReadError::BadMagic);
-        }
-        let mut records: Vec<Vec<u8>> = Vec::new();
-        let mut pos = JOURNAL_MAGIC.len();
-        loop {
-            let remaining = buf.len() - pos;
-            if remaining == 0 {
-                return Ok(JournalScan {
-                    records,
-                    torn_tail_bytes: 0,
-                });
-            }
-            let index = records.len() as u64;
-            let torn = |records: Vec<Vec<u8>>| {
-                Ok(JournalScan {
-                    records,
-                    torn_tail_bytes: remaining as u64,
-                })
-            };
-            if remaining < FRAME_HEADER {
-                return torn(records);
-            }
-            let len = u32::from_le_bytes([buf[pos], buf[pos + 1], buf[pos + 2], buf[pos + 3]]);
-            let bad_len = !(8..=MAX_FRAME_LEN).contains(&len);
-            let frame_end = if bad_len {
-                usize::MAX
-            } else {
-                pos + 8 + len as usize
-            };
-            if bad_len || frame_end > buf.len() {
-                // A nonsense length field or a frame overrunning EOF: if
-                // this is the last thing in the file it is a torn tail;
-                // there is no "valid data after it" to distinguish, so
-                // truncate. (A mid-log flipped length byte degrades to
-                // tail truncation too — recovery then rebuilds the prefix,
-                // which is exactly the "identical state or typed error"
-                // contract.)
-                return torn(records);
-            }
-            let crc = u32::from_le_bytes([buf[pos + 4], buf[pos + 5], buf[pos + 6], buf[pos + 7]]);
-            let Ok(seq) = buf[pos + 8..pos + 16].try_into().map(u64::from_le_bytes) else {
-                return Err(JournalReadError::CorruptRecord { index });
-            };
-            if crc32(&buf[pos + 8..frame_end]) != crc {
-                if frame_end == buf.len() {
-                    // bad CRC on the final frame: half-written tail
-                    return torn(records);
-                }
-                return Err(JournalReadError::CorruptRecord { index });
-            }
-            if seq != index {
-                return Err(JournalReadError::SeqMismatch {
-                    index,
-                    expected: index,
-                    found: seq,
-                });
-            }
-            records.push(buf[pos + 16..frame_end].to_vec());
-            pos = frame_end;
-        }
-    }
-
-    /// Open an existing journal for recovery: scan it, truncate any torn
-    /// tail, and return a journal positioned to append record
-    /// `scan.records.len()` next.
-    pub fn recover(
-        path: &Path,
-        cfg: JournalConfig,
-    ) -> Result<(Journal, JournalScan), JournalReadError> {
-        let mut buf = Vec::new();
-        let mut file = OpenOptions::new()
+    /// Open an existing journal to resume it: a reader over its frames,
+    /// with the file open for reading and writing. Apply each payload as
+    /// [`JournalReader::next_frame`] yields it, then
+    /// [`JournalReader::resume`] truncates any torn tail and returns the
+    /// journal — so a recovery refused part-way leaves the file as it was.
+    pub fn reopen(path: &Path) -> Result<JournalReader, JournalReadError> {
+        let file = OpenOptions::new()
             .read(true)
             .write(true)
             .open(path)
-            .map_err(|e| JournalReadError::Io(e.to_string()))?;
-        file.read_to_end(&mut buf)
-            .map_err(|e| JournalReadError::Io(e.to_string()))?;
-        let scan = Journal::scan_bytes(&buf)?;
-        let valid_len = buf.len() as u64 - scan.torn_tail_bytes;
-        if scan.torn_tail_bytes > 0 {
-            file.set_len(valid_len)
-                .and_then(|()| file.sync_data())
-                .map_err(|e| JournalReadError::Io(e.to_string()))?;
-        }
-        file.seek(SeekFrom::Start(valid_len))
-            .map_err(|e| JournalReadError::Io(e.to_string()))?;
-        let journal = Journal::with_file(file, scan.records.len() as u64, path, cfg);
-        Ok((journal, scan))
+            .map_err(read_io)?;
+        JournalReader::from_file(file)
     }
 
     /// Append one record; returns its sequence number. Durability is
@@ -623,9 +738,21 @@ mod tests {
         let f = OpenOptions::new().write(true).open(&path).unwrap();
         f.set_len(len - 3).unwrap(); // rip 3 bytes off the last frame
         drop(f);
-        let (j2, scan) = Journal::recover(&path, cfg_every(1)).unwrap();
-        assert_eq!(scan.records, vec![b"keep-me".to_vec()]);
-        assert!(scan.torn_tail_bytes > 0);
+        let torn_len = std::fs::metadata(&path).unwrap().len();
+        let mut frames = Journal::reopen(&path).unwrap();
+        assert_eq!(frames.next_frame().unwrap(), Some(&b"keep-me"[..]));
+        // the tail is unknown until the frames end: no resume before that,
+        // and nothing is cut while the records are read
+        let mut frames = match frames.resume(&path, cfg_every(1)) {
+            Err(JournalReadError::Io(_)) => Journal::reopen(&path).unwrap(),
+            other => panic!("resumed mid-log: {:?}", other.err()),
+        };
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), torn_len);
+        assert_eq!(frames.next_frame().unwrap(), Some(&b"keep-me"[..]));
+        assert_eq!(frames.next_frame().unwrap(), None);
+        assert_eq!(frames.records(), 1);
+        assert!(frames.torn_tail_bytes() > 0);
+        let j2 = frames.resume(&path, cfg_every(1)).unwrap();
         // the journal resumes at the right sequence number
         assert_eq!(j2.append(b"after").unwrap(), 1);
         j2.sync().unwrap();
@@ -836,6 +963,204 @@ mod tests {
             t.elapsed()
         });
         assert!(heal < stall / 2, "a heal waits for no stall: {heal:?}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The whole-file scan the streaming reader replaced: the log read into
+    /// memory, every frame validated and copied out. The oracle the reader
+    /// is held to, result for result.
+    fn scan_bytes(buf: &[u8]) -> Result<JournalScan, JournalReadError> {
+        if buf.len() < JOURNAL_MAGIC.len() || buf[..JOURNAL_MAGIC.len()] != JOURNAL_MAGIC {
+            return Err(JournalReadError::BadMagic);
+        }
+        let mut records: Vec<Vec<u8>> = Vec::new();
+        let mut pos = JOURNAL_MAGIC.len();
+        loop {
+            let remaining = buf.len() - pos;
+            if remaining == 0 {
+                return Ok(JournalScan {
+                    records,
+                    torn_tail_bytes: 0,
+                });
+            }
+            let index = records.len() as u64;
+            let torn = |records: Vec<Vec<u8>>| {
+                Ok(JournalScan {
+                    records,
+                    torn_tail_bytes: remaining as u64,
+                })
+            };
+            if remaining < FRAME_HEADER {
+                return torn(records);
+            }
+            let len = u32::from_le_bytes([buf[pos], buf[pos + 1], buf[pos + 2], buf[pos + 3]]);
+            let bad_len = !(8..=MAX_FRAME_LEN).contains(&len);
+            let frame_end = if bad_len {
+                usize::MAX
+            } else {
+                pos + 8 + len as usize
+            };
+            if bad_len || frame_end > buf.len() {
+                return torn(records);
+            }
+            let crc = u32::from_le_bytes([buf[pos + 4], buf[pos + 5], buf[pos + 6], buf[pos + 7]]);
+            let Ok(seq) = buf[pos + 8..pos + 16].try_into().map(u64::from_le_bytes) else {
+                return Err(JournalReadError::CorruptRecord { index });
+            };
+            if crc32(&buf[pos + 8..frame_end]) != crc {
+                if frame_end == buf.len() {
+                    return torn(records);
+                }
+                return Err(JournalReadError::CorruptRecord { index });
+            }
+            if seq != index {
+                return Err(JournalReadError::SeqMismatch {
+                    index,
+                    expected: index,
+                    found: seq,
+                });
+            }
+            records.push(buf[pos + 16..frame_end].to_vec());
+            pos = frame_end;
+        }
+    }
+
+    /// A source handing out at most `step` bytes a read, so frames straddle
+    /// every refill of the reader's buffer.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let n = out.len().min(self.step).min(self.bytes.len());
+            out[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    type Collected = Result<(Vec<Vec<u8>>, u64), JournalReadError>;
+
+    /// Collect `bytes` through the streaming reader, `step` bytes a read.
+    fn read_through(bytes: &[u8], step: usize) -> Collected {
+        let src = Trickle { bytes, step };
+        let mut frames = JournalReader::new(src, bytes.len() as u64)?;
+        let mut records = Vec::new();
+        while let Some(p) = frames.next_frame()? {
+            records.push(p.to_vec());
+        }
+        assert_eq!(frames.records(), records.len() as u64);
+        Ok((records, frames.torn_tail_bytes()))
+    }
+
+    fn oracle(bytes: &[u8]) -> Collected {
+        scan_bytes(bytes).map(|s| (s.records, s.torn_tail_bytes))
+    }
+
+    /// A small log shaped like a journaled packing drive's: a plan install,
+    /// then ops of one to four records (an admit, a join with its packs, a
+    /// freeze, an end), appended and synced through the journal itself.
+    fn packing_log(name: &str, plan_bytes: usize, ops: u64) -> Vec<u8> {
+        let path = tmp(name);
+        let j = Journal::create(&path, cfg_every(5)).unwrap();
+        j.append(&vec![b'{'; plan_bytes]).unwrap();
+        for op in 0..ops {
+            j.append_with(|f| {
+                for r in 0..=(op % 4) {
+                    f.frame(|out| out.extend((0..9 + 3 * r).map(|b| (op + b) as u8)));
+                }
+            })
+            .unwrap();
+        }
+        j.sync().unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        bytes
+    }
+
+    #[test]
+    fn reader_matches_the_whole_file_scan_on_every_cut_and_flip() {
+        let log = packing_log("oracle", 200, 24);
+        let clean = oracle(&log).unwrap();
+        assert_eq!((clean.0.len(), clean.1), (1 + 60, 0));
+        for step in [1, 7, usize::MAX] {
+            assert_eq!(read_through(&log, step), Ok(clean.clone()));
+        }
+        // every byte-prefix truncation, a file shorter than the magic among
+        // them, each read both whole and a few bytes at a time
+        for cut in 0..=log.len() {
+            let want = oracle(&log[..cut]);
+            assert_eq!(read_through(&log[..cut], usize::MAX), want, "cut at {cut}");
+            assert_eq!(read_through(&log[..cut], 5), want, "cut at {cut}");
+        }
+        assert_eq!(read_through(&log[..3], 1), Err(JournalReadError::BadMagic));
+        // every single-bit flip
+        let mut flipped = log.clone();
+        let mut kinds = [0usize; 3];
+        for at in 0..log.len() {
+            for bit in 0..8 {
+                flipped[at] ^= 1 << bit;
+                let want = oracle(&flipped);
+                kinds[match &want {
+                    Ok(_) => 0,
+                    Err(JournalReadError::CorruptRecord { .. }) => 1,
+                    Err(_) => 2,
+                }] += 1;
+                assert_eq!(read_through(&flipped, 11), want, "bit {bit} of byte {at}");
+                flipped[at] ^= 1 << bit;
+            }
+        }
+        // the flips reach a torn tail, mid-log corruption and a bad magic
+        assert!(kinds.iter().all(|&k| k > 0), "{kinds:?}");
+        // a duplicated last frame
+        let mut dup = log.clone();
+        let last = clean.0.last().unwrap().len() + FRAME_HEADER;
+        dup.extend_from_slice(&log[log.len() - last..]);
+        let want = oracle(&dup);
+        assert!(matches!(want, Err(JournalReadError::SeqMismatch { .. })));
+        assert_eq!(read_through(&dup, 3), want);
+    }
+
+    /// A log several buffers long, with a plan frame larger than the buffer
+    /// itself: the reader refills and grows, and still agrees with the scan.
+    #[test]
+    fn reader_streams_a_log_longer_than_its_buffer() {
+        let log = packing_log("long", READ_BUF + 1_000, 20_000);
+        assert!(log.len() > 3 * READ_BUF);
+        let clean = oracle(&log).unwrap();
+        assert_eq!(read_through(&log, usize::MAX), Ok(clean.clone()));
+        assert_eq!(read_through(&log, 4_099), Ok(clean));
+        for cut in [
+            JOURNAL_MAGIC.len() + READ_BUF / 2,
+            log.len() / 2,
+            log.len() - 1,
+        ] {
+            assert_eq!(read_through(&log[..cut], 65_537), oracle(&log[..cut]));
+        }
+        let mut flipped = log.clone();
+        flipped[log.len() / 3] ^= 0x10;
+        assert_eq!(read_through(&flipped, usize::MAX), oracle(&flipped));
+    }
+
+    #[test]
+    fn scan_reads_a_read_only_file() {
+        let path = tmp("readonly");
+        let j = Journal::create(&path, cfg_every(1)).unwrap();
+        j.append(b"kept").unwrap();
+        drop(j);
+        let mut perms = std::fs::metadata(&path).unwrap().permissions();
+        perms.set_readonly(true);
+        std::fs::set_permissions(&path, perms.clone()).unwrap();
+        let scan = Journal::scan(&path).unwrap();
+        assert_eq!(
+            (scan.records, scan.torn_tail_bytes),
+            (vec![b"kept".to_vec()], 0)
+        );
+        #[allow(clippy::permissions_set_readonly_false)]
+        perms.set_readonly(false);
+        std::fs::set_permissions(&path, perms).unwrap();
         std::fs::remove_file(&path).ok();
     }
 

@@ -42,7 +42,8 @@ pub mod map;
 pub use callstate::{CallEvent, CallState, CallStateStore, MediaFlag, StoreWriteError};
 pub use harness::{measure_throughput, peak_event_rate, ThroughputResult};
 pub use journal::{
-    Frames, Journal, JournalConfig, JournalError, JournalFault, JournalReadError, JournalScan,
+    Frames, Journal, JournalConfig, JournalError, JournalFault, JournalReadError, JournalReader,
+    JournalScan,
 };
 pub use latency::LatencyHistogram;
 pub use map::{BuildCallIdHasher, ShardedMap};

@@ -148,6 +148,27 @@ if [ -n "$ordered" ]; then
     exit 1
 fi
 
+echo "==> one-journal-read gate: recovery streams the log through the journal's one frame reader"
+# sb-store validates frames in one place, JournalReader, which streams the
+# file through a fixed buffer: non-test journal.rs reads no file whole.
+# Engine::recover decodes and applies each frame as the reader yields it, so
+# non-test sb-engine neither collects the log with Journal::scan nor keeps
+# its records in a list (a `pub ops:` field). A second validating pass or a
+# copy of the log in recovery fails here instead of in the next benchmark.
+whole=$(non_test crates/store/src/journal.rs | grep -F 'read_to_end' || true)
+if [ -n "$whole" ]; then
+    echo "crates/store/src/journal.rs must stream the log, found read_to_end:" >&2
+    echo "$whole" >&2
+    exit 1
+fi
+collects=$(for f in crates/engine/src/*.rs; do non_test "$f"; done |
+    grep -E 'Journal::scan\(|pub ops:' || true)
+if [ -n "$collects" ]; then
+    echo "sb-engine must apply frames as they are read, found:" >&2
+    echo "$collects" >&2
+    exit 1
+fi
+
 echo "==> one-drive-core gate: the call lifecycle and the partition rule live in sb-sim's drive.rs"
 # Replay, chaos, autoscale, the crash drill and the load bench are
 # configurations of crates/sim/src/drive.rs. Outside test modules nothing
