@@ -670,20 +670,20 @@ pub struct SelectorStateExport {
     pub stats: SelectorStats,
 }
 
-/// How [`RealtimeSelector::restore_freeze`] should re-apply a recovered
-/// freeze's quota debit.
+/// How [`RealtimeSelector::restore_debit`] should re-apply a recovered
+/// decision's quota debit at its DC.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RestoreDebit {
     /// No quota was debited (unplanned / overflow / stale-plan freezes).
     None,
-    /// Debit the first cell of this DC with quota left, in plan-entry order
-    /// — the [`FreezeDecision::Stay`] debit rule.
-    FirstOf(DcId),
-    /// Debit the max-remaining cell of this DC, later ties winning — the
-    /// [`FreezeDecision::Migrate`] debit rule, restricted to the recorded
-    /// winner's DC (the global maximum lived there, so the restriction
-    /// picks the same cell).
-    BestOf(DcId),
+    /// Debit the DC's first cell with quota left, in plan-entry order — the
+    /// [`FreezeDecision::Stay`] debit rule.
+    FirstOf,
+    /// Debit the DC's max-remaining cell, later ties winning — the
+    /// [`FreezeDecision::Migrate`] and plan-rung re-home debit rule,
+    /// restricted to the recorded winner's DC (the global maximum lived
+    /// there, so the restriction picks the same cell).
+    BestOf,
 }
 
 /// The real-time selector state machine.
@@ -941,16 +941,17 @@ impl RealtimeSelector {
         st: &mut SelectorStats,
         call_id: u64,
         first_joiner: CountryId,
-    ) -> SelectorOutcome {
+    ) -> (SelectorOutcome, Option<DcId>) {
         let m = crate::metrics::realtime_metrics();
         let _t = m.selection_ns.start_timer();
         st.calls += 1;
         let outcome = topo.place(first_joiner);
+        let mut moved_from = None;
         match outcome {
             SelectorOutcome::Placed { dc, rung } => {
                 m.assignments.inc();
                 Self::record_rung(st, rung);
-                self.active.insert(
+                let prev = self.active.insert(
                     call_id,
                     ActiveCall {
                         dc,
@@ -958,13 +959,14 @@ impl RealtimeSelector {
                         frozen: None,
                     },
                 );
+                moved_from = prev.map(|p| p.dc).filter(|&old| old != dc);
             }
             SelectorOutcome::Stranded => {
                 st.stranded += 1;
                 m.stranded.inc();
             }
         }
-        outcome
+        (outcome, moved_from)
     }
 
     /// Quota consultation for one freeze. Caller holds the call's shard
@@ -1139,7 +1141,7 @@ impl RealtimeSelector {
     pub fn call_start(&self, call_id: u64, first_joiner: CountryId) -> SelectorOutcome {
         let topo = self.topo_view();
         let mut st = SelectorStats::default();
-        let out = self.start_core(&topo, &mut st, call_id, first_joiner);
+        let (out, _) = self.start_core(&topo, &mut st, call_id, first_joiner);
         self.stats.merge(&st);
         out
     }
@@ -1257,111 +1259,69 @@ impl RealtimeSelector {
         }
     }
 
-    /// Recovery: re-insert an admitted call exactly as a journaled
-    /// [`RealtimeSelector::call_start`] left it — no placement logic runs
-    /// and no statistics move (the recovery driver replays the recorded
-    /// decision and accounts stats separately).
-    pub fn restore_call(&self, call_id: u64, first_joiner: CountryId, dc: DcId) {
+    /// Recovery: insert a call that survived the journal exactly as the
+    /// journaled decisions left it — hosted at `dc`, frozen at `frozen` —
+    /// with no placement logic run and no statistics moved (the recovery
+    /// driver replays the recorded decisions and accounts stats separately).
+    pub fn restore_call(
+        &self,
+        call_id: u64,
+        first_joiner: CountryId,
+        dc: DcId,
+        frozen: Option<(ConfigId, usize)>,
+    ) {
         self.active.insert(
             call_id,
             ActiveCall {
                 dc,
                 country: first_joiner,
-                frozen: None,
+                frozen,
             },
         );
     }
 
-    /// Recovery: re-apply a journaled freeze *decision* — mark the call
-    /// frozen at `frozen`, move it to `final_dc`, re-debit quota per
-    /// `debit`, and bump the per-DC tally when `tally`. Returns `false`
-    /// when the call is not live (an inconsistent journal). Statistics do
-    /// not move; the recovery driver accounts them from the record.
-    pub fn restore_freeze(
+    /// Recovery: re-apply the quota half of a journaled decision in log
+    /// order — debit `frozen`'s pool at `dc` per `debit` against the plan
+    /// installed now, and bump `dc`'s per-DC tally when `tally`. No call is
+    /// touched and no statistics move.
+    pub fn restore_debit(
         &self,
-        call_id: u64,
         frozen: Option<(ConfigId, usize)>,
-        final_dc: DcId,
+        dc: DcId,
         debit: RestoreDebit,
         tally: bool,
-    ) -> bool {
+    ) {
         let table = self.table();
-        let known = self.active.update(&call_id, |call| {
-            call.frozen = frozen;
-            call.dc = final_dc;
-        });
-        if !known {
-            return false;
-        }
-        let pool = frozen.and_then(|(cfg, s)| table.range(cfg, s));
-        match (debit, pool) {
-            (RestoreDebit::None, _) | (_, None) => {}
-            (RestoreDebit::FirstOf(dc), Some(pool)) => {
-                for i in pool {
-                    if table.dcs[i] == dc && table.try_debit(i) {
-                        break;
+        if let Some(pool) = frozen.and_then(|(cfg, s)| table.range(cfg, s)) {
+            match debit {
+                RestoreDebit::None => {}
+                RestoreDebit::FirstOf => {
+                    for i in pool {
+                        if table.dcs[i] == dc && table.try_debit(i) {
+                            break;
+                        }
                     }
                 }
-            }
-            (RestoreDebit::BestOf(dc), Some(pool)) => {
-                let mut best: Option<(usize, u32)> = None;
-                for i in pool {
-                    if table.dcs[i] != dc {
-                        continue;
+                RestoreDebit::BestOf => {
+                    let mut best: Option<(usize, u32)> = None;
+                    for i in pool {
+                        if table.dcs[i] != dc {
+                            continue;
+                        }
+                        let r = table.remaining[i].load(Ordering::Relaxed);
+                        if r > 0 && best.is_none_or(|(_, br)| r >= br) {
+                            best = Some((i, r));
+                        }
                     }
-                    let r = table.remaining[i].load(Ordering::Relaxed);
-                    if r > 0 && best.is_none_or(|(_, br)| r >= br) {
-                        best = Some((i, r));
+                    if let Some((i, _)) = best {
+                        table.try_debit(i);
                     }
-                }
-                if let Some((i, _)) = best {
-                    table.try_debit(i);
                 }
             }
         }
         if tally {
-            self.dc_tally[final_dc.index()].fetch_add(1, Ordering::Relaxed);
+            self.dc_tally[dc.index()].fetch_add(1, Ordering::Relaxed);
         }
-        true
-    }
-
-    /// Recovery: re-apply a journaled forced re-home *decision* — move the
-    /// call to `dc` preserving its frozen key, re-debiting quota when the
-    /// recorded rung was the plan rung (the [`RestoreDebit::BestOf`]
-    /// mirror, matching what [`RealtimeSelector::rehome_call`] debited).
-    /// Returns the DC the call occupied before, or `None` when the call is
-    /// not live (an inconsistent journal). Statistics do not move; the
-    /// recovery driver accounts them from the record.
-    pub fn restore_rehome(&self, call_id: u64, dc: DcId, plan_rung: bool) -> Option<DcId> {
-        let mut old = None;
-        let mut frozen_key = None;
-        let known = self.active.update(&call_id, |call| {
-            old = Some(call.dc);
-            frozen_key = call.frozen;
-            call.dc = dc;
-        });
-        if !known {
-            return None;
-        }
-        if plan_rung {
-            let table = self.table();
-            if let Some(pool) = frozen_key.and_then(|(cfg, s)| table.range(cfg, s)) {
-                let mut best: Option<(usize, u32)> = None;
-                for i in pool {
-                    if table.dcs[i] != dc {
-                        continue;
-                    }
-                    let r = table.remaining[i].load(Ordering::Relaxed);
-                    if r > 0 && best.is_none_or(|(_, br)| r >= br) {
-                        best = Some((i, r));
-                    }
-                }
-                if let Some((i, _)) = best {
-                    table.try_debit(i);
-                }
-            }
-        }
-        old
     }
 
     /// Merge a statistics delta straight into the aggregate counters —
@@ -1423,6 +1383,19 @@ impl SelectorShard<'_> {
 
     /// Shard-local [`RealtimeSelector::call_start`].
     pub fn call_start(&mut self, call_id: u64, first_joiner: CountryId) -> SelectorOutcome {
+        self.call_start_replacing(call_id, first_joiner).0
+    }
+
+    /// [`SelectorShard::call_start`], also returning the DC a duplicate
+    /// start moved an already-live call away from (`None` for a new call,
+    /// a call placed where it already was, or a stranded start, which
+    /// leaves a live call where it is) — the DC whose resources the caller
+    /// must free.
+    pub fn call_start_replacing(
+        &mut self,
+        call_id: u64,
+        first_joiner: CountryId,
+    ) -> (SelectorOutcome, Option<DcId>) {
         let m = crate::metrics::realtime_metrics();
         m.shard_ops[self.metric_slot()].inc();
         let _t = m.shard_selection_ns[self.metric_slot()].start_timer();
@@ -1956,29 +1929,17 @@ mod tests {
             }
         );
         live.call_end(3);
+        live.call_end(98);
         assert_eq!(live.config_frozen(99, cfg, 0), FreezeDecision::UnknownCall);
 
-        // recovery: re-apply the recorded decisions, stats in one delta
+        // recovery: re-apply the recorded debits in log order, land the
+        // survivors once, stats in one delta
         let rec = selector_of(&lm, mk());
-        rec.restore_call(1, CountryId(0), DcId(0));
-        rec.restore_call(2, CountryId(0), DcId(0));
-        rec.restore_call(3, CountryId(1), DcId(1));
-        assert!(rec.restore_freeze(
-            1,
-            Some((cfg, 0)),
-            DcId(0),
-            RestoreDebit::FirstOf(DcId(0)),
-            true
-        ));
-        assert!(rec.restore_freeze(
-            2,
-            Some((cfg, 0)),
-            DcId(1),
-            RestoreDebit::BestOf(DcId(1)),
-            true
-        ));
-        rec.call_end(3);
-        assert!(!rec.restore_freeze(99, Some((cfg, 0)), DcId(0), RestoreDebit::None, false));
+        rec.restore_debit(Some((cfg, 0)), DcId(0), RestoreDebit::FirstOf, true);
+        rec.restore_debit(Some((cfg, 0)), DcId(1), RestoreDebit::BestOf, true);
+        rec.restore_call(1, CountryId(0), DcId(0), Some((cfg, 0)));
+        rec.restore_call(2, CountryId(0), DcId(1), Some((cfg, 0)));
+        rec.call_end(98); // an unknown end counts itself, as live
         let delta = SelectorStats {
             calls: 3,
             freezes: 2,

@@ -7,6 +7,7 @@
 //! hot-swap, and graceful drain. Keeping the two apart is deliberate — see
 //! DESIGN.md §Layering for the separation-of-concerns lesson this encodes.
 
+use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -19,12 +20,12 @@ use sb_core::{
 use sb_forecast::{Observation, StreamingForecaster, StreamingParams};
 use sb_net::{CountryId, DcId};
 use sb_pack::{
-    CostModel, FleetPacker, FleetSpec, GrowthModel, MoveDcOutcome, PackStateExport, PackStats,
-    PackerConfig, ServerId,
+    CallInfo, CostModel, FleetPacker, FleetSpec, GrowthModel, MoveDcOutcome, PackStateExport,
+    PackStats, PackerConfig, ServerId,
 };
 use sb_store::{
-    BuildCallIdHasher, CallEvent, CallStateStore, Frames, Journal, JournalConfig, JournalReadError,
-    LatencyHistogram, MediaFlag,
+    BuildCallIdHasher, CallEvent, CallState, CallStateStore, Frames, Journal, JournalConfig,
+    JournalReadError, LatencyHistogram, MediaFlag,
 };
 use sb_workload::ConfigId;
 
@@ -668,14 +669,18 @@ impl Engine {
 
     /// Rebuild an engine from its journal in one validating pass: re-install
     /// the boot plan from record 0, then decode and re-apply every durable
-    /// operation's *recorded decision* as its frame is read — selector call
-    /// state, quota debits, per-DC tallies, statistics, store writes, and
-    /// the plan epoch all land bitwise-identical to an uninterrupted run
-    /// over the same durable prefix. The first problem in log order is the
-    /// error, and a refused recovery leaves the file as it found it: a torn
-    /// tail is truncated only after the last record is applied. The
-    /// returned engine appends to the same journal, resuming at the next
-    /// sequence number.
+    /// operation's *recorded decision* as its frame is read. What depends
+    /// on log order — quota debits, per-DC tallies, statistics, plan
+    /// installs, server deaths, forecast marks — is applied record by
+    /// record; each call's selector entry, store record and packer slot are
+    /// kept in one recovery-local table that an end removes the call from,
+    /// and the calls that survive the log land in the selector, the store
+    /// and the packer once, in call-id order. The result is
+    /// bitwise-identical to an uninterrupted run over the same durable
+    /// prefix. The first problem in log order is the error, and a refused
+    /// recovery leaves the file as it found it: a torn tail is truncated
+    /// only after the last record is applied. The returned engine appends
+    /// to the same journal, resuming at the next sequence number.
     pub fn recover(
         latmap: &LatencyMap,
         cfg: &EngineConfig,
@@ -702,18 +707,10 @@ impl Engine {
         let mut engine = Engine::new(latmap, &boot, cfg);
         let mut report = RecoveryReport::default();
         let mut delta = SelectorStats::default();
-        // a fresh store has no failed shard: every replayed write lands
+        // every store event the live run persisted is one write: a fresh
+        // store has no failed shard
         let mut writes = 0u64;
-        let mut write = |ev| {
-            let _ = engine.store.try_write(ev);
-            writes += 1;
-        };
-        // Per-call packing view rebuilt from the records: hosting DC,
-        // charged participants, frozen flag. Reservations are recomputed
-        // (they are a pure function of the participant count by
-        // construction), so they are never journaled.
-        let mut pack_slots: std::collections::HashMap<u64, (u16, u32, bool), BuildCallIdHasher> =
-            Default::default();
+        let mut calls: HashMap<u64, RecoveredCall, BuildCallIdHasher> = HashMap::default();
         let mut index = 0;
         while let Some(payload) = frames.next_frame().map_err(RecoveryError::Journal)? {
             index += 1;
@@ -742,43 +739,41 @@ impl Engine {
                                 SelectorRung::Locality => {}
                                 SelectorRung::AnyReachable => delta.degraded_any += 1,
                             }
-                            engine
-                                .selector
-                                .restore_call(*call, CountryId(*country), place);
-                            if *server != wal::NO_SERVER {
-                                if let Some(rt) = &engine.pack {
-                                    rt.packer.restore_set(
-                                        place,
-                                        *call,
-                                        *server,
-                                        1,
-                                        rt.cost.cost_mcpu(1),
-                                        rt.reserve(1),
-                                        false,
-                                    );
-                                    pack_slots.insert(*call, (place.0, 1, false));
+                            let c = calls.entry(*call).or_default();
+                            c.selector = Some((CountryId(*country), place, None));
+                            c.state = Some(CallState::start(*country, place.0));
+                            writes += 1;
+                            // a duplicate admit keeps the call's slot in its
+                            // DC; one that moved the call freed the old slot
+                            if let Some(rt) = &engine.pack {
+                                if c.slot.is_none_or(|s| s.server.dc != place) {
+                                    c.slot = (*server != wal::NO_SERVER).then(|| CallInfo {
+                                        server: ServerId {
+                                            dc: place,
+                                            index: *server,
+                                        },
+                                        participants: 1,
+                                        cost_mcpu: rt.cost.cost_mcpu(1),
+                                        reserve_mcpu: rt.reserve(1),
+                                        frozen: false,
+                                    });
                                 }
                             }
-                            write(CallEvent::Start {
-                                call: *call,
-                                country: *country,
-                                dc: place.index() as u16,
-                            });
                         }
                         SelectorOutcome::Stranded => delta.stranded += 1,
                     }
                 }
                 WalRecord::Join { call, country } => {
-                    write(CallEvent::Join {
-                        call: *call,
-                        country: *country,
-                    });
+                    if let Some(st) = calls.get_mut(call).and_then(|c| c.state.as_mut()) {
+                        st.join(*country);
+                    }
+                    writes += 1;
                 }
                 WalRecord::Media { call, media } => {
-                    write(CallEvent::Media {
-                        call: *call,
-                        media: wal_media(*media),
-                    });
+                    if let Some(st) = calls.get_mut(call).and_then(|c| c.state.as_mut()) {
+                        st.media = wal_media(*media);
+                    }
+                    writes += 1;
                 }
                 WalRecord::Freeze {
                     call,
@@ -796,50 +791,42 @@ impl Engine {
                         | freeze_kind::MIGRATE
                         | freeze_kind::UNPLANNED
                         | freeze_kind::OVERFLOW => {
-                            let cfg_id = ConfigId(*config);
-                            let frozen = engine
+                            let Some(c) = calls.get_mut(call) else {
+                                return Err(RecoveryError::Inconsistent { index });
+                            };
+                            let Some((_, dc, frozen)) = &mut c.selector else {
+                                return Err(RecoveryError::Inconsistent { index });
+                            };
+                            let key = engine
                                 .selector
                                 .plan_slot_of_minute(*start_minute)
-                                .map(|s| (cfg_id, s));
-                            let final_dc = DcId(*to);
+                                .map(|s| (ConfigId(*config), s));
+                            *frozen = key;
+                            *dc = DcId(*to);
                             let debit = match *kind {
-                                freeze_kind::STAY => RestoreDebit::FirstOf(final_dc),
-                                freeze_kind::MIGRATE => RestoreDebit::BestOf(final_dc),
+                                freeze_kind::STAY => RestoreDebit::FirstOf,
+                                freeze_kind::MIGRATE => RestoreDebit::BestOf,
                                 _ => RestoreDebit::None,
                             };
-                            if !engine
-                                .selector
-                                .restore_freeze(*call, frozen, final_dc, debit, true)
-                            {
-                                return Err(RecoveryError::Inconsistent { index });
+                            engine.selector.restore_debit(key, *dc, debit, true);
+                            // the packed half: the slot froze in place, or
+                            // went with the call to the journaled `(to,
+                            // to_server)` — or left the fleet when the DC
+                            // move found no feasible server
+                            c.slot = c.slot.and_then(|s| {
+                                (*to_server != wal::NO_SERVER).then_some(CallInfo {
+                                    server: ServerId {
+                                        dc: *dc,
+                                        index: *to_server,
+                                    },
+                                    frozen: true,
+                                    ..s
+                                })
+                            });
+                            if let Some(st) = &mut c.state {
+                                st.frozen = true;
                             }
-                            if let Some(rt) = &engine.pack {
-                                // Re-apply the packed half of the decision:
-                                // freeze the slot in place, or carry it to
-                                // the journaled `(to, to_server)` location.
-                                if let Some(&(from_dc, p, _)) = pack_slots.get(call) {
-                                    if *to_server == wal::NO_SERVER {
-                                        // the DC move found no feasible
-                                        // server — the call left the fleet
-                                        rt.packer.restore_remove(DcId(from_dc), *call);
-                                        pack_slots.remove(call);
-                                    } else {
-                                        if from_dc != *to {
-                                            rt.packer.restore_remove(DcId(from_dc), *call);
-                                        }
-                                        rt.packer.restore_set(
-                                            DcId(*to),
-                                            *call,
-                                            *to_server,
-                                            p,
-                                            rt.cost.cost_mcpu(p),
-                                            rt.reserve(p),
-                                            true,
-                                        );
-                                        pack_slots.insert(*call, (*to, p, true));
-                                    }
-                                }
-                            }
+                            writes += 1;
                             delta.freezes += 1;
                             match *kind {
                                 freeze_kind::MIGRATE => delta.migrations += 1,
@@ -852,27 +839,25 @@ impl Engine {
                                 freeze_kind::OVERFLOW => delta.overflow += 1,
                                 _ => {}
                             }
-                            write(CallEvent::Freeze { call: *call });
                         }
                         freeze_kind::ALREADY_FROZEN => {
                             delta.duplicate_freezes += 1;
-                            write(CallEvent::Freeze { call: *call });
+                            if let Some(st) = calls.get_mut(call).and_then(|c| c.state.as_mut()) {
+                                st.frozen = true;
+                            }
+                            writes += 1;
                         }
                         freeze_kind::UNKNOWN => delta.unknown_freezes += 1,
                         _ => return Err(RecoveryError::BadRecord { index }),
                     }
                 }
                 WalRecord::End { call } => {
-                    if let Some(rt) = &engine.pack {
-                        if let Some((dc, _, _)) = pack_slots.remove(call) {
-                            rt.packer.restore_remove(DcId(dc), *call);
-                        }
+                    // `call_end` accounts an end the selector does not know
+                    // itself, exactly as the live run's did
+                    if calls.remove(call).and_then(|c| c.selector).is_none() {
+                        engine.selector.call_end(*call);
                     }
-                    // `call_end` accounts unknown ends itself, and the live
-                    // set evolves identically to the original run, so the
-                    // tallies match without a recorded flag
-                    engine.selector.call_end(*call);
-                    write(CallEvent::End { call: *call });
+                    writes += 1;
                     engine.ended.fetch_add(1, Ordering::Relaxed);
                     report.ends += 1;
                 }
@@ -885,31 +870,20 @@ impl Engine {
                 } => {
                     report.packs += 1;
                     if let Some(rt) = &engine.pack {
-                        let prev = pack_slots.get(call).copied();
-                        if let Some((old_dc, _, _)) = prev {
-                            if old_dc != *dc {
-                                rt.packer.restore_remove(DcId(old_dc), *call);
-                            }
-                        }
-                        if *dc == wal::NO_DC || *server == wal::NO_SERVER {
-                            // the call left the fleet (stranded or unpacked)
-                            if *dc != wal::NO_DC {
-                                rt.packer.restore_remove(DcId(*dc), *call);
-                            }
-                            pack_slots.remove(call);
-                        } else {
-                            let frozen = prev.is_some_and(|(_, _, f)| f);
-                            rt.packer.restore_set(
-                                DcId(*dc),
-                                *call,
-                                *server,
-                                *participants,
-                                *cost_mcpu,
-                                rt.reserve(*participants),
-                                frozen,
-                            );
-                            pack_slots.insert(*call, (*dc, *participants, frozen));
-                        }
+                        // a call the pack record moves off `NO_DC` or
+                        // `NO_SERVER` left the fleet (stranded or unpacked)
+                        let c = calls.entry(*call).or_default();
+                        c.slot =
+                            (*dc != wal::NO_DC && *server != wal::NO_SERVER).then(|| CallInfo {
+                                server: ServerId {
+                                    dc: DcId(*dc),
+                                    index: *server,
+                                },
+                                participants: *participants,
+                                cost_mcpu: *cost_mcpu,
+                                reserve_mcpu: rt.reserve(*participants),
+                                frozen: c.slot.is_some_and(|s| s.frozen),
+                            });
                     }
                 }
                 WalRecord::ServerDeath { dc, server } => {
@@ -925,25 +899,40 @@ impl Engine {
                     report.rehomes += 1;
                     match wal::decode_outcome(*dc, *rung) {
                         SelectorOutcome::Placed { dc: new_dc, rung } => {
-                            let Some(old) = engine.selector.restore_rehome(
-                                *call,
-                                new_dc,
-                                matches!(rung, SelectorRung::Plan),
-                            ) else {
+                            let Some((_, dc, frozen)) =
+                                calls.get_mut(call).and_then(|c| c.selector.as_mut())
+                            else {
                                 return Err(RecoveryError::Inconsistent { index });
                             };
+                            // the plan rung debited what `rehome_call` did
+                            if rung == SelectorRung::Plan {
+                                engine.selector.restore_debit(
+                                    *frozen,
+                                    new_dc,
+                                    RestoreDebit::BestOf,
+                                    false,
+                                );
+                            }
                             match rung {
                                 SelectorRung::Plan => delta.rehomed_plan += 1,
                                 SelectorRung::Locality => {}
                                 SelectorRung::AnyReachable => delta.degraded_any += 1,
                             }
-                            if old != new_dc {
+                            if *dc != new_dc {
                                 delta.forced_migrations += 1;
                             }
+                            *dc = new_dc;
                         }
                         SelectorOutcome::Stranded => {
-                            // the live run dropped the call down the ladder
-                            engine.selector.call_end(*call);
+                            // the live run dropped the call down the ladder;
+                            // one the selector did not know counts as its end
+                            if calls
+                                .get_mut(call)
+                                .and_then(|c| c.selector.take())
+                                .is_none()
+                            {
+                                engine.selector.call_end(*call);
+                            }
                             delta.stranded += 1;
                         }
                     }
@@ -973,6 +962,28 @@ impl Engine {
                 }
             }
         }
+        // the survivors land once, in call-id order
+        let mut survivors: Vec<(u64, RecoveredCall)> = calls.into_iter().collect();
+        survivors.sort_unstable_by_key(|&(call, _)| call);
+        for (call, c) in survivors {
+            if let Some((country, dc, frozen)) = c.selector {
+                engine.selector.restore_call(call, country, dc, frozen);
+            }
+            if let Some(st) = c.state {
+                engine.store.restore_state(call, st);
+            }
+            if let (Some(s), Some(rt)) = (c.slot, &engine.pack) {
+                rt.packer.restore_set(
+                    s.server.dc,
+                    call,
+                    s.server.index,
+                    s.participants,
+                    s.cost_mcpu,
+                    s.reserve_mcpu,
+                    s.frozen,
+                );
+            }
+        }
         report.records = frames.records();
         report.torn_tail_bytes = frames.torn_tail_bytes();
         engine.journal = Some(frames.resume(path, jcfg).map_err(RecoveryError::Journal)?);
@@ -982,6 +993,20 @@ impl Engine {
         report.plan_epoch = engine.plan_epoch();
         Ok((engine, report))
     }
+}
+
+/// The `(config, plan slot)` quota pool a frozen call debited.
+type QuotaKey = (ConfigId, usize);
+
+/// One call as [`Engine::recover`] rebuilds it from the journal: the
+/// selector's entry, the store's record and the packer's slot, each present
+/// while the journaled history says that table holds the call.
+#[derive(Default)]
+struct RecoveredCall {
+    /// First joiner's country, hosting DC and frozen quota key.
+    selector: Option<(CountryId, DcId, Option<QuotaKey>)>,
+    state: Option<CallState>,
+    slot: Option<CallInfo>,
 }
 
 /// Decode a wire media code back to a [`MediaFlag`].
@@ -1250,13 +1275,19 @@ impl EngineWorker<'_> {
             self.stop_op(op);
             return Admission::Shed { reason };
         }
-        let outcome = self.shard.call_start(call, first_joiner);
+        let (outcome, moved_from) = self.shard.call_start_replacing(call, first_joiner);
         let (dc16, rung) = wal::encode_outcome(outcome);
         let server = match (outcome.dc(), &self.engine.pack) {
-            (Some(dc), Some(rt)) => rt
-                .packer
-                .place(dc, call, 1, rt.cost.cost_mcpu(1), rt.reserve(1))
-                .map_or(wal::NO_SERVER, |s| s.index),
+            (Some(dc), Some(rt)) => {
+                // a duplicate admit that moved a live call to another DC
+                // frees its old slot before taking a new one
+                if let Some(old) = moved_from {
+                    rt.packer.remove(old, call);
+                }
+                rt.packer
+                    .place(dc, call, 1, rt.cost.cost_mcpu(1), rt.reserve(1))
+                    .map_or(wal::NO_SERVER, |s| s.index)
+            }
             _ => wal::NO_SERVER,
         };
         let rec = WalRecord::Admit {
@@ -1672,6 +1703,7 @@ mod tests {
         drop(w);
         let before_state = engine.export_selector_state();
         let before = engine.stats();
+        let before_store = engine.store().export_state();
 
         let lost = engine.journal().unwrap().crash();
         assert_eq!(lost, 0, "sync_every=1 leaves no unsynced tail");
@@ -1688,7 +1720,9 @@ mod tests {
         assert_eq!(after.selector, before.selector, "selector stats diverged");
         assert_eq!(after.active_calls, before.active_calls);
         assert_eq!(recovered.export_selector_state(), before_state);
-        // the store holds the live call again
+        // the store holds the live call again, as the live run left it
+        assert_eq!(recovered.store().export_state(), before_store);
+        assert_eq!(after.store_writes, before.store_writes);
         assert!(recovered.store().get(1).unwrap().frozen);
         assert!(recovered.store().get(2).is_none());
         // recovered engine keeps journaling: a new op appends past the tail
@@ -2039,6 +2073,214 @@ mod tests {
             "the duplicate is not charged again"
         );
         assert_eq!(packer.capacity_violations(), 0);
+    }
+
+    /// Regression: a duplicate admit that the selector placed at another
+    /// DC took a second packer slot there, and the call's end freed only
+    /// that one — the first slot was held for good.
+    #[test]
+    fn duplicate_admit_to_another_dc_frees_the_old_slot() {
+        let (topo, latmap, artifact, _) = world();
+        let engine = Engine::new(&latmap, &artifact, &pack_config(&[2_000, 2_000]));
+        let (jp, india) = (topo.country_by_name("JP"), topo.country_by_name("IN"));
+        let mut w = engine.worker();
+        let first = w.admit(3, jp).dc().expect("placed");
+        let second = w.admit(3, india).dc().expect("placed");
+        assert_ne!(first, second, "the duplicate moves the call");
+        let packer = engine.packer().unwrap();
+        assert!(
+            packer.server_of(first, 3).is_none(),
+            "the old slot is freed"
+        );
+        assert!(packer.server_of(second, 3).is_some());
+        w.end(3);
+        drop(w);
+        let ex = engine.export_pack_state().unwrap();
+        assert!(ex.calls.iter().flatten().all(|c| c.0 != 3), "{ex:?}");
+        assert!(ex
+            .servers
+            .iter()
+            .flatten()
+            .all(|s| (s.used_mcpu, s.reserved_mcpu) == (0, 0)));
+        assert_eq!(packer.capacity_violations(), 0);
+    }
+
+    /// One scripted log through every branch of recovery's apply loop — a
+    /// same-DC duplicate admit, a server death whose call survives in its
+    /// DC, a mid-log plan install, a migrating freeze that finds no server
+    /// (`to_server == NO_SERVER`), an admit that packs nowhere, a repeated
+    /// freeze, a stranded re-home (`Pack` to `NO_DC`) and its end, an
+    /// unknown end and an unknown freeze — recovers to the live engine's
+    /// selector, store, packer and counters, packed and unpacked.
+    #[test]
+    fn a_corner_case_log_recovers_to_the_live_engine() {
+        let (topo, latmap, artifact, cfg) = world();
+        let (jp, hk, india) = (
+            topo.country_by_name("JP"),
+            topo.country_by_name("HK"),
+            topo.country_by_name("IN"),
+        );
+        let (tokyo, hong_kong, pune) = (
+            topo.dc_by_name("Tokyo"),
+            topo.dc_by_name("HongKong"),
+            topo.dc_by_name("Pune"),
+        );
+        let server = |dc, index| ServerId { dc, index };
+        let to_pune = PlanArtifact::seed(quotas_at(cfg, &[(pune, 1.0)], 10.0)).with_epoch(1);
+        for packed in [false, true] {
+            let path = temp_journal_path(&format!("corner-cases-{packed}"));
+            let jcfg = JournalConfig {
+                sync_every: 1,
+                ..JournalConfig::default()
+            };
+            let ecfg = if packed {
+                pack_config(&[2_000, 2_000])
+            } else {
+                EngineConfig::default()
+            };
+            let journal = Journal::create(&path, jcfg).unwrap();
+            let engine = Engine::with_journal(&latmap, &artifact, &ecfg, journal).unwrap();
+            let mut w = engine.worker();
+            assert_eq!(w.admit(1, jp).dc(), Some(tokyo));
+            w.join(1, jp);
+            w.set_media(1, MediaFlag::Video);
+            assert_eq!(w.freeze(1, cfg, 0), FreezeDecision::Stay(tokyo));
+            // same DC again: a fresh selector entry and store record, the
+            // packer slot (two participants, frozen) kept
+            assert_eq!(w.admit(1, jp).dc(), Some(tokyo));
+            assert_eq!(w.admit(2, jp).dc(), Some(tokyo));
+            assert_eq!(w.admit(3, hk).dc(), Some(hong_kong));
+            drop(w);
+            if packed {
+                // call 2's server dies and its DC absorbs it
+                let home = engine.server_of(2).unwrap();
+                assert_eq!(engine.kill_server(home).rehomed, 1);
+                // Pune's fleet dies empty: nothing packs there any more
+                engine.kill_server(server(pune, 0));
+                engine.kill_server(server(pune, 1));
+            }
+            engine.install_plan(&to_pune);
+            let mut w = engine.worker();
+            assert_eq!(
+                w.freeze(2, cfg, 0),
+                FreezeDecision::Migrate {
+                    from: tokyo,
+                    to: pune
+                }
+            );
+            assert_eq!(w.freeze(2, cfg, 0), FreezeDecision::AlreadyFrozen(pune));
+            assert_eq!(w.admit(4, india).dc(), Some(pune));
+            drop(w);
+            if packed {
+                // with every DC down, call 3's fleet dies under it and the
+                // ladder strands it
+                engine.update_topology(&latmap, &[false; 3]);
+                engine.kill_server(server(hong_kong, 1));
+                let rep = engine.kill_server(engine.server_of(3).unwrap());
+                assert_eq!(rep.stranded, 1);
+                engine.update_topology(&latmap, &[true; 3]);
+            }
+            let mut w = engine.worker();
+            w.end(3);
+            w.end(99);
+            assert_eq!(w.freeze(98, cfg, 0), FreezeDecision::UnknownCall);
+            drop(w);
+            let (selector, stats) = (engine.export_selector_state(), engine.stats());
+            let (store, pack) = (engine.store().export_state(), engine.export_pack_state());
+            assert_eq!(selector.calls.len(), 3);
+            assert_eq!(store.len(), 3);
+            assert_eq!(engine.journal().unwrap().crash(), 0);
+            drop(engine);
+
+            let records: Vec<WalRecord> = Journal::scan(&path)
+                .unwrap()
+                .records
+                .iter()
+                .map(|p| WalRecord::decode(p).unwrap())
+                .collect();
+            let (recovered, report) = Engine::recover(&latmap, &ecfg, jcfg, &path).unwrap();
+            let _ = std::fs::remove_file(&path);
+            assert_eq!(
+                recovered.export_selector_state(),
+                selector,
+                "packed {packed}"
+            );
+            assert_eq!(recovered.stats(), stats, "packed {packed}");
+            assert_eq!(recovered.store().export_state(), store, "packed {packed}");
+            assert_eq!(recovered.export_pack_state(), pack, "packed {packed}");
+            assert_eq!((report.plans, report.live_calls), (1, 3));
+            assert_eq!(stats.selector.unknown_ends, u64::from(packed) + 1);
+            if packed {
+                assert_eq!(report.server_deaths, 5);
+                assert!(records.iter().any(|r| matches!(
+                    r,
+                    WalRecord::Freeze {
+                        kind: freeze_kind::MIGRATE,
+                        to_server: wal::NO_SERVER,
+                        ..
+                    }
+                )));
+                assert!(records.iter().any(|r| matches!(
+                    r,
+                    WalRecord::Pack {
+                        call: 3,
+                        dc: wal::NO_DC,
+                        ..
+                    }
+                )));
+                let pack = pack.unwrap();
+                let (tokyo_calls, pune_calls) = (&pack.calls[0], &pack.calls[2]);
+                assert_eq!(tokyo_calls.len(), 1, "only call 1 stays packed");
+                assert_eq!(
+                    (tokyo_calls[0].0, tokyo_calls[0].2, tokyo_calls[0].5),
+                    (1, 2, true)
+                );
+                assert!(pune_calls.is_empty());
+            }
+        }
+    }
+
+    /// A freeze or a re-home for a call the log never admitted is an
+    /// inconsistent journal, refused at that record.
+    #[test]
+    fn recovery_refuses_a_decision_for_a_call_never_admitted() {
+        let (_, latmap, artifact, _) = world();
+        let freeze = WalRecord::Freeze {
+            call: 5,
+            config: 0,
+            start_minute: 0,
+            stale: false,
+            kind: freeze_kind::STAY,
+            from: 0,
+            to: 0,
+            to_server: wal::NO_SERVER,
+        };
+        let (dc, rung) = wal::encode_outcome(SelectorOutcome::Placed {
+            dc: DcId(1),
+            rung: SelectorRung::Locality,
+        });
+        let rehome = WalRecord::Rehome { call: 5, dc, rung };
+        for (packed, rec) in [(false, &freeze), (true, &freeze), (true, &rehome)] {
+            let path = temp_journal_path("never-admitted");
+            let ecfg = if packed {
+                pack_config(&[2_000])
+            } else {
+                EngineConfig::default()
+            };
+            let journal = Journal::create(&path, JournalConfig::default()).unwrap();
+            let engine = Engine::with_journal(&latmap, &artifact, &ecfg, journal).unwrap();
+            assert!(engine.worker().admit(1, CountryId(0)).dc().is_some());
+            engine.journal().unwrap().append(&rec.encode()).unwrap();
+            engine.sync_journal();
+            drop(engine);
+            let recovered = Engine::recover(&latmap, &ecfg, JournalConfig::default(), &path);
+            let _ = std::fs::remove_file(&path);
+            assert_eq!(
+                recovered.err(),
+                Some(RecoveryError::Inconsistent { index: 2 }),
+                "{rec:?}"
+            );
+        }
     }
 
     #[test]

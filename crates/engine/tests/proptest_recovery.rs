@@ -9,8 +9,8 @@
 //!   prefix, and recovering the same journal twice is bitwise-deterministic;
 //! * a **flipped byte** anywhere in the file yields a typed error or a
 //!   clean prefix of the original record stream — never divergent state;
-//! * an **untorn log** of a packing engine recovers to the live packing
-//!   state.
+//! * an **untorn log** of a packing engine recovers to the live engine:
+//!   selector, call-state store, packing state and counters.
 //!
 //! Each property runs on a plain engine and on a packing one (two servers
 //! per DC), whose joins journal a `Join` and its `Pack` records in one
@@ -20,11 +20,11 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
-use sb_core::{AllocationShares, LatencyMap, PlanArtifact, PlannedQuotas};
-use sb_engine::{Engine, EngineConfig, EnginePackConfig, RecoveryError};
+use sb_core::{AllocationShares, LatencyMap, PlanArtifact, PlannedQuotas, SelectorStateExport};
+use sb_engine::{Engine, EngineConfig, EnginePackConfig, EngineStats, RecoveryError};
 use sb_net::{CountryId, DcId, FailureScenario, RoutingTable};
 use sb_pack::{CostModel, FleetSpec, GrowthModel, PackStateExport, PackerConfig};
-use sb_store::{Journal, JournalConfig, JournalReadError, MediaFlag};
+use sb_store::{CallState, Journal, JournalConfig, JournalReadError, MediaFlag};
 use sb_workload::{ConfigId, DemandMatrix};
 
 /// One lifecycle op; ids collide on purpose (unknown-call paths included).
@@ -106,15 +106,33 @@ fn media_of(code: u8) -> MediaFlag {
     }
 }
 
+/// Everything recovery must rebuild, as one comparable snapshot.
+#[derive(Debug, PartialEq)]
+struct EngineState {
+    selector: SelectorStateExport,
+    store: Vec<(u64, CallState)>,
+    pack: Option<PackStateExport>,
+    stats: EngineStats,
+}
+
+fn state_of(engine: &Engine) -> EngineState {
+    EngineState {
+        selector: engine.export_selector_state(),
+        store: engine.store().export_state(),
+        pack: engine.export_pack_state(),
+        stats: engine.stats(),
+    }
+}
+
 /// Drive `ops` through a journaled engine (every append synced) and return
-/// the journal path and the live packing state.
+/// the journal path and the live engine's state.
 fn run_journaled(
     latmap: &LatencyMap,
     artifact: &PlanArtifact,
     ecfg: &EngineConfig,
     ops: &[Op],
     tag: &str,
-) -> (PathBuf, Option<PackStateExport>) {
+) -> (PathBuf, EngineState) {
     let path = temp_path(tag);
     let jcfg = JournalConfig {
         sync_every: 1,
@@ -139,7 +157,7 @@ fn run_journaled(
     }
     drop(w);
     engine.sync_journal();
-    (path, engine.export_pack_state())
+    (path, state_of(&engine))
 }
 
 /// Read the raw framed bytes of the last record (for duplication).
@@ -216,18 +234,14 @@ proptest! {
         prop_assert_eq!(report_a.records, kept.len() as u64);
         prop_assert!(kept.len() <= full_records.len());
         prop_assert_eq!(&kept[..], &full_records[..kept.len()]);
-        let state_a = engine_a.export_selector_state();
-        let stats_a = engine_a.stats();
-        let pack_a = engine_a.export_pack_state();
+        let state_a = state_of(&engine_a);
         drop(engine_a);
 
         let (engine_b, report_b) = Engine::recover(&latmap, &ecfg, jcfg, &path)
             .expect("second recovery must also succeed");
         prop_assert_eq!(report_b.records, report_a.records);
         prop_assert_eq!(report_b.torn_tail_bytes, 0); // first pass truncated it
-        prop_assert_eq!(engine_b.export_selector_state(), state_a);
-        prop_assert_eq!(engine_b.stats(), stats_a);
-        prop_assert_eq!(engine_b.export_pack_state(), pack_a);
+        prop_assert_eq!(state_of(&engine_b), state_a);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -269,9 +283,10 @@ proptest! {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// An untorn log of a packing engine recovers to the live packing
-    /// state: every re-pack, eviction and refusal a join journaled lands
-    /// where the live packer put it.
+    /// An untorn log of a packing engine recovers to the live engine: every
+    /// re-pack, eviction and refusal a join journaled lands where the live
+    /// packer put it, and the selector, the call-state store and the
+    /// counters (store writes included) equal the live ones.
     #[test]
     fn untorn_log_recovers_to_the_live_pack_state(
         ops in proptest::collection::vec(op_strategy(), 1..60)
@@ -283,7 +298,7 @@ proptest! {
         let _ = std::fs::remove_file(&path);
         let (engine, report) = recovered.expect("an untorn log recovers");
         prop_assert_eq!(report.torn_tail_bytes, 0);
-        prop_assert!(live.is_some());
-        prop_assert_eq!(engine.export_pack_state(), live);
+        prop_assert!(live.pack.is_some());
+        prop_assert_eq!(state_of(&engine), live);
     }
 }

@@ -1037,14 +1037,6 @@ impl FleetPacker {
         );
     }
 
-    /// Restore-mode removal (recovery only): drop `call`'s slot without
-    /// touching stats.
-    pub fn restore_remove(&self, dc: DcId, call: u64) {
-        self.dcs[dc.0 as usize]
-            .lock()
-            .restore_set(call, NO_SERVER, 0, 0, 0, false);
-    }
-
     /// Restore-mode server death (recovery only): mark the server dead and
     /// leave its calls in place — the journal's subsequent pack records
     /// carry where each call went.
@@ -1367,7 +1359,7 @@ mod tests {
             (ex.servers[0][1].used_mcpu, ex.servers[0][1].reserved_mcpu),
             (450, 800)
         );
-        p.restore_remove(D0, 1);
+        p.restore_set(D0, 1, NO_SERVER, 0, 0, 0, false);
         assert_eq!(
             p.export_state(),
             packer(&[1_000, 1_000], PackPolicy::GrowthAware).export_state()

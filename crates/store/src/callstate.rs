@@ -48,7 +48,7 @@ pub enum MediaFlag {
 }
 
 /// The evolving state of one call.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CallState {
     /// The first joiner's `(country, participant count)`.
     first: (u16, u16),
@@ -65,7 +65,9 @@ pub struct CallState {
 }
 
 impl CallState {
-    fn start(country: u16, dc: u16) -> CallState {
+    /// A call's state as its `Start` event creates it: one participant from
+    /// `country`, audio, hosted at `dc`, not frozen.
+    pub fn start(country: u16, dc: u16) -> CallState {
         CallState {
             first: (country, 1),
             more: Vec::new(),
@@ -75,7 +77,8 @@ impl CallState {
         }
     }
 
-    fn join(&mut self, country: u16) {
+    /// One more participant from `country` — what a `Join` event applies.
+    pub fn join(&mut self, country: u16) {
         if self.first.0 == country {
             self.first.1 += 1;
             return;
@@ -244,6 +247,24 @@ impl CallStateStore {
         self.map.get(&call)
     }
 
+    /// Recovery: land a call's state as the journaled events left it, in
+    /// one write that counts no event. Dropped when the call's shard is
+    /// failed (a recovering store has none).
+    pub fn restore_state(&self, call: u64, state: CallState) {
+        self.map.insert(call, state);
+    }
+
+    /// Deterministic snapshot of every call's state — participants, media,
+    /// DC and frozen flag — sorted by call id: the store half of the
+    /// recovery equality witness. Not linearizable under concurrent writes.
+    pub fn export_state(&self) -> Vec<(u64, CallState)> {
+        let mut calls = Vec::with_capacity(self.map.len());
+        self.map
+            .for_each(|&call, st| calls.push((call, st.clone())));
+        calls.sort_unstable_by_key(|&(call, _)| call);
+        calls
+    }
+
     /// Fail or heal a store shard (chaos drills): writes routed to a failed
     /// shard are dropped and counted, reads serve stale state.
     pub fn fail_shard(&self, idx: usize, down: bool) {
@@ -345,6 +366,45 @@ mod tests {
         );
         assert_eq!(st.total_participants(), 7);
         assert_eq!(std::mem::size_of::<CallState>(), 32);
+    }
+
+    #[test]
+    fn restored_states_export_like_written_ones() {
+        let live = CallStateStore::new(4);
+        for ev in [
+            CallEvent::Start {
+                call: 2,
+                country: 7,
+                dc: 1,
+            },
+            CallEvent::Join {
+                call: 2,
+                country: 4,
+            },
+            CallEvent::Media {
+                call: 2,
+                media: MediaFlag::Video,
+            },
+            CallEvent::Freeze { call: 2 },
+            CallEvent::Start {
+                call: 1,
+                country: 3,
+                dc: 0,
+            },
+        ] {
+            live.try_write(ev).unwrap();
+        }
+        let restored = CallStateStore::new(4);
+        let mut st = CallState::start(7, 1);
+        st.join(4);
+        st.media = MediaFlag::Video;
+        st.frozen = true;
+        restored.restore_state(2, st);
+        restored.restore_state(1, CallState::start(3, 0));
+        let ex = live.export_state();
+        assert_eq!(restored.export_state(), ex);
+        assert_eq!(ex.iter().map(|&(call, _)| call).collect::<Vec<_>>(), [1, 2]);
+        assert_eq!(ex[1].1.participants().collect::<Vec<_>>(), [(7, 1), (4, 1)]);
     }
 
     #[test]

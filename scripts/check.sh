@@ -169,6 +169,32 @@ if [ -n "$collects" ]; then
     exit 1
 fi
 
+echo "==> one-call-table recovery gate: recovery keeps each call once and lands the survivors once"
+# Engine::recover applies what depends on log order (quota debits, per-DC
+# tallies, stats, plan installs, server deaths, forecast marks) record by
+# record, and keeps each call's selector entry, store record and packer slot
+# in one recovery-local table that an end removes the call from; the calls
+# that survive the log land in the selector, the store and the packer once.
+# So non-test engine.rs keeps no second per-call pack table (pack_slots),
+# calls restore_set( in one place (the survivors' landing) and .try_write( in
+# one place (the serving path's persist). A recovery that writes every call
+# into the shared tables again fails here instead of in the next benchmark.
+shadow=$(non_test crates/engine/src/engine.rs | grep -F 'pack_slots' || true)
+if [ -n "$shadow" ]; then
+    echo "crates/engine/src/engine.rs must keep no pack_slots table outside tests, found:" >&2
+    echo "$shadow" >&2
+    exit 1
+fi
+for expect in "restore_set( 1" ".try_write( 1"; do
+    set -- $expect
+    uses=$(non_test crates/engine/src/engine.rs | grep -c -F "$1" || true)
+    if [ "$uses" != "$2" ]; then
+        echo "crates/engine/src/engine.rs must call $1 in $2 place(s) outside tests, found $uses:" >&2
+        non_test crates/engine/src/engine.rs | grep -F "$1" >&2
+        exit 1
+    fi
+done
+
 echo "==> one-drive-core gate: the call lifecycle and the partition rule live in sb-sim's drive.rs"
 # Replay, chaos, autoscale, the crash drill and the load bench are
 # configurations of crates/sim/src/drive.rs. Outside test modules nothing
