@@ -675,12 +675,12 @@ impl Engine {
     /// record; each call's selector entry, store record and packer slot are
     /// kept in one recovery-local table that an end removes the call from,
     /// and the calls that survive the log land in the selector, the store
-    /// and the packer once, in call-id order. The result is
-    /// bitwise-identical to an uninterrupted run over the same durable
-    /// prefix. The first problem in log order is the error, and a refused
-    /// recovery leaves the file as it found it: a torn tail is truncated
-    /// only after the last record is applied. The returned engine appends
-    /// to the same journal, resuming at the next sequence number.
+    /// and the packer once. The result is bitwise-identical to an
+    /// uninterrupted run over the same durable prefix. The first problem in
+    /// log order is the error, and a refused recovery leaves the file as it
+    /// found it: a torn tail is truncated only after the last record is
+    /// applied. The returned engine appends to the same journal, resuming at
+    /// the next sequence number.
     pub fn recover(
         latmap: &LatencyMap,
         cfg: &EngineConfig,
@@ -962,10 +962,9 @@ impl Engine {
                 }
             }
         }
-        // the survivors land once, in call-id order
-        let mut survivors: Vec<(u64, RecoveredCall)> = calls.into_iter().collect();
-        survivors.sort_unstable_by_key(|&(call, _)| call);
-        for (call, c) in survivors {
+        // the survivors land once; no table's observable state depends on
+        // the order they land in
+        for (call, c) in calls {
             if let Some((country, dc, frozen)) = c.selector {
                 engine.selector.restore_call(call, country, dc, frozen);
             }
