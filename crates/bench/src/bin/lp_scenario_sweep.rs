@@ -1,7 +1,8 @@
 //! Solver perf harness for the provisioning-LP scenario sweep: cold vs
 //! warm-started solves × pricing rule × basis-factorization backend, on the
-//! APAC failure-scenario set (`F₀` + every DC + every link down), plus a
-//! planet-scale single-scenario leg that only the sparse path can solve.
+//! APAC failure-scenario set (`F₀` + every DC + every link down), the
+//! production chained `provision` on the benchmark chain's APAC world, plus
+//! a planet-scale single-scenario leg that only the sparse path can solve.
 //!
 //! Every variant runs the same [`sb_core::provision::solve_scenarios`] sweep
 //! on one thread, so the wall times compare end to end: LP patching, basis
@@ -20,11 +21,12 @@
 //! gate) runs the sparse variants for a single repetition, asserts their
 //! capacities match the committed dense arrays to 1e-9 relative, and
 //! compares the counts of the variants it ran with the committed file's
-//! ([`sb_bench::report`]). `--planet` runs the planet-scale leg alone;
-//! `--planet-f0` solves the benchmark's `plan_planet` LP (`F₀` without
-//! backup, production options) once. Both print where the iterations went
-//! straight from `SolveStats` — the table of EXPERIMENTS.md § "Where a
-//! planet iteration goes" — and record nothing.
+//! ([`sb_bench::report`]). Both run the chained-`provision` leg, which
+//! asserts that every warm start finishes warm. `--planet` runs the
+//! planet-scale leg alone; `--planet-f0` solves the benchmark's
+//! `plan_planet` LP (`F₀` without backup, production options) once. Both
+//! print where the iterations went straight from `SolveStats` — the tables
+//! of EXPERIMENTS.md § "Where a planet iteration goes" — and record nothing.
 
 use std::time::{Duration, Instant};
 
@@ -34,7 +36,7 @@ use sb_bench::common::{
 };
 use sb_bench::report::{Mode, Recorded, Report};
 use sb_core::formulation::{PlanningInputs, ProvisionError, ScenarioData, SolveOptions};
-use sb_core::provision::{solve_scenarios, ProvisionerParams};
+use sb_core::provision::{provision, solve_scenarios, ProvisionerParams};
 use sb_core::ScenarioSolution;
 use sb_lp::{FactorKind, LpError, Pricing, RevisedSimplex, SolveStats};
 use sb_net::{FailureScenario, ProvisionedCapacity};
@@ -232,6 +234,105 @@ fn run_planet(report: &mut Report) {
         .host
         .row("planet")
         .fixed("sparse_wall_s", sparse_wall_s, 6);
+}
+
+/// The chained `provision` leg: the production with-backup sweep (two
+/// refinement passes, one thread, `SolveOptions::default()`) on the APAC
+/// world the benchmark's `chain_apac_4w` provisions — expected demand of 400
+/// configs at 20k calls/day over 28 days, 70 % coverage, 120-minute slots
+/// (`benchmark/src/world.rs::plan_world`). `F₀` solves cold and every later
+/// solve warm-starts from the one before, so this is where a warm start that
+/// falls back to a cold solve shows. Its LP counts come from the `lp.*`
+/// counters of the global registry, read around the one call.
+fn run_chained_provision(report: &mut Report) {
+    let scale = EvalScale {
+        num_configs: 400,
+        daily_calls: 20_000.0,
+        days: 28,
+        ..EvalScale::quick()
+    };
+    let data = build_eval_expected_on(sb_net::presets::apac(), &scale);
+    let inputs = PlanningInputs {
+        topo: &data.topo,
+        catalog: &data.catalog,
+        demand: &data.demand_env,
+        latency_threshold_ms: 120.0,
+    };
+    let params = ProvisionerParams {
+        with_backup: true,
+        threads: 1,
+        ..ProvisionerParams::default()
+    };
+    let reg = sb_obs::global();
+    let was_enabled = reg.enabled();
+    reg.set_enabled(true);
+    let count = |name: &str| reg.counter(name).get();
+    let before: Vec<(&str, u64)> = [
+        "lp.solves",
+        "lp.phase1_iterations",
+        "lp.phase2_iterations",
+        "lp.restore_pivots",
+        "lp.restore_giveups_cap",
+        "lp.restore_giveups_no_column",
+        "lp.restore_giveups_singular",
+        "lp.warm_accepted",
+        "lp.warm_rejected_singular",
+        "lp.warm_rejected_infeasible",
+        "lp.cold_retries",
+        "lp.dense_fallbacks",
+    ]
+    .into_iter()
+    .map(|name| (name, count(name)))
+    .collect();
+    let t0 = Instant::now();
+    let plan = provision(&inputs, &params).expect("the chain's world provisions");
+    let wall_s = t0.elapsed().as_secs_f64();
+    reg.set_enabled(was_enabled);
+    let delta = |name: &str| {
+        let (_, at_start) = before
+            .iter()
+            .find(|(n, _)| *n == name)
+            .expect("read before");
+        count(name) - at_start
+    };
+    let solves = delta("lp.solves");
+    let iterations = delta("lp.phase1_iterations") + delta("lp.phase2_iterations");
+    let restore_pivots = delta("lp.restore_pivots");
+    let (cap, no_column, singular) = (
+        delta("lp.restore_giveups_cap"),
+        delta("lp.restore_giveups_no_column"),
+        delta("lp.restore_giveups_singular"),
+    );
+    let warm_accepted = delta("lp.warm_accepted");
+    let warm_rejected = delta("lp.warm_rejected_singular") + delta("lp.warm_rejected_infeasible");
+    let (cold_retries, dense_fallbacks) = (delta("lp.cold_retries"), delta("lp.dense_fallbacks"));
+    eprintln!(
+        "chained provision  {wall_s:.3}s  solves {solves}  iters {iterations}  restore pivots {restore_pivots} (gave up: cap {cap}, no column {no_column}, singular {singular})  warm {warm_accepted}  rejected {warm_rejected}  cost {:.1}",
+        plan.cost
+    );
+    assert_eq!(
+        (warm_rejected, cold_retries, dense_fallbacks),
+        (0, 0, 0),
+        "every chained warm start must finish warm on the primary rung \
+         (warm rejections, cold retries, dense fallbacks)"
+    );
+    report
+        .counts
+        .row("chained_provision")
+        .label("topology", "apac")
+        .int("solves", solves)
+        .int("iterations", iterations)
+        .int("restore_pivots", restore_pivots)
+        .int("restore_giveups", cap + no_column + singular)
+        .int("warm_accepted", warm_accepted)
+        .int("warm_rejected", warm_rejected)
+        .int("cold_retries", cold_retries)
+        .int("dense_fallbacks", dense_fallbacks)
+        .fixed("cost", plan.cost, 3);
+    report
+        .host
+        .row("chained_provision")
+        .fixed("wall_s", wall_s, 6);
 }
 
 fn main() {
@@ -437,6 +538,7 @@ fn main() {
         "sparse capacities drifted from the dense baseline (max rel diff {cap_diff:.3e})"
     );
     report.counts.sci("capacity_max_rel_diff", cap_diff);
+    run_chained_provision(&mut report);
 
     if !smoke {
         let wall_of = |name: &str| {

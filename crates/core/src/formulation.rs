@@ -463,12 +463,13 @@ impl SweepModel {
                 }
                 let mut completeness: Vec<(Var, f64)> = Vec::with_capacity(union_dcs.len());
                 for (k, &dc) in union_dcs.iter().enumerate() {
-                    let v = lp.add_var(
-                        format!("S_{}_{}_{}", cfg_id.index(), slot, dc.index()),
-                        0.0, // ACL tie-break cost patched per scenario
-                        0.0,
-                        d,
-                    );
+                    // No box of its own: Eq. 9's completeness row with
+                    // `S ≥ 0` already bounds the share by `d`. A redundant
+                    // `S ≤ d` only gives a warm restoration a bound to
+                    // overshoot and repair. The ACL tie-break cost is
+                    // patched per scenario.
+                    let v =
+                        lp.add_nonneg(format!("S_{}_{}_{}", cfg_id.index(), slot, dc.index()), 0.0);
                     completeness.push((v, 1.0));
                     compute_rows[slot * topo.dcs.len() + dc.index()].push((v, call_cl));
                     for &l in &per_dc_links[k] {
@@ -640,7 +641,8 @@ impl SweepModel {
                     .expect("share var DC is in the union");
                 match &placements[k] {
                     Some((acl, loads)) => {
-                        self.lp.set_var_upper(sv.var, sv.demand);
+                        // unbounded above: completeness bounds it (see new)
+                        self.lp.set_var_upper(sv.var, f64::INFINITY);
                         self.lp.set_var_cost(sv.var, self.acl_epsilon * acl);
                         for &(l, w) in loads {
                             let pos = self.net_pos[sv.slot * topo.links.len() + l.index()];

@@ -376,7 +376,9 @@ impl<'a> SlotPlanner<'a> {
                 let d = demand.get(*cfg_id, slot);
                 let mut comp = Vec::with_capacity(dcs.len());
                 for (dc_pos, &dc) in dcs.iter().enumerate() {
-                    let v = lp.add_var(format!("S_{}_{}", cfg_id.index(), dc.index()), 0.0, 0.0, d);
+                    // no box of its own: the completeness row below with
+                    // `S ≥ 0` already bounds the share by `d`
+                    let v = lp.add_nonneg(format!("S_{}_{}", cfg_id.index(), dc.index()), 0.0);
                     comp.push((v, 1.0));
                     compute_acc[dc.index()].push((v, cl));
                     vars.push(SlotVar {
@@ -532,7 +534,9 @@ impl<'a> SlotPlanner<'a> {
                 let d = demand.get(cfg_id, slot);
                 match &placements[v.cfg_pos][v.dc_pos] {
                     Some((acl, loads)) if d > self.min_demand => {
-                        model.lp.set_var_upper(v.var, d);
+                        // Eq. 9 bounds the share by `d`; only a forbidden
+                        // placement gets a box (the 0-pin below)
+                        model.lp.set_var_upper(v.var, f64::INFINITY);
                         model.lp.set_var_cost(v.var, *acl);
                         cfg_rhs[v.cfg_pos] = d;
                         for &(l, w) in loads {

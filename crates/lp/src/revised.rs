@@ -56,6 +56,11 @@ const D_DRIFT_REL: f64 = 1e-6;
 /// enforces on exact values.
 const HARRIS_RELAX: f64 = 1e-7;
 
+/// Dual feasibility margin a cost shift leaves on a column (see
+/// `dual_restore`): the shifted `d_j` sits this far on the right side of 0,
+/// so the column stays eligible for the dual ratio test without tying it.
+const RESTORE_COST_SHIFT: f64 = 1e-7;
+
 /// Column-selection strategy for the entering variable.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Pricing {
@@ -241,6 +246,9 @@ struct Engine<'a> {
     favorable: Vec<(f64, usize)>,
     /// Scratch: right-hand side of `recompute_xb`.
     rhs: Vec<f64>,
+    /// Scratch: the columns whose cost `dual_restore` shifted, with their
+    /// real costs.
+    shifted: Vec<(usize, f64)>,
 }
 
 enum StepOutcome {
@@ -409,13 +417,33 @@ impl<'a> Engine<'a> {
             ratio_cands: Vec::new(),
             favorable: Vec::new(),
             rhs: vec![0.0; m],
+            shifted: Vec::new(),
         }
     }
 
     /// Build an engine positioned at `warm` with artificials already pinned,
     /// ready for phase 2. Rejects bases that don't match the standard form,
-    /// fail to factorize, or imply a primal-infeasible point.
+    /// fail to factorize, or imply a primal-infeasible point that
+    /// [`dual_restore`](Self::dual_restore) cannot repair.
     fn from_basis(
+        sf: &'a StandardForm,
+        opts: &RevisedSimplex,
+        warm: &Basis,
+    ) -> Result<Engine<'a>, WarmReject> {
+        let mut eng = Engine::at_basis(sf, opts, warm)?;
+        // Primal feasibility of the implied point, row-relative tolerance. A
+        // patched problem (new bounds / rhs) usually pushes the old optimal
+        // point slightly out of bounds — repair with dual-simplex pivots
+        // before giving up on the basis.
+        if !eng.primal_feasible() && !eng.dual_restore() {
+            return Err(WarmReject::Infeasible);
+        }
+        Ok(eng)
+    }
+
+    /// An engine factorized at `warm` (repaired where it is rank-deficient)
+    /// under the phase-2 costs, whatever bounds its point violates.
+    fn at_basis(
         sf: &'a StandardForm,
         opts: &RevisedSimplex,
         warm: &Basis,
@@ -459,13 +487,6 @@ impl<'a> Engine<'a> {
         if eng.refactorize_repair().is_err() {
             return Err(WarmReject::Singular);
         }
-        // Primal feasibility of the implied point, row-relative tolerance. A
-        // patched problem (new bounds / rhs) usually pushes the old optimal
-        // point slightly out of bounds — repair with dual-simplex pivots
-        // before giving up on the basis.
-        if !eng.primal_feasible() && !eng.dual_restore() {
-            return Err(WarmReject::Infeasible);
-        }
         Ok(eng)
     }
 
@@ -495,9 +516,21 @@ impl<'a> Engine<'a> {
     /// basis whose implied point violates bounds (the typical fate of a warm
     /// basis after a scenario patch pins columns or moves the rhs), pivot
     /// each violated basic variable out to its nearest bound, selecting the
-    /// entering column by the bounded-variable dual ratio test so the basis
-    /// stays close to dual feasibility. The pivot row that test reads is the
-    /// same one that then updates the reduced costs.
+    /// entering column by the bounded-variable dual ratio test. The pivot
+    /// row that test reads is the same one that then updates the reduced
+    /// costs.
+    ///
+    /// The ratio test keeps a basis dual feasible only if it starts dual
+    /// feasible, and a patch that moved costs (or a basis that is simply not
+    /// optimal) leaves some nonbasic `d_j` with the wrong sign. So the pass
+    /// first *shifts costs*: every nonbasic column whose maintained reduced
+    /// cost has the wrong sign gets `c_j` moved so that `d_j = dir_j·1e-7`
+    /// (a nonbasic cost does not enter the duals, so no other `d` moves).
+    /// The pivots then run a true dual simplex on the shifted problem. When
+    /// they end, the shifted columns get their costs back and `d` is
+    /// recomputed, and the primal simplex that follows prices the real
+    /// objective. The shift changes which feasible basis is reached, never
+    /// what is optimal.
     ///
     /// This is purely a restoration pass: it never declares optimality (the
     /// primal phase 2 that follows has the full pricing-based test), so any
@@ -507,9 +540,33 @@ impl<'a> Engine<'a> {
     /// iterations: they are the warm path's "get feasible" work.
     fn dual_restore(&mut self) -> bool {
         let start = self.iterations;
+        self.shift_costs();
         let giveup = self.dual_restore_pivots();
+        if !self.shifted.is_empty() {
+            for &(j, c) in &self.shifted {
+                self.cost[j] = c;
+            }
+            // `resync_d` re-gathers `c_B` too: a shifted column may be basic now
+            self.resync_d();
+        }
         lp_metrics().record_restore(self.iterations - start, giveup);
         giveup.is_none()
+    }
+
+    /// Make the nonbasic reduced costs dual feasible by moving costs: each
+    /// column with `dir_j·d_j < 0` gets `d_j = dir_j·RESTORE_COST_SHIFT`,
+    /// and lands in `shifted` with its real cost.
+    fn shift_costs(&mut self) {
+        self.shifted.clear();
+        for j in 0..self.sf.n {
+            let dir = self.dir[j];
+            if dir * self.d[j] < 0.0 {
+                let target = dir * RESTORE_COST_SHIFT;
+                self.shifted.push((j, self.cost[j]));
+                self.cost[j] += target - self.d[j];
+                self.d[j] = target;
+            }
+        }
     }
 
     fn dual_restore_pivots(&mut self) -> Option<RestoreGiveup> {
@@ -1925,7 +1982,7 @@ mod tests {
     mod maintained_d {
         use super::*;
         use crate::standard::{PatchOutcome, PreparedProblem};
-        use crate::sweep_gen::{build, patch, sweep_lp, SweepLp};
+        use crate::sweep_gen::{build, patch, patch_costs, sweep_lp, SweepLp};
         use proptest::prelude::*;
 
         /// Cold base solve, then the patched problem warm (through
@@ -1976,6 +2033,61 @@ mod tests {
             let warm = sweep(&r, &RevisedSimplex::new());
             assert!(warm.warm_started);
             assert!(warm.phase1_iterations > 0, "no restore pivot ran");
+        }
+
+        /// A patch that moves costs as well as demands leaves the old optimal
+        /// basis primal *and* dual infeasible. `dual_restore` shifts the
+        /// wrong-signed reduced costs, pivots on the shifted problem (every
+        /// pivot's `audit_d` checks `d` against the shifted costs), hands the
+        /// real costs back, and the warm solve ends on the primary rung at
+        /// the cold optimum.
+        #[test]
+        fn restore_runs_under_shifted_costs_after_a_cost_and_rhs_patch() {
+            let r = SweepLp {
+                slots: 4,
+                sites: 4,
+                demand0: vec![3, 8, 5, 6],
+                demand1: vec![7, 2, 8, 4],
+                cap_cost: vec![1, 3, 5, 8],
+                share_cost: (0..16).map(|k| (k % 3) as u8).collect(),
+                fail_site: Some(0),
+            };
+            let solver = RevisedSimplex::new();
+            let mut b = build(&r);
+            let mut prep = PreparedProblem::new(&b.lp);
+            let base = solver.solve_prepared(&b.lp, &prep, None).expect("base");
+            let basis = base.basis().expect("exported").clone();
+            patch(&mut b, &r);
+            patch_costs(&mut b, &r);
+            assert_eq!(prep.refresh(&b.lp), PatchOutcome::Patched);
+
+            let sf = &prep.sf;
+            let Ok(mut eng) = Engine::at_basis(sf, &solver, &basis) else {
+                panic!("the old basis factorizes");
+            };
+            assert!(!eng.primal_feasible(), "demands moved: primal infeasible");
+            assert!(
+                (0..sf.n).any(|j| eng.dir[j] * eng.d[j] < 0.0),
+                "sites repriced: dual infeasible"
+            );
+            assert!(eng.dual_restore(), "restoration gave up");
+            assert!(eng.iterations > 0 && eng.primal_feasible());
+            assert_eq!(eng.cost, sf.cost, "the shifted costs are handed back");
+            assert!(eng.d_fresh);
+
+            let warm = solver
+                .solve_prepared(&b.lp, &prep, Some(&basis))
+                .expect("warm");
+            let cold = solver.solve_prepared(&b.lp, &prep, None).expect("cold");
+            assert!(warm.stats().warm_started);
+            assert_eq!(warm.stats().rung, SolveRung::WarmPrimary);
+            let scale = 1.0 + cold.objective().abs();
+            assert!(
+                (warm.objective() - cold.objective()).abs() <= 1e-9 * scale,
+                "warm {} vs cold {}",
+                warm.objective(),
+                cold.objective()
+            );
         }
     }
 }

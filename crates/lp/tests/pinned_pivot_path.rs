@@ -4,8 +4,9 @@
 //! count and the bits of the objective are pinned here on three seeded
 //! sweep LPs and the APAC `F₀` shape, under Dantzig and devex pricing. This
 //! is the cheap, debug-build form of `scripts/check.sh`'s planet gate
-//! (`"lp_iterations": 8452`); a deliberate arithmetic change updates both in
-//! the same PR.
+//! (`"lp_iterations": 7612`); a deliberate arithmetic change updates both in
+//! the same PR. (A change to sb-core's formulation moves only the planet
+//! gate: these models are sb-lp's own.)
 
 mod sweep_gen;
 

@@ -14,7 +14,7 @@ use sb_lp::{
     Basis, FactorKind, LpProblem, PatchOutcome, PreparedProblem, Pricing, Relation, RevisedSimplex,
     Solution, VarStatus,
 };
-use sweep_gen::{build, patch, sweep_lp, SweepLp};
+use sweep_gen::{build, patch, patch_costs, sweep_lp, SweepLp};
 
 fn solve_pair(r: &SweepLp, mangle: Option<fn(&mut Basis)>) -> (f64, f64, bool, LpProblem) {
     let mut b = build(r);
@@ -131,6 +131,30 @@ proptest! {
         let scale = 1.0 + cold_obj.abs();
         prop_assert!((warm_obj - cold_obj).abs() < 1e-6 * scale,
             "warm={warm_obj} cold={cold_obj}");
+    }
+
+    /// A patch that reprices the sites on top of the demand/pin patch leaves
+    /// the old basis dual infeasible as well: the warm re-solve still
+    /// finishes warm (the restoration shifts the wrong-signed reduced costs
+    /// instead of giving up), agrees with cold, and passes the KKT audit.
+    #[test]
+    fn warm_agrees_with_cold_after_cost_patch(r in sweep_lp()) {
+        let solver = RevisedSimplex::new();
+        let mut b = build(&r);
+        let mut prep = PreparedProblem::new(&b.lp);
+        let basis = solver.solve_prepared(&b.lp, &prep, None)
+            .expect("base problem is feasible by construction")
+            .basis().expect("revised solve exports a basis").clone();
+        patch(&mut b, &r);
+        patch_costs(&mut b, &r);
+        prop_assert_eq!(prep.refresh(&b.lp), PatchOutcome::Patched);
+        let warm = solver.solve_prepared(&b.lp, &prep, Some(&basis)).expect("warm");
+        let cold = solver.solve_prepared(&b.lp, &prep, None).expect("cold");
+        prop_assert!(warm.stats().warm_started, "the repriced basis fell back to a cold solve");
+        let scale = 1.0 + cold.objective().abs();
+        prop_assert!((warm.objective() - cold.objective()).abs() < 1e-6 * scale,
+            "warm={} cold={}", warm.objective(), cold.objective());
+        check_kkt(&b.lp, &warm, "warm after cost patch");
     }
 
     /// A corrupted warm basis (duplicate basic column — structurally

@@ -7,7 +7,8 @@
 //! target in production: per-slot demand-completeness equalities, share
 //! variables with demand upper bounds, and capacity variables tying shares
 //! down through `≤` rows. The patch mirrors a failure-scenario sweep: demands
-//! move, and one site's shares get pinned to zero.
+//! move, and one site's shares get pinned to zero; a second patch reprices
+//! the sites.
 
 // every test crate that mounts this file uses a part of it
 #![allow(dead_code)]
@@ -55,9 +56,10 @@ pub fn sweep_lp() -> impl Strategy<Value = SweepLp> {
     })
 }
 
-/// A built model plus the handles [`patch`] needs.
+/// A built model plus the handles [`patch`] and [`patch_costs`] need.
 pub struct Built {
     pub lp: LpProblem,
+    pub caps: Vec<Var>,
     pub shares: Vec<Var>,
     /// Completeness row index per slot.
     pub complete_rows: Vec<usize>,
@@ -92,6 +94,7 @@ pub fn build(r: &SweepLp) -> Built {
     }
     Built {
         lp,
+        caps,
         shares,
         complete_rows,
     }
@@ -105,6 +108,20 @@ pub fn patch(b: &mut Built, r: &SweepLp) {
             let v = b.shares[t * r.sites + x];
             let pinned = r.fail_site == Some(x);
             b.lp.set_var_upper(v, if pinned { 0.0 } else { r.demand1[t] as f64 });
+        }
+    }
+}
+
+/// Reprice the model in place, as a scenario that moves costs would: the
+/// capacity prices are reversed across sites and each slot's share costs
+/// reversed across its sites, so a site that was cheap becomes dear.
+pub fn patch_costs(b: &mut Built, r: &SweepLp) {
+    for x in 0..r.sites {
+        let y = r.sites - 1 - x;
+        b.lp.set_var_cost(b.caps[x], r.cap_cost[y] as f64);
+        for t in 0..r.slots {
+            let cost = 0.01 * r.share_cost[t * r.sites + y] as f64;
+            b.lp.set_var_cost(b.shares[t * r.sites + x], cost);
         }
     }
 }
@@ -149,9 +166,10 @@ pub fn seeded(seed: u64, slots: usize, sites: usize) -> SweepLp {
 /// completeness equality per config over the DCs its latency filter admits,
 /// one compute row per DC against its peak-cores variable, one network row
 /// per link against its peak-Gbps variable, demand upper bounds on every
-/// share and a small latency cost on it. Non-integer coefficients and a
-/// diurnal demand curve, so the basis fills in and degenerates the way the
-/// real one does. `12 × 26 × 6 × 6` is the APAC probe's 456 rows.
+/// share (sb-core's `F₀` has dropped them as redundant; they stay here,
+/// where the pinned constants rest on them) and a small latency cost on it.
+/// Non-integer coefficients and a diurnal demand curve, so the basis fills in
+/// and degenerates the way the real one does. `12 × 26 × 6 × 6` is the APAC probe's 456 rows.
 pub fn f0_shape(seed: u64, slots: usize, configs: usize, dcs: usize, links: usize) -> LpProblem {
     let mut rng = SplitMix(seed);
     let mut unit =

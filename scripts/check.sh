@@ -35,10 +35,12 @@ echo "==> benchmark ruler: planet plan still matches benchmark/expected/plan_pla
 # too: sb-lp's solve optimisations skip zeros and never reorder a sum, so an
 # unintended arithmetic change anywhere in the solver moves this number and
 # fails here; a deliberate one updates the constant (and the ones in
-# crates/lp/tests/pinned_pivot_path.rs) in the same PR.
+# crates/lp/tests/pinned_pivot_path.rs, if it moves them) in the same PR.
+# 7612 since the planning LPs stopped giving each share an upper bound of
+# its own (Eq. 9's completeness row already bounds it; 8452 before).
 benchmark/run.sh --workload plan_planet --seconds 1 --out /tmp/plan_planet.json |
     tail -n 1 | grep -q '"correct":true'
-grep -q '"lp_iterations": 8452\b' /tmp/plan_planet.json
+grep -q '"lp_iterations": 7612\b' /tmp/plan_planet.json
 
 echo "==> benchmark ruler: bare engine equals the replay oracle at the full live-set size"
 # --smoke checks "selector stats and per-DC tallies equal the replay oracle"
