@@ -3,11 +3,24 @@
 //! trace against Azure Redis and sustains 1.4× the peak load with 10 threads.
 //! Here the store is the in-process sharded substitute; the thread count is
 //! swept the same way, and throughput is normalized identically. Note the
-//! absolute scaling depends on the host's core count.
+//! absolute scaling depends on the host's core count. The paper supports
+//! 1.4× the trace peak with 10 threads on a 4-core VM, with write latencies
+//! of 0.3–4.2 ms against Azure Redis.
 //!
-//! Usage: `fig10_controller_throughput [--quick] [--metrics <path>]`
+//! Usage: `fig10_controller_throughput [--json <path> | --check <path>] [--metrics <path>]`
+//!
+//! `--json` records `BENCH_fig10.json` and
+//! `results/fig10_controller_throughput.txt`, `--check` compares the counts
+//! with the committed file ([`sb_bench::report`]). The counts are what the
+//! trace decides (calls, events, peak events/s) and, per thread count, the
+//! harness's serial ≡ concurrent check: every event applied, no write
+//! dropped, and the store's state half-way through the trace and at its end
+//! equal to the 1-thread store's. Rates and write latencies are under `host`.
+//! The sweep sleeps a simulated 300 µs round trip per write, so it takes
+//! minutes whatever the host.
 
-use sb_bench::common::{dump_metrics, metrics_path_from_args, print_table};
+use sb_bench::common::{dump_metrics, metrics_path_from_args};
+use sb_bench::report::{Mode, Report};
 use sb_store::{measure_throughput, peak_event_rate, CallEvent, CallStateStore, MediaFlag};
 use sb_workload::{CallRecordsDb, Generator, MediaType, UniverseParams, WorkloadParams};
 
@@ -61,16 +74,15 @@ fn trace_to_events(db: &CallRecordsDb) -> Vec<(u32, CallEvent)> {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let metrics_path = metrics_path_from_args();
-    let daily_calls = if quick { 5_000.0 } else { 20_000.0 };
+    let metrics = metrics_path_from_args();
+    let mode = Mode::from_args();
     let topo = sb_net::presets::apac();
     let params = WorkloadParams {
         universe: UniverseParams {
             num_configs: 1_000,
             ..Default::default()
         },
-        daily_calls,
+        daily_calls: 20_000.0,
         ..Default::default()
     };
     let generator = Generator::new(&topo, params);
@@ -79,59 +91,62 @@ fn main() {
     let events = trace_to_events(&db);
     let timestamps: Vec<u32> = events.iter().map(|&(t, _)| t).collect();
     let peak = peak_event_rate(&timestamps, 60);
-    let only_events: Vec<CallEvent> = events.iter().map(|&(_, e)| e).collect();
-    println!("== Fig. 10: controller throughput vs Redis-writer threads ==\n");
-    println!(
-        "trace: {} calls → {} events; peak arrival rate {:.0} events/s (60 s window)",
-        db.len(),
-        events.len(),
-        peak
-    );
-    println!(
-        "host parallelism: {} core(s) — absolute scaling depends on this\n",
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    );
+    let events: Vec<CallEvent> = events.into_iter().map(|(_, e)| e).collect();
+    // a call's events all go to one writer, in trace order, so the store's
+    // state between the halves and at the end is the same at every count
+    let (first, second) = events.split_at(events.len() / 2);
 
     // emulate the Azure Redis round trip (§6.6 reports 0.3–4.2 ms writes);
     // this restores the latency-bound regime where threads buy throughput
     let rtt = std::time::Duration::from_micros(300);
-    println!("simulated per-write RTT: {rtt:?}\n");
-    let mut rows = Vec::new();
+    let mut report = Report::new("fig10_controller_throughput");
+    report
+        .counts
+        .int("calls", db.len() as u64)
+        .int("events", events.len() as u64)
+        .fixed("peak_events_per_s", peak, 2)
+        .int("rtt_us", rtt.as_micros() as u64);
+    let mut serial = None;
     let mut one_thread = 0.0;
     for threads in [1usize, 2, 4, 6, 8, 10, 16] {
         let store = CallStateStore::with_simulated_rtt(256, rtt);
-        let r = measure_throughput(&store, &only_events, threads);
+        let a = measure_throughput(&store, first, threads);
+        let half = store.export_state();
+        let b = measure_throughput(&store, second, threads);
+        let rate = events.len() as f64 / (a.elapsed + b.elapsed).as_secs_f64();
+        let state = (half, store.export_state());
+        let serial = serial.get_or_insert_with(|| state.clone());
         if threads == 1 {
-            one_thread = r.events_per_sec;
+            one_thread = rate;
+            report.counts.int("live_at_half", serial.0.len() as u64);
         }
-        rows.push(vec![
-            threads.to_string(),
-            format!("{:.0}", r.events_per_sec),
-            format!("{:.2}x", r.events_per_sec / one_thread),
-            format!("{:.1}x", r.events_per_sec / peak),
-            format!("{:?}", r.latency.mean()),
-            format!("{:?}", r.latency.quantile(0.99)),
-        ]);
+        let mut latency = a.latency;
+        latency.merge(&b.latency);
+        let key = threads.to_string();
+        report
+            .counts
+            .row("threads")
+            .row(&key)
+            .int("events", a.events + b.events)
+            .int("dropped_writes", a.dropped_writes + b.dropped_writes)
+            .flag("state_eq_1_thread", state == *serial);
+        report
+            .host
+            .row("threads")
+            .row(&key)
+            .fixed("events_per_s", rate, 0)
+            .fixed("vs_1_thread", rate / one_thread, 2)
+            .fixed("vs_trace_peak", rate / peak, 1)
+            .fixed("mean_write_us", latency.mean().as_secs_f64() * 1e6, 0)
+            .fixed(
+                "p99_write_us",
+                latency.quantile(0.99).as_secs_f64() * 1e6,
+                0,
+            );
     }
-    print_table(
-        &[
-            "threads",
-            "events/s",
-            "vs 1 thread",
-            "vs trace peak",
-            "mean write",
-            "p99 write",
-        ],
-        &rows,
-    );
-    println!(
-        "\npaper: supports 1.4× the trace peak with 10 threads on a 4-core VM;\n\
-         write latencies 0.3–4.2 ms against Azure Redis (in-process store here,\n\
-         so absolute latencies are much lower and normalized throughput higher)."
-    );
-    if let Some(path) = metrics_path {
+    report.finish(&mode);
+
+    if let Some(path) = metrics {
         dump_metrics(&path);
     }
 }

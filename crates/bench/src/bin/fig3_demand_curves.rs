@@ -1,12 +1,27 @@
 //! Fig. 3: per-country core demand over one day (UTC), normalized to the
 //! maximum peak — showing the time-shifted peaks Switchboard exploits.
 //! The paper plots Japan, Hong Kong and India with peaks at roughly
-//! 0:00, 2:00 and 5:30 UTC.
+//! 0:00, 2:00 and 5:30 UTC: the UTC offsets (+9, +8, +5.5) shift identical
+//! local work-hour curves.
+//!
+//! Usage: `fig3_demand_curves [--json <path> | --check <path>]`
+//!
+//! `--json` records `BENCH_fig3.json` and `results/fig3_demand_curves.txt`,
+//! `--check` compares the counts with the committed file
+//! ([`sb_bench::report`]): each country's peak and its slot, the peak order,
+//! and the 48 half-hour slots of the three curves.
 
-use sb_bench::common::sparkline;
+use sb_bench::report::{Mode, Report};
 use sb_workload::{Generator, UniverseParams, WorkloadParams};
 
+const COUNTRIES: [&str; 3] = ["JP", "HK", "IN"];
+
+fn utc(slot: usize) -> String {
+    format!("{:02}:{:02}", slot / 2, (slot % 2) * 30)
+}
+
 fn main() {
+    let mode = Mode::from_args();
     let topo = sb_net::presets::apac();
     let params = WorkloadParams {
         universe: UniverseParams {
@@ -21,55 +36,43 @@ fn main() {
     // day 2 = a Wednesday
     let demand = generator.expected_demand(2, 1);
     let by_country = demand.country_core_demand(&generator.universe().catalog, &topo);
-
     let global_max = by_country
         .iter()
         .flat_map(|v| v.iter())
         .cloned()
         .fold(f64::MIN, f64::max);
+    let curves = COUNTRIES.map(|name| &by_country[topo.country_by_name(name).index()]);
 
-    println!("== Fig. 3: normalized core demand per country over one day (UTC) ==\n");
-    println!("slot width 30 min, 48 slots, normalized to the max peak\n");
-    for name in ["JP", "HK", "IN"] {
-        let c = topo.country_by_name(name);
-        let series = &by_country[c.index()];
+    let mut report = Report::new("fig3_demand_curves");
+    report
+        .counts
+        .int("slot_minutes", 30)
+        .int("slots", demand.num_slots() as u64);
+    let mut peak_slots = Vec::new();
+    for (name, series) in COUNTRIES.iter().zip(&curves) {
         let peak_slot = series
             .iter()
             .enumerate()
             .max_by(|a, b| a.1.total_cmp(b.1))
             .map(|(i, _)| i)
-            .unwrap();
-        let peak_hh = peak_slot / 2;
-        let peak_mm = (peak_slot % 2) * 30;
-        let peak_norm = series[peak_slot] / global_max;
-        println!(
-            "{name:>3}  {}  peak {:.2} at {:02}:{:02} UTC",
-            sparkline(series),
-            peak_norm,
-            peak_hh,
-            peak_mm
-        );
+            .expect("a day has slots");
+        peak_slots.push(peak_slot);
+        report
+            .counts
+            .row("peaks")
+            .row(name)
+            .fixed("peak", series[peak_slot] / global_max, 2)
+            .label("at_utc", &utc(peak_slot));
     }
-    println!(
-        "\npaper: peaks form at ~00:00 (JP), ~02:00 (HK) and ~05:30 (IN) UTC —\n\
-         the UTC offsets (+9, +8, +5.5) shift identical local work-hour curves."
-    );
-
-    // machine-readable series
-    println!("\nslot_utc\tJP\tHK\tIN");
-    let (jp, hk, iin) = (
-        topo.country_by_name("JP").index(),
-        topo.country_by_name("HK").index(),
-        topo.country_by_name("IN").index(),
+    report.counts.flag(
+        "peak_order_jp_hk_in",
+        peak_slots[0] < peak_slots[1] && peak_slots[1] < peak_slots[2],
     );
     for s in 0..demand.num_slots() {
-        println!(
-            "{:02}:{:02}\t{:.3}\t{:.3}\t{:.3}",
-            s / 2,
-            (s % 2) * 30,
-            by_country[jp][s] / global_max,
-            by_country[hk][s] / global_max,
-            by_country[iin][s] / global_max
-        );
+        let row = report.counts.row("utc").row(&utc(s));
+        for (name, series) in COUNTRIES.iter().zip(&curves) {
+            row.fixed(name, series[s] / global_max, 3);
+        }
     }
+    report.finish(&mode);
 }

@@ -2,13 +2,25 @@
 //! 9 months of per-config history fit with Holt–Winters, predicting 3 months
 //! ahead. The paper reports median RMSE ≈ 13 % and median MAE ≈ 8 % over the
 //! top 1000 configs.
+//!
+//! Usage: `fig9_forecast_cdf [--json <path> | --check <path>]`
+//!
+//! `--json` records `BENCH_fig9.json` and `results/fig9_forecast_cdf.txt`,
+//! `--check` compares the counts with the committed file
+//! ([`sb_bench::report`]): the p10–p99 quantiles over the top 400 configs
+//! (30-minute slots) and the medians against the paper's.
 
+use std::time::Instant;
+
+use sb_bench::report::{Mode, Report};
 use sb_forecast::{fit_auto, mae, peak_normalized, rmse, Cdf};
 use sb_workload::{Generator, UniverseParams, WorkloadParams};
 
+const TOP_CONFIGS: usize = 400;
+
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let (n_configs, slot_minutes) = if quick { (60, 120) } else { (400, 30) };
+    let mode = Mode::from_args();
+    let started = Instant::now();
     let topo = sb_net::presets::apac();
     let params = WorkloadParams {
         universe: UniverseParams {
@@ -16,7 +28,7 @@ fn main() {
             ..Default::default()
         },
         daily_calls: 20_000.0,
-        slot_minutes,
+        slot_minutes: 30,
         ..Default::default()
     };
     let generator = Generator::new(&topo, params);
@@ -29,7 +41,7 @@ fn main() {
 
     let mut rmses = Vec::new();
     let mut maes = Vec::new();
-    for (i, spec) in ranked.iter().take(n_configs).enumerate() {
+    for spec in ranked.iter().take(TOP_CONFIGS) {
         let train = generator.sample_config_series(spec.id, 0, train_days, 200);
         let truth = generator.sample_config_series(spec.id, train_days, test_days, 201);
         let Ok(model) = fit_auto(&train, season) else {
@@ -43,29 +55,30 @@ fn main() {
             rmses.push(r);
             maes.push(m);
         }
-        if (i + 1) % 50 == 0 {
-            eprintln!("  fitted {}/{n_configs}", i + 1);
-        }
     }
 
-    println!(
-        "== Fig. 9: CDF of normalized RMSE / MAE across top {} configs ==\n",
-        rmses.len()
-    );
-    let rc = Cdf::new(rmses);
-    let mc = Cdf::new(maes);
-    println!("  quantile   RMSE     MAE");
+    let mut report = Report::new("fig9_forecast_cdf");
+    report.counts.int("configs", rmses.len() as u64);
+    let (rc, mc) = (Cdf::new(rmses), Cdf::new(maes));
     for q in [0.1, 0.25, 0.5, 0.75, 0.9, 0.99] {
-        println!(
-            "  p{:<7}  {:>5.1}%  {:>5.1}%",
-            (q * 100.0) as u32,
-            100.0 * rc.quantile(q),
-            100.0 * mc.quantile(q)
-        );
+        report
+            .counts
+            .row("quantile")
+            .row(&format!("p{}", (q * 100.0) as u32))
+            .fixed("rmse_pct", 100.0 * rc.quantile(q), 1)
+            .fixed("mae_pct", 100.0 * mc.quantile(q), 1);
     }
-    println!(
-        "\nmedians: RMSE {:.1}%, MAE {:.1}%  (paper: 13% and 8%)",
-        100.0 * rc.median(),
-        100.0 * mc.median()
-    );
+    report
+        .counts
+        .fixed("median_rmse_pct", 100.0 * rc.median(), 1)
+        .fixed("median_mae_pct", 100.0 * mc.median(), 1)
+        // the synthetic series come from the very process Holt–Winters models
+        .flag(
+            "medians_below_paper",
+            rc.median() < 0.13 && mc.median() < 0.08,
+        );
+    report
+        .host
+        .fixed("wall_s", started.elapsed().as_secs_f64(), 1);
+    report.finish(&mode);
 }

@@ -15,7 +15,7 @@
 
 use std::time::Instant;
 
-use sb_bench::common::{dump_metrics, metrics_path_from_args};
+use sb_bench::common::{dump_metrics, link_name, metrics_path_from_args, scenario_label};
 use sb_bench::report::{Mode, Report, Section};
 use sb_core::formulation::{PlanningInputs, ScenarioData, SolveOptions};
 use sb_core::provision::{provision, ProvisionerParams};
@@ -26,26 +26,6 @@ use sb_workload::{CallRecordsDb, ConfigCatalog, Generator, UniverseParams, Workl
 
 /// The replayed day of the generator's week.
 const DAY: u32 = 2;
-
-fn node_name(topo: &Topology, n: Node) -> String {
-    match n {
-        Node::Dc(d) => topo.dcs[d.index()].name.clone(),
-        Node::Edge(c) => topo.countries[c.index()].name.clone(),
-    }
-}
-
-fn link_name(topo: &Topology, l: sb_net::LinkId) -> String {
-    let link = &topo.links[l.index()];
-    format!("{}–{}", node_name(topo, link.a), node_name(topo, link.b))
-}
-
-fn scenario_label(topo: &Topology, sc: FailureScenario) -> String {
-    match sc {
-        FailureScenario::None => "healthy".to_string(),
-        FailureScenario::DcDown(dc) => format!("DC {} down", topo.dcs[dc.index()].name),
-        FailureScenario::LinkDown(l) => format!("link {} down", link_name(topo, l)),
-    }
-}
 
 struct Drill {
     topo: Topology,

@@ -1,9 +1,18 @@
 //! §6.4: frequency of call migration. A call is assigned to the DC closest
 //! to its first joiner; once its config freezes (A = 300 s), it migrates if
 //! the precomputed allocation plan requires a different DC. The paper
-//! measures 1.53 % migrations for Switchboard — the same as locality-first.
+//! measures 1.53 % migrations for Switchboard — the same as locality-first,
+//! since both need the true participant spread that is only known A minutes
+//! into the call.
+//!
+//! Usage: `sec64_migrations [--json <path> | --check <path>]`
+//!
+//! `--json` records `BENCH_sec64.json` and `results/sec64_migrations.txt`,
+//! `--check` compares the counts with the committed file
+//! ([`sb_bench::report`]): per scheme the migrations, the unplanned and
+//! overflow shares and the mean ACL.
 
-use sb_bench::common::print_table;
+use sb_bench::report::{Mode, Report};
 use sb_core::allocation::allocation_plan;
 use sb_core::formulation::{PlanningInputs, ScenarioData, SolveOptions};
 use sb_core::provision::{provision, ProvisionerParams};
@@ -13,20 +22,15 @@ use sb_sim::{replay, ReplayConfig};
 use sb_workload::{Generator, UniverseParams, WorkloadParams};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let (num_configs, daily_calls, slot_minutes, coverage) = if quick {
-        (300, 4_000.0, 120, 0.97)
-    } else {
-        (2_000, 20_000.0, 240, 0.90)
-    };
+    let mode = Mode::from_args();
     let topo = sb_net::presets::apac();
     let params = WorkloadParams {
         universe: UniverseParams {
-            num_configs,
+            num_configs: 2_000,
             ..Default::default()
         },
-        daily_calls,
-        slot_minutes,
+        daily_calls: 20_000.0,
+        slot_minutes: 240,
         ..Default::default()
     };
     let generator = Generator::new(&topo, params);
@@ -35,30 +39,19 @@ fn main() {
     // stage, §5.3); replay the *sampled* trace of the same day
     let day = 2;
     let expected = generator.expected_demand(day, 1);
-    let selected = expected.top_configs_covering(coverage);
+    let selected = expected.top_configs_covering(0.90);
     // §5.2 cushion: plan slots for a bit more than the expectation so Poisson
     // noise rarely exhausts the planned quotas
     let planned_demand = expected.filtered(&selected).scaled(1.15);
     let db = generator.sample_records(day, 1, 9);
-    eprintln!(
-        "plan covers {} configs; trace has {} calls",
-        selected.len(),
-        db.len()
-    );
 
-    let inputs = PlanningInputs {
-        topo: &topo,
-        catalog: &generator.universe().catalog,
-        demand: &planned_demand,
-        latency_threshold_ms: 120.0,
-    };
+    let inputs = PlanningInputs::new(&topo, &generator.universe().catalog, &planned_demand);
     let sd0 = ScenarioData::compute(&topo, FailureScenario::None);
 
     // Switchboard: provision serving capacity, then add the backup headroom
     // factor instead of running the full 37-scenario sweep — §6.3 notes that
     // with backup capacity SB's no-failure placement is effectively LF's, and
     // this experiment only needs the capacity envelope the planner sees.
-    eprintln!("provisioning + planning (SB) …");
     let plan = provision(
         &inputs,
         &ProvisionerParams {
@@ -79,12 +72,16 @@ fn main() {
     // Locality-first plan
     let lf_shares = baselines::baseline_shares(BaselinePolicy::LocalityFirst, &inputs, &sd0);
 
-    println!("== §6.4: call migration frequency ==\n");
-    let mut rows = Vec::new();
+    let mut report = Report::new("sec64_migrations");
+    report
+        .counts
+        .int("planned_configs", selected.len() as u64)
+        .int("calls", db.len() as u64);
+    let mut worst: f64 = 0.0;
     for (name, shares) in [("SB", &sb_shares), ("LF", &lf_shares)] {
         let quotas = PlannedQuotas::from_plan(shares, &planned_demand);
         let selector = RealtimeSelector::from_artifact(&sd0.latmap, &PlanArtifact::seed(quotas));
-        let report = replay(
+        let r = replay(
             &topo,
             &sd0.routing,
             &sd0.latmap,
@@ -93,36 +90,19 @@ fn main() {
             &selector,
             &ReplayConfig::default(),
         );
-        rows.push(vec![
-            name.to_string(),
-            report.calls.to_string(),
-            report.selector.migrations.to_string(),
-            format!("{:.2}%", 100.0 * report.selector.migration_rate()),
-            format!(
-                "{:.2}%",
-                100.0 * report.selector.unplanned as f64 / report.calls as f64
-            ),
-            format!(
-                "{:.2}%",
-                100.0 * report.selector.overflow as f64 / report.calls as f64
-            ),
-            format!("{:.1}", report.mean_acl_ms),
-        ]);
+        let pct = |n: u64| 100.0 * n as f64 / r.calls as f64;
+        worst = worst.max(100.0 * r.selector.migration_rate());
+        report
+            .counts
+            .row("schemes")
+            .row(name)
+            .int("migrations", r.selector.migrations)
+            .fixed("migration_pct", 100.0 * r.selector.migration_rate(), 2)
+            .fixed("unplanned_pct", pct(r.selector.unplanned), 2)
+            .fixed("overflow_pct", pct(r.selector.overflow), 2)
+            .fixed("acl_ms", r.mean_acl_ms, 1);
     }
-    print_table(
-        &[
-            "Scheme",
-            "calls",
-            "migrations",
-            "migration%",
-            "unplanned%",
-            "overflow%",
-            "ACL(ms)",
-        ],
-        &rows,
-    );
-    println!(
-        "\npaper: SB migrates 1.53% of calls — the same as LF, since both need the\n\
-         true participant spread that is only known A minutes into the call."
-    );
+    // the paper's low-single-digit regime
+    report.counts.flag("migrations_below_5pct", worst < 5.0);
+    report.finish(&mode);
 }

@@ -2,30 +2,32 @@
 //! Markov chains feeding a logistic regression, against the previous-instance
 //! baseline. The paper trains on 24,000 records of series with ≥3 past
 //! occurrences and evaluates 3,600 unseen instances: MOMC+LR reaches
-//! RMSE 0.97 / MAE 0.90 vs the baseline's 24.90 / 23.60.
+//! RMSE 0.97 / MAE 0.90 vs the baseline's 24.90 / 23.60 (the baseline is hurt
+//! most by large rosters and alternating attendees).
+//!
+//! Usage: `sec8_momc_prediction [--json <path> | --check <path>]`
+//!
+//! `--json` records `BENCH_sec8.json` and `results/sec8_momc_prediction.txt`,
+//! `--check` compares the counts with the committed file
+//! ([`sb_bench::report`]).
 
-use sb_bench::common::print_table;
+use std::time::Instant;
+
+use sb_bench::report::{Mode, Report};
 use sb_predict::{evaluate, ParticipantHistory, PredictorParams, SeriesHistory};
 use sb_workload::series::{generate_series, SeriesParams};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let mode = Mode::from_args();
+    let started = Instant::now();
     let params = SeriesParams {
-        num_series: if quick { 400 } else { 3_600 },
+        num_series: 3_600,
         occurrences: 12,
         max_roster: 60,
         seed: 17,
     };
     let topo = sb_net::presets::apac();
     let (series, occurrences) = generate_series(&topo, &params);
-    let records: usize = series.iter().map(|s| s.roster_size()).sum::<usize>();
-    println!("== §8: MOMC + logistic-regression call-config prediction ==\n");
-    println!(
-        "{} series, {} occurrences, {} participant histories",
-        series.len(),
-        occurrences.len(),
-        records
-    );
 
     // reshape into sb-predict's input
     let histories: Vec<SeriesHistory> = series
@@ -41,29 +43,39 @@ fn main() {
             SeriesHistory { participants }
         })
         .collect();
-
     let eval = evaluate(&histories, &PredictorParams::default());
-    println!(
-        "evaluated on the held-out final occurrence of {} series\n",
-        eval.series
-    );
-    let rows = vec![
-        vec![
-            "MOMC + LR".to_string(),
-            format!("{:.2}", eval.rmse),
-            format!("{:.2}", eval.mae),
-        ],
-        vec![
-            "last-instance baseline".to_string(),
-            format!("{:.2}", eval.baseline_rmse),
-            format!("{:.2}", eval.baseline_mae),
-        ],
-    ];
-    print_table(&["predictor", "RMSE", "MAE"], &rows);
-    println!(
-        "\nimprovement: RMSE ÷{:.1}, MAE ÷{:.1}   (paper: 0.97/0.90 vs 24.90/23.60 —\n\
-         the baseline is hurt most by large rosters and alternating attendees)",
-        eval.baseline_rmse / eval.rmse.max(1e-9),
-        eval.baseline_mae / eval.mae.max(1e-9)
-    );
+
+    let mut report = Report::new("sec8_momc_prediction");
+    report
+        .counts
+        .int("series", series.len() as u64)
+        .int("occurrences", occurrences.len() as u64)
+        .int(
+            "participant_histories",
+            series.iter().map(|s| s.roster_size() as u64).sum(),
+        )
+        .int("evaluated", eval.series as u64)
+        .flag(
+            "momc_lt_baseline",
+            eval.rmse < eval.baseline_rmse && eval.mae < eval.baseline_mae,
+        );
+    for (name, rmse, mae) in [
+        ("MOMC + LR", eval.rmse, eval.mae),
+        (
+            "last-instance baseline",
+            eval.baseline_rmse,
+            eval.baseline_mae,
+        ),
+    ] {
+        report
+            .counts
+            .row("predictor")
+            .row(name)
+            .fixed("rmse", rmse, 2)
+            .fixed("mae", mae, 2);
+    }
+    report
+        .host
+        .fixed("wall_s", started.elapsed().as_secs_f64(), 1);
+    report.finish(&mode);
 }

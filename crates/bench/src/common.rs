@@ -7,7 +7,7 @@ use sb_core::{
     allocation_plan, mean_acl, provision, provision_baseline, AllocationShares, BaselinePolicy,
     PlanArtifact, PlannedQuotas, ProvisionerParams,
 };
-use sb_net::{FailureScenario, Topology};
+use sb_net::{FailureScenario, LinkId, Node, Topology};
 use sb_workload::{
     CallRecordsDb, ConfigCatalog, ConfigId, DemandMatrix, Generator, UniverseParams, WorkloadParams,
 };
@@ -273,24 +273,19 @@ pub struct Table3Row {
     pub acl: f64,
 }
 
-/// Run the three schemes on the envelope-day demand.
-pub fn table3_rows(data: &EvalData, with_backup: bool) -> Vec<Table3Row> {
-    let inputs = PlanningInputs {
-        topo: &data.topo,
-        catalog: &data.catalog,
-        demand: &data.demand_env,
-        latency_threshold_ms: 120.0,
-    };
+/// Run the three schemes on `inputs` (the envelope-day demand).
+pub fn table3_rows(inputs: &PlanningInputs<'_>, with_backup: bool) -> Vec<Table3Row> {
+    let topo = inputs.topo;
     let mut rows = Vec::new();
     for (name, policy) in [
         ("RR", BaselinePolicy::RoundRobin),
         ("LF", BaselinePolicy::LocalityFirst),
     ] {
-        let plan = provision_baseline(policy, &inputs, with_backup);
+        let plan = provision_baseline(policy, inputs, with_backup);
         rows.push(Table3Row {
             scheme: name,
             cores: plan.capacity.total_cores(),
-            wan: plan.capacity.total_wan_gbps(&data.topo),
+            wan: plan.capacity.total_wan_gbps(topo),
             cost: plan.cost,
             acl: plan.mean_acl,
         });
@@ -300,46 +295,43 @@ pub fn table3_rows(data: &EvalData, with_backup: bool) -> Vec<Table3Row> {
         with_backup,
         ..Default::default()
     };
-    let plan = provision(&inputs, &params).expect("SB provisioning");
+    let plan = provision(inputs, &params).expect("SB provisioning");
     // the daily allocation plan decides the latency actually delivered
-    let sd0 = ScenarioData::compute(&data.topo, FailureScenario::None);
-    let shares = allocation_plan(&inputs, &sd0, &plan.capacity, &SolveOptions::default())
+    let sd0 = ScenarioData::compute(topo, FailureScenario::None);
+    let shares = allocation_plan(inputs, &sd0, &plan.capacity, &SolveOptions::default())
         .expect("allocation plan");
-    let acl = mean_acl(&sd0.latmap, &data.catalog, &data.demand_env, &shares);
+    let acl = mean_acl(&sd0.latmap, inputs.catalog, inputs.demand, &shares);
     rows.push(Table3Row {
         scheme: "SB",
         cores: plan.capacity.total_cores(),
-        wan: plan.capacity.total_wan_gbps(&data.topo),
+        wan: plan.capacity.total_wan_gbps(topo),
         cost: plan.cost,
         acl,
     });
     rows
 }
 
-/// Normalize rows to the first (RR) row, as the paper does.
-pub fn normalize_to_first(rows: &[Table3Row]) -> Vec<Table3Row> {
-    let base = &rows[0];
-    rows.iter()
-        .map(|r| Table3Row {
-            scheme: r.scheme,
-            cores: r.cores / base.cores,
-            wan: r.wan / base.wan,
-            cost: r.cost / base.cost,
-            acl: r.acl / base.acl,
-        })
-        .collect()
+/// A DC's or an edge country's name.
+fn node_name(topo: &Topology, n: Node) -> String {
+    match n {
+        Node::Dc(d) => topo.dcs[d.index()].name.clone(),
+        Node::Edge(c) => topo.countries[c.index()].name.clone(),
+    }
 }
 
-/// Unicode sparkline of a series (for quick terminal "figures").
-pub fn sparkline(values: &[f64]) -> String {
-    const BLOCKS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-    let max = values.iter().cloned().fold(f64::MIN, f64::max);
-    let min = values.iter().cloned().fold(f64::MAX, f64::min);
-    let span = (max - min).max(1e-12);
-    values
-        .iter()
-        .map(|v| BLOCKS[(((v - min) / span) * 7.0).round().clamp(0.0, 7.0) as usize])
-        .collect()
+/// A link as its two ends, `Tokyo–HongKong`.
+pub fn link_name(topo: &Topology, l: LinkId) -> String {
+    let link = &topo.links[l.index()];
+    format!("{}–{}", node_name(topo, link.a), node_name(topo, link.b))
+}
+
+/// `healthy`, `DC Tokyo down` or `link Tokyo–HongKong down`.
+pub fn scenario_label(topo: &Topology, sc: FailureScenario) -> String {
+    match sc {
+        FailureScenario::None => "healthy".to_string(),
+        FailureScenario::DcDown(dc) => format!("DC {} down", topo.dcs[dc.index()].name),
+        FailureScenario::LinkDown(l) => format!("link {} down", link_name(topo, l)),
+    }
 }
 
 /// Simple fixed-width text table.

@@ -61,6 +61,20 @@ echo "==> install differential: installing the live plan at the control loop's b
 cargo test -q --test replay_differential identical_plan_install_is_a_noop_through_the_control_loop
 cargo test -q --test plan_swap_differential
 
+echo "==> one-report-per-bench gate: every sb-bench binary is gated by exactly one BENCH_*.json"
+# Every binary under crates/bench/src/bin but the inspect_plan tool is named
+# by the "bench" key of exactly one committed report, so a new figure or
+# bench cannot land without counts the loop below compares.
+for bin in crates/bench/src/bin/*.rs; do
+    bench=$(basename "$bin" .rs)
+    [ "$bench" != inspect_plan ] || continue
+    named=$(cat BENCH_*.json | grep -c -F -x "  \"bench\": \"$bench\"," || true)
+    if [ "$named" != 1 ]; then
+        echo "$bench is named by $named committed BENCH_*.json, want exactly 1" >&2
+        exit 1
+    fi
+done
+
 echo "==> bench reports: every count in every committed BENCH_*.json, exactly"
 # Each file names the sb-bench binary that recorded it; that binary re-runs
 # at its one size and --check compares its fresh counts (migrations per 1k
@@ -72,6 +86,14 @@ echo "==> bench reports: every count in every committed BENCH_*.json, exactly"
 # compared: BENCHMARK.json is the ruler for speed. lp_scenario_sweep's full
 # size is minutes, so it gates at --smoke: the sparse variants' counts, and
 # their capacities against the committed dense-factorization arrays at 1e-9.
+# The twelve paper-figure reports (Tables 1/3/4, Figs. 3/4/7-10, sections
+# 6.4 and 8, the solver ablation) hold the paper-comparable numbers and each
+# EXPERIMENTS.md shape check as a boolean (cost SB < LF < RR, peak order
+# JP < HK < IN, ...). Measured on 2 hardware threads they add ~19 s for
+# eleven of them (Table 3 4 s, Table 4 6 s, section 8 6 s, Fig. 9 2.5 s, the
+# rest under 1 s) and ~175 s for fig10_controller_throughput, whose
+# equivalence sweep over seven thread counts sleeps a simulated 300 us round
+# trip per store write; it runs at its one, full size like the rest.
 # After a deliberate behaviour change, re-record with --json in place of
 # --check (without --smoke) and commit the file with results/<bench>.txt.
 for f in BENCH_*.json; do
@@ -264,7 +286,7 @@ if [ -n "$formats" ]; then
     exit 1
 fi
 
-echo "==> one-footprint gate: Eq. 5-6 is stated once, and no library reads the process environment"
+echo "==> one-footprint gate: Eq. 5-6 is stated once, and no crate reads the process environment"
 # A placement's network cost (n * leg_network_load on every link of the
 # route) is computed in crates/core/src/usage.rs and nowhere else: every LP
 # builder and every usage integrator in sb-core and sb-sim goes through
@@ -277,13 +299,13 @@ if [ "$footprints" != crates/core/src/usage.rs ]; then
     echo "$footprints" >&2
     exit 1
 fi
-# A library solve must not branch on the process environment; only the
-# sb-bench binaries may read it.
-envs=$(for f in crates/*/src/*.rs crates/*/src/*/*.rs; do
-    case "$f" in crates/bench/*) ;; *) non_test "$f" ;; esac
-done | grep -F 'std::env::var' || true)
+# A library solve must not branch on the process environment, and the
+# sb-bench binaries take their shared flags from std::env::args only: no
+# crate reads an environment variable.
+envs=$(for f in crates/*/src/*.rs crates/*/src/*/*.rs; do non_test "$f"; done |
+    grep -F 'std::env::var' || true)
 if [ -n "$envs" ]; then
-    echo "environment read in library code:" >&2
+    echo "environment read in crate code:" >&2
     echo "$envs" >&2
     exit 1
 fi
