@@ -4,7 +4,10 @@
 //! Three stages on a seeded APAC day:
 //!
 //! 1. **Initial plan** — `SlotPlanner::plan_initial` solves every slot of
-//!    the per-slot allocation LP cold and seeds the per-slot basis cache.
+//!    the per-slot allocation LP cold and seeds the per-slot last solves. A
+//!    `replan_from` of the remaining slots under the same scenario and
+//!    demand follows: every slot's LP is the one it last solved, so it
+//!    re-solves none and returns the initial plan's shares and quotas.
 //! 2. **Re-plan sweep** — for each victim DC, `replan_from` re-solves only
 //!    the remaining slots of the day warm-started from the cached bases; a
 //!    second planner with warm starts disabled re-runs the same sweep so
@@ -154,6 +157,11 @@ fn main() {
         initial.solved_slots(),
         initial_wall
     );
+    let unchanged = planner
+        .replan_from(&initial.artifact, from_slot, &sd0, None)
+        .expect("unchanged re-plan");
+    let unchanged_same_plan = unchanged.artifact.shares == initial.artifact.shares
+        && unchanged.artifact.quotas == initial.artifact.quotas;
 
     // stage 2: warm vs cold re-plan sweep over the victim scenarios
     let (warm, warm_reports) = sweep(&mut planner, &initial.artifact, from_slot, &victims);
@@ -280,6 +288,11 @@ fn main() {
         .int("replan_latency_min", REPLAN_LATENCY_MIN)
         .int("initial_solved", initial.solved_slots() as u64)
         .int("delta_migrations", delta_migrations);
+    report
+        .counts
+        .row("unchanged")
+        .int("solved", unchanged.solved_slots() as u64)
+        .flag("same_plan", unchanged_same_plan);
     report
         .counts
         .row("warm")

@@ -18,10 +18,14 @@
 //! * [`SlotPlanner`] — the incremental re-planner. The allocation LP (Eq.
 //!   10) decomposes per slot because capacities are constants; the planner
 //!   keeps one patch-in-place LP per slot (the `SweepModel` idiom from the
-//!   provisioning sweep) plus the last optimal [`Basis`] per slot, so
-//!   [`SlotPlanner::replan_from`] re-solves **only the remaining slots**,
-//!   warm-starting each from the previous epoch's basis and recording
-//!   per-slot [`SolveRung`] / warm-hit statistics.
+//!   provisioning sweep) plus each slot's last solve — its inputs, its
+//!   shares and the optimal [`Basis`] it ended on. So
+//!   [`SlotPlanner::replan_from`] re-solves **only the remaining slots
+//!   whose LP changed** (their demand moved, or the scenario did),
+//!   warm-starting each from its last basis and recording per-slot
+//!   [`SolveRung`] / warm-hit statistics; an unchanged slot takes the
+//!   shares its last solve returned, which a re-solve would repeat bit for
+//!   bit.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -33,8 +37,8 @@ use sb_obs::Value;
 use sb_workload::{ConfigId, DemandMatrix};
 
 use crate::formulation::{
-    placement_grid, placements_under, NetworkRow, PlacementGrid, PlanningInputs, ProvisionError,
-    ScenarioData, SolveOptions,
+    placement_grid, placements_under, NetworkRow, Placement, PlacementGrid, PlanningInputs,
+    ProvisionError, ScenarioData, SolveOptions,
 };
 use crate::realtime::PlannedQuotas;
 use crate::shares::AllocationShares;
@@ -54,7 +58,8 @@ pub struct PlanProvenance {
     pub warm_slots: u32,
     /// Slots solved cold (no basis, or basis rejected).
     pub cold_slots: u32,
-    /// Slots copied verbatim from the previous epoch.
+    /// Slots not re-solved: copied from the previous epoch (before
+    /// `built_at_slot`) or from their unchanged last solve.
     pub copied_slots: u32,
     /// Total simplex iterations across re-solved slots.
     pub total_iterations: u64,
@@ -215,7 +220,8 @@ impl PlanDelta {
 pub struct SlotSolveInfo {
     /// Slot index.
     pub slot: usize,
-    /// Copied verbatim from the previous epoch (slot < `from_slot`).
+    /// Not re-solved: copied from the previous epoch (slot < `from_slot`),
+    /// or taken from the slot's last solve because its LP is unchanged.
     pub copied: bool,
     /// Warm start accepted by the engine (re-solved slots only).
     pub warm_started: bool,
@@ -223,8 +229,23 @@ pub struct SlotSolveInfo {
     pub rung: Option<SolveRung>,
     /// Simplex iterations (0 for copied slots).
     pub iterations: u64,
-    /// Wall time of this slot's patch + solve, nanoseconds.
+    /// Wall time of this slot's patch + solve, nanoseconds (0 for copied
+    /// slots).
     pub wall_ns: u64,
+}
+
+impl SlotSolveInfo {
+    /// A slot this (re-)plan did not re-solve.
+    fn not_solved(slot: usize) -> SlotSolveInfo {
+        SlotSolveInfo {
+            slot,
+            copied: true,
+            warm_started: false,
+            rung: None,
+            iterations: 0,
+            wall_ns: 0,
+        }
+    }
 }
 
 /// What one [`SlotPlanner::replan_from`] (or
@@ -241,7 +262,8 @@ pub struct ReplanReport {
 }
 
 impl ReplanReport {
-    /// Slots copied from the previous epoch.
+    /// Slots not re-solved (copied from the previous epoch or from their
+    /// unchanged last solve).
     pub fn copied_slots(&self) -> usize {
         self.slots.iter().filter(|s| s.copied).count()
     }
@@ -276,6 +298,38 @@ fn slack(v: f64) -> f64 {
     v * (1.0 + 1e-7) + 1e-7
 }
 
+/// The two placement tables hold the same bits: every ACL, link and link
+/// load equal, `-0.0` and `0.0` told apart.
+fn same_placements(a: &[Vec<Option<Placement>>], b: &[Vec<Option<Placement>>]) -> bool {
+    let same = |a: &Option<Placement>, b: &Option<Placement>| match (a, b) {
+        (None, None) => true,
+        (Some((acl_a, loads_a)), Some((acl_b, loads_b))) => {
+            acl_a.to_bits() == acl_b.to_bits()
+                && loads_a.len() == loads_b.len()
+                && (loads_a.iter().zip(loads_b))
+                    .all(|((la, wa), (lb, wb))| la == lb && wa.to_bits() == wb.to_bits())
+        }
+        _ => false,
+    };
+    a.len() == b.len()
+        && (a.iter().zip(b))
+            .all(|(a, b)| a.len() == b.len() && a.iter().zip(b).all(|(a, b)| same(a, b)))
+}
+
+/// Set one slot's shares from their flat form (`(config position, DC,
+/// fraction)` in variable order, so each config's entries are adjacent).
+fn set_slot_shares(
+    shares: &mut AllocationShares,
+    active: &PlacementGrid,
+    slot: usize,
+    flat: &[(usize, DcId, f64)],
+) {
+    for cfg in flat.chunk_by(|a, b| a.0 == b.0) {
+        let fr = cfg.iter().map(|&(_, dc, f)| (dc, f)).collect();
+        shares.set(active[cfg[0].0].0, slot, fr);
+    }
+}
+
 /// One share variable of a slot LP.
 #[derive(Clone, Copy, Debug)]
 struct SlotVar {
@@ -302,6 +356,30 @@ struct SlotModel {
     /// `link.index()` → position in `network_rows`, `usize::MAX` if the
     /// link is outside the modeled union.
     net_pos: Vec<usize>,
+    /// The basis the slot's last successful solve exported: the next
+    /// solve's warm start. Kept when `last` is dropped.
+    basis: Option<Basis>,
+    /// The last successful solve, while the LP still holds its inputs:
+    /// `None` before the first solve, after a failed one, and after a
+    /// scenario change.
+    last: Option<LastSolve>,
+}
+
+/// What a slot LP's last successful solve was given and what it returned.
+/// A re-plan whose inputs match `demand` (under unchanged placements) takes
+/// `shares` instead of re-solving: a re-solve would patch in the same
+/// numbers, start from the basis that solve ended on and end there again
+/// after 0 iterations, extracting the same bits. Without warm starts, the
+/// same inputs alone make the (deterministic) cold solve repeat itself.
+#[derive(Default)]
+struct LastSolve {
+    /// Demand of each of the slot's configs, in `completeness` order. With
+    /// the re-plan's placements and the fixed capacity, these fix every
+    /// bound, cost, right-hand side and coefficient the patch writes.
+    demand: Vec<f64>,
+    /// The shares extracted, in variable order: `(config position, DC,
+    /// fraction of the config's demand)`.
+    shares: Vec<(usize, DcId, f64)>,
 }
 
 /// Incremental re-planner for the per-slot allocation LP.
@@ -311,10 +389,14 @@ struct SlotModel {
 /// pass at least the healthy scenario plus every failure you may re-plan
 /// under; a healthy scenario's allowed sets are supersets of any failure's,
 /// so including it covers latency-driven placements). Each
-/// [`SlotPlanner::replan_from`] patches the slot LPs for the given scenario
-/// and demand, re-solves only slots ≥ `from_slot` warm-started from the
-/// previous solve's exported basis, and copies earlier slots' shares from
-/// the previous artifact.
+/// [`SlotPlanner::replan_from`] copies the shares of slots before
+/// `from_slot` from the previous artifact. Of the slots from `from_slot`
+/// on, it re-solves only those whose LP differs from the one it last
+/// solved: their demand moved, or the scenario's placements did (which
+/// makes every slot's last solve stale). Those are patched for the given
+/// scenario and demand and warm-started from the basis their last solve
+/// exported; every other slot takes its last solve's shares, which a
+/// re-solve would return bit for bit.
 pub struct SlotPlanner<'a> {
     inputs: PlanningInputs<'a>,
     capacity: ProvisionedCapacity,
@@ -325,7 +407,8 @@ pub struct SlotPlanner<'a> {
     /// order; DC order is first-seen across the build scenarios (stable).
     active: PlacementGrid,
     models: Vec<Option<SlotModel>>,
-    bases: Vec<Option<Basis>>,
+    /// Per `active` row, the placements the last (re-)plan patched under.
+    placements: Vec<Vec<Option<Placement>>>,
 }
 
 impl<'a> SlotPlanner<'a> {
@@ -419,9 +502,10 @@ impl<'a> SlotPlanner<'a> {
                 compute_rows,
                 network_rows,
                 net_pos,
+                basis: None,
+                last: None,
             }));
         }
-        let num_slots = demand.num_slots();
         SlotPlanner {
             inputs: *inputs,
             capacity: capacity.clone(),
@@ -430,7 +514,7 @@ impl<'a> SlotPlanner<'a> {
             min_demand: opts.min_demand,
             active,
             models,
-            bases: (0..num_slots).map(|_| None).collect(),
+            placements: Vec::new(),
         }
     }
 
@@ -455,17 +539,19 @@ impl<'a> SlotPlanner<'a> {
     }
 
     /// Full plan for `sd` (epoch 1, all slots solved cold on the first
-    /// call). Seeds the per-slot basis cache for later incremental
+    /// call). Seeds the per-slot last solves for later incremental
     /// re-plans.
     pub fn plan_initial(&mut self, sd: &ScenarioData) -> Result<ReplanReport, ProvisionError> {
         self.replan(None, 0, sd, None)
     }
 
     /// Incrementally re-plan from `prev`: slots before `from_slot` are
-    /// copied verbatim, slots `from_slot..` are patched for `sd` (and
+    /// copied verbatim. Each slot `from_slot..` whose LP under `sd` (and
     /// `demand_override` if the forecast drifted — must share the base
-    /// demand's slot geometry) and re-solved warm from the last solve's
-    /// exported basis. The result carries epoch `prev.epoch + 1`.
+    /// demand's slot geometry) differs from the one it last solved is
+    /// patched and re-solved warm from that solve's exported basis; the
+    /// others keep their last solve's shares and count as copied. The
+    /// result carries epoch `prev.epoch + 1`.
     pub fn replan_from(
         &mut self,
         prev: &PlanArtifact,
@@ -499,32 +585,49 @@ impl<'a> SlotPlanner<'a> {
                     shares.set(cfg, slot, fr.to_vec());
                 }
             }
-            for slot in 0..from_slot {
-                slots_info.push(SlotSolveInfo {
-                    slot,
-                    copied: true,
-                    warm_started: false,
-                    rung: None,
-                    iterations: 0,
-                    wall_ns: 0,
-                });
-            }
+            slots_info.extend((0..from_slot).map(SlotSolveInfo::not_solved));
         }
 
         // scenario-dependent data shared by every slot: per (config, DC)
-        // ACL and link loads under sd
+        // ACL and link loads under sd. Placements that differ from the
+        // last re-plan's change every slot's LP.
         let placements: Vec<_> = (self.active.iter())
             .map(|(cfg_id, dcs)| {
                 let cfg = self.inputs.catalog.config(*cfg_id);
                 placements_under(sd, cfg, dcs, self.inputs.latency_threshold_ms)
             })
             .collect();
+        if !same_placements(&placements, &self.placements) {
+            for model in self.models.iter_mut().flatten() {
+                model.last = None;
+            }
+            self.placements = placements;
+        }
+        let placements = &self.placements;
 
         let obs_on = sb_obs::global().enabled();
         for slot in from_slot..num_slots {
             let Some(model) = self.models[slot].as_mut() else {
                 continue; // no demand in this slot at build time
             };
+            let slot_demand =
+                |&(_, cfg_pos): &(usize, usize)| demand.get(self.active[cfg_pos].0, slot);
+            let unchanged = |last: &&LastSolve| {
+                (model.completeness.iter().map(slot_demand))
+                    .zip(&last.demand)
+                    .all(|(d, last_d)| d.to_bits() == last_d.to_bits())
+            };
+            if let Some(last) = model.last.as_ref().filter(unchanged) {
+                set_slot_shares(&mut shares, &self.active, slot, &last.shares);
+                slots_info.push(SlotSolveInfo::not_solved(slot));
+                continue;
+            }
+            // taken: a failed solve leaves the slot without a last solve,
+            // so the next re-plan solves it again
+            let mut last = model.last.take().unwrap_or_default();
+            last.demand.clear();
+            last.demand
+                .extend(model.completeness.iter().map(slot_demand));
             let slot_start = Instant::now();
             // patch share variables and collect network coefficients
             let mut net_coeffs: Vec<Vec<(Var, f64)>> = vec![Vec::new(); model.network_rows.len()];
@@ -571,7 +674,7 @@ impl<'a> SlotPlanner<'a> {
             }
             let _ = model.prep.refresh(&model.lp);
             let warm = if self.warm_start {
-                self.bases[slot].as_ref()
+                model.basis.as_ref()
             } else {
                 None
             };
@@ -587,7 +690,7 @@ impl<'a> SlotPlanner<'a> {
                 })?;
             // extract shares in variable order (stable across identical
             // re-plans — entry order is selector-tie-breaking-relevant)
-            let mut per_cfg: Vec<Vec<(DcId, f64)>> = vec![Vec::new(); self.active.len()];
+            last.shares.clear();
             for v in &model.vars {
                 let d = cfg_rhs[v.cfg_pos];
                 if d <= 0.0 {
@@ -595,16 +698,14 @@ impl<'a> SlotPlanner<'a> {
                 }
                 let val = sol.value(v.var).max(0.0);
                 if val > 1e-9 * d.max(1.0) {
-                    per_cfg[v.cfg_pos].push((self.active[v.cfg_pos].1[v.dc_pos], val / d));
+                    let dc = self.active[v.cfg_pos].1[v.dc_pos];
+                    last.shares.push((v.cfg_pos, dc, val / d));
                 }
             }
-            for (cfg_pos, fr) in per_cfg.into_iter().enumerate() {
-                if !fr.is_empty() {
-                    shares.set(self.active[cfg_pos].0, slot, fr);
-                }
-            }
+            set_slot_shares(&mut shares, &self.active, slot, &last.shares);
             let stats = sol.stats();
-            self.bases[slot] = sol.basis().cloned();
+            model.basis = sol.basis().cloned();
+            model.last = Some(last);
             let wall_ns = u64::try_from(slot_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
             if stats.warm_started {
                 m.warm_slots.inc();
@@ -838,26 +939,34 @@ impl PlanArtifact {
     /// [`PlanArtifact::from_ndjson`] reconstructs them exactly. The rows are
     /// written straight into the output — byte for byte what the sb-obs
     /// table renderer produces for them, without a `Vec<Value>` per row and
-    /// a `String` per cell; an engine journals this on every plan install.
+    /// a `String` per cell.
     pub fn to_ndjson(&self) -> String {
-        use std::fmt::Write;
-        let mut out = self.ndjson_meta_line();
+        let mut out = Vec::new();
+        self.write_ndjson(&mut out);
+        String::from_utf8(out).expect("the NDJSON writer writes only `str` pieces")
+    }
+
+    /// Append [`PlanArtifact::to_ndjson`]'s bytes to `out`. An engine frames
+    /// a plan install's journal record this way, with no `String` between
+    /// the plan and the frame.
+    pub fn write_ndjson(&self, out: &mut Vec<u8>) {
+        use std::io::Write;
+        out.extend_from_slice(self.ndjson_meta_line().as_bytes());
         for_each_export_row(self, |(cfg, slot, dc, share, quota)| {
-            // writing to a String cannot fail
+            // writing to a Vec cannot fail
             let _ = write!(out, r#"{{"config":{cfg},"slot":{slot},"dc":{dc},"share":"#);
             let _ = match share {
                 Some(x) if x.is_finite() => write!(out, "{x}"),
-                Some(_) => out.write_str("null"),
-                None => out.write_str(r#""-""#),
+                Some(_) => out.write_all(b"null"),
+                None => out.write_all(br#""-""#),
             };
-            out.push_str(r#","quota":"#);
+            out.extend_from_slice(br#","quota":"#);
             let _ = match quota {
                 Some(n) => write!(out, "{n}"),
-                None => out.write_str(r#""-""#),
+                None => out.write_all(br#""-""#),
             };
-            out.push_str("}\n");
+            out.extend_from_slice(b"}\n");
         });
-        out
     }
 
     /// Parse an artifact previously written by [`PlanArtifact::to_ndjson`].
@@ -1026,24 +1135,208 @@ mod tests {
             &SolveOptions::default(),
         );
         let first = planner.plan_initial(&healthy).unwrap();
-        // re-plan from slot 1 under the same scenario: slot 0 copied, the
-        // rest re-solved warm to the same optimum
+        // re-plan from slot 1 under the same scenario and demand: slot 0 is
+        // copied from the previous epoch, slots 1.. from their last solves
         let second = planner
             .replan_from(&first.artifact, 1, &healthy, None)
             .unwrap();
         assert_eq!(second.artifact.epoch, 2);
-        assert_eq!(second.copied_slots(), 1);
-        assert_eq!(second.solved_slots(), 2);
-        assert_eq!(
-            second.warm_hits(),
-            2,
-            "unchanged scenario must warm-start every re-solved slot: {:?}",
-            second.slots
-        );
-        assert!((second.warm_hit_rate() - 1.0).abs() < 1e-12);
+        assert_eq!(second.copied_slots(), 3);
+        assert_eq!(second.solved_slots(), 0);
+        assert_eq!(second.warm_hit_rate(), 0.0);
+        assert_eq!(second.artifact.provenance.copied_slots, 3);
         assert_eq!(second.artifact.shares, first.artifact.shares);
         assert_eq!(second.artifact.quotas, first.artifact.quotas);
-        assert!(PlanDelta::between(&first.artifact, &second.artifact).is_empty());
+        // forced to re-solve, slots 1.. warm-start to the same optimum
+        planner.forget_last_solves();
+        let third = planner
+            .replan_from(&second.artifact, 1, &healthy, None)
+            .unwrap();
+        assert_eq!(third.copied_slots(), 1);
+        assert_eq!(third.solved_slots(), 2);
+        assert_eq!(
+            third.warm_hits(),
+            2,
+            "unchanged scenario must warm-start every re-solved slot: {:?}",
+            third.slots
+        );
+        assert!((third.warm_hit_rate() - 1.0).abs() < 1e-12);
+        assert_eq!(third.artifact.shares, first.artifact.shares);
+        assert_eq!(third.artifact.quotas, first.artifact.quotas);
+        assert!(PlanDelta::between(&first.artifact, &third.artifact).is_empty());
+    }
+
+    impl SlotPlanner<'_> {
+        /// Drop every slot's last solve but keep its basis: the next
+        /// (re-)plan re-solves every slot it reaches, warm from the same
+        /// bases. The always-solve oracle the skip is held to.
+        fn forget_last_solves(&mut self) {
+            for model in self.models.iter_mut().flatten() {
+                model.last = None;
+            }
+        }
+
+        /// Each slot's warm-start basis.
+        fn bases(&self) -> Vec<Option<Basis>> {
+            let basis = |m: &Option<SlotModel>| m.as_ref().and_then(|m| m.basis.clone());
+            self.models.iter().map(basis).collect()
+        }
+    }
+
+    /// Ten days of four slots, three configs (JP, IN, JP+IN video) with a
+    /// demand that varies by slot.
+    fn daily_instance() -> (Topology, ConfigCatalog, DemandMatrix) {
+        let topo = sb_net::presets::toy_three_dc();
+        let jp = topo.country_by_name("JP");
+        let iin = topo.country_by_name("IN");
+        let mut cat = ConfigCatalog::new();
+        let cfgs = [
+            cat.intern(CallConfig::new(vec![(jp, 2)], MediaType::Audio)),
+            cat.intern(CallConfig::new(vec![(iin, 2)], MediaType::Audio)),
+            cat.intern(CallConfig::new(vec![(jp, 1), (iin, 1)], MediaType::Video)),
+        ];
+        let slots = 44;
+        let mut demand = DemandMatrix::zero(3, slots, 30, 0);
+        for slot in 0..slots {
+            for (k, &cfg) in cfgs.iter().enumerate() {
+                let phase = (slot * (k + 2) % 7) as f64;
+                demand.set(cfg, slot, 20.0 + 15.0 * phase + 7.0 * k as f64);
+            }
+        }
+        (topo, cat, demand)
+    }
+
+    /// The bytes a plan's shares and quotas persist to: its NDJSON rows
+    /// without the meta line (whose provenance counts solves).
+    fn plan_rows(r: &Result<ReplanReport, ProvisionError>) -> Option<String> {
+        let nd = r.as_ref().ok()?.artifact.to_ndjson();
+        Some(
+            nd.split_once('\n')
+                .map_or(String::new(), |(_, rows)| rows.to_string()),
+        )
+    }
+
+    /// Run one re-plan script on a planner that skips unchanged slots and on
+    /// the always-solve oracle: every re-plan's shares and quotas, and every
+    /// slot's basis, must be the same. Returns the skipping planner's
+    /// reports, one per step.
+    fn skip_matches_always_solving(opts: &SolveOptions) -> Vec<ReplanReport> {
+        const SPD: usize = 4;
+        let (topo, cat, demand) = daily_instance();
+        let (capacity, healthy, down) = planner_world(&topo, &cat, &demand);
+        let inputs = PlanningInputs::new(&topo, &cat, &demand);
+        let sds = [healthy.clone(), down.clone()];
+        let mut fast = SlotPlanner::new(&inputs, &sds, &capacity, opts);
+        let mut oracle = SlotPlanner::new(&inputs, &sds, &capacity, opts);
+        let a = fast.plan_initial(&healthy);
+        let b = oracle.plan_initial(&healthy);
+        assert_eq!(plan_rows(&a), plan_rows(&b));
+        let mut prev = (a.unwrap().artifact, b.unwrap().artifact);
+        let mut reports = Vec::new();
+        // a forecast-style override: the base demand, raised on the next
+        // day's slots only
+        let raised = |from: usize, factor: f64| {
+            let mut dm = demand.clone();
+            for (cfg, _) in cat.iter() {
+                for slot in from..(from + SPD).min(demand.num_slots()) {
+                    let f = factor + 0.01 * ((slot + cfg.index()) % 3) as f64;
+                    dm.set(cfg, slot, demand.get(cfg, slot) * f);
+                }
+            }
+            dm
+        };
+        let mut step = |from: usize, sd: &ScenarioData, dm: Option<&DemandMatrix>| {
+            let a = fast.replan_from(&prev.0, from, sd, dm);
+            oracle.forget_last_solves();
+            let b = oracle.replan_from(&prev.1, from, sd, dm);
+            assert_eq!(plan_rows(&a), plan_rows(&b), "from slot {from}");
+            assert_eq!(fast.bases(), oracle.bases(), "from slot {from}");
+            let solved = |r: &Result<ReplanReport, ProvisionError>| {
+                r.as_ref().map_or(0, |r| r.solved_slots())
+            };
+            assert!(solved(&a) <= solved(&b));
+            match (a, b) {
+                (Ok(a), Ok(b)) => {
+                    prev = (a.artifact.clone(), b.artifact.clone());
+                    reports.push(a);
+                    true
+                }
+                _ => false,
+            }
+        };
+        // ten daily re-plans, each raising the next day
+        for day in 1..=10 {
+            let from = day * SPD;
+            assert!(step(
+                from,
+                &healthy,
+                Some(&raised(from, 1.1 + 0.02 * day as f64))
+            ));
+        }
+        // a DC outage and the return to health re-solve every slot left
+        assert!(step(10, &down, None));
+        assert!(step(10, &healthy, None));
+        // an override one slot cannot fit fails the re-plan; the planned
+        // demand is the fallback
+        let mut dm = demand.clone();
+        dm.set(ConfigId(0), 30, 1e9);
+        dm.set(ConfigId(1), 20, 80.0);
+        assert!(!step(12, &healthy, Some(&dm)));
+        assert!(step(12, &healthy, None));
+        assert!(step(12, &healthy, None));
+        // an override touching one slot
+        let mut dm = demand.clone();
+        dm.set(ConfigId(2), 25, 33.0);
+        assert!(step(12, &healthy, Some(&dm)));
+        assert!(step(12, &healthy, None));
+        reports
+    }
+
+    #[test]
+    fn skipping_unchanged_slots_matches_always_solving() {
+        let (_, _, demand) = daily_instance();
+        let slots = demand.num_slots();
+        let r = skip_matches_always_solving(&SolveOptions::default());
+        // each daily re-plan re-solves the raised next day only (the
+        // previous raise is in the past by then)
+        for r in &r[..10] {
+            assert_eq!(r.solved_slots(), 4, "{:?}", r.slots);
+            assert_eq!(r.artifact.provenance.copied_slots as usize, slots - 4);
+        }
+        // the outage and the return re-solve every remaining slot
+        for r in &r[10..12] {
+            assert_eq!(r.solved_slots(), slots - 10, "{:?}", r.slots);
+        }
+        // the fallback re-solves what the failed override patched: slot 20
+        // (solved at 80) and slot 30 (failed); the next identical re-plan
+        // nothing
+        let solved = |r: &ReplanReport| -> Vec<usize> {
+            r.slots
+                .iter()
+                .filter(|s| !s.copied)
+                .map(|s| s.slot)
+                .collect()
+        };
+        assert_eq!(solved(&r[12]), [20, 30]);
+        assert_eq!(r[13].solved_slots(), 0);
+        // one touched slot re-solves exactly that slot, and back
+        assert_eq!(solved(&r[14]), [25]);
+        assert_eq!(solved(&r[15]), [25]);
+        // every skipped slot reports no solve
+        for s in r.iter().flat_map(|r| &r.slots).filter(|s| s.copied) {
+            assert_eq!((s.warm_started, s.rung, s.iterations), (false, None, 0));
+        }
+    }
+
+    #[test]
+    fn skipping_unchanged_slots_matches_always_solving_cold() {
+        let cold = SolveOptions {
+            warm_start: false,
+            ..SolveOptions::default()
+        };
+        let r = skip_matches_always_solving(&cold);
+        assert_eq!(r[13].solved_slots(), 0);
+        assert!(r.iter().flat_map(|r| &r.slots).all(|s| !s.warm_started));
     }
 
     #[test]

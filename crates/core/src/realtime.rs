@@ -68,25 +68,26 @@ impl PlannedQuotas {
     /// demand (largest-remainder method).
     pub fn from_plan(shares: &AllocationShares, demand: &DemandMatrix) -> PlannedQuotas {
         let mut quotas = HashMap::new();
+        // `(entry, fractional part of its target)`, reused across pools
+        let mut remainders: Vec<(usize, f64)> = Vec::new();
         for (cfg, slot, fracs) in shares.iter() {
             let d = demand.get(cfg, slot).round() as u32;
             if d == 0 {
                 continue;
             }
-            let targets: Vec<(DcId, f64)> =
-                fracs.iter().map(|&(dc, f)| (dc, f * d as f64)).collect();
-            let mut counts: Vec<(DcId, u32)> = targets
-                .iter()
-                .map(|&(dc, t)| (dc, t.floor() as u32))
-                .collect();
-            let assigned: u32 = counts.iter().map(|&(_, n)| n).sum();
-            let mut remainders: Vec<(usize, f64)> = targets
-                .iter()
-                .enumerate()
-                .map(|(i, &(_, t))| (i, t - t.floor()))
-                .collect();
+            let mut counts: Vec<(DcId, u32)> = Vec::with_capacity(fracs.len());
+            let mut assigned = 0u32;
+            let mut total_target = 0.0f64;
+            remainders.clear();
+            for (i, &(dc, f)) in fracs.iter().enumerate() {
+                let t = f * d as f64;
+                counts.push((dc, t.floor() as u32));
+                assigned += t.floor() as u32;
+                remainders.push((i, t - t.floor()));
+                total_target += t;
+            }
+            // stable: equal remainders keep entry order
             remainders.sort_by(|a, b| b.1.total_cmp(&a.1));
-            let total_target: f64 = targets.iter().map(|&(_, t)| t).sum();
             let want = total_target.round() as u32;
             for k in 0..(want.saturating_sub(assigned)) as usize {
                 let idx = remainders[k % remainders.len()].0;

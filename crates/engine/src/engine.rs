@@ -334,10 +334,7 @@ impl Engine {
         cfg: &EngineConfig,
         journal: Journal,
     ) -> Result<Engine, sb_store::JournalError> {
-        let boot = WalRecord::PlanInstall {
-            ndjson: artifact.to_ndjson(),
-        };
-        journal.append_with(|f| boot.frame(f))?;
+        journal.append_with(|f| WalRecord::frame_plan_install(artifact, f))?;
         journal.sync()?;
         let mut engine = Engine::new(latmap, artifact, cfg);
         engine.journal = Some(journal);
@@ -361,10 +358,7 @@ impl Engine {
     /// eagerly when the engine is journaled — a plan install is never lost
     /// to the group-commit window.
     pub fn install_plan(&self, artifact: &PlanArtifact) -> PlanSwapStats {
-        let rec = WalRecord::PlanInstall {
-            ndjson: artifact.to_ndjson(),
-        };
-        self.journal_op(|f| rec.frame(f));
+        self.journal_op(|f| WalRecord::frame_plan_install(artifact, f));
         if let Some(j) = &self.journal {
             if j.sync().is_err() {
                 self.journal_failures.fetch_add(1, Ordering::Relaxed);
@@ -1479,7 +1473,7 @@ impl Drop for EngineWorker<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sb_core::{AllocationShares, PlannedQuotas};
+    use sb_core::{AllocationShares, PlanProvenance, PlannedQuotas};
     use sb_net::{FailureScenario, RoutingTable};
     use sb_workload::DemandMatrix;
 
@@ -1658,6 +1652,44 @@ mod tests {
         }
         drop(w);
         assert_eq!(engine.stats().plans_installed, 1);
+    }
+
+    /// A journaled install frames the plan's NDJSON in place: the log holds
+    /// the bytes of the `PlanInstall` record of `to_ndjson`, shares and an
+    /// escaped scenario string included.
+    #[test]
+    fn journaled_install_writes_the_plan_install_record_bytes() {
+        let (topo, latmap, artifact, cfg) = world();
+        let path = temp_journal_path("install-bytes");
+        let journal = Journal::create(&path, JournalConfig::default()).unwrap();
+        let engine =
+            Engine::with_journal(&latmap, &artifact, &EngineConfig::default(), journal).unwrap();
+        let (tokyo, pune) = (topo.dc_by_name("Tokyo"), topo.dc_by_name("Pune"));
+        let slots = 2;
+        let mut shares = AllocationShares::new(slots);
+        let mut demand = DemandMatrix::zero(1, slots, 30, 0);
+        for s in 0..slots {
+            shares.set(cfg, s, vec![(pune, 1.0 / 3.0), (tokyo, 2.0 / 3.0)]);
+            demand.set(cfg, s, 10.0);
+        }
+        let quotas = PlannedQuotas::from_plan(&shares, &demand);
+        let provenance = PlanProvenance {
+            scenario: r#"DcDown("x\y")"#.to_string(),
+            ..PlanProvenance::default()
+        };
+        let v2 = PlanArtifact::new(1, shares, quotas, provenance);
+        engine.install_plan(&v2);
+        engine.sync_journal();
+        drop(engine);
+        let scan = Journal::scan(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let want = |a: &PlanArtifact| WalRecord::PlanInstall {
+            ndjson: a.to_ndjson(),
+        };
+        assert_eq!(scan.records.len(), 2);
+        assert_eq!(scan.records[0], want(&artifact).encode());
+        assert_eq!(scan.records[1], want(&v2).encode());
+        assert_eq!(WalRecord::decode(&scan.records[1]).unwrap(), want(&v2));
     }
 
     #[test]

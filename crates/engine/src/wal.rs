@@ -16,7 +16,7 @@
 
 use std::fmt;
 
-use sb_core::{FreezeDecision, SelectorOutcome, SelectorRung};
+use sb_core::{FreezeDecision, PlanArtifact, SelectorOutcome, SelectorRung};
 use sb_net::DcId;
 use sb_store::Frames;
 
@@ -255,6 +255,17 @@ impl WalRecord {
     /// Frame this record into one journal append, encoded in place.
     pub fn frame(&self, frames: &mut Frames<'_>) {
         frames.frame(|out| self.encode_into(out));
+    }
+
+    /// Frame the `PlanInstall` record of `artifact` into one journal
+    /// append: the bytes of [`WalRecord::frame`] on
+    /// `PlanInstall { ndjson: artifact.to_ndjson() }`, the NDJSON written
+    /// straight into the frame.
+    pub fn frame_plan_install(artifact: &PlanArtifact, frames: &mut Frames<'_>) {
+        frames.frame(|out| {
+            out.push(TAG_PLAN_INSTALL);
+            artifact.write_ndjson(out);
+        });
     }
 
     /// Append the journal payload bytes to `out` — [`WalRecord::encode`]
