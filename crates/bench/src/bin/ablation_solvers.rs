@@ -13,8 +13,8 @@
 
 use std::time::Instant;
 
+use sb_bench::decomposed::{solve_scenario_greedy, GreedyOptions};
 use sb_bench::report::{Mode, Report};
-use sb_core::decomposed::{solve_scenario_greedy, GreedyOptions};
 use sb_core::formulation::{solve_scenario, PlanningInputs, ScenarioData, SolveOptions};
 use sb_net::FailureScenario;
 use sb_workload::{Generator, UniverseParams, WorkloadParams};

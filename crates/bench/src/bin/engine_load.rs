@@ -8,6 +8,11 @@
 //! second of drive wall time; latency quantiles (p50/p99/p999) come from
 //! the engine's per-op [`sb_store::LatencyHistogram`].
 //!
+//! The `obs` leg times the three ops the selector's sb-obs handles run on
+//! the serving path — `Counter::inc`, `Histogram::record` and a dropped
+//! `start_timer()` — against the global registry while it is disabled (its
+//! default), and gates that each stays under a fixed bound per op.
+//!
 //! Usage: `engine_load [--json <path> | --check <path>]`
 //!
 //! One world size, best of three. At least a 3x speedup over the serial
@@ -16,6 +21,9 @@
 //! repetition either way. `--json` records `BENCH_engine.json` and
 //! `results/engine_load.txt`, `--check` compares the counts with the
 //! committed file ([`sb_bench::report`]).
+
+use std::hint::black_box;
+use std::time::Instant;
 
 use sb_bench::common::spread_plan_day;
 use sb_bench::load::{drive_concurrent, drive_serial, DriveOutcome, LoadSchedule};
@@ -29,6 +37,30 @@ use sb_store::LatencyHistogram;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const REPS: usize = 3;
+
+/// Calls per repetition of each disabled sb-obs op; the best of
+/// `OBS_REPS` repetitions is kept, so one preempted time slice cannot flip
+/// the bound.
+const OBS_OPS: u32 = 10_000_000;
+const OBS_REPS: usize = 5;
+/// Bound on one disabled sb-obs op, in ns. It is about 3x the worst reading
+/// (a dropped timer, 4.9 ns on a 2-thread box), and it still catches an
+/// `Instant::now()` (42-46 ns on the timer there) or an `Arc` clone (17-24 ns
+/// on the counter) slipping into the disabled path.
+const OBS_DISABLED_NS_BOUND: f64 = 15.0;
+
+/// Best-of-`OBS_REPS` nanoseconds per call of `op`, over `OBS_OPS` calls.
+fn ns_per_op(mut op: impl FnMut()) -> f64 {
+    (0..OBS_REPS)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..OBS_OPS {
+                op();
+            }
+            start.elapsed().as_nanos() as f64 / f64::from(OBS_OPS)
+        })
+        .fold(f64::INFINITY, f64::min)
+}
 
 fn main() {
     let mode = Mode::from_args();
@@ -129,6 +161,28 @@ fn main() {
         );
     }
 
+    let obs = sb_obs::global();
+    assert!(
+        !obs.enabled(),
+        "the obs leg times the registry's disabled path"
+    );
+    let obs_counter = obs.counter("bench.engine_load.counter");
+    let obs_hist = obs.histogram("bench.engine_load.hist");
+    let obs_ns = [
+        (
+            "counter_inc_ns",
+            ns_per_op(|| black_box(&obs_counter).inc()),
+        ),
+        (
+            "histogram_record_ns",
+            ns_per_op(|| black_box(&obs_hist).record(black_box(42))),
+        ),
+        (
+            "scoped_timer_ns",
+            ns_per_op(|| drop(black_box(&obs_hist).start_timer())),
+        ),
+    ];
+
     let mut report = Report::new("engine_load");
     report
         .counts
@@ -163,5 +217,13 @@ fn main() {
         .int("p99", hist.quantile(0.99).as_nanos() as u64)
         .int("p999", hist.quantile(0.999).as_nanos() as u64);
     report.host.fixed("speedup_8_thread", speedup8, 4);
+    report.counts.row("obs").flag(
+        "disabled_ops_under_bound",
+        obs_ns.iter().all(|&(_, ns)| ns < OBS_DISABLED_NS_BOUND),
+    );
+    let host_obs = report.host.row("obs");
+    for (op, ns) in obs_ns {
+        host_obs.fixed(op, ns, 3);
+    }
     report.finish(&mode);
 }

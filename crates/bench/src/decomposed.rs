@@ -10,9 +10,9 @@
 use sb_net::{DcId, LinkId, ProvisionedCapacity};
 use sb_workload::ConfigId;
 
-use crate::formulation::{placement_grid, PlanningInputs, ScenarioData, ScenarioSolution};
-use crate::shares::AllocationShares;
-use crate::usage::link_loads;
+use sb_core::formulation::{placement_grid, PlanningInputs, ScenarioData, ScenarioSolution};
+use sb_core::shares::AllocationShares;
+use sb_core::usage::link_loads;
 
 /// Options for the greedy solve.
 #[derive(Clone, Debug)]
@@ -236,8 +236,8 @@ fn recompute_caps(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::formulation::{solve_scenario, SolveOptions};
-    use crate::usage::{compute_usage, placed_fraction};
+    use sb_core::formulation::{solve_scenario, SolveOptions};
+    use sb_core::usage::{compute_usage, placed_fraction};
     use sb_net::{FailureScenario, Topology};
     use sb_workload::{CallConfig, ConfigCatalog, DemandMatrix, MediaType};
 

@@ -1,11 +1,13 @@
 //! # sb-bench — the paper's evaluation harness
 //!
-//! One binary per table/figure (see `src/bin/`), plus Criterion
-//! micro-benchmarks of our own implementation (see `benches/`). The shared
-//! pipeline — topology, workload, top-coverage selection, envelope-day
-//! reduction — lives in [`common`]; the benches that commit a `BENCH_*.json`
-//! all write it through [`report`].
+//! One binary per table/figure or perf question (see `src/bin/`); each but
+//! the `inspect_plan` tool is gated by one committed `BENCH_*.json`, written
+//! and checked through [`report`].
+//! The shared pipeline — topology, workload, top-coverage selection,
+//! envelope-day reduction — lives in [`common`]; the greedy solver the
+//! ablation compares with the exact LP lives in [`decomposed`].
 
 pub mod common;
+pub mod decomposed;
 pub mod load;
 pub mod report;

@@ -211,12 +211,13 @@ pub type NetworkRow = (usize, LinkId, Vec<(ConfigId, DcId, f64)>);
 /// Rows of a planning LP's placement grid: each demand-active config with the
 /// union of DCs the Eq. 4 latency filter allows it under *any* of `sds`, in
 /// first-seen order.
-pub(crate) type PlacementGrid = Vec<(ConfigId, Vec<DcId>)>;
+pub type PlacementGrid = Vec<(ConfigId, Vec<DcId>)>;
 
 /// The placement grid over `sds`, plus the demand-active configs no scenario
 /// can host at all. Configs are in catalog order; one whose demand never
 /// exceeds `min_demand`, or that the demand matrix does not cover, has no row.
-pub(crate) fn placement_grid(
+/// The exact LPs and the benchmark's greedy solver enumerate placements by it.
+pub fn placement_grid(
     inputs: &PlanningInputs<'_>,
     sds: &[ScenarioData],
     min_demand: f64,

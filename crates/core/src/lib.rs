@@ -15,7 +15,6 @@
 //!   re-planning, and plan persistence (§6.3's refresh loop);
 //! * [`baselines`] — Round-Robin and Locality-First (§3), with the Eq. 1–2
 //!   backup LP in [`backup`];
-//! * [`decomposed`] — a greedy scalable provisioner (ablation);
 //! * [`shares`] / [`usage`] — the `S_tcx` representation and forward
 //!   evaluation of Eq. 5–6 (usage, peaks, mean ACL).
 //!
@@ -43,7 +42,6 @@
 pub mod allocation;
 pub mod backup;
 pub mod baselines;
-pub mod decomposed;
 pub mod formulation;
 pub mod latency;
 mod metrics;

@@ -118,10 +118,8 @@ pub(crate) struct RealtimeMetrics {
     pub(crate) pool_contention: Counter,
 }
 
-/// Columns of the `plan.slot_solves` table: one row per slot re-solved (or
-/// copied) by an incremental re-plan.
-pub const PLAN_SLOT_COLUMNS: [&str; 6] =
-    ["epoch", "slot", "copied", "warm_started", "rung", "wall_ns"];
+/// Columns of the `plan.slot_solves` table: one row per re-solved slot.
+pub const PLAN_SLOT_COLUMNS: [&str; 5] = ["epoch", "slot", "warm_started", "rung", "wall_ns"];
 
 pub(crate) struct PlanMetrics {
     /// Plan epochs installed into a selector.

@@ -716,7 +716,6 @@ impl<'a> SlotPlanner<'a> {
                 m.slot_solves.push(vec![
                     Value::from(epoch),
                     Value::from(slot),
-                    Value::from(0u64),
                     Value::from(u64::from(stats.warm_started)),
                     Value::from(stats.rung.to_string()),
                     Value::from(wall_ns),

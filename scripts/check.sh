@@ -75,6 +75,23 @@ for bin in crates/bench/src/bin/*.rs; do
     fi
 done
 
+echo "==> one-harness gate: sb-bench's report binaries are the only benchmarks"
+# Every measurement lands in a committed BENCH_*.json that the loop below
+# checks. A second harness (Criterion targets on a vendored shim) compiles
+# under clippy, runs nowhere and gates nothing: a [[bench]] target, a
+# criterion dependency, a crates/*/benches/ directory or shims/criterion
+# fails here.
+harness=$( {
+    grep -H -n -E '^\[\[bench\]\]|^[[:space:]]*criterion[[:space:]]*[=.]|dependencies\.criterion\]|^name = "criterion"$' \
+        Cargo.toml Cargo.lock crates/*/Cargo.toml shims/*/Cargo.toml
+    ls -d crates/*/benches shims/criterion
+} 2>/dev/null || true)
+if [ -n "$harness" ]; then
+    echo "a second bench harness:" >&2
+    echo "$harness" >&2
+    exit 1
+fi
+
 echo "==> bench reports: every count in every committed BENCH_*.json, exactly"
 # Each file names the sb-bench binary that recorded it; that binary re-runs
 # at its one size and --check compares its fresh counts (migrations per 1k
