@@ -62,7 +62,7 @@ pub use latency::LatencyMap;
 pub use metrics::PLAN_SLOT_COLUMNS;
 pub use plan::{
     PlanArtifact, PlanDelta, PlanParseError, PlanProvenance, QuotaChange, ReplanReport,
-    SlotPlanner, SlotSolveInfo,
+    SlotPlanner, SlotSolveInfo, MAX_PLAN_SLOTS,
 };
 pub use provision::{provision, ProvisionerParams, ProvisioningPlan};
 pub use realtime::{

@@ -778,6 +778,13 @@ impl std::fmt::Display for PlanParseError {
 
 impl std::error::Error for PlanParseError {}
 
+/// The most slots a parsed plan may span. A share table keeps one list per
+/// slot for every config it names, so an unchecked `num_slots` from outside
+/// the process sizes an allocation. The longest plan the workspace writes
+/// spans 336 slots (28 days of two-hour slots, or 7 days of 30-minute
+/// ones); 4096 leaves 12× headroom.
+pub const MAX_PLAN_SLOTS: usize = 4096;
+
 fn err(msg: impl Into<String>) -> PlanParseError {
     PlanParseError(msg.into())
 }
@@ -970,7 +977,8 @@ impl PlanArtifact {
 
     /// Parse an artifact previously written by [`PlanArtifact::to_ndjson`].
     /// Keys the writer no longer emits (`solve_wall_ns`) are ignored. A zero
-    /// slot width and a non-finite share are refused; DC ids are checked
+    /// slot width, more than [`MAX_PLAN_SLOTS`] slots and a non-finite share
+    /// are refused before anything is built; DC ids are checked
     /// against a topology by [`PlanArtifact::check_dcs`].
     pub fn from_ndjson(s: &str) -> Result<PlanArtifact, PlanParseError> {
         let mut lines = s.lines();
@@ -1028,6 +1036,12 @@ impl PlanArtifact {
         if meta.slot_minutes == 0 {
             // every minute → slot lookup divides by it
             return Err(err("slot_minutes must be positive"));
+        }
+        if meta.num_slots > MAX_PLAN_SLOTS {
+            return Err(err(format!(
+                "num_slots {} exceeds {MAX_PLAN_SLOTS}",
+                meta.num_slots
+            )));
         }
         let mut rows = Vec::new();
         for line in lines {
@@ -1551,6 +1565,22 @@ mod tests {
                 PlanArtifact::from_ndjson(&plan_text(30, row)).is_err(),
                 "{row}"
             );
+        }
+    }
+
+    /// Regression: `"num_slots":1099511627776` parsed, and the first share
+    /// row sized a per-slot list by it — an abort, not an error.
+    #[test]
+    fn a_horizon_past_max_plan_slots_is_refused_before_anything_is_built() {
+        let row = r#"{"config":0,"slot":0,"dc":0,"share":1,"quota":3}"#;
+        let with_slots = |n: usize| {
+            plan_text(30, row).replacen(r#""num_slots":1,"#, &format!(r#""num_slots":{n},"#), 1)
+        };
+        let a = PlanArtifact::from_ndjson(&with_slots(MAX_PLAN_SLOTS)).unwrap();
+        assert_eq!(a.quotas.num_slots(), MAX_PLAN_SLOTS);
+        for hostile in [MAX_PLAN_SLOTS + 1, 1 << 40] {
+            let e = PlanArtifact::from_ndjson(&with_slots(hostile)).unwrap_err();
+            assert!(e.0.contains("num_slots"), "{e}");
         }
     }
 

@@ -99,8 +99,6 @@ pub struct EnginePackConfig {
 pub struct EngineConfig {
     /// Shard count of the call-state store.
     pub store_shards: usize,
-    /// Simulated per-write store round trip (§6.6; zero = in-process map).
-    pub store_rtt: Duration,
     /// Overload-protection watermarks and deadlines.
     pub overload: OverloadConfig,
     /// Two-level `(DC, server)` placement; `None` keeps DC-only placement.
@@ -116,7 +114,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             store_shards: 64,
-            store_rtt: Duration::ZERO,
             overload: OverloadConfig::default(),
             pack: None,
             forecast: None,
@@ -300,7 +297,7 @@ impl Engine {
     pub fn new(latmap: &LatencyMap, artifact: &PlanArtifact, cfg: &EngineConfig) -> Engine {
         Engine {
             selector: RealtimeSelector::from_artifact(latmap, artifact),
-            store: CallStateStore::with_simulated_rtt(cfg.store_shards, cfg.store_rtt),
+            store: CallStateStore::new(cfg.store_shards),
             pack: cfg.pack.as_ref().map(PackRuntime::from_config),
             forecast: cfg.forecast.map(|p| Mutex::new(ForecastState::new(p))),
             journal: None,
@@ -1894,6 +1891,32 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Regression: a boot plan whose `num_slots` sizes a share table past
+    /// any memory aborted recovery. It is refused, typed, at index 0.
+    #[test]
+    fn recovery_refuses_a_boot_plan_with_a_hostile_horizon() {
+        let (_, latmap, artifact, _) = world();
+        let meta = artifact.to_ndjson();
+        let meta = meta.lines().next().unwrap();
+        let num_slots = format!(r#""num_slots":{},"#, artifact.quotas.num_slots());
+        let ndjson = format!(
+            "{}\n{}\n",
+            meta.replacen(&num_slots, r#""num_slots":1099511627776,"#, 1),
+            r#"{"config":0,"slot":0,"dc":0,"share":1,"quota":3}"#
+        );
+        let path = temp_journal_path("hostile-horizon");
+        let jcfg = JournalConfig::default();
+        let journal = Journal::create(&path, jcfg).unwrap();
+        journal
+            .append(&WalRecord::PlanInstall { ndjson }.encode())
+            .unwrap();
+        journal.sync().unwrap();
+        drop(journal);
+        let recovered = Engine::recover(&latmap, &EngineConfig::default(), jcfg, &path);
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(recovered.err(), Some(RecoveryError::PlanParse { index: 0 }));
     }
 
     #[test]

@@ -20,10 +20,9 @@
 //! ```
 //!
 //! Usage: `sb-engine [--topology apac|toy] [--configs N] [--slot-minutes M]
-//! [--store-shards N] [--store-rtt-us U] [--listen ADDR:PORT]`
+//! [--store-shards N] [--listen ADDR:PORT]`
 
 use std::io::{BufRead, BufReader, Write};
-use std::time::Duration;
 
 use sb_core::{
     AllocationShares, FreezeDecision, LatencyMap, PlanArtifact, PlannedQuotas, SelectorOutcome,
@@ -38,7 +37,6 @@ struct Opts {
     configs: usize,
     slot_minutes: u32,
     store_shards: usize,
-    store_rtt: Duration,
     listen: Option<String>,
 }
 
@@ -56,7 +54,6 @@ fn parse_opts() -> Opts {
         configs: 300,
         slot_minutes: 120,
         store_shards: 64,
-        store_rtt: Duration::ZERO,
         listen: None,
     };
     let mut args = std::env::args().skip(1);
@@ -76,16 +73,11 @@ fn parse_opts() -> Opts {
             "--store-shards" => {
                 opts.store_shards = flag_num("--store-shards", &take("--store-shards"))
             }
-            "--store-rtt-us" => {
-                opts.store_rtt =
-                    Duration::from_micros(flag_num("--store-rtt-us", &take("--store-rtt-us")))
-            }
             "--listen" => opts.listen = Some(take("--listen")),
             "--help" | "-h" => {
                 eprintln!(
                     "usage: sb-engine [--topology apac|toy] [--configs N] \
-                     [--slot-minutes M] [--store-shards N] [--store-rtt-us U] \
-                     [--listen ADDR:PORT]"
+                     [--slot-minutes M] [--store-shards N] [--listen ADDR:PORT]"
                 );
                 std::process::exit(0);
             }
@@ -334,7 +326,6 @@ fn main() {
         &artifact,
         &EngineConfig {
             store_shards: opts.store_shards,
-            store_rtt: opts.store_rtt,
             ..EngineConfig::default()
         },
     );

@@ -169,11 +169,12 @@ impl CallStateStore {
         }
     }
 
-    /// Create with a simulated per-write network round trip. The paper's
-    /// controller writes to Azure Redis (0.3–4.2 ms per write, §6.6); an
-    /// in-process map alone would make every thread count look infinitely
-    /// fast. The simulated RTT restores the latency-bound regime in which
-    /// adding writer threads increases throughput.
+    /// Create with a simulated per-write network round trip, slept on every
+    /// write. No workspace code sets a non-zero round trip: Fig. 10 charges
+    /// its round trips in virtual time
+    /// ([`crate::harness::virtual_makespan`]). The constructor stays only
+    /// while `benchmark/README.md` pins it as a call the benchmark makes
+    /// (with [`std::time::Duration::ZERO`]).
     pub fn with_simulated_rtt(shards: usize, rtt: std::time::Duration) -> CallStateStore {
         CallStateStore {
             map: Arc::new(ShardedMap::new(shards)),

@@ -3,13 +3,29 @@
 //! and report sustained events/second plus write latencies. The paper
 //! normalizes throughput to the trace's peak event rate; [`peak_event_rate`]
 //! computes that normalizer.
+//!
+//! The paper's writes go to Azure Redis, 0.3–4.2 ms a round trip; an
+//! in-process store has none. [`virtual_makespan`] replays the same dispatch
+//! into the same queues in virtual time, charging each write one round trip,
+//! so the thread-count curve is a function of the trace and the round trip
+//! alone. Both the threads and the model split the trace with [`worker_of`]
+//! and bound each worker's queue at [`QUEUE_DEPTH`].
 
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
-
-use crossbeam::channel;
 
 use crate::callstate::{CallEvent, CallStateStore};
 use crate::latency::LatencyHistogram;
+
+/// Events a worker's queue holds before the dispatcher blocks on it.
+pub const QUEUE_DEPTH: usize = 4096;
+
+/// The worker, of `threads`, that applies every event of `call`: a call's
+/// events stay on one worker, in trace order — the per-call ordering a
+/// sharded production dispatcher provides.
+pub fn worker_of(call: u64, threads: usize) -> usize {
+    (call % threads as u64) as usize
+}
 
 /// Result of one throughput measurement.
 #[derive(Clone, Debug)]
@@ -27,14 +43,15 @@ pub struct ThroughputResult {
     pub dropped_writes: u64,
     /// Merged write-latency histogram.
     pub latency: LatencyHistogram,
+    /// Events each worker applied, by worker index.
+    pub worker_events: Vec<u64>,
 }
 
 /// Replay `events` through `threads` workers as fast as possible.
 ///
-/// Events are partitioned by call id (hash dispatch), preserving per-call
-/// ordering — the same invariant a sharded production dispatcher provides.
-/// A dispatcher thread feeds bounded channels; workers apply events to the
-/// store and record per-write latency.
+/// A dispatcher (this thread) hands each event to its [`worker_of`] through
+/// a [`QUEUE_DEPTH`]-deep channel; workers apply events to the store and
+/// record per-write latency.
 pub fn measure_throughput(
     store: &CallStateStore,
     events: &[CallEvent],
@@ -42,12 +59,13 @@ pub fn measure_throughput(
 ) -> ThroughputResult {
     assert!(threads > 0);
     let (senders, receivers): (Vec<_>, Vec<_>) = (0..threads)
-        .map(|_| channel::bounded::<CallEvent>(4096))
+        .map(|_| mpsc::sync_channel::<CallEvent>(QUEUE_DEPTH))
         .unzip();
 
     let dropped_before = store.dropped_writes();
     let start = Instant::now();
     let mut merged = LatencyHistogram::new();
+    let mut worker_events = Vec::with_capacity(threads);
     std::thread::scope(|s| {
         let mut handles = Vec::with_capacity(threads);
         for rx in receivers {
@@ -60,14 +78,16 @@ pub fn measure_throughput(
                 hist
             }));
         }
-        // dispatch on this thread
         for &ev in events {
-            let w = (ev.call() as usize) % threads;
-            senders[w].send(ev).expect("worker alive");
+            senders[worker_of(ev.call(), threads)]
+                .send(ev)
+                .expect("worker alive");
         }
         drop(senders);
         for h in handles {
-            merged.merge(&h.join().expect("worker panicked"));
+            let hist = h.join().expect("worker panicked");
+            worker_events.push(hist.count());
+            merged.merge(&hist);
         }
     });
     let elapsed = start.elapsed();
@@ -79,7 +99,34 @@ pub fn measure_throughput(
         events_per_sec,
         dropped_writes: store.dropped_writes() - dropped_before,
         latency: merged,
+        worker_events,
     }
+}
+
+/// Virtual wall time of [`measure_throughput`]'s replay of `events` on
+/// `threads` workers when every write takes one `rtt` and nothing else
+/// takes any time. A worker takes its k-th event at `max(dispatch time,
+/// finish of its (k-1)-th)` and finishes it `rtt` later; the dispatcher
+/// hands events out in trace order, but a send to a worker whose queue is
+/// full waits until that worker takes its (k − [`QUEUE_DEPTH`])-th event,
+/// holding up every event behind it. The makespan is the last finish.
+pub fn virtual_makespan(events: &[CallEvent], threads: usize, rtt: Duration) -> Duration {
+    assert!(threads > 0);
+    let rtt = rtt.as_nanos() as u64;
+    let mut dispatch = 0u64;
+    // per worker, when it took each of its events
+    let mut taken: Vec<Vec<u64>> = vec![Vec::new(); threads];
+    for ev in events {
+        let took = &mut taken[worker_of(ev.call(), threads)];
+        let k = took.len();
+        if k >= QUEUE_DEPTH {
+            dispatch = dispatch.max(took[k - QUEUE_DEPTH]);
+        }
+        let free = took.last().map_or(0, |&t| t + rtt);
+        took.push(dispatch.max(free));
+    }
+    let last = taken.iter().filter_map(|took| took.last()).max();
+    Duration::from_nanos(last.map_or(0, |&t| t + rtt))
 }
 
 /// Peak event arrival rate (events/second) of a trace given each event's
@@ -199,6 +246,62 @@ mod tests {
         let r2 = measure_throughput(&store, &events, 2);
         assert_eq!(r2.dropped_writes, 0);
         assert_eq!(store.active_calls(), 0);
+    }
+
+    #[test]
+    fn one_worker_takes_one_round_trip_per_event() {
+        let rtt = Duration::from_micros(300);
+        let events = synth_events(100, 2);
+        let makespan = virtual_makespan(&events, 1, rtt);
+        assert_eq!(makespan, rtt * events.len() as u32);
+        assert_eq!(virtual_makespan(&[], 4, rtt), Duration::ZERO);
+    }
+
+    #[test]
+    fn one_call_gets_no_speed_up_from_more_workers() {
+        let rtt = Duration::from_micros(300);
+        let events = synth_events(1, 50);
+        assert_eq!(
+            virtual_makespan(&events, 8, rtt),
+            virtual_makespan(&events, 1, rtt)
+        );
+    }
+
+    #[test]
+    fn a_full_queue_holds_up_the_dispatcher_and_starves_the_next_worker() {
+        // worker 0 gets QUEUE_DEPTH + 1 + m events first: the send of its
+        // (QUEUE_DEPTH + j)-th waits for it to take its j-th, at j round
+        // trips, so worker 1's first event leaves the dispatcher only at m
+        // round trips and its 2 * QUEUE_DEPTH events finish m later than
+        // they would behind an unbounded queue
+        let rtt = Duration::from_millis(1);
+        let (m, n) = (10, 2 * QUEUE_DEPTH);
+        let on = |call, count| vec![CallEvent::Freeze { call }; count];
+        let events = [on(0, QUEUE_DEPTH + 1 + m), on(1, n)].concat();
+        assert_eq!(worker_of(0, 2), 0);
+        assert_eq!(worker_of(1, 2), 1);
+        let makespan = virtual_makespan(&events, 2, rtt);
+        assert_eq!(makespan, rtt * (m + n) as u32);
+        // worker 0 alone finishes first
+        assert!(makespan > rtt * (QUEUE_DEPTH + 1 + m) as u32);
+    }
+
+    #[test]
+    fn the_model_and_the_threads_split_the_trace_alike() {
+        // call c has 2c + 1 events, so the per-worker totals tell the
+        // partitions apart
+        let events: Vec<CallEvent> = (0..40u64)
+            .flat_map(|call| vec![CallEvent::Freeze { call }; 2 * call as usize + 1])
+            .collect();
+        for threads in [1, 3, 4, 7] {
+            let store = CallStateStore::new(16);
+            let r = measure_throughput(&store, &events, threads);
+            let mut modelled = vec![0u64; threads];
+            for ev in &events {
+                modelled[worker_of(ev.call(), threads)] += 1;
+            }
+            assert_eq!(r.worker_events, modelled, "{threads} threads");
+        }
     }
 
     #[test]

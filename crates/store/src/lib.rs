@@ -9,8 +9,9 @@
 //!   integer mix ([`map::CallIdHasher`]);
 //! * [`callstate`] — call-state records and the event vocabulary the
 //!   controller writes (start/join/media/freeze/end);
-//! * [`harness`] — multi-threaded replay with per-write latency histograms
-//!   and the trace-peak normalizer;
+//! * [`harness`] — multi-threaded replay with per-write latency histograms,
+//!   its virtual-time model at a given write round trip, and the trace-peak
+//!   normalizer;
 //! * [`latency`] — log-bucket latency histograms;
 //! * [`journal`] — the crash-safety write-ahead journal: CRC-framed
 //!   append-only records with fsync group commit, torn-tail truncation, and
@@ -40,7 +41,7 @@ pub mod latency;
 pub mod map;
 
 pub use callstate::{CallEvent, CallState, CallStateStore, MediaFlag, StoreWriteError};
-pub use harness::{measure_throughput, peak_event_rate, ThroughputResult};
+pub use harness::{measure_throughput, peak_event_rate, virtual_makespan, ThroughputResult};
 pub use journal::{
     Frames, Journal, JournalConfig, JournalError, JournalFault, JournalReadError, JournalReader,
     JournalScan,

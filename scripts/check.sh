@@ -106,11 +106,11 @@ echo "==> bench reports: every count in every committed BENCH_*.json, exactly"
 # The twelve paper-figure reports (Tables 1/3/4, Figs. 3/4/7-10, sections
 # 6.4 and 8, the solver ablation) hold the paper-comparable numbers and each
 # EXPERIMENTS.md shape check as a boolean (cost SB < LF < RR, peak order
-# JP < HK < IN, ...). Measured on 2 hardware threads they add ~19 s for
-# eleven of them (Table 3 4 s, Table 4 6 s, section 8 6 s, Fig. 9 2.5 s, the
-# rest under 1 s) and ~175 s for fig10_controller_throughput, whose
-# equivalence sweep over seven thread counts sleeps a simulated 300 us round
-# trip per store write; it runs at its one, full size like the rest.
+# JP < HK < IN, ...). Measured on 2 hardware threads they add ~19 s together
+# (Table 3 4 s, Table 4 6 s, section 8 6 s, Fig. 9 2.5 s, the rest under
+# 1 s): fig10_controller_throughput charges its 300 us store round trips in
+# virtual time, so its seven-count sweep, real threads included, takes well
+# under a second at its one, full size.
 # After a deliberate behaviour change, re-record with --json in place of
 # --check (without --smoke) and commit the file with results/<bench>.txt.
 for f in BENCH_*.json; do
@@ -161,6 +161,25 @@ for expect in "crates/store/src/callstate.rs 1" "crates/engine/src/engine.rs 3";
         exit 1
     fi
 done
+
+echo "==> no-sleep gate: Fig. 10's round trips are virtual, and no product code simulates one"
+# The controller-throughput curve is charged in virtual time
+# (sb_store::harness::virtual_makespan), so the harness and sb-bench never
+# sleep, and nothing outside callstate.rs builds a store with a simulated
+# round trip (CallStateStore::with_simulated_rtt stays for the benchmark's
+# pinned zero-RTT call only). A slept curve measures how well sleeps overlap
+# on the host and costs minutes of this script; it fails here instead.
+sleeps=$(for f in crates/store/src/harness.rs crates/bench/src/*.rs crates/bench/src/bin/*.rs; do
+    non_test "$f"
+done | grep -F 'thread::sleep' || true)
+rtts=$(for f in crates/*/src/*.rs crates/*/src/*/*.rs; do
+    [ "$f" = crates/store/src/callstate.rs ] || non_test "$f"
+done | grep -F 'with_simulated_rtt(' || true)
+if [ -n "$sleeps$rtts" ]; then
+    echo "a slept or simulated store round trip outside callstate.rs:" >&2
+    printf '%s\n' "$sleeps" "$rtts" | grep -v '^$' >&2
+    exit 1
+fi
 
 echo "==> one-journal-path gate: an op's WAL records go out in one append, framed in place"
 # Every engine op frames its records straight into the journal's group-commit
